@@ -29,21 +29,17 @@ from .polyhedra import (
     Cone,
     Fan,
     GeometryError,
+    IncompleteFanError,  # re-exported: raised by downgrade and bundle_rank2
     Polyhedron,
     cone_as_polyhedron,
-    fan_is_complete,
-    fan_validate,
     complex_tailfan,
     make_complex,
     make_cone,
     make_fan,
     make_polyhedron,
     polyhedron_from_hrep,
+    require_complete,
 )
-
-
-class IncompleteFanError(GeometryError):
-    """The input fan must be complete."""
 
 
 class NonSmoothBaseError(GeometryError):
@@ -52,14 +48,6 @@ class NonSmoothBaseError(GeometryError):
 
 class InconsistentFiltrationsError(GeometryError):
     """The ray filtrations do not define an equivariant rank-two bundle."""
-
-
-def _require_complete(fan: Fan) -> None:
-    problems = fan_validate(fan)
-    if problems:
-        raise IncompleteFanError("; ".join(problems))
-    if not fan_is_complete(fan):
-        raise IncompleteFanError("fan is not complete")
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +98,7 @@ def downgrade(inp: DowngradeInput) -> MarkedFansyDivisor:
             ],
             fan.ambient_rank,
         )
-    _require_complete(fan)
+    require_complete(fan)
     n = fan.ambient_rank - 1
     cells_zero = [_slice_at_height(c, 1) for c in fan.maximal_cones]
     cells_inf = [_slice_at_height(c, -1) for c in fan.maximal_cones]
@@ -180,7 +168,7 @@ def _point_sort_key(label: str):
 
 
 def _check_base(b: KlyachkoBundle) -> None:
-    _require_complete(b.base_fan)
+    require_complete(b.base_fan)
     n = b.base_fan.ambient_rank
     for c in b.base_fan.maximal_cones:
         if len(c.generators) != n or abs(det([list(g) for g in c.generators])) != 1:

@@ -39,16 +39,12 @@ from .fansy import (
 from .polyhedra import (
     Cone,
     Fan,
+    IncompleteFanError,  # re-exported: raised by toric_chow_presentation
     Polyhedron,
     all_complex_faces,
-    fan_is_complete,
-    fan_validate,
     poly_is_face_of,
+    require_complete,
 )
-
-
-class IncompleteFanError(ValueError):
-    """The toric presentation needs a complete fan."""
 
 
 class NonIntegralRedirectError(ArithmeticError):
@@ -382,11 +378,7 @@ def toric_chow_presentation(fan: Fan, k: int) -> ChowPresentation:
     divisors of characters on the one-dimension-larger orbit closures.  This
     is the independent oracle the downgrade construction is checked against.
     """
-    problems = fan_validate(fan)
-    if problems:
-        raise IncompleteFanError("; ".join(problems))
-    if not fan_is_complete(fan):
-        raise IncompleteFanError("fan is not complete")
+    require_complete(fan)
     n = fan.ambient_rank
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in [0, {n}]")

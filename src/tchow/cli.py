@@ -25,7 +25,6 @@ from fractions import Fraction
 from .build import (
     FIXTURE_NAMES,
     DowngradeInput,
-    IncompleteFanError,
     KlyachkoBundle,
     RayFiltration,
     bundle_rank2,
@@ -34,7 +33,6 @@ from .build import (
 )
 from .chow import presentation, toric_chow_presentation
 from .effcone import eff_generators
-from .exactlin import ivec
 from .fansy import (
     MarkedFansyDivisor,
     enumerate_generators,
@@ -78,18 +76,32 @@ def _int(value) -> int:
     return int(f)
 
 
+def _rank(value) -> int:
+    rank = _int(value)
+    if rank < 0:
+        raise ParseError(f"rank must be non-negative, got {value!r}")
+    return rank
+
+
+def _vector(value, rank: int, entry=_int) -> tuple:
+    """A coordinate vector with exactly ``rank`` entries read by ``entry``."""
+    if not isinstance(value, list) or len(value) != rank:
+        raise ParseError(f"expected a vector of length {rank}, got {value!r}")
+    return tuple(entry(c) for c in value)
+
+
 # ---------------------------------------------------------------------------
 # documents
 
 
 def parse_fan(doc) -> Fan:
     try:
-        rank = int(doc["rank"])
+        rank = _rank(doc["rank"])
         cones = doc["maximal_cones"]
     except (KeyError, TypeError) as exc:
         raise ParseError("fan documents need 'rank' and 'maximal_cones'") from exc
     return make_fan(
-        [make_cone([ivec(map(_int, g)) for g in c], rank) for c in cones], rank
+        [make_cone([_vector(g, rank) for g in c], rank) for c in cones], rank
     )
 
 
@@ -119,14 +131,17 @@ def parse_input(doc) -> MarkedFansyDivisor:
         fan = parse_fan(stanza["fan"])
         change = stanza.get("basis_change")
         if change is not None:
-            change = tuple(ivec(map(_int, row)) for row in change)
+            rank = fan.ambient_rank
+            if not isinstance(change, list) or len(change) != rank:
+                raise ParseError(f"basis_change must be a {rank}x{rank} matrix")
+            change = tuple(_vector(row, rank) for row in change)
         return downgrade(DowngradeInput(fan, change))
     if stanzas == ["bundle"]:
         stanza = doc["bundle"]
         fan = parse_fan(stanza["fan"])
         filts = []
         for entry in stanza["filtrations"]:
-            ray = ivec(map(_int, entry["ray"]))
+            ray = _vector(entry["ray"], fan.ambient_rank)
             filts.append(
                 (
                     ray,
@@ -139,7 +154,7 @@ def parse_input(doc) -> MarkedFansyDivisor:
             )
         return bundle_rank2(KlyachkoBundle(fan, tuple(filts)))
     try:
-        rank = int(doc["rank"])
+        rank = _rank(doc["rank"])
         points = [str(p) for p in doc["points"]]
         complexes = doc["complexes"]
         marked_doc = doc["marked"]
@@ -151,11 +166,11 @@ def parse_input(doc) -> MarkedFansyDivisor:
             raise ParseError(f"missing subdivision for point {p!r}")
         cells = []
         for cell in complexes[p]:
-            verts = [[_rat(c) for c in v] for v in cell.get("vertices", [])]
-            rays = [ivec(map(_int, r)) for r in cell.get("rays", [])]
+            verts = [_vector(v, rank, _rat) for v in cell.get("vertices", [])]
+            rays = [_vector(r, rank) for r in cell.get("rays", [])]
             cells.append(make_polyhedron(verts, rays, rank))
         labeled.append((p, make_complex(cells, rank)))
-    marked = [make_cone([ivec(map(_int, g)) for g in c], rank) for c in marked_doc]
+    marked = [make_cone([_vector(g, rank) for g in c], rank) for c in marked_doc]
     return make_divisor(rank, labeled, marked)
 
 
@@ -357,8 +372,8 @@ def cmd_crosscheck(args) -> int:
     for res in results:
         p, o = res["pipeline"], res["oracle"]
         lines.append(
-            f"{res['k']:>3}  rank {p['free_rank']} tors {p['torsion'] or '-':<8}"
-            f"  rank {o['free_rank']} tors {o['torsion'] or '-':<8}  {res['match']}"
+            f"{res['k']:>3}  rank {p['free_rank']} tors {p['torsion'] or '-'!s:<8}"
+            f"  rank {o['free_rank']} tors {o['torsion'] or '-'!s:<8}  {res['match']}"
         )
     _emit(args, doc, "\n".join(lines) + "\n")
     return 0 if all_match else 1
@@ -426,7 +441,7 @@ def main(argv=None) -> int:
     except InvalidDivisor as exc:
         print(f"validation failure:\n{exc}", file=sys.stderr)
         return 1
-    except (GeometryError, IncompleteFanError, ValueError) as exc:
+    except (GeometryError, ValueError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
 

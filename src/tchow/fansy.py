@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -46,7 +47,9 @@ class MarkedFansyDivisor:
     """Tailfan, per-point subdivisions and marked cones; dim X = rank + 1.
 
     ``points`` is ordered; the last label plays the role of the basepoint at
-    infinity in all relation blocks.
+    infinity in all relation blocks.  The report of :func:`validate` is
+    computed on first use and kept on the object, outside the dataclass
+    fields.
     """
 
     rank: int
@@ -71,6 +74,10 @@ class MarkedFansyDivisor:
 
     def point_index(self, p: str) -> int:
         return self.points.index(p)
+
+    @cached_property
+    def _report(self) -> ValidationReport:
+        return ValidationReport(tuple(_violations(self)))
 
 
 @dataclass(frozen=True)
@@ -124,9 +131,9 @@ class Violation:
     message: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
-    violations: list[Violation]
+    violations: tuple[Violation, ...]
 
     @property
     def ok(self) -> bool:
@@ -359,8 +366,13 @@ def validate(x: MarkedFansyDivisor) -> ValidationReport:
     """Check every defining condition of a marked fansy divisor.
 
     Returns a report listing each violated condition; never raises on
-    well-formed (if invalid) input.
+    well-formed (if invalid) input.  Checked once per divisor object; later
+    calls return the same frozen report.
     """
+    return x._report
+
+
+def _violations(x: MarkedFansyDivisor) -> list[Violation]:
     out: list[Violation] = []
     add = lambda code, msg: out.append(Violation(code, msg))
 
@@ -370,7 +382,7 @@ def validate(x: MarkedFansyDivisor) -> ValidationReport:
         add("DUPLICATE_POINTS", "point labels must be distinct")
     if len(x.points) != len(x.complexes):
         add("POINTS_COMPLEXES_MISMATCH", "one subdivision per point is required")
-        return ValidationReport(out)
+        return out
 
     for problem in fan_validate(x.tailfan):
         add("BAD_TAILFAN", problem)
@@ -395,7 +407,7 @@ def validate(x: MarkedFansyDivisor) -> ValidationReport:
             add("TAILFAN_MISMATCH", f"fiber over {p} has a different tailfan")
             complexes_ok = False
     if not complexes_ok or not fan_is_complete(x.tailfan):
-        return ValidationReport(out)
+        return out
 
     fan_all = set(x.tailfan.all_cones())
     for c in x.marked:
@@ -404,7 +416,7 @@ def validate(x: MarkedFansyDivisor) -> ValidationReport:
     if any(c.is_zero() for c in x.marked):
         add("MARKED_ZERO_CONE", "the zero cone must not be marked")
     if any(v.code == "MARK_NOT_IN_FAN" for v in out):
-        return ValidationReport(out)
+        return out
 
     for tau in x.marked:
         for sigma in fan_all:
@@ -432,7 +444,7 @@ def validate(x: MarkedFansyDivisor) -> ValidationReport:
                 )
                 unique_ok = False
     if not unique_ok:
-        return ValidationReport(out)
+        return out
 
     for sigma in x.tailfan.cones(x.rank):
         if not x.is_marked(sigma):
@@ -475,4 +487,4 @@ def validate(x: MarkedFansyDivisor) -> ValidationReport:
                     f"face {tau.generators} of {sigma.generators} is marked but "
                     "misses the degree locus",
                 )
-    return ValidationReport(out)
+    return out

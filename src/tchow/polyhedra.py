@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -45,6 +45,10 @@ class NonFanTailsError(GeometryError):
 
 class EmptyPolyhedronError(GeometryError):
     """An operation required a non-empty polyhedron."""
+
+
+class IncompleteFanError(GeometryError):
+    """The fan must be a valid complete fan."""
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +422,19 @@ def poly_is_face_of(f: Polyhedron, p: Polyhedron) -> bool:
 
 @dataclass(frozen=True)
 class Fan:
+    """A fan given by its maximal cones.
+
+    Its validity is computed on first use by :func:`fan_validate` and kept on
+    the object, outside the dataclass fields, so equality and hashing ignore
+    it.
+    """
+
     ambient_rank: int
     maximal_cones: tuple[Cone, ...]
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        return tuple(_fan_problems(self))
 
     def cones(self, d: int) -> tuple[Cone, ...]:
         return fan_cones(self).get(d, ())
@@ -454,8 +469,7 @@ def fan_cones(fan: Fan) -> dict:
     return {d: tuple(sorted(cs, key=Cone.sort_key)) for d, cs in sorted(by_dim.items())}
 
 
-def fan_validate(fan: Fan) -> list[str]:
-    """Structural violations: non-pointed cones or improper intersections."""
+def _fan_problems(fan: Fan) -> list[str]:
     problems = []
     cones = fan.maximal_cones
     for i, a in enumerate(cones):
@@ -470,6 +484,14 @@ def fan_validate(fan: Fan) -> list[str]:
                     f"cones {a.generators} and {b.generators} do not meet in a common face"
                 )
     return problems
+
+
+def fan_validate(fan: Fan) -> list[str]:
+    """Structural violations: non-pointed cones or improper intersections.
+
+    Checked once per fan object; every call returns a fresh list.
+    """
+    return list(fan._problems)
 
 
 def fan_is_complete(fan: Fan) -> bool:
@@ -489,14 +511,37 @@ def fan_is_complete(fan: Fan) -> bool:
     return all(v == 2 for v in tally.values())
 
 
+def require_complete(fan: Fan) -> None:
+    """Raise :class:`IncompleteFanError` unless ``fan`` is a valid complete fan."""
+    problems = fan_validate(fan)
+    if problems:
+        raise IncompleteFanError("; ".join(problems))
+    if not fan_is_complete(fan):
+        raise IncompleteFanError("fan is not complete")
+
+
 # ---------------------------------------------------------------------------
 # polyhedral complexes
 
 
 @dataclass(frozen=True)
 class PolyhedralComplex:
+    """A polyhedral complex given by its maximal cells.
+
+    Like :class:`Fan`, it keeps what :func:`complex_validate` finds and the
+    fan :func:`complex_tailfan` builds, computed on first use.
+    """
+
     ambient_rank: int
     maximal_cells: tuple[Polyhedron, ...]
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        return tuple(_complex_problems(self))
+
+    @cached_property
+    def _tailfan(self) -> Fan:
+        return make_fan((c.tail for c in self.maximal_cells), self.ambient_rank)
 
 
 def make_complex(cells: Iterable[Polyhedron], ambient_rank: int) -> PolyhedralComplex:
@@ -521,8 +566,7 @@ def make_complex(cells: Iterable[Polyhedron], ambient_rank: int) -> PolyhedralCo
     return PolyhedralComplex(ambient_rank, tuple(maximal))
 
 
-def complex_validate(s: PolyhedralComplex) -> list[str]:
-    """Violations of the complex axioms and of completeness."""
+def _complex_problems(s: PolyhedralComplex) -> list[str]:
     problems = []
     n = s.ambient_rank
     cells = s.maximal_cells
@@ -562,6 +606,14 @@ def complex_validate(s: PolyhedralComplex) -> list[str]:
     return problems
 
 
+def complex_validate(s: PolyhedralComplex) -> list[str]:
+    """Violations of the complex axioms and of completeness.
+
+    Checked once per complex object; every call returns a fresh list.
+    """
+    return list(s._problems)
+
+
 def complex_faces(s: PolyhedralComplex, d: int) -> list[tuple[Polyhedron, tuple[int, ...]]]:
     """All d-faces with the indices of the maximal cells containing each."""
     found: dict[Polyhedron, list[int]] = {}
@@ -582,8 +634,11 @@ def all_complex_faces(s: PolyhedralComplex) -> list[Polyhedron]:
 
 
 def complex_tailfan(s: PolyhedralComplex) -> Fan:
-    """Fan of tailcones of all cells; raises NonFanTails if it is not a fan."""
-    fan = make_fan((c.tail for c in s.maximal_cells), s.ambient_rank)
+    """Fan of tailcones of all cells; raises NonFanTails if it is not a fan.
+
+    Built once per complex object, so its own validity is checked once too.
+    """
+    fan = s._tailfan
     problems = fan_validate(fan)
     if problems:
         raise NonFanTailsError("; ".join(problems))

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from tchow.build import (
     predicted_counts,
     projectivized_split_fan,
 )
+from tchow import chow, polyhedra
 from tchow.chow import presentation
 from tchow.fansy import enumerate_generators, validate
 from tchow.polyhedra import make_cone, make_fan
@@ -51,6 +53,29 @@ def test_downgrade_incomplete_rejected():
     fan = make_fan([make_cone([(1, 0), (0, 1)], 2)], 2)
     with pytest.raises(IncompleteFanError):
         downgrade(DowngradeInput(fan))
+
+
+def test_one_incomplete_fan_error():
+    assert IncompleteFanError is chow.IncompleteFanError is polyhedra.IncompleteFanError
+    with pytest.raises(IncompleteFanError, match="not complete"):
+        polyhedra.require_complete(make_fan([make_cone([(1, 0), (0, 1)], 2)], 2))
+
+
+def test_downgrade_then_validate_intersects_each_cell_pair_once(monkeypatch):
+    calls = Counter()
+    real = polyhedra.poly_intersect
+
+    def spy(a, b):
+        calls[id(a), id(b)] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(polyhedra, "poly_intersect", spy)
+    x = downgrade(DowngradeInput(random_complete_fan(random.Random(7))))
+    assert validate(x).ok
+    for s in x.complexes:
+        cells = s.maximal_cells
+        pairs = [(id(a), id(b)) for i, a in enumerate(cells) for b in cells[i + 1 :]]
+        assert [calls[p] for p in pairs] == [1] * len(pairs)
 
 
 def test_downgrade_basis_change():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from conftest import random_complete_fan
@@ -19,6 +20,7 @@ from tchow.fansy import (
     with_extra_generic_point,
     with_point_order,
 )
+from tchow import polyhedra
 from tchow.polyhedra import all_complex_faces, make_cone, make_fan, poly_is_face_of
 
 F = Fraction
@@ -51,6 +53,18 @@ def test_oracle_requires_complete():
     fan = make_fan([make_cone([(1, 0), (0, 1)], 2)], 2)
     with pytest.raises(IncompleteFanError):
         toric_chow_presentation(fan, 0)
+
+
+def test_oracle_validates_its_fan_once(monkeypatch):
+    fan = random_complete_fan(random.Random(3))
+    calls = []
+    real = polyhedra.cone_intersect
+    monkeypatch.setattr(
+        polyhedra, "cone_intersect", lambda a, b: calls.append((a, b)) or real(a, b)
+    )
+    for k in range(fan.ambient_rank + 1):
+        toric_chow_presentation(fan, k)
+    assert len(calls) == comb(len(fan.maximal_cones), 2)
 
 
 def test_oracle_torsion_surface():

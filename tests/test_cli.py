@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tchow
 from tchow.build import fixture
 from tchow.cli import divisor_document, main, parse_input
 from tchow.fansy import validate
@@ -21,12 +24,21 @@ P2E_FAN = {
 }
 
 
+# the child imports the same package as the tests, installed or not
+SRC = str(Path(tchow.__file__).resolve().parent.parent)
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p),
+}
+
+
 def run_cli(args, stdin=None):
     proc = subprocess.run(
         [sys.executable, "-m", "tchow.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     return proc
 
@@ -102,6 +114,66 @@ def test_crosscheck_and_oracle(tmp_path):
     res = run_cli(["oracle", str(fanfile), "--k", "2", "--json"])
     smith = json.loads(res.stdout)["results"][0]["smith"]
     assert smith == {"free_rank": 2, "torsion": []}
+
+
+WEIGHTED_PLANE_FAN = {
+    "rank": 2,
+    "maximal_cones": [[[1, 2], [1, -2]], [[1, 2], [-1, 0]], [[-1, 0], [1, -2]]],
+}
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_crosscheck_with_torsion(tmp_path, capsys, json_flag):
+    fanfile = tmp_path / "fan.json"
+    fanfile.write_text(json.dumps(WEIGHTED_PLANE_FAN))
+    assert main(["crosscheck", str(fanfile), *json_flag]) == 0
+    out = capsys.readouterr().out
+    if json_flag:
+        doc = json.loads(out)
+        assert doc["match"] is True
+        assert doc["results"][1]["pipeline"] == {"free_rank": 1, "torsion": [2]}
+    else:
+        assert "tors [2]" in out and "False" not in out
+
+
+P1_CELL = {"vertices": [["0"]], "rays": [[1]]}
+BAD_DOCUMENTS = {
+    "float_rank": ("oracle", {"rank": 2.7, "maximal_cones": [[[1, 0], [0, 1]]]}),
+    "bool_rank": ("oracle", {"rank": True, "maximal_cones": [[[1, 0], [0, 1]]]}),
+    "short_generator": ("oracle", {"rank": 3, "maximal_cones": [[[1, 0], [0, 1]]]}),
+    "float_rank_explicit": (
+        "validate",
+        {"rank": 1.5, "points": ["0"], "complexes": {"0": [P1_CELL]}, "marked": []},
+    ),
+    "short_vertex": (
+        "validate",
+        {"rank": 2, "points": ["0"], "complexes": {"0": [P1_CELL]}, "marked": []},
+    ),
+    "short_marked_cone": (
+        "validate",
+        {"rank": 1, "points": ["0"], "complexes": {"0": [P1_CELL]}, "marked": [[[1, 0]]]},
+    ),
+    "short_downgrade_ray": ("chow", {"downgrade": {"fan": {"rank": 3, "maximal_cones": [[[1, 0]]]}}}),
+    "short_basis_change": ("chow", {"downgrade": {"fan": P2E_FAN, "basis_change": [[1, 0], [0, 1]]}}),
+    "short_filtration_ray": (
+        "chow",
+        {
+            "bundle": {
+                "fan": {"rank": 2, "maximal_cones": [[[1, 0], [0, 1]]]},
+                "filtrations": [{"ray": [1], "full_until": 0}],
+            }
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
+def test_bad_document_is_parse_error(tmp_path, capsys, name):
+    command, doc = BAD_DOCUMENTS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("parse error:")
 
 
 def test_out_flag(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,7 @@ def test_gr24_missing_maximal_mark_violates_closure(gr24):
     )
     report = validate(broken)
     assert any(v.code == "MARKS_NOT_UPWARD_CLOSED" for v in report.violations)
+    assert_report_is_stable(broken, report)
 
 
 def test_dangling_cell_breaks_completeness():
@@ -68,6 +70,15 @@ def test_dangling_cell_breaks_completeness():
     x = make_divisor(2, [("0", sigma_as_complex(fan)), ("1", broken_complex)], [])
     report = validate(x)
     assert any(v.code == "BAD_COMPLEX" for v in report.violations)
+    assert_report_is_stable(x, report)
+
+
+def assert_report_is_stable(x, report):
+    """A second validate, and one of an equal fresh divisor, find the same violations."""
+    assert validate(x).violations == report.violations
+    assert validate(dataclasses.replace(x)).violations == report.violations
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.violations = ()
 
 
 def test_gr24_compact_edges(gr24):

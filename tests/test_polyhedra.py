@@ -205,6 +205,9 @@ def test_complex_validate_detects_overlap():
     a = P([(0,)], [(1,)], 1)
     b = P([(-1,)], [(1,)], 1)  # overlaps a in a half-line, not a common face
     s = make_complex([a, b], 1)
+    problems = complex_validate(s)
+    assert problems != []
+    problems.clear()  # the stored result is not the caller's list
     assert complex_validate(s) != []
 
 
@@ -226,7 +229,10 @@ def test_fan_completeness_and_euler():
 
 def test_fan_validate_bad_pair():
     fan = make_fan([C((1, 0), (0, 1)), C((1, 1), (1, -1))], 2)
-    assert fan_validate(fan) != []
+    problems = fan_validate(fan)
+    assert problems != []
+    problems.append("extra")
+    assert fan_validate(fan) == problems[:-1]
 
 
 def test_cone_intersect():
