@@ -11,8 +11,10 @@ Commands
 ``crosscheck`` downgrade pipeline vs toric oracle for every k
 
 Inputs are JSON documents with exact rational coordinates: integers, or
-strings like ``"-3/2"``.  Floating point is never read or written.  Exit
-codes: 0 success, 1 validation failure or crosscheck mismatch, 2 parse error.
+strings like ``"-3/2"``.  Floating point is never read or written.  Every
+rank (of a fan or of an explicit document) is at most ``MAX_RANK`` = 4.  Exit
+codes: 0 success, 1 validation failure or crosscheck mismatch, 2 parse error
+(malformed or out-of-range input), 3 internal error (a fault in this program).
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ from .fansy import (
 from .polyhedra import Fan, GeometryError, make_complex, make_cone, make_fan, make_polyhedron
 
 SCHEMA_VERSION = 1
+# Face enumeration tries every subset of a cell's facets, so larger ranks are
+# refused until a benchmark shows them finishing in bounded time.
+MAX_RANK = 4
 
 
 class ParseError(ValueError):
@@ -78,8 +83,8 @@ def _int(value) -> int:
 
 def _rank(value) -> int:
     rank = _int(value)
-    if rank < 0:
-        raise ParseError(f"rank must be non-negative, got {value!r}")
+    if not 0 <= rank <= MAX_RANK:
+        raise ParseError(f"rank must lie in [0, {MAX_RANK}], got {value!r}")
     return rank
 
 
@@ -90,28 +95,38 @@ def _vector(value, rank: int, entry=_int) -> tuple:
     return tuple(entry(c) for c in value)
 
 
+_REQUIRED = object()
+
+
+def _field(obj, key: str, what: str, default=_REQUIRED):
+    """``obj[key]`` for a JSON object ``obj`` called ``what`` in messages."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} must be a JSON object, got {obj!r}")
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
+        raise ParseError(f"{what} needs {key!r}")
+    return default
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # documents
 
 
+def _cone(value, rank: int):
+    return make_cone([_vector(g, rank) for g in _list(value, "a cone")], rank)
+
+
 def parse_fan(doc) -> Fan:
-    try:
-        rank = _rank(doc["rank"])
-        cones = doc["maximal_cones"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError("fan documents need 'rank' and 'maximal_cones'") from exc
-    return make_fan(
-        [make_cone([_vector(g, rank) for g in c], rank) for c in cones], rank
-    )
-
-
-def fan_document(fan: Fan) -> dict:
-    return {
-        "rank": fan.ambient_rank,
-        "maximal_cones": [
-            [list(g) for g in c.generators] for c in fan.maximal_cones
-        ],
-    }
+    rank = _rank(_field(doc, "rank", "a fan document"))
+    cones = _list(_field(doc, "maximal_cones", "a fan document"), "maximal_cones")
+    return make_fan([_cone(c, rank) for c in cones], rank)
 
 
 def parse_input(doc) -> MarkedFansyDivisor:
@@ -128,8 +143,8 @@ def parse_input(doc) -> MarkedFansyDivisor:
         )
     if stanzas == ["downgrade"]:
         stanza = doc["downgrade"]
-        fan = parse_fan(stanza["fan"])
-        change = stanza.get("basis_change")
+        fan = parse_fan(_field(stanza, "fan", "the downgrade stanza"))
+        change = _field(stanza, "basis_change", "the downgrade stanza", None)
         if change is not None:
             rank = fan.ambient_rank
             if not isinstance(change, list) or len(change) != rank:
@@ -138,39 +153,39 @@ def parse_input(doc) -> MarkedFansyDivisor:
         return downgrade(DowngradeInput(fan, change))
     if stanzas == ["bundle"]:
         stanza = doc["bundle"]
-        fan = parse_fan(stanza["fan"])
+        fan = parse_fan(_field(stanza, "fan", "the bundle stanza"))
         filts = []
-        for entry in stanza["filtrations"]:
-            ray = _vector(entry["ray"], fan.ambient_rank)
-            filts.append(
-                (
-                    ray,
-                    RayFiltration(
-                        _int(entry["full_until"]),
-                        entry.get("line"),
-                        _int(entry["line_until"]) if entry.get("line") is not None else None,
-                    ),
-                )
+        for entry in _list(_field(stanza, "filtrations", "the bundle stanza"), "filtrations"):
+            ray = _vector(_field(entry, "ray", "a filtration"), fan.ambient_rank)
+            full_until = _int(_field(entry, "full_until", "a filtration"))
+            line = _field(entry, "line", "a filtration", None)
+            if line is not None and not isinstance(line, str):
+                raise ParseError(f"a filtration line must be a point label, got {line!r}")
+            line_until = (
+                None if line is None else _int(_field(entry, "line_until", "a filtration"))
             )
+            filts.append((ray, RayFiltration(full_until, line, line_until)))
         return bundle_rank2(KlyachkoBundle(fan, tuple(filts)))
-    try:
-        rank = _rank(doc["rank"])
-        points = [str(p) for p in doc["points"]]
-        complexes = doc["complexes"]
-        marked_doc = doc["marked"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError("explicit documents need rank, points, complexes, marked") from exc
+    what = "an explicit document"
+    rank = _rank(_field(doc, "rank", what))
+    points = [str(p) for p in _list(_field(doc, "points", what), "points")]
+    complexes = _field(doc, "complexes", what)
+    marked_doc = _list(_field(doc, "marked", what), "marked")
     labeled = []
     for p in points:
-        if p not in complexes:
-            raise ParseError(f"missing subdivision for point {p!r}")
         cells = []
-        for cell in complexes[p]:
-            verts = [_vector(v, rank, _rat) for v in cell.get("vertices", [])]
-            rays = [_vector(r, rank) for r in cell.get("rays", [])]
-            cells.append(make_polyhedron(verts, rays, rank))
+        for cell in _list(_field(complexes, p, "complexes"), f"the cells of point {p!r}"):
+            verts = _list(_field(cell, "vertices", "a cell", []), "vertices")
+            rays = _list(_field(cell, "rays", "a cell", []), "rays")
+            cells.append(
+                make_polyhedron(
+                    [_vector(v, rank, _rat) for v in verts],
+                    [_vector(r, rank) for r in rays],
+                    rank,
+                )
+            )
         labeled.append((p, make_complex(cells, rank)))
-    marked = [make_cone([_vector(g, rank) for g in c], rank) for c in marked_doc]
+    marked = [_cone(c, rank) for c in marked_doc]
     return make_divisor(rank, labeled, marked)
 
 
@@ -231,7 +246,10 @@ def _emit(args, doc: dict, text: str) -> None:
 
 
 def _read_json(path: str):
-    data = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    try:
+        data = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     try:
         return json.loads(data)
     except json.JSONDecodeError as exc:
@@ -266,12 +284,8 @@ class InvalidDivisor(ValueError):
     pass
 
 
-def cmd_chow(args) -> int:
-    x = _load_divisor(args.file)
-    _require_valid(x)
-    ks = range(x.rank + 2) if args.k is None else [args.k]
-    results = [_presentation_document(presentation(x, k)) for k in ks]
-    doc = {"command": "chow", "results": results}
+def _smith_table(results: list[dict]) -> str:
+    """The text table of ``chow`` and ``oracle``: one line per presentation."""
     lines = ["  k  generators  relations  free_rank  torsion"]
     for res in results:
         smith = res["smith"]
@@ -280,7 +294,16 @@ def cmd_chow(args) -> int:
             f"{len(res['relations']):>9}  {smith['free_rank']:>9}  "
             f"{smith['torsion'] or '-'}"
         )
-    _emit(args, doc, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def cmd_chow(args) -> int:
+    x = _load_divisor(args.file)
+    _require_valid(x)
+    ks = range(x.rank + 2) if args.k is None else [args.k]
+    results = [_presentation_document(presentation(x, k)) for k in ks]
+    doc = {"command": "chow", "results": results}
+    _emit(args, doc, _smith_table(results))
     return 0
 
 
@@ -329,15 +352,7 @@ def cmd_oracle(args) -> int:
     ks = range(fan.ambient_rank + 1) if args.k is None else [args.k]
     results = [_presentation_document(toric_chow_presentation(fan, k)) for k in ks]
     doc = {"command": "oracle", "results": results}
-    lines = ["  k  generators  relations  free_rank  torsion"]
-    for res in results:
-        smith = res["smith"]
-        lines.append(
-            f"{res['k']:>3}  {len(res['generators']):>10}  "
-            f"{len(res['relations']):>9}  {smith['free_rank']:>9}  "
-            f"{smith['torsion'] or '-'}"
-        )
-    _emit(args, doc, "\n".join(lines) + "\n")
+    _emit(args, doc, _smith_table(results))
     return 0
 
 
@@ -435,7 +450,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, KeyError, TypeError) as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except InvalidDivisor as exc:
@@ -444,6 +459,9 @@ def main(argv=None) -> int:
     except (GeometryError, ValueError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a fault in this program, not in the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Exact rational cones, polyhedra, fans, and complete polyhedral complexes.
 
 V-representations are primary; H-representations are derived at construction
-time and carried along (excluded from equality).  Conversion both ways is a
-brute-force double description over the rationals, enumerating candidate
-faces from subsets of generators or inequalities.  This is exact and entirely
-adequate at ambient rank <= 4, which is all this package ever sees.
+time and carried along (excluded from equality).  Conversion both ways is one
+exact integer double-description routine, :func:`_extreme_rays`: facets of a
+cone are the extreme rays of its dual.  Face enumeration still tries every
+subset of facets, which keeps the package at ambient rank <= 4.
 
 Cones and polyhedra with lineality (a contained line) are rejected at
 construction; every object in a fan or complete complex is pointed.
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import gcd
 from typing import Iterable, Sequence
 
 from .exactlin import (
@@ -52,7 +53,7 @@ class IncompleteFanError(GeometryError):
 
 
 # ---------------------------------------------------------------------------
-# span coordinates and brute-force double description
+# span coordinates and the double description
 
 
 def _span_coords(int_gens: Sequence[IVec], n: int):
@@ -79,46 +80,83 @@ def _uncoords(b, c: Sequence) -> tuple:
     return tuple(sum(c[i] * b[i][j] for i in range(len(c))) for j in range(len(b[0])))
 
 
-def _facets_fulldim(gens_c: Sequence[IVec], r: int) -> list[IVec]:
-    """Facet normals of a full-dimensional cone given by generators in Z^r."""
-    if r == 0:
-        return []
-    normals = set()
-    for subset in combinations(range(len(gens_c)), r - 1):
-        kern = integer_kernel([list(gens_c[i]) for i in subset], r)
-        if len(kern) != 1:
+def _independent_rows(rows: Sequence[IVec], r: int) -> list[int]:
+    """Indices of up to ``r`` independent rows, taken greedily in input order.
+
+    Fraction-free elimination: each row is reduced against the pivots kept so
+    far, and kept when something nonzero is left.
+    """
+    pivots: list[tuple[int, list[int]]] = []
+    chosen = []
+    for i, a in enumerate(rows):
+        x = list(a)
+        for c, p in pivots:
+            if x[c]:
+                x = [p[c] * xj - x[c] * pj for xj, pj in zip(x, p)]
+        col = next((c for c, xc in enumerate(x) if xc), None)
+        if col is None:
             continue
-        u = kern[0]
-        vals = [dot(u, g) for g in gens_c]
-        if any(x > 0 for x in vals) and any(x < 0 for x in vals):
-            continue
-        if any(x < 0 for x in vals):
-            u = tuple(-x for x in u)
-        if any(x != 0 for x in vals):
-            normals.add(u)
-    return sorted(normals)
+        g = gcd(*x)
+        pivots.append((col, [xj // g for xj in x]))
+        chosen.append(i)
+        if len(chosen) == r:
+            break
+    return chosen
 
 
-def _rays_fulldim(ineqs_c: Sequence[Sequence], r: int) -> list[IVec]:
-    """Extreme rays of the pointed cone ``{y in Q^r : a . y >= 0}``."""
+def _extreme_rays(rows: Sequence[IVec], r: int) -> list[IVec]:
+    """Primitive extreme rays, sorted, of the cone ``{y in Q^r : a . y >= 0}``.
+
+    The rows are integer vectors and must span Q^r, that is, the cone must be
+    pointed; otherwise GeometryError.  The same call gives facets: the facet
+    normals of the full-dimensional cone spanned by generators ``g`` in Z^r
+    are the extreme rays of its dual ``{u : u . g >= 0}``, so
+    ``_extreme_rays(gens, r)`` returns them provided the generators span Q^r.
+
+    Double description (Motzkin et al. 1953): start from the simplicial cone
+    of ``r`` independent rows and add the other rows in input order.  A ray
+    carries the bitmask of the rows it is tight on; a (+, -) pair is joined on
+    the new hyperplane only when adjacent, which by the combinatorial test
+    (Fukuda & Prodon 1996) means no other ray is tight on every row both are.
+    """
     if r == 0:
         return []
-    int_rows = [primitive(a)[0] for a in ineqs_c]
-    if integer_kernel([list(a) for a in int_rows], r):
+    basis = _independent_rows(rows, r)
+    if len(basis) < r:
         raise GeometryError("cone is not pointed")
-    rays = set()
-    for subset in combinations(range(len(int_rows)), r - 1):
-        kern = integer_kernel([list(int_rows[i]) for i in subset], r)
-        if len(kern) != 1:
-            continue
-        y = kern[0]
-        vals = [dot(a, y) for a in int_rows]
-        if any(x > 0 for x in vals) and any(x < 0 for x in vals):
-            continue
-        if any(x < 0 for x in vals):
+    basis_mask = sum(1 << i for i in basis)
+    rays = []
+    for i in basis:
+        (y,) = integer_kernel([rows[j] for j in basis if j != i], r)
+        if dot(rows[i], y) < 0:
             y = tuple(-x for x in y)
-        rays.add(y)
-    return sorted(rays)
+        rays.append((y, basis_mask & ~(1 << i)))
+    for i, a in enumerate(rows):
+        if basis_mask >> i & 1:
+            continue
+        bit = 1 << i
+        kept, pos, neg = [], [], []
+        for y, mask in rays:
+            v = dot(a, y)
+            if v > 0:
+                kept.append((y, mask))
+                pos.append((y, mask, v))
+            elif v < 0:
+                neg.append((y, mask, v))
+            else:
+                kept.append((y, mask | bit))
+        for yp, mp, vp in pos:
+            for yn, mn, vn in neg:
+                common = mp & mn
+                if common.bit_count() < r - 2:  # a 2-face needs r - 2 tight rows
+                    continue
+                if sum(1 for _, mask in rays if mask & common == common) > 2:
+                    continue
+                z = [vp * b - vn * c for b, c in zip(yn, yp)]
+                g = gcd(*z)
+                kept.append((tuple(x // g for x in z), common | bit))
+        rays = kept
+    return sorted(y for y, _ in rays)
 
 
 def _h_to_generators(
@@ -132,8 +170,9 @@ def _h_to_generators(
     w = len(w_basis)
     if w == 0:
         return []
-    restricted = [[dot(a, wr) for wr in w_basis] for a in ineq_rows]
-    rays_c = _rays_fulldim(restricted, w)
+    int_ineqs = [primitive(a)[0] for a in ineq_rows]
+    restricted = [tuple(dot(a, wr) for wr in w_basis) for a in int_ineqs]
+    rays_c = _extreme_rays(restricted, w)
     return [_uncoords([list(r) for r in w_basis], y) for y in rays_c]
 
 
@@ -190,8 +229,8 @@ def make_cone(generators: Iterable[Sequence], ambient_rank: int) -> Cone:
         return zero_cone(ambient_rank)
     b, q, r = _span_coords(prims, ambient_rank)
     gens_c = [_coords(q, g) for g in prims]
-    normals_c = _facets_fulldim(gens_c, r)
-    rays_c = _rays_fulldim(normals_c, r)
+    normals_c = _extreme_rays(gens_c, r)
+    rays_c = _extreme_rays(normals_c, r)
     gens = tuple(sorted(_uncoords(b, y) for y in rays_c))
     normals = tuple(
         sorted(tuple(sum(w[i] * q[j][i] for i in range(r)) for j in range(ambient_rank)) for w in normals_c)
@@ -307,8 +346,8 @@ def make_polyhedron(
             homog.append(d + (0,))
     b, q, rk = _span_coords(homog, n + 1)
     gens_c = [_coords(q, g) for g in homog]
-    normals_c = _facets_fulldim(gens_c, rk)
-    rays_c = _rays_fulldim(normals_c, rk)
+    normals_c = _extreme_rays(gens_c, rk)
+    rays_c = _extreme_rays(normals_c, rk)
     verts_out = []
     tail_gens = []
     for y in rays_c:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import tchow
+from tchow import cli
 from tchow.build import fixture
 from tchow.cli import divisor_document, main, parse_input
 from tchow.fansy import validate
@@ -137,6 +138,11 @@ def test_crosscheck_with_torsion(tmp_path, capsys, json_flag):
 
 
 P1_CELL = {"vertices": [["0"]], "rays": [[1]]}
+P1P1_BASE = {
+    "rank": 2,
+    "maximal_cones": [[[1, 0], [0, 1]], [[0, 1], [-1, 0]], [[-1, 0], [0, -1]], [[0, -1], [1, 0]]],
+}
+RANK5_SIMPLEX = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
 BAD_DOCUMENTS = {
     "float_rank": ("oracle", {"rank": 2.7, "maximal_cones": [[[1, 0], [0, 1]]]}),
     "bool_rank": ("oracle", {"rank": True, "maximal_cones": [[[1, 0], [0, 1]]]}),
@@ -164,6 +170,48 @@ BAD_DOCUMENTS = {
             }
         },
     ),
+    "bundle_without_filtrations": ("chow", {"bundle": {"fan": P1P1_BASE}}),
+    "bundle_filtration_not_object": (
+        "chow",
+        {"bundle": {"fan": P1P1_BASE, "filtrations": [[1, 0]]}},
+    ),
+    "bundle_filtration_without_ray": (
+        "chow",
+        {"bundle": {"fan": P1P1_BASE, "filtrations": [{"full_until": 0}]}},
+    ),
+    "bundle_line_not_label": (
+        "chow",
+        {
+            "bundle": {
+                "fan": P1P1_BASE,
+                "filtrations": [{"ray": [1, 0], "full_until": 0, "line": [0], "line_until": 1}],
+            }
+        },
+    ),
+    "downgrade_without_fan": ("chow", {"downgrade": {"basis_change": None}}),
+    "fan_cones_not_list": ("oracle", {"rank": 2, "maximal_cones": 7}),
+    "missing_subdivision": (
+        "validate",
+        {"rank": 1, "points": ["0", "1"], "complexes": {"0": [P1_CELL]}, "marked": []},
+    ),
+    "complexes_not_object": (
+        "validate",
+        {"rank": 1, "points": ["0"], "complexes": [[P1_CELL]], "marked": []},
+    ),
+    "cell_not_object": (
+        "validate",
+        {"rank": 1, "points": ["0"], "complexes": {"0": [[["0"]]]}, "marked": []},
+    ),
+    "rank5_fan": ("oracle", {"rank": 5, "maximal_cones": [RANK5_SIMPLEX]}),
+    "rank5_explicit": (
+        "validate",
+        {
+            "rank": 5,
+            "points": ["0"],
+            "complexes": {"0": [{"vertices": [["0"] * 5], "rays": RANK5_SIMPLEX}]},
+            "marked": [],
+        },
+    ),
 }
 
 
@@ -174,6 +222,45 @@ def test_bad_document_is_parse_error(tmp_path, capsys, name):
     path.write_text(json.dumps(doc))
     assert main([command, str(path)]) == 2
     assert capsys.readouterr().err.startswith("parse error:")
+
+
+def test_unreadable_file_is_parse_error(tmp_path, capsys):
+    assert main(["chow", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.startswith("parse error: cannot read")
+
+
+@pytest.mark.parametrize("fault", [TypeError, KeyError, IndexError, AssertionError])
+def test_internal_fault_is_exit_three(monkeypatch, capsys, fault):
+    def broken(name):
+        raise fault("invariant broken")
+
+    monkeypatch.setattr(cli, "fixture", broken)
+    assert main(["fixture", "gr24"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: {fault.__name__}:")
+    assert "parse error" not in err
+
+
+def test_chow_and_oracle_text_tables(tmp_path, capsys):
+    fixture_file = tmp_path / "p2_E.json"
+    fixture_file.write_text(json.dumps(divisor_document(fixture("p2_E"))))
+    assert main(["chow", str(fixture_file)]) == 0
+    assert capsys.readouterr().out == (
+        "  k  generators  relations  free_rank  torsion\n"
+        "  0           6          9          1  -\n"
+        "  1           9         10          2  -\n"
+        "  2           5          3          2  -\n"
+        "  3           1          0          1  -\n"
+    )
+    fanfile = tmp_path / "fan.json"
+    fanfile.write_text(json.dumps(WEIGHTED_PLANE_FAN))
+    assert main(["oracle", str(fanfile)]) == 0
+    assert capsys.readouterr().out == (
+        "  k  generators  relations  free_rank  torsion\n"
+        "  0           3          3          1  -\n"
+        "  1           3          2          1  [2]\n"
+        "  2           1          0          1  -\n"
+    )
 
 
 def test_out_flag(tmp_path):

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tchow.exactlin import dot, integer_kernel, primitive, primitive_direction
 from tchow.polyhedra import (
     Cone,
     GeometryError,
@@ -26,6 +29,7 @@ from tchow.polyhedra import (
     poly_faces,
     poly_intersect,
     tailcone,
+    _extreme_rays,
 )
 
 F = Fraction
@@ -252,3 +256,120 @@ def test_cone_faces_count_cube_like():
     for f in faces:
         dims[f.dim] = dims.get(f.dim, 0) + 1
     assert dims == {0: 1, 1: 4, 2: 4, 3: 1}
+
+
+# ---------------------------------------------------------------------------
+# test-only reference: V <-> H conversion by trying every (r-1)-subset
+
+
+def brute_facets(gens, r):
+    """Facet normals of the full-dimensional cone spanned by ``gens`` in Z^r."""
+    if r == 0:
+        return []
+    normals = set()
+    for subset in combinations(range(len(gens)), r - 1):
+        kern = integer_kernel([list(gens[i]) for i in subset], r)
+        if len(kern) != 1:
+            continue
+        u = kern[0]
+        vals = [dot(u, g) for g in gens]
+        if any(x > 0 for x in vals) and any(x < 0 for x in vals):
+            continue
+        if any(x < 0 for x in vals):
+            u = tuple(-x for x in u)
+        if any(x != 0 for x in vals):
+            normals.add(u)
+    return sorted(normals)
+
+
+def brute_rays(rows, r):
+    """Extreme rays of the pointed cone ``{y in Q^r : a . y >= 0}``."""
+    if r == 0:
+        return []
+    int_rows = [primitive(a)[0] for a in rows]
+    if integer_kernel([list(a) for a in int_rows], r):
+        raise GeometryError("cone is not pointed")
+    rays = set()
+    for subset in combinations(range(len(int_rows)), r - 1):
+        kern = integer_kernel([list(int_rows[i]) for i in subset], r)
+        if len(kern) != 1:
+            continue
+        y = kern[0]
+        vals = [dot(a, y) for a in int_rows]
+        if any(x > 0 for x in vals) and any(x < 0 for x in vals):
+            continue
+        if any(x < 0 for x in vals):
+            y = tuple(-x for x in y)
+        rays.add(y)
+    return sorted(rays)
+
+
+def rays_or_error(f, rows, r):
+    try:
+        return f(rows, r)
+    except GeometryError:
+        return "not pointed"
+
+
+def random_rows(rng, r):
+    """Small integer rows with zero, repeated, negated and multiplied ones."""
+    rows = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(rng.randint(0, 8))]
+    if rows:
+        for scale in (-1, 2, 3):
+            if rng.random() < 0.3:
+                rows.append(tuple(scale * x for x in rng.choice(rows)))
+        if rng.random() < 0.2:
+            rows.append(rng.choice(rows))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_extreme_rays_match_brute_force():
+    rng = random.Random(3)
+    pointed = 0
+    for _ in range(1200):
+        r = rng.randint(1, 5)
+        rows = random_rows(rng, r)
+        expected = rays_or_error(brute_rays, rows, r)
+        assert rays_or_error(_extreme_rays, rows, r) == expected, (rows, r)
+        pointed += expected != "not pointed"
+    assert 300 < pointed < 1100  # both outcomes are well represented
+
+
+def test_facets_match_brute_force():
+    rng = random.Random(4)
+    spanning = 0
+    for _ in range(1200):
+        r = rng.randint(1, 5)
+        gens = [primitive_direction(g) for g in random_rows(rng, r) if any(g)]
+        if not gens or integer_kernel(gens, r):  # not spanning: no dual to enumerate
+            continue
+        spanning += 1
+        assert _extreme_rays(gens, r) == brute_facets(gens, r), (gens, r)
+    assert spanning > 300
+
+
+def test_extreme_rays_zero_cone():
+    assert _extreme_rays([(1, 0), (0, 1), (-1, -1)], 2) == []
+    assert _extreme_rays([(1, 0), (-1, 0), (0, 1), (0, -1)], 2) == []
+    meet = cone_intersect(C((1, 0), (0, 1)), C((-1, 0), (0, -1)))
+    assert meet.is_zero() and meet.dim == 0
+
+
+def test_extreme_rays_lower_dimensional_cut():
+    assert _extreme_rays([(1, 0), (0, 1), (-1, 0)], 2) == [(0, 1)]
+    meet = cone_intersect(C((1, 0), (0, 1)), C((1, 0), (0, -1)))
+    assert meet == C((1, 0)) and meet.dim == 1
+    wall = cone_intersect(C((1, 0, 0), (0, 1, 0), (0, 0, 1)), C((1, 0, 0), (0, -1, 0), (0, 0, 1)))
+    assert wall.generators == ((0, 0, 1), (1, 0, 0)) and wall.dim == 2
+
+
+def test_extreme_rays_rank_one_and_zero():
+    assert _extreme_rays([(2,)], 1) == [(1,)]
+    assert _extreme_rays([(-3,), (-1,)], 1) == [(-1,)]
+    assert _extreme_rays([(1,), (-1,)], 1) == []
+    with pytest.raises(GeometryError):
+        _extreme_rays([(0,)], 1)
+    assert _extreme_rays([], 0) == []
+    assert make_cone([(3,)], 1).generators == ((1,),)
+    assert make_cone([(3,)], 1).normals == ((1,),)
