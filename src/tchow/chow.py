@@ -90,7 +90,7 @@ def _as_int(value) -> int:
 
 def _face_directions(face: Polyhedron, base) -> list:
     dirs = [vsub(v, base) for v in face.vertices if v != base]
-    dirs += [vec(g) for g in face.tail.generators]
+    dirs += face.tail.generators
     return dirs
 
 
@@ -199,7 +199,7 @@ def relation_block_r(
     """
     n = x.rank
     tau = source.cone
-    proj = quotient_matrix([vec(g) for g in tau.generators], n)
+    proj = quotient_matrix(tau.generators, n)
     per_point: dict[str, list[tuple[Polyhedron, int]]] = {}
     for p in x.points:
         per_point[p] = [
@@ -221,7 +221,7 @@ def relation_block_r(
         for c in x.tailfan.cones(n + 1 - k)
         if c.contains_cone(tau) and not x.is_marked(c)
     ]
-    for m in perp_lattice([vec(g) for g in tau.generators], n).basis:
+    for m in perp_lattice(tau.generators, n).basis:
         entries = {}
         for p in x.points:
             for f, mu in per_point[p]:
@@ -260,12 +260,12 @@ def relation_block_t(
     """Rational equivalences among contracted cycles from one marked cone."""
     n = x.rank
     tau = source.cone
-    proj = quotient_matrix([vec(g) for g in tau.generators], n)
+    proj = quotient_matrix(tau.generators, n)
     above = [
         c for c in x.tailfan.cones(n - k) if c.contains_cone(tau)
     ]
     rows = []
-    for m in perp_lattice([vec(g) for g in tau.generators], n).basis:
+    for m in perp_lattice(tau.generators, n).basis:
         entries: dict[CycleGenerator, int] = {}
         for sigma in above:
             if not x.is_marked(sigma):
@@ -385,9 +385,9 @@ def toric_chow_presentation(fan: Fan, k: int) -> ChowPresentation:
     gens = [CycleGenerator("R", cone=c) for c in fan.cones(n - k)]
     rows = []
     for tau in fan.cones(n - k - 1):
-        proj = quotient_matrix([vec(g) for g in tau.generators], n)
+        proj = quotient_matrix(tau.generators, n)
         above = [c for c in fan.cones(n - k) if c.contains_cone(tau)]
-        for m in perp_lattice([vec(g) for g in tau.generators], n).basis:
+        for m in perp_lattice(tau.generators, n).basis:
             entries = []
             for sigma in above:
                 image = _cone_image_ray(proj, sigma)

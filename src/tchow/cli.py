@@ -284,6 +284,19 @@ class InvalidDivisor(ValueError):
     pass
 
 
+def _levels(k, top: int):
+    """The cycle dimensions to compute: ``[k]``, or every one in ``[0, top]``.
+
+    An explicit ``k`` outside ``[0, top]`` is a parse error, raised before any
+    validation; the library would raise the same message as a ValueError.
+    """
+    if k is None:
+        return range(top + 1)
+    if not 0 <= k <= top:
+        raise ParseError(f"k must lie in [0, {top}]")
+    return [k]
+
+
 def _smith_table(results: list[dict]) -> str:
     """The text table of ``chow`` and ``oracle``: one line per presentation."""
     lines = ["  k  generators  relations  free_rank  torsion"]
@@ -299,8 +312,8 @@ def _smith_table(results: list[dict]) -> str:
 
 def cmd_chow(args) -> int:
     x = _load_divisor(args.file)
+    ks = _levels(args.k, x.dim_x)
     _require_valid(x)
-    ks = range(x.rank + 2) if args.k is None else [args.k]
     results = [_presentation_document(presentation(x, k)) for k in ks]
     doc = {"command": "chow", "results": results}
     _emit(args, doc, _smith_table(results))
@@ -309,11 +322,12 @@ def cmd_chow(args) -> int:
 
 def cmd_eff(args) -> int:
     x = _load_divisor(args.file)
+    [k] = _levels(args.k, x.dim_x)
     _require_valid(x)
-    report = eff_generators(x, args.k)
+    report = eff_generators(x, k)
     doc = {
         "command": "eff",
-        "k": args.k,
+        "k": k,
         "smith": {
             "free_rank": report.presentation.free_rank,
             "torsion": list(report.presentation.torsion),
@@ -326,7 +340,7 @@ def cmd_eff(args) -> int:
             for cls, gens in report.distinct_classes
         ],
     }
-    lines = [f"effective {args.k}-cycle generators ({report.generator_count}):"]
+    lines = [f"effective {k}-cycle generators ({report.generator_count}):"]
     for cls, gens in report.distinct_classes:
         lines.append(f"  class {list(cls)}  <-  {', '.join(g.label() for g in gens)}")
     _emit(args, doc, "\n".join(lines) + "\n")
@@ -349,7 +363,7 @@ def cmd_counts(args) -> int:
 
 def cmd_oracle(args) -> int:
     fan = parse_fan(_read_json(args.fanfile))
-    ks = range(fan.ambient_rank + 1) if args.k is None else [args.k]
+    ks = _levels(args.k, fan.ambient_rank)
     results = [_presentation_document(toric_chow_presentation(fan, k)) for k in ks]
     doc = {"command": "oracle", "results": results}
     _emit(args, doc, _smith_table(results))

@@ -255,10 +255,14 @@ def primitive(v: Sequence) -> tuple[IVec, int]:
 
     For ``v = 0`` returns ``(0, 1)``.  ``mu`` is the multiplicity of ``v`` as
     a rational point: the smallest positive integer making it a lattice point.
+    An integer vector is returned as it is, without going through Fractions.
     """
+    v = tuple(v)
+    if all(type(x) is int for x in v):
+        return v, 1
     fv = vec(v)
-    mu = lcm(*(f.denominator for f in fv)) if fv else 1
-    return tuple(int(f * mu) for f in fv), mu
+    mu = lcm(*(f.denominator for f in fv))
+    return tuple(f.numerator * (mu // f.denominator) for f in fv), mu
 
 
 def primitive_direction(v: Sequence) -> IVec:

@@ -262,7 +262,7 @@ def mu_of_face(x: MarkedFansyDivisor, p: str, face: Polyhedron) -> int:
     lcm of the multiplicities of the image polytope's vertices (for a face
     whose dimension equals its tail's the image is a single vertex).
     """
-    q = quotient_matrix([vec(g) for g in face.tail.generators], x.rank)
+    q = quotient_matrix(face.tail.generators, x.rank)
     if not q or not q[0]:
         return 1
     images = {project(q, v) for v in face.vertices}
@@ -271,7 +271,7 @@ def mu_of_face(x: MarkedFansyDivisor, p: str, face: Polyhedron) -> int:
 
 def vertex_image(x: MarkedFansyDivisor, face: Polyhedron) -> Vec:
     """Image of a tail-collapsed face under projection modulo its tail span."""
-    q = quotient_matrix([vec(g) for g in face.tail.generators], x.rank)
+    q = quotient_matrix(face.tail.generators, x.rank)
     if not q or not q[0]:
         return ()
     images = {project(q, v) for v in face.vertices}
@@ -289,7 +289,7 @@ def s_sigma(x: MarkedFansyDivisor, sigma: Cone) -> int:
     """
     if not x.is_marked(sigma):
         raise ValueError("s_sigma is defined for marked cones only")
-    q = quotient_matrix([vec(g) for g in sigma.generators], x.rank)
+    q = quotient_matrix(sigma.generators, x.rank)
     r = len(q[0]) if q else 0
     if r == 0:
         return 1

@@ -3,8 +3,16 @@
 V-representations are primary; H-representations are derived at construction
 time and carried along (excluded from equality).  Conversion both ways is one
 exact integer double-description routine, :func:`_extreme_rays`: facets of a
-cone are the extreme rays of its dual.  Face enumeration still tries every
-subset of facets, which keeps the package at ambient rank <= 4.
+cone are the extreme rays of its dual.  Each construction takes one lattice
+kernel of its generators, which gives both the span equations and the span's
+saturated basis.  Face enumeration still tries every subset of facets, which
+keeps the package at ambient rank <= 4.
+
+Face queries are answered from hashed sets.  The faces of a cone or a
+polyhedron, and the set :func:`cone_is_face_of` / :func:`poly_is_face_of`
+test membership in, are held in global caches keyed by value, so a rebuilt
+but equal object still hits them.  A complex lists the faces of all its cells
+once, on the object (see :func:`all_complex_faces`).
 
 Cones and polyhedra with lineality (a contained line) are rejected at
 construction; every object in a fan or complete complex is pointed.
@@ -29,7 +37,6 @@ from .exactlin import (
     perp_lattice,
     primitive,
     primitive_direction,
-    saturation,
     snf_transforms,
     vadd,
     vec,
@@ -57,19 +64,21 @@ class IncompleteFanError(GeometryError):
 
 
 def _span_coords(int_gens: Sequence[IVec], n: int):
-    """Saturated basis ``B`` of the span and coordinate map ``Q``.
+    """Span equations ``E``, saturated basis ``B`` of the span, coordinate map ``Q``.
 
-    ``coords(x) = x @ Q`` identifies the span lattice with Z^r; ``x = c @ B``
-    maps back.
+    ``E`` is the HNF basis of the integer equations vanishing on the
+    generators, and ``B`` that of the lattice they cut out, so one kernel of
+    the generators serves both.  ``coords(x) = x @ Q`` identifies the span
+    lattice with Z^r; ``x = c @ B`` maps back.
     """
-    sat = saturation([list(g) for g in int_gens], n)
-    b = [list(r) for r in sat.basis]
+    eqs = perp_lattice(int_gens, n).basis
+    b = [list(r) for r in perp_lattice(eqs, n).basis]
     r = len(b)
     if r == 0:
-        return [], [], 0
+        return eqs, [], [], 0
     u, _, v = snf_transforms(b)
     q = mat_mul([[v[i][j] for j in range(r)] for i in range(n)], u)
-    return b, q, r
+    return eqs, b, q, r
 
 
 def _coords(q, x: Sequence) -> tuple:
@@ -222,12 +231,12 @@ def make_cone(generators: Iterable[Sequence], ambient_rank: int) -> Cone:
     """Canonicalize arbitrary generators into a Cone (raises if not pointed)."""
     prims = []
     for g in generators:
-        d = primitive_direction(vec(g))
+        d = primitive_direction(g)
         if any(d):
             prims.append(d)
     if not prims:
         return zero_cone(ambient_rank)
-    b, q, r = _span_coords(prims, ambient_rank)
+    eqs, b, q, r = _span_coords(prims, ambient_rank)
     gens_c = [_coords(q, g) for g in prims]
     normals_c = _extreme_rays(gens_c, r)
     rays_c = _extreme_rays(normals_c, r)
@@ -235,7 +244,6 @@ def make_cone(generators: Iterable[Sequence], ambient_rank: int) -> Cone:
     normals = tuple(
         sorted(tuple(sum(w[i] * q[j][i] for i in range(r)) for j in range(ambient_rank)) for w in normals_c)
     )
-    eqs = perp_lattice([vec(p) for p in prims], ambient_rank).basis
     return Cone(ambient_rank, gens, normals, eqs)
 
 
@@ -253,18 +261,19 @@ def cone_faces(c: Cone) -> tuple[Cone, ...]:
     return tuple(sorted(seen.values(), key=Cone.sort_key))
 
 
+@lru_cache(maxsize=None)
+def _cone_face_set(c: Cone) -> frozenset[Cone]:
+    return frozenset(cone_faces(c))
+
+
 def cone_is_face_of(f: Cone, c: Cone) -> bool:
-    return f in cone_faces(c)
+    return f in _cone_face_set(c)
 
 
 def cone_intersect(a: Cone, b: Cone) -> Cone:
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient rank mismatch")
-    gens = _h_to_generators(
-        [vec(u) for u in a.normals + b.normals],
-        [vec(e) for e in a.span_eqs + b.span_eqs],
-        a.ambient_rank,
-    )
+    gens = _h_to_generators(a.normals + b.normals, a.span_eqs + b.span_eqs, a.ambient_rank)
     return make_cone(gens, a.ambient_rank)
 
 
@@ -332,19 +341,15 @@ def make_polyhedron(
     vertices: Iterable[Sequence], rays: Iterable[Sequence], ambient_rank: int
 ) -> Polyhedron:
     """Canonicalize V-data; an empty vertex list yields the empty polyhedron."""
-    vlist = [vec(v) for v in vertices]
-    if not vlist:
+    homog = [primitive(tuple(v) + (1,))[0] for v in vertices]
+    if not homog:
         return empty_polyhedron(ambient_rank)
     n = ambient_rank
-    homog = []
-    for v in vlist:
-        w, _ = primitive(tuple(v) + (Fraction(1),))
-        homog.append(w)
     for r in rays:
-        d = primitive_direction(vec(r))
+        d = primitive_direction(r)
         if any(d):
             homog.append(d + (0,))
-    b, q, rk = _span_coords(homog, n + 1)
+    span_eqs, b, q, rk = _span_coords(homog, n + 1)
     gens_c = [_coords(q, g) for g in homog]
     normals_c = _extreme_rays(gens_c, rk)
     rays_c = _extreme_rays(normals_c, rk)
@@ -362,9 +367,7 @@ def make_polyhedron(
     for w in normals_c:
         u = tuple(sum(w[i] * q[j][i] for i in range(rk)) for j in range(n + 1))
         ineqs.append((u[:n], -u[n]))
-    eqs = []
-    for e in perp_lattice([vec(h) for h in homog], n + 1).basis:
-        eqs.append((e[:n], -e[n]))
+    eqs = [(e[:n], -e[n]) for e in span_eqs]
     return Polyhedron(
         n,
         tuple(sorted(verts_out)),
@@ -451,8 +454,13 @@ def poly_faces(p: Polyhedron) -> tuple[Polyhedron, ...]:
     return tuple(sorted(seen.values(), key=Polyhedron.sort_key))
 
 
+@lru_cache(maxsize=None)
+def _poly_face_set(p: Polyhedron) -> frozenset[Polyhedron]:
+    return frozenset(poly_faces(p))
+
+
 def poly_is_face_of(f: Polyhedron, p: Polyhedron) -> bool:
-    return f in poly_faces(p)
+    return f in _poly_face_set(p)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +575,9 @@ def require_complete(fan: Fan) -> None:
 class PolyhedralComplex:
     """A polyhedral complex given by its maximal cells.
 
-    Like :class:`Fan`, it keeps what :func:`complex_validate` finds and the
-    fan :func:`complex_tailfan` builds, computed on first use.
+    Like :class:`Fan`, it keeps what :func:`complex_validate` finds, the fan
+    :func:`complex_tailfan` builds and the faces :func:`all_complex_faces`
+    lists, each computed on first use.
     """
 
     ambient_rank: int
@@ -581,6 +590,11 @@ class PolyhedralComplex:
     @cached_property
     def _tailfan(self) -> Fan:
         return make_fan((c.tail for c in self.maximal_cells), self.ambient_rank)
+
+    @cached_property
+    def _faces(self) -> tuple[Polyhedron, ...]:
+        faces = {f for c in self.maximal_cells for f in poly_faces(c)}
+        return tuple(sorted(faces, key=Polyhedron.sort_key))
 
 
 def make_complex(cells: Iterable[Polyhedron], ambient_rank: int) -> PolyhedralComplex:
@@ -666,10 +680,11 @@ def complex_faces(s: PolyhedralComplex, d: int) -> list[tuple[Polyhedron, tuple[
 
 
 def all_complex_faces(s: PolyhedralComplex) -> list[Polyhedron]:
-    out = set()
-    for c in s.maximal_cells:
-        out.update(poly_faces(c))
-    return sorted(out, key=Polyhedron.sort_key)
+    """Every face of every cell, sorted.
+
+    Listed once per complex object; every call returns a fresh list.
+    """
+    return list(s._faces)
 
 
 def complex_tailfan(s: PolyhedralComplex) -> Fan:

@@ -1,10 +1,20 @@
 """Shared test helpers: seeded random fans and bundles at desk scale."""
 
 import random
+from fractions import Fraction
+from math import lcm
 
 from tchow.build import KlyachkoBundle, RayFiltration
+from tchow.build import _p1p1_fan as p1p1_fan, _p2_fan as p2_fan  # noqa: F401  (for the tests)
 from tchow.exactlin import primitive_direction, vec
 from tchow.polyhedra import Fan, make_cone, make_fan, make_polyhedron
+
+
+def fraction_primitive(v):
+    """Reference for ``exactlin.primitive``: clear denominators in Fraction arithmetic."""
+    fv = [Fraction(x) for x in v]
+    mu = lcm(*(f.denominator for f in fv))
+    return tuple(int(f * mu) for f in fv), mu
 
 
 def random_complete_fan(rng: random.Random, rank: int = 3, max_extra: int = 6) -> Fan:
@@ -42,23 +52,3 @@ def random_bundle(rng: random.Random, base: Fan) -> KlyachkoBundle:
             )
     return KlyachkoBundle(base, tuple(filts))
 
-
-def p2_fan() -> Fan:
-    return make_fan(
-        [
-            make_cone([(1, 0), (0, 1)], 2),
-            make_cone([(0, 1), (-1, -1)], 2),
-            make_cone([(-1, -1), (1, 0)], 2),
-        ],
-        2,
-    )
-
-
-def p1p1_fan() -> Fan:
-    quadrants = [
-        [(1, 0), (0, 1)],
-        [(0, 1), (-1, 0)],
-        [(-1, 0), (0, -1)],
-        [(0, -1), (1, 0)],
-    ]
-    return make_fan([make_cone(q, 2) for q in quadrants], 2)

@@ -318,3 +318,32 @@ def test_main_callable_directly(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out)["rank"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["chow", "--k", "9"], ["chow", "--k", "-1"], ["eff", "--k", "9"], ["oracle", "--k", "9"]],
+)
+def test_out_of_range_k_is_parse_error(tmp_path, capsys, argv):
+    path = tmp_path / "doc.json"
+    if argv[0] == "oracle":
+        path.write_text(json.dumps(P2E_FAN))
+    else:
+        path.write_text(json.dumps(divisor_document(fixture("p2_E"))))
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err == "parse error: k must lie in [0, 3]\n"
+
+
+def test_out_of_range_k_is_caught_before_validation(tmp_path, capsys):
+    doc = divisor_document(fixture("p1p1_bundle"))
+    doc["marked"] = [m for m in doc["marked"] if len(m) == 1]  # invalid: breaks closure
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["chow", "--k", "9", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: k must lie in")
+    assert main(["chow", "--k", "1", str(path)]) == 1
+
+
+def test_library_keeps_value_error_for_k():
+    with pytest.raises(ValueError, match=r"k must lie in \[0, 3\]"):
+        tchow.presentation(fixture("p2_E"), 9)

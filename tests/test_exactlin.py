@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import fraction_primitive
 
 from tchow.exactlin import (
     Sublattice,
@@ -104,6 +105,20 @@ def test_primitive_property(entries):
     if any(w):
         # the content of w is coprime to mu, so mu is genuinely minimal
         assert gcd(gcd(*(abs(x) for x in w)), mu) == 1
+
+
+rational_entries = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(max_denominator=12),
+    st.fractions(max_denominator=12).map(lambda f: f"{f.numerator}/{f.denominator}"),
+)
+
+
+@given(st.lists(rational_entries, max_size=5))
+def test_primitive_matches_fraction_reference(entries):
+    w, mu = primitive(entries)
+    assert (w, mu) == fraction_primitive(entries)
+    assert all(type(x) is int for x in w) and type(mu) is int
 
 
 def test_primitive_direction():

@@ -1,14 +1,28 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import fraction_primitive
 
-from tchow.exactlin import dot, integer_kernel, primitive, primitive_direction
+from tchow import polyhedra
+from tchow.build import FIXTURE_NAMES, fixture
+from tchow.exactlin import (
+    dot,
+    integer_kernel,
+    mat_mul,
+    perp_lattice,
+    primitive,
+    primitive_direction,
+    saturation,
+    snf_transforms,
+)
 from tchow.polyhedra import (
     Cone,
+    all_complex_faces,
     GeometryError,
     NonFanTailsError,
     complex_faces,
@@ -17,6 +31,7 @@ from tchow.polyhedra import (
     cone_as_polyhedron,
     cone_faces,
     cone_intersect,
+    cone_is_face_of,
     dual_and_faces,
     empty_polyhedron,
     fan_is_complete,
@@ -28,6 +43,7 @@ from tchow.polyhedra import (
     minkowski_sum,
     poly_faces,
     poly_intersect,
+    poly_is_face_of,
     tailcone,
     _extreme_rays,
 )
@@ -373,3 +389,143 @@ def test_extreme_rays_rank_one_and_zero():
     assert _extreme_rays([], 0) == []
     assert make_cone([(3,)], 1).generators == ((1,),)
     assert make_cone([(3,)], 1).normals == ((1,),)
+
+
+# ---------------------------------------------------------------------------
+# test-only reference: H-data built with the span's saturated basis from
+# ``saturation`` and the span equations from a separate kernel, and with
+# denominators cleared through Fractions
+
+
+def fraction_direction(v):
+    w, _ = fraction_primitive(v)
+    g = gcd(*w)
+    return tuple(x // g for x in w)
+
+
+def reference_h_data(gens, n):
+    """Sorted relative facet normals and span equations of the cone on ``gens``."""
+    sat = saturation([list(g) for g in gens], n).basis
+    r = len(sat)
+    u, _, v = snf_transforms([list(b) for b in sat])
+    q = mat_mul([[v[i][j] for j in range(r)] for i in range(n)], u)
+    coords = [tuple(dot(g, col) for col in zip(*q)) for g in gens]
+    normals = [tuple(dot(w, row) for row in q) for w in _extreme_rays(coords, r)]
+    return sorted(normals), list(perp_lattice([list(g) for g in gens], n).basis)
+
+
+def reference_cone_h(gens, n):
+    normals, eqs = reference_h_data([fraction_direction(g) for g in gens if any(g)], n)
+    return tuple(normals), tuple(eqs)
+
+
+def reference_polyhedron_h(verts, rays, n):
+    homog = [fraction_primitive(tuple(v) + (1,))[0] for v in verts]
+    homog += [fraction_direction(r) + (0,) for r in rays if any(r)]
+    normals, eqs = reference_h_data(homog, n + 1)
+    return (
+        tuple(sorted((u[:n], -u[n]) for u in normals)),
+        tuple(sorted((e[:n], -e[n]) for e in eqs)),
+    )
+
+
+def random_pointed_gens(rng, n):
+    """Nonzero integer vectors of a random sublattice, on one side of a functional."""
+    basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]
+    side = [rng.randint(-3, 3) for _ in range(n)]
+    gens = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        g = tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n))
+        if dot(side, g) != 0:
+            gens.append(g if dot(side, g) > 0 else tuple(-x for x in g))
+    return gens
+
+
+def test_cone_h_data_matches_reference():
+    rng = random.Random(41)
+    lower = 0
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        gens = random_pointed_gens(rng, n)
+        if not gens:
+            continue
+        c = make_cone(gens, n)
+        assert (c.normals, c.span_eqs) == reference_cone_h(gens, n), (gens, n)
+        lower += c.dim < n
+    assert lower > 80
+
+
+def test_polyhedron_h_data_matches_reference():
+    rng = random.Random(42)
+    lower = fractional = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        base = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+        steps = [[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        verts = [base] + [
+            tuple(b + sum(rng.randint(-1, 2) * s[j] for s in steps) for j, b in enumerate(base))
+            for _ in range(rng.randint(0, 5))
+        ]
+        rays = random_pointed_gens(rng, n) if rng.random() < 0.5 else []
+        p = make_polyhedron(verts, rays, n)
+        assert (p.ineqs, p.eqs) == reference_polyhedron_h(verts, rays, n), (verts, rays, n)
+        assert (p.tail.normals, p.tail.span_eqs) == reference_cone_h(p.tail.generators, n)
+        lower += p.dim < n
+        fractional += any(x.denominator > 1 for v in p.vertices for x in v)
+    assert lower > 60 and fractional > 150
+
+
+def test_one_span_kernel_per_construction(monkeypatch):
+    calls = []
+    real = polyhedra.perp_lattice
+
+    def spy(rows, n):
+        calls.append(n)
+        return real(rows, n)
+
+    monkeypatch.setattr(polyhedra, "perp_lattice", spy)
+    make_cone([(1, 0, 0), (1, 2, 0)], 3)
+    assert calls == [3, 3]
+    calls.clear()
+    make_polyhedron([(F(1, 2), 0, 0), (0, 1, 0), (0, 0, 1)], [], 3)
+    assert calls == [4, 4]  # a polytope's tail is the zero cone, built without a kernel
+    calls.clear()
+    make_polyhedron([(0, 0)], [(1, 0), (1, 1)], 2)
+    assert calls == [3, 3, 2, 2]  # two for the polyhedron, then two for its tail cone
+
+
+# ---------------------------------------------------------------------------
+# face queries against a linear scan
+
+
+def test_face_queries_match_linear_scan():
+    outcomes = set()
+    for name in FIXTURE_NAMES:
+        x = fixture(name)
+        for p in x.points:
+            cells = x.complex_at(p).maximal_cells
+            candidates = {f for c in cells for f in poly_faces(c)}
+            for cell in cells:
+                scan = poly_faces(cell)
+                for f in candidates:
+                    found = any(f == g for g in scan)
+                    assert poly_is_face_of(f, cell) == found
+                    outcomes.add(("poly", found))
+        cones = x.tailfan.all_cones()
+        for c in cones:
+            scan = cone_faces(c)
+            for f in cones:
+                found = any(f == g for g in scan)
+                assert cone_is_face_of(f, c) == found
+                outcomes.add(("cone", found))
+    assert len(outcomes) == 4  # faces and non-faces of both kinds
+
+
+def test_all_complex_faces_returns_a_fresh_list():
+    s = fixture("p2_E").complex_at("0")
+    first = all_complex_faces(s)
+    expected = list(first)
+    first.clear()
+    assert all_complex_faces(s) == expected
+    assert all_complex_faces(s) is not all_complex_faces(s)
