@@ -90,7 +90,7 @@ def downgrade(inp: DowngradeInput) -> MarkedFansyDivisor:
     if inp.basis_change is not None:
         m = [list(r) for r in inp.basis_change]
         if abs(det(m)) != 1:
-            raise ValueError("basis change must be unimodular")
+            raise GeometryError("basis change must be unimodular")
         fan = make_fan(
             [
                 make_cone([mat_vec(m, g) for g in c.generators], fan.ambient_rank)

@@ -44,8 +44,8 @@ from .fansy import (
 from .polyhedra import Fan, GeometryError, make_complex, make_cone, make_fan, make_polyhedron
 
 SCHEMA_VERSION = 1
-# Face enumeration tries every subset of a cell's facets, so larger ranks are
-# refused until a benchmark shows them finishing in bounded time.
+# Larger ranks are refused until a benchmark shows them finishing in bounded
+# time.
 MAX_RANK = 4
 
 
@@ -164,11 +164,16 @@ def parse_input(doc) -> MarkedFansyDivisor:
             line_until = (
                 None if line is None else _int(_field(entry, "line_until", "a filtration"))
             )
-            filts.append((ray, RayFiltration(full_until, line, line_until)))
+            try:
+                filts.append((ray, RayFiltration(full_until, line, line_until)))
+            except ValueError as exc:
+                raise ParseError(str(exc)) from exc
         return bundle_rank2(KlyachkoBundle(fan, tuple(filts)))
     what = "an explicit document"
     rank = _rank(_field(doc, "rank", what))
     points = [str(p) for p in _list(_field(doc, "points", what), "points")]
+    if not points or len(set(points)) != len(points):
+        raise ParseError(f"points must be a nonempty list of distinct labels, got {points!r}")
     complexes = _field(doc, "complexes", what)
     marked_doc = _list(_field(doc, "marked", what), "marked")
     labeled = []
@@ -470,7 +475,7 @@ def main(argv=None) -> int:
     except InvalidDivisor as exc:
         print(f"validation failure:\n{exc}", file=sys.stderr)
         return 1
-    except (GeometryError, ValueError) as exc:
+    except GeometryError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a fault in this program, not in the input

@@ -1,12 +1,21 @@
 """Exact rational cones, polyhedra, fans, and complete polyhedral complexes.
 
-V-representations are primary; H-representations are derived at construction
-time and carried along (excluded from equality).  Conversion both ways is one
-exact integer double-description routine, :func:`_extreme_rays`: facets of a
-cone are the extreme rays of its dual.  Each construction takes one lattice
-kernel of its generators, which gives both the span equations and the span's
-saturated basis.  Face enumeration still tries every subset of facets, which
-keeps the package at ambient rank <= 4.
+A cone or a polyhedron stores its V-representation only: primitive extreme
+rays, vertices and tail, sorted, which equality, hashing and ``repr`` use.
+Its H-representation (facet normals and span equations) is derived from that
+V-data when first read, once per object, and kept on it.  Conversion both
+ways is one exact integer double-description routine, :func:`_extreme_rays`:
+facets of a cone are the extreme rays of its dual.  Each conversion takes one
+lattice kernel of its generators, which gives both the span equations and the
+span's saturated basis.
+
+:func:`make_cone` and :func:`make_polyhedron` canonicalize arbitrary input and
+keep the H-data they computed on the way.  Everything whose extreme rays are
+already known is built from them directly, with no kernel: faces (from the
+vertex/ray-facet incidences of the parent, closed under intersection, in the
+spirit of Kaibel & Pfetsch 2002), intersections and H-described polyhedra
+(whose double description yields extreme rays), tails, and cones as
+polyhedra.
 
 Face queries are answered from hashed sets.  The faces of a cone or a
 polyhedron, and the set :func:`cone_is_face_of` / :func:`poly_is_face_of`
@@ -20,10 +29,9 @@ construction; every object in a fan or complete complex is pointed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -49,10 +57,6 @@ class GeometryError(ValueError):
 
 class NonFanTailsError(GeometryError):
     """Tailcones of a complex fail to form a fan."""
-
-
-class EmptyPolyhedronError(GeometryError):
-    """An operation required a non-empty polyhedron."""
 
 
 class IncompleteFanError(GeometryError):
@@ -171,7 +175,11 @@ def _extreme_rays(rows: Sequence[IVec], r: int) -> list[IVec]:
 def _h_to_generators(
     ineq_rows: Sequence[Sequence], eq_rows: Sequence[Sequence], n: int
 ) -> list[IVec]:
-    """Generators of ``{x : ineq . x >= 0, eq . x = 0}``; pointed only."""
+    """Primitive extreme rays of ``{x : ineq . x >= 0, eq . x = 0}``; pointed only.
+
+    The equations cut out a saturated lattice, so rays primitive in its
+    coordinates are primitive in Z^n.
+    """
     int_eqs = [list(primitive(e)[0]) for e in eq_rows]
     w_basis = integer_kernel(int_eqs, n) if int_eqs else tuple(
         tuple(r) for r in identity_matrix(n)
@@ -185,6 +193,54 @@ def _h_to_generators(
     return [_uncoords([list(r) for r in w_basis], y) for y in rays_c]
 
 
+def _span_facets(gens: Sequence[IVec], n: int):
+    """Span equations, span basis ``B``, coordinate map ``Q`` and facets of a cone.
+
+    ``gens`` are integer generators of the cone; the facet normals are
+    returned in span coordinates (lift them with :func:`_lift`).
+    """
+    eqs, b, q, r = _span_coords(gens, n)
+    return eqs, b, q, _extreme_rays([_coords(q, g) for g in gens], r)
+
+
+def _lift(q, w: Sequence) -> IVec:
+    """The span-coordinate functional ``w`` as a vector of Z^n, ``Q @ w``."""
+    return tuple(sum(w[i] * row[i] for i in range(len(w))) for row in q)
+
+
+def _keep(obj, **derived):
+    """Store derived data a constructor has already computed on ``obj``.
+
+    The names are those of the object's lazy properties, which then never run.
+    """
+    obj.__dict__.update(derived)
+    return obj
+
+
+def _face_masks(incidence: Sequence[int], full: int, need: int) -> set[int]:
+    """Every face, as the bitmask of the generators it contains.
+
+    ``incidence`` holds the mask of the generators on each facet.  The faces
+    are ``full`` and every intersection of facets: the closure of ``full``
+    under intersecting with a facet, keeping only sets that meet ``need``
+    (the vertices of a polyhedron, whose faces are nonempty) when it is set.
+    """
+    seen = {full}
+    todo = [full]
+    while todo:
+        s = todo.pop()
+        for m in incidence:
+            t = s & m
+            if t not in seen and (t & need or not need):
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+def _masked(items: Sequence, mask: int) -> tuple:
+    return tuple(x for i, x in enumerate(items) if mask >> i & 1)
+
+
 # ---------------------------------------------------------------------------
 # cones
 
@@ -194,18 +250,30 @@ class Cone:
     """A pointed rational polyhedral cone in canonical V-representation.
 
     ``generators`` are the primitive extreme rays, sorted; the zero cone has
-    no generators.  ``normals`` (relative facet normals) and ``span_eqs``
-    (equations cutting out the linear span) are derived data.
+    no generators.  ``normals`` (relative facet normals, sorted) and
+    ``span_eqs`` (the HNF basis of the equations cutting out the linear span)
+    are derived from the generators when first read.
     """
 
     ambient_rank: int
     generators: tuple[IVec, ...]
-    normals: tuple[IVec, ...] = field(compare=False, repr=False, default=())
-    span_eqs: tuple[IVec, ...] = field(compare=False, repr=False, default=())
 
-    @property
+    @cached_property
+    def _h_data(self) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
+        eqs, _, q, normals_c = _span_facets(self.generators, self.ambient_rank)
+        return tuple(sorted(_lift(q, w) for w in normals_c)), eqs
+
+    @cached_property
+    def normals(self) -> tuple[IVec, ...]:
+        return self._h_data[0]
+
+    @cached_property
+    def span_eqs(self) -> tuple[IVec, ...]:
+        return self._h_data[1]
+
+    @cached_property
     def dim(self) -> int:
-        return self.ambient_rank - len(self.span_eqs)
+        return len(_independent_rows(self.generators, self.ambient_rank))
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -224,7 +292,18 @@ class Cone:
 
 def zero_cone(ambient_rank: int) -> Cone:
     eqs = tuple(tuple(r) for r in identity_matrix(ambient_rank))
-    return Cone(ambient_rank, (), (), eqs)
+    return _keep(Cone(ambient_rank, ()), normals=(), span_eqs=eqs, dim=0)
+
+
+def _cone_on_rays(rays: Iterable[IVec], ambient_rank: int) -> Cone:
+    """The cone whose primitive extreme rays are exactly ``rays``, in any order.
+
+    The precondition is not checked: callers already hold the extreme rays (a
+    face's subset of its parent's generators, or a double-description
+    output).  Nothing is computed here; the H-data is derived when first read.
+    """
+    gens = tuple(sorted(rays))
+    return Cone(ambient_rank, gens) if gens else zero_cone(ambient_rank)
 
 
 def make_cone(generators: Iterable[Sequence], ambient_rank: int) -> Cone:
@@ -236,29 +315,26 @@ def make_cone(generators: Iterable[Sequence], ambient_rank: int) -> Cone:
             prims.append(d)
     if not prims:
         return zero_cone(ambient_rank)
-    eqs, b, q, r = _span_coords(prims, ambient_rank)
-    gens_c = [_coords(q, g) for g in prims]
-    normals_c = _extreme_rays(gens_c, r)
-    rays_c = _extreme_rays(normals_c, r)
-    gens = tuple(sorted(_uncoords(b, y) for y in rays_c))
-    normals = tuple(
-        sorted(tuple(sum(w[i] * q[j][i] for i in range(r)) for j in range(ambient_rank)) for w in normals_c)
-    )
-    return Cone(ambient_rank, gens, normals, eqs)
+    eqs, b, q, normals_c = _span_facets(prims, ambient_rank)
+    rays_c = _extreme_rays(normals_c, len(b))
+    c = _cone_on_rays((_uncoords(b, y) for y in rays_c), ambient_rank)
+    normals = tuple(sorted(_lift(q, w) for w in normals_c))
+    return _keep(c, normals=normals, span_eqs=eqs, dim=len(b))
 
 
 @lru_cache(maxsize=None)
 def cone_faces(c: Cone) -> tuple[Cone, ...]:
     """All faces of ``c`` (including itself and the zero cone), canonical."""
-    seen: dict[tuple, Cone] = {}
-    for size in range(len(c.normals) + 1):
-        for subset in combinations(c.normals, size):
-            sel = tuple(
-                g for g in c.generators if all(dot(u, g) == 0 for u in subset)
-            )
-            if sel not in seen:
-                seen[sel] = make_cone(sel, c.ambient_rank)
-    return tuple(sorted(seen.values(), key=Cone.sort_key))
+    gens = c.generators
+    incidence = [
+        sum(1 << i for i, g in enumerate(gens) if dot(u, g) == 0) for u in c.normals
+    ]
+    full = (1 << len(gens)) - 1
+    faces = [
+        c if mask == full else _cone_on_rays(_masked(gens, mask), c.ambient_rank)
+        for mask in _face_masks(incidence, full, 0)
+    ]
+    return tuple(sorted(faces, key=Cone.sort_key))
 
 
 @lru_cache(maxsize=None)
@@ -274,15 +350,7 @@ def cone_intersect(a: Cone, b: Cone) -> Cone:
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient rank mismatch")
     gens = _h_to_generators(a.normals + b.normals, a.span_eqs + b.span_eqs, a.ambient_rank)
-    return make_cone(gens, a.ambient_rank)
-
-
-def dual_and_faces(c: Cone):
-    """Facet normals (relative to the span) and faces grouped by dimension."""
-    by_dim: dict[int, list[Cone]] = {}
-    for f in cone_faces(c):
-        by_dim.setdefault(f.dim, []).append(f)
-    return list(c.normals), by_dim
+    return _cone_on_rays(gens, a.ambient_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -294,24 +362,45 @@ class Polyhedron:
     """A rational polyhedron ``conv(vertices) + tail``; empty iff no vertices.
 
     ``ineqs`` are pairs ``(a, b)`` meaning ``a . x >= b``; ``eqs`` are pairs
-    ``(a, b)`` meaning ``a . x == b``.  Both are derived, canonical data.
+    ``(a, b)`` meaning ``a . x == b``.  Both are canonical data derived from
+    the vertices and the tail when first read.
     """
 
     ambient_rank: int
     vertices: tuple[Vec, ...]
     tail: Cone
-    ineqs: tuple[tuple[IVec, int], ...] = field(compare=False, repr=False, default=())
-    eqs: tuple[tuple[IVec, int], ...] = field(compare=False, repr=False, default=())
+
+    def _homogenized(self) -> list[IVec]:
+        """Primitive generators of the cone over ``self`` at last coordinate 1."""
+        return [primitive(v + (1,))[0] for v in self.vertices] + [
+            g + (0,) for g in self.tail.generators
+        ]
+
+    @cached_property
+    def _h_data(self):
+        if self.is_empty:
+            return (), ()
+        n = self.ambient_rank
+        span_eqs, _, q, normals_c = _span_facets(self._homogenized(), n + 1)
+        return _affine_h(span_eqs, q, normals_c, n)
+
+    @cached_property
+    def ineqs(self) -> tuple[tuple[IVec, int], ...]:
+        return self._h_data[0]
+
+    @cached_property
+    def eqs(self) -> tuple[tuple[IVec, int], ...]:
+        return self._h_data[1]
 
     @property
     def is_empty(self) -> bool:
         return not self.vertices
 
-    @property
+    @cached_property
     def dim(self) -> int:
         if self.is_empty:
             return -1
-        return self.ambient_rank - len(self.eqs)
+        return len(_independent_rows(self._homogenized(), self.ambient_rank + 1)) - 1
 
     def contains(self, x: Sequence) -> bool:
         if self.is_empty:
@@ -320,9 +409,6 @@ class Polyhedron:
         return all(dot(a, p) == b for a, b in self.eqs) and all(
             dot(a, p) >= b for a, b in self.ineqs
         )
-
-    def is_compact(self) -> bool:
-        return not self.is_empty and self.tail.is_zero()
 
     def translate(self, t: Sequence) -> "Polyhedron":
         tv = vec(t)
@@ -333,8 +419,46 @@ class Polyhedron:
         return (len(self.vertices), self.vertices, self.tail.sort_key())
 
 
+def _affine_h(span_eqs, q, normals_c, n: int):
+    """``(ineqs, eqs)`` of a polyhedron from the H-data of its homogenized cone."""
+    ineqs = []
+    for w in normals_c:
+        u = _lift(q, w)
+        ineqs.append((u[:n], -u[n]))
+    return tuple(sorted(ineqs)), tuple(sorted((e[:n], -e[n]) for e in span_eqs))
+
+
 def empty_polyhedron(ambient_rank: int) -> Polyhedron:
     return Polyhedron(ambient_rank, (), zero_cone(ambient_rank))
+
+
+def _polyhedron_on_rays(vertices: Iterable[Vec], tail: Cone) -> Polyhedron:
+    """``conv(vertices) + tail``, where ``vertices`` are exactly its vertices.
+
+    The precondition is not checked: callers already hold the vertices, in
+    any order, and a tail built from its extreme rays.  Nothing is computed
+    here; the H-data is derived when first read.
+    """
+    return Polyhedron(tail.ambient_rank, tuple(sorted(vertices)), tail)
+
+
+def _from_homogenized(rays: Iterable[IVec], n: int) -> Polyhedron:
+    """The polyhedron whose homogenized cone has the primitive extreme ``rays``.
+
+    Rays with a positive last coordinate give the vertices, those with last
+    coordinate 0 the tail; with no vertex the polyhedron is empty.
+    """
+    verts, tail_gens = [], []
+    for g in rays:
+        if g[n] > 0:
+            verts.append(tuple(Fraction(x, g[n]) for x in g[:n]))
+        elif g[n] == 0:
+            tail_gens.append(g[:n])
+        else:
+            raise AssertionError("negative homogenizing coordinate")
+    if not verts:
+        return empty_polyhedron(n)
+    return _polyhedron_on_rays(verts, _cone_on_rays(tail_gens, n))
 
 
 def make_polyhedron(
@@ -349,43 +473,15 @@ def make_polyhedron(
         d = primitive_direction(r)
         if any(d):
             homog.append(d + (0,))
-    span_eqs, b, q, rk = _span_coords(homog, n + 1)
-    gens_c = [_coords(q, g) for g in homog]
-    normals_c = _extreme_rays(gens_c, rk)
-    rays_c = _extreme_rays(normals_c, rk)
-    verts_out = []
-    tail_gens = []
-    for y in rays_c:
-        g = _uncoords(b, y)
-        if g[n] > 0:
-            verts_out.append(tuple(Fraction(x, g[n]) for x in g[:n]))
-        elif g[n] == 0:
-            tail_gens.append(g[:n])
-        else:
-            raise AssertionError("negative homogenizing coordinate")
-    ineqs = []
-    for w in normals_c:
-        u = tuple(sum(w[i] * q[j][i] for i in range(rk)) for j in range(n + 1))
-        ineqs.append((u[:n], -u[n]))
-    eqs = [(e[:n], -e[n]) for e in span_eqs]
-    return Polyhedron(
-        n,
-        tuple(sorted(verts_out)),
-        make_cone(tail_gens, n),
-        tuple(sorted(ineqs)),
-        tuple(sorted(eqs)),
-    )
+    span_eqs, b, q, normals_c = _span_facets(homog, n + 1)
+    rays_c = _extreme_rays(normals_c, len(b))
+    p = _from_homogenized((_uncoords(b, y) for y in rays_c), n)
+    ineqs, eqs = _affine_h(span_eqs, q, normals_c, n)
+    return _keep(p, ineqs=ineqs, eqs=eqs, dim=len(b) - 1)
 
 
 def cone_as_polyhedron(c: Cone) -> Polyhedron:
-    zero = (Fraction(0),) * c.ambient_rank
-    return make_polyhedron([zero], c.generators, c.ambient_rank)
-
-
-def tailcone(p: Polyhedron) -> Cone:
-    if p.is_empty:
-        raise EmptyPolyhedronError("empty polyhedron has no tailcone")
-    return p.tail
+    return _polyhedron_on_rays([(Fraction(0),) * c.ambient_rank], c)
 
 
 def minkowski_sum(a: Polyhedron, b: Polyhedron) -> Polyhedron:
@@ -406,17 +502,10 @@ def polyhedron_from_hrep(
 ) -> Polyhedron:
     """The polyhedron ``{x : a.x >= b, c.x == d}`` from exact (vector, rhs) pairs."""
     n = ambient_rank
-    ineq_rows = [vec(u) + (-Fraction(rhs),) for u, rhs in ineqs]
-    ineq_rows.append(vec([0] * n) + (Fraction(1),))
-    eq_rows = [vec(u) + (-Fraction(rhs),) for u, rhs in eqs]
-    gens = _h_to_generators(ineq_rows, eq_rows, n + 1)
-    verts, rays = [], []
-    for g in gens:
-        if g[n] > 0:
-            verts.append(tuple(Fraction(x, g[n]) for x in g[:n]))
-        elif g[n] == 0:
-            rays.append(g[:n])
-    return make_polyhedron(verts, rays, n)
+    ineq_rows = [tuple(u) + (-rhs,) for u, rhs in ineqs]
+    ineq_rows.append((0,) * n + (1,))
+    eq_rows = [tuple(u) + (-rhs,) for u, rhs in eqs]
+    return _from_homogenized(_h_to_generators(ineq_rows, eq_rows, n + 1), n)
 
 
 def poly_intersect(a: Polyhedron, b: Polyhedron) -> Polyhedron:
@@ -432,26 +521,23 @@ def poly_faces(p: Polyhedron) -> tuple[Polyhedron, ...]:
     """All nonempty faces of ``p`` (including itself), canonical."""
     if p.is_empty:
         return ()
-    seen: dict[tuple, Polyhedron] = {}
-    constraints = list(p.ineqs)
-    for size in range(len(constraints) + 1):
-        for subset in combinations(constraints, size):
-            vs = tuple(
-                v
-                for v in p.vertices
-                if all(dot(a, v) == rhs for a, rhs in subset)
-            )
-            if not vs:
-                continue
-            rs = tuple(
-                r
-                for r in p.tail.generators
-                if all(dot(a, r) == 0 for a, _ in subset)
-            )
-            key = (vs, rs)
-            if key not in seen:
-                seen[key] = make_polyhedron(vs, rs, p.ambient_rank)
-    return tuple(sorted(seen.values(), key=Polyhedron.sort_key))
+    verts, rays = p.vertices, p.tail.generators
+    incidence = [
+        sum(1 << i for i, v in enumerate(verts) if dot(a, v) == rhs)
+        | sum(1 << (len(verts) + i) for i, r in enumerate(rays) if dot(a, r) == 0)
+        for a, rhs in p.ineqs
+    ]
+    vertex_bits = (1 << len(verts)) - 1
+    full = (1 << (len(verts) + len(rays))) - 1
+    faces = []
+    for mask in _face_masks(incidence, full, vertex_bits):
+        if mask == full:
+            faces.append(p)
+            continue
+        rs = _masked(rays, mask >> len(verts))
+        tail = p.tail if rs == rays else _cone_on_rays(rs, p.ambient_rank)
+        faces.append(_polyhedron_on_rays(_masked(verts, mask), tail))
+    return tuple(sorted(faces, key=Polyhedron.sort_key))
 
 
 @lru_cache(maxsize=None)
@@ -488,9 +574,6 @@ class Fan:
 
     def all_cones(self) -> tuple[Cone, ...]:
         return tuple(c for cs in fan_cones(self).values() for c in cs)
-
-    def contains(self, c: Cone) -> bool:
-        return c in set(self.cones(c.dim))
 
 
 def make_fan(cones: Iterable[Cone], ambient_rank: int) -> Fan:

@@ -17,6 +17,14 @@ def fraction_primitive(v):
     return tuple(int(f * mu) for f in fv), mu
 
 
+def fan_document(fan: Fan) -> dict:
+    """The CLI's fan document of ``fan``."""
+    return {
+        "rank": fan.ambient_rank,
+        "maximal_cones": [[list(g) for g in c.generators] for c in fan.maximal_cones],
+    }
+
+
 def random_complete_fan(rng: random.Random, rank: int = 3, max_extra: int = 6) -> Fan:
     """Face fan of a random lattice polytope with the origin in its interior."""
     pts = set()

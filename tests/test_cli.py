@@ -202,6 +202,20 @@ BAD_DOCUMENTS = {
         "validate",
         {"rank": 1, "points": ["0"], "complexes": {"0": [[["0"]]]}, "marked": []},
     ),
+    "filtration_not_decreasing": (
+        "chow",
+        {
+            "bundle": {
+                "fan": P1P1_BASE,
+                "filtrations": [{"ray": [1, 0], "full_until": 1, "line": "0", "line_until": 1}],
+            }
+        },
+    ),
+    "no_points": ("validate", {"rank": 1, "points": [], "complexes": {}, "marked": []}),
+    "repeated_point": (
+        "validate",
+        {"rank": 1, "points": ["0", "0"], "complexes": {"0": [P1_CELL]}, "marked": []},
+    ),
     "rank5_fan": ("oracle", {"rank": 5, "maximal_cones": [RANK5_SIMPLEX]}),
     "rank5_explicit": (
         "validate",
@@ -229,7 +243,15 @@ def test_unreadable_file_is_parse_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("parse error: cannot read")
 
 
-@pytest.mark.parametrize("fault", [TypeError, KeyError, IndexError, AssertionError])
+def test_singular_basis_change_is_validation_failure(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    change = [[1, 0, 0], [0, 1, 0], [1, 1, 0]]
+    path.write_text(json.dumps({"downgrade": {"fan": P2E_FAN, "basis_change": change}}))
+    assert main(["chow", str(path)]) == 1
+    assert capsys.readouterr().err == "validation failure: basis change must be unimodular\n"
+
+
+@pytest.mark.parametrize("fault", [TypeError, KeyError, IndexError, AssertionError, ValueError])
 def test_internal_fault_is_exit_three(monkeypatch, capsys, fault):
     def broken(name):
         raise fault("invariant broken")

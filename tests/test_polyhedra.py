@@ -32,7 +32,6 @@ from tchow.polyhedra import (
     cone_faces,
     cone_intersect,
     cone_is_face_of,
-    dual_and_faces,
     empty_polyhedron,
     fan_is_complete,
     fan_validate,
@@ -44,7 +43,7 @@ from tchow.polyhedra import (
     poly_faces,
     poly_intersect,
     poly_is_face_of,
-    tailcone,
+    polyhedron_from_hrep,
     _extreme_rays,
 )
 
@@ -60,25 +59,30 @@ def P(verts, rays, n=None):
     return make_polyhedron(verts, rays, n)
 
 
-def test_dual_and_faces_quadrant():
+def faces_by_dim(c):
+    by_dim = {}
+    for f in cone_faces(c):
+        by_dim.setdefault(f.dim, []).append(f)
+    return by_dim
+
+
+def test_cone_faces_quadrant():
     c = C((1, 0), (0, 1))
-    normals, by_dim = dual_and_faces(c)
-    assert sorted(normals) == [(0, 1), (1, 0)]
+    by_dim = faces_by_dim(c)
+    assert c.normals == ((0, 1), (1, 0))
     assert [f.generators for f in by_dim[0]] == [()]
     assert sorted(f.generators for f in by_dim[1]) == [((0, 1),), ((1, 0),)]
     assert by_dim[2] == [c]
 
 
-def test_dual_and_faces_skew():
-    normals, _ = dual_and_faces(C((1, 2), (1, -2)))
-    assert sorted(normals) == [(2, -1), (2, 1)]
+def test_cone_normals_skew():
+    assert C((1, 2), (1, -2)).normals == ((2, -1), (2, 1))
 
 
-def test_dual_and_faces_zero_cone():
+def test_cone_faces_zero_cone():
     zero = make_cone([], 2)
-    normals, by_dim = dual_and_faces(zero)
-    assert normals == []
-    assert by_dim == {0: [zero]}
+    assert zero.normals == ()
+    assert faces_by_dim(zero) == {0: [zero]}
 
 
 def test_cone_canonicalization_drops_redundant():
@@ -110,16 +114,15 @@ def test_cone_round_trip_random():
             assert c.contains(g)
 
 
-def test_tailcone_examples():
+def test_polyhedron_tail_examples():
     # {(x,y): x >= 1/2, y >= x} has vertex (1/2,1/2) and recession Cone((0,1),(1,1))
     p = P([(F(1, 2), F(1, 2))], [(0, 1), (1, 1)])
-    assert tailcone(p).generators == ((0, 1), (1, 1))
+    assert p.tail.generators == ((0, 1), (1, 1))
     seg = P([(0, 0), (1, 0)], [])
-    assert tailcone(seg).is_zero()
+    assert seg.tail.is_zero()
     quad = cone_as_polyhedron(C((1, 0), (0, 1)))
-    assert tailcone(quad) == C((1, 0), (0, 1))
-    with pytest.raises(GeometryError):
-        tailcone(empty_polyhedron(2))
+    assert quad.tail == C((1, 0), (0, 1))
+    assert empty_polyhedron(2).tail.is_zero()
 
 
 def test_polyhedron_canonical_vertices():
@@ -442,6 +445,18 @@ def random_pointed_gens(rng, n):
     return gens
 
 
+def random_v_data(rng, n):
+    """Vertices and rays in rank ``n``: often lower-dimensional, often Fraction vertices."""
+    base = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+    steps = [[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)] for _ in range(rng.randint(0, n))]
+    verts = [base] + [
+        tuple(b + sum(rng.randint(-1, 2) * s[j] for s in steps) for j, b in enumerate(base))
+        for _ in range(rng.randint(0, 5))
+    ]
+    rays = random_pointed_gens(rng, n) if rng.random() < 0.5 else []
+    return verts, rays
+
+
 def test_cone_h_data_matches_reference():
     rng = random.Random(41)
     lower = 0
@@ -461,13 +476,7 @@ def test_polyhedron_h_data_matches_reference():
     lower = fractional = 0
     for _ in range(300):
         n = rng.randint(1, 4)
-        base = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
-        steps = [[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)] for _ in range(rng.randint(0, n))]
-        verts = [base] + [
-            tuple(b + sum(rng.randint(-1, 2) * s[j] for s in steps) for j, b in enumerate(base))
-            for _ in range(rng.randint(0, 5))
-        ]
-        rays = random_pointed_gens(rng, n) if rng.random() < 0.5 else []
+        verts, rays = random_v_data(rng, n)
         p = make_polyhedron(verts, rays, n)
         assert (p.ineqs, p.eqs) == reference_polyhedron_h(verts, rays, n), (verts, rays, n)
         assert (p.tail.normals, p.tail.span_eqs) == reference_cone_h(p.tail.generators, n)
@@ -491,8 +500,39 @@ def test_one_span_kernel_per_construction(monkeypatch):
     make_polyhedron([(F(1, 2), 0, 0), (0, 1, 0), (0, 0, 1)], [], 3)
     assert calls == [4, 4]  # a polytope's tail is the zero cone, built without a kernel
     calls.clear()
-    make_polyhedron([(0, 0)], [(1, 0), (1, 1)], 2)
-    assert calls == [3, 3, 2, 2]  # two for the polyhedron, then two for its tail cone
+    p = make_polyhedron([(0, 0)], [(1, 0), (1, 1)], 2)
+    assert calls == [3, 3]  # the tail is built from the polyhedron's extreme rays
+    calls.clear()
+    assert p.tail.normals == ((0, 1), (1, -1))
+    assert calls == [2, 2]  # its H-data is derived when first read, once
+    calls.clear()
+    assert (p.tail.span_eqs, p.tail.normals, p.ineqs, p.eqs) == (p.tail.span_eqs, p.tail.normals, p.ineqs, p.eqs)
+    assert calls == []
+
+
+def test_faces_are_built_without_kernels(monkeypatch):
+    x = fixture("gr24")
+    cells = [c for p in x.points for c in x.complex_at(p).maximal_cells]
+    cones = x.tailfan.maximal_cones
+    for obj in cells + list(cones):  # the parents' own H-data, read up front
+        obj.ineqs if isinstance(obj, polyhedra.Polyhedron) else obj.normals
+    calls = []
+
+    def spy(name):
+        real = getattr(polyhedra, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(polyhedra, name, wrapped)
+
+    spy("perp_lattice")
+    spy("_extreme_rays")
+    faces = [poly_faces.__wrapped__(c) for c in cells] + [cone_faces.__wrapped__(c) for c in cones]
+    assert calls == []
+    assert faces == [poly_faces(c) for c in cells] + [cone_faces(c) for c in cones]
+    assert sum(map(len, faces)) > 100
 
 
 # ---------------------------------------------------------------------------
@@ -529,3 +569,79 @@ def test_all_complex_faces_returns_a_fresh_list():
     first.clear()
     assert all_complex_faces(s) == expected
     assert all_complex_faces(s) is not all_complex_faces(s)
+
+
+# ---------------------------------------------------------------------------
+# objects built from known extreme rays against make_cone / make_polyhedron
+
+
+def assert_canonical_cone(c):
+    again = make_cone(c.generators, c.ambient_rank)
+    assert c == again and c.generators == again.generators
+    assert (c.normals, c.span_eqs, c.dim) == (again.normals, again.span_eqs, again.dim)
+
+
+def assert_canonical_polyhedron(p):
+    again = make_polyhedron(p.vertices, p.tail.generators, p.ambient_rank)
+    assert p == again and (p.vertices, p.tail) == (again.vertices, again.tail)
+    assert (p.ineqs, p.eqs, p.dim) == (again.ineqs, again.eqs, again.dim)
+    assert_canonical_cone(p.tail)
+
+
+def random_polyhedron(rng, n):
+    return make_polyhedron(*random_v_data(rng, n), n)
+
+
+def test_built_from_extreme_rays_matches_make():
+    rng = random.Random(43)
+    seen = dict.fromkeys(["cone face", "poly face", "cone meet", "poly meet", "hrep", "lower", "fractional"], 0)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        gens_a, gens_b = random_pointed_gens(rng, n), random_pointed_gens(rng, n)
+        if gens_a and gens_b:
+            a, b = make_cone(gens_a, n), make_cone(gens_b, n)
+            for f in cone_faces(a):
+                assert_canonical_cone(f)
+                seen["cone face"] += 1
+            try:
+                meet = cone_intersect(a, b)
+            except GeometryError:
+                pass
+            else:
+                assert_canonical_cone(meet)
+                seen["cone meet"] += 1
+                assert_canonical_polyhedron(cone_as_polyhedron(meet))
+        p, q = random_polyhedron(rng, n), random_polyhedron(rng, n)
+        for f in poly_faces(p):
+            assert_canonical_polyhedron(f)
+            seen["poly face"] += 1
+            seen["lower"] += f.dim < p.dim < n
+            seen["fractional"] += any(x.denominator > 1 for v in f.vertices for x in v)
+        meet = poly_intersect(p, q)
+        if not meet.is_empty:
+            assert_canonical_polyhedron(meet)
+            seen["poly meet"] += 1
+        box = [(tuple(s * (i == j) for j in range(n)), F(-3)) for i in range(n) for s in (1, -1)]
+        cuts = [
+            (tuple(rng.randint(-2, 2) for _ in range(n)), F(rng.randint(-5, 5), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 3))
+        ]
+        flats = [(tuple(rng.randint(-1, 1) for _ in range(n)), F(rng.randint(-2, 2), 2))] if rng.random() < 0.3 else []
+        h = polyhedron_from_hrep(box + cuts, flats, n)
+        if not h.is_empty:
+            assert_canonical_polyhedron(h)
+            seen["hrep"] += 1
+            assert all(h.contains(v) for v in h.vertices)
+    assert min(seen.values()) > 20, seen
+
+
+def test_fixture_faces_match_make():
+    for name in ("p2_E", "p1p1_bundle"):
+        x = fixture(name)
+        for p in x.points:
+            for cell in x.complex_at(p).maximal_cells:
+                for f in poly_faces(cell):
+                    assert_canonical_polyhedron(f)
+        for c in x.tailfan.maximal_cones:
+            for f in cone_faces(c):
+                assert_canonical_cone(f)
