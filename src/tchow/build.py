@@ -14,10 +14,10 @@ from typing import Sequence
 
 from .exactlin import (
     IVec,
+    bareiss_inverse,
     det,
     dot,
     mat_vec,
-    unimodular_inverse,
     vec,
 )
 from .fansy import (
@@ -216,9 +216,10 @@ def _cone_delta(b: KlyachkoBundle, c: Cone) -> IVec:
             targets.append(f.jump)
         else:
             targets.append(-f.jump)
-    # delta . g_i = targets_i, so delta = ginv @ targets
-    ginv = unimodular_inverse([list(g) for g in c.generators])
-    return tuple(dot(row, targets) for row in ginv)
+    # delta . g_i = targets_i, so delta = g^-1 @ targets; the cone is
+    # unimodular (see _check_base), so det s = ±1 and g^-1 = s * adj
+    s, adj = bareiss_inverse([list(g) for g in c.generators])
+    return tuple(s * dot(row, targets) for row in adj)
 
 
 def classify_hij(b: KlyachkoBundle, c: Cone) -> str:

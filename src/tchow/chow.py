@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .exactlin import (
     IVec,
+    bareiss_inverse,
     dot,
     hnf_basis,
     minimal_lattice_multiple,
@@ -94,24 +94,22 @@ def _face_directions(face: Polyhedron, base) -> list:
     return dirs
 
 
-def _nv_lattice_rows(vertex, n: int) -> list:
-    """Rational basis rows of the lattice Z^n + Z*vertex."""
-    w, mu = primitive(vertex)
-    rows = [[mu if i == j else 0 for j in range(n)] for i in range(n)]
-    rows.append(list(w))
-    return [vec(Fraction(x, mu) for x in row) for row in hnf_basis(rows)]
+def _quotient_lattice_inverse(proj, vertex) -> tuple[int, list[list[int]]]:
+    """``(s, A)`` with ``L^-1 = A / s`` for ``L = Z^q + Z*vbar`` in ``N/span``.
+
+    ``vbar`` is the image of ``vertex`` under ``proj``, so ``L`` is the image of
+    ``Z^n + Z*vertex``.  With ``vbar = w / mu`` the lattice is ``M / mu`` for the
+    integer HNF basis ``M`` of ``mu*Z^q + Z*w``; one fraction-free inverse of
+    ``M`` serves every face step of a relation block.
+    """
+    w, mu = primitive(project(proj, vertex))
+    q = len(w)
+    rows = [[mu if i == j else 0 for j in range(q)] for i in range(q)] + [list(w)]
+    s, adj = bareiss_inverse(hnf_basis(rows))
+    return s, [[mu * x for x in row] for row in adj]
 
 
-def _lattice_basis_rational(rows) -> list:
-    """Independent basis of the lattice generated by rational rows."""
-    if not rows:
-        return []
-    d = lcm(*(f.denominator for row in rows for f in row)) if rows else 1
-    scaled = [[int(f * d) for f in row] for row in rows]
-    return [vec(Fraction(x, d) for x in row) for row in hnf_basis(scaled)]
-
-
-def _step_image(proj, lattice_basis, big_face: Polyhedron, base):
+def _step_image(proj, lattice_inverse, big_face: Polyhedron, base):
     """Primitive generator (in the quotient lattice) of a face-step direction.
 
     ``big_face`` exceeds the projected-out span by one dimension; its image
@@ -121,7 +119,7 @@ def _step_image(proj, lattice_basis, big_face: Polyhedron, base):
     for d in _face_directions(big_face, base):
         image = project(proj, d)
         if any(image):
-            return minimal_lattice_multiple(image, lattice_basis)
+            return minimal_lattice_multiple(image, lattice_inverse)
     raise AssertionError("face does not step out of the projected span")
 
 
@@ -146,9 +144,7 @@ def relation_block_v(
     span = _face_directions(face, base)
     characters = face_character_lattice(span, base, n).basis
     proj = quotient_matrix(span, n)
-    lattice = _lattice_basis_rational(
-        [vec(project(proj, row)) for row in _nv_lattice_rows(base, n)]
-    )
+    lattice = _quotient_lattice_inverse(proj, base)
     bigger = [
         g
         for g in all_complex_faces(x.complex_at(p))
@@ -294,9 +290,7 @@ def face_pair_sides(
     base = small.vertices[0]
     span = _face_directions(small, base)
     proj = quotient_matrix(span, x.rank)
-    lattice = _lattice_basis_rational(
-        [vec(project(proj, row)) for row in _nv_lattice_rows(base, x.rank)]
-    )
+    lattice = _quotient_lattice_inverse(proj, base)
     step = _step_image(proj, lattice, big, base)
     mu_small = mu_of_face(x, p, small)
     lhs = tuple(mu_small * c for c in vec(step))

@@ -244,7 +244,11 @@ def _emit(args, doc: dict, text: str) -> None:
         json.dumps(doc, sort_keys=True, indent=2) + "\n" if args.json else text
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc.strerror}") from exc
+        with fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)

@@ -1,8 +1,11 @@
 """Exact integer and rational linear algebra.
 
-All arithmetic is done with arbitrary-precision ints and ``fractions.Fraction``;
-nothing here ever rounds.  Matrices are plain lists of rows, vectors are
-tuples, so every value is hashable once frozen into a tuple.
+All arithmetic is done with arbitrary-precision ints; nothing here ever
+rounds.  Every elimination is fraction-free: Hermite and Smith forms by
+integer row and column operations, determinants and inverses by Bareiss
+elimination.  ``fractions.Fraction`` remains only for rational vertex
+coordinates and :meth:`Sublattice.coords`.  Matrices are plain lists of rows,
+vectors are tuples, so every value is hashable once frozen into a tuple.
 """
 
 from __future__ import annotations
@@ -94,6 +97,33 @@ def det(m: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def bareiss_inverse(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """``(det(m), det(m) * m^-1)`` of a nonsingular square integer matrix.
+
+    Fraction-free Gauss–Jordan elimination of ``[m | I]`` (Bareiss 1968):
+    every division is exact, so every entry stays an integer.  Raises
+    ValueError when ``m`` is singular.
+    """
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        ak = a[k]
+        p = ak[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], ak)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def _row_sub(m: list[list[int]], i: int, j: int, q: int) -> None:
@@ -364,11 +394,6 @@ def perp_lattice(span_basis: Sequence[Sequence], ambient_rank: int) -> Sublattic
     return Sublattice(ambient_rank, integer_kernel(int_rows, ambient_rank))
 
 
-def saturation(rows: Sequence[Sequence], ambient_rank: int) -> Sublattice:
-    """Saturated lattice ``span_Q(rows) ∩ Z^n`` via a double perp."""
-    return perp_lattice(perp_lattice(rows, ambient_rank).basis, ambient_rank)
-
-
 def lattice_index(inner: Sublattice, outer: Sublattice) -> int:
     """Index ``[outer : inner]`` for equal-rank nested sublattices."""
     if inner.ambient_rank != outer.ambient_rank:
@@ -410,8 +435,8 @@ def quotient_generator(inner: Sublattice, outer: Sublattice) -> tuple[IVec, int]
         # inner is zero; outer has rank 1
         return outer.basis[0], 1
     _, d, v = snf_transforms(change)
-    vinv = unimodular_inverse(v)
-    free_coords = vinv[k1 - 1]
+    s, vadj = bareiss_inverse(v)  # v is unimodular: v^-1 = s * vadj
+    free_coords = [s * x for x in vadj[k1 - 1]]
     gen = tuple(
         sum(free_coords[i] * outer.basis[i][j] for i in range(k1))
         for j in range(outer.ambient_rank)
@@ -422,28 +447,6 @@ def quotient_generator(inner: Sublattice, outer: Sublattice) -> tuple[IVec, int]
     if index == 0:
         raise ValueError("inner basis is degenerate")
     return gen, index
-
-
-def unimodular_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(m)
-    aug = [list(map(Fraction, m[i])) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    out = []
-    for i in range(n):
-        row = aug[i][n:]
-        if any(f.denominator != 1 for f in row):
-            raise ValueError("matrix is not unimodular")
-        out.append([int(f) for f in row])
-    return out
 
 
 def face_character_lattice(
@@ -475,19 +478,13 @@ def face_character_lattice(
 def quotient_matrix(span_rows: Sequence[Sequence], ambient_rank: int) -> list[list[int]]:
     """Integer matrix ``P`` (n x q) realizing the projection ``N -> N/span``.
 
-    The map ``x -> x @ P`` sends ``Z^n`` onto ``Z^q`` with kernel exactly the
-    rational span of ``span_rows``; ``q = n - dim(span)``.
+    Its columns are the HNF basis of :func:`perp_lattice` of ``span_rows``,
+    one lattice kernel.  That lattice is saturated, so ``x -> x @ P`` sends
+    ``Z^n`` onto ``Z^q`` with kernel exactly the rational span of
+    ``span_rows``; ``q = n - dim(span)``.
     """
-    sat = saturation(span_rows, ambient_rank)
-    r = sat.rank
-    n = ambient_rank
-    if r == 0:
-        return identity_matrix(n)
-    _, d, v = snf_transforms([list(row) for row in sat.basis])
-    for i in range(r):
-        if d[i][i] != 1:
-            raise AssertionError("saturated lattice must have unit invariants")
-    return [[v[i][j] for j in range(r, n)] for i in range(n)]
+    basis = perp_lattice(span_rows, ambient_rank).basis
+    return [[b[i] for b in basis] for i in range(ambient_rank)]
 
 
 def project(p_matrix: Sequence[Sequence[int]], x: Sequence) -> tuple:
@@ -497,28 +494,38 @@ def project(p_matrix: Sequence[Sequence[int]], x: Sequence) -> tuple:
 
 
 def pair_through_quotient(
-    m: Sequence, p_matrix: Sequence[Sequence[int]], image_vec: Sequence
+    m: Sequence[int], p_matrix: Sequence[Sequence[int]], image_vec: Sequence
 ):
-    """Pair a character ``m`` that kills ``ker(P)`` with a vector in the quotient.
+    """Pair an integer character ``m`` that kills ``ker(P)`` with a vector in the quotient.
 
-    Solves ``m = P @ mbar`` and returns ``<mbar, image_vec>``.
+    Solves ``m = P @ mbar`` in integers through the pivot rows of ``P``, whose
+    columns are an HNF basis (see :func:`quotient_matrix`), and returns
+    ``<mbar, image_vec>``.  Raises ValueError when ``m`` does not vanish on
+    ``ker(P)``.
     """
     q = len(p_matrix[0]) if p_matrix else 0
-    cols = [[p_matrix[i][j] for i in range(len(p_matrix))] for j in range(q)]
-    mbar = solve_left(cols, m)
-    if mbar is None:
+    mbar: list[int] = []
+    for j in range(q):
+        c = next(i for i, row in enumerate(p_matrix) if row[j])
+        mbar.append((m[c] - dot(mbar, p_matrix[c][:j])) // p_matrix[c][j])
+    if mat_vec(p_matrix, mbar) != tuple(m):
         raise ValueError("character does not vanish on the projected-out span")
     return dot(mbar, image_vec)
 
 
-def minimal_lattice_multiple(q_vec: Sequence, lattice_rows: Sequence[Sequence]) -> tuple:
-    """Smallest positive multiple of ``q_vec`` lying in the given rational lattice."""
-    coords = solve_left(lattice_rows, q_vec)
-    if coords is None:
-        raise ValueError("vector is not in the lattice span")
-    if not any(coords):
+def minimal_lattice_multiple(
+    q_vec: Sequence, inverse: tuple[int, Sequence[Sequence[int]]]
+) -> tuple:
+    """Smallest positive multiple of ``q_vec`` lying in a full-rank lattice ``L``.
+
+    ``inverse`` is ``(s, A)`` with integer ``A`` and ``L^-1 = A / s`` (``L``
+    written as a matrix of basis rows), so the lattice coordinates of
+    ``q_vec`` are ``q_vec @ A / s``.
+    """
+    w, mu = primitive(q_vec)
+    s, a = inverse
+    g = gcd(*(dot(w, col) for col in zip(*a)))
+    if g == 0:
         return vec(q_vec)
-    b = lcm(*(c.denominator for c in coords))
-    nums = [int(c * b) for c in coords]
-    g = gcd(*(abs(x) for x in nums))
-    return vscale(Fraction(b, g), vec(q_vec))
+    # the coordinates are (w @ A) / (mu * s), and w @ A has content g
+    return vscale(abs(Fraction(mu * s, g)), vec(q_vec))

@@ -38,6 +38,7 @@ from typing import Iterable, Sequence
 from .exactlin import (
     IVec,
     Vec,
+    bareiss_inverse,
     dot,
     identity_matrix,
     integer_kernel,
@@ -127,10 +128,12 @@ def _extreme_rays(rows: Sequence[IVec], r: int) -> list[IVec]:
     ``_extreme_rays(gens, r)`` returns them provided the generators span Q^r.
 
     Double description (Motzkin et al. 1953): start from the simplicial cone
-    of ``r`` independent rows and add the other rows in input order.  A ray
-    carries the bitmask of the rows it is tight on; a (+, -) pair is joined on
-    the new hyperplane only when adjacent, which by the combinatorial test
-    (Fukuda & Prodon 1996) means no other ray is tight on every row both are.
+    of ``r`` independent rows, whose rays are the columns of the adjugate of
+    those rows (one fraction-free inverse) made primitive, and add the other
+    rows in input order.  A ray carries the bitmask of the rows it is tight
+    on; a (+, -) pair is joined on the new hyperplane only when adjacent,
+    which by the combinatorial test (Fukuda & Prodon 1996) means no other ray
+    is tight on every row both are.
     """
     if r == 0:
         return []
@@ -138,9 +141,11 @@ def _extreme_rays(rows: Sequence[IVec], r: int) -> list[IVec]:
     if len(basis) < r:
         raise GeometryError("cone is not pointed")
     basis_mask = sum(1 << i for i in basis)
+    _, adj = bareiss_inverse([rows[i] for i in basis])
     rays = []
-    for i in basis:
-        (y,) = integer_kernel([rows[j] for j in basis if j != i], r)
+    for i, col in zip(basis, zip(*adj)):
+        g = gcd(*col)
+        y = tuple(x // g for x in col)
         if dot(rows[i], y) < 0:
             y = tuple(-x for x in y)
         rays.append((y, basis_mask & ~(1 << i)))

@@ -279,6 +279,23 @@ def test_component_choice_invariance(gr24):
             assert alt.smith == presentation(x, k).smith, (k,)
 
 
+ROADMAP_ITEM_1 = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="contracted-cycle (T) relations are wrong on some rank-4 downgrades (ROADMAP item 1)",
+)
+
+
+@pytest.mark.parametrize(
+    "s", [1, 2, 3, 4, 5, 6, pytest.param(0, marks=ROADMAP_ITEM_1), pytest.param(28, marks=ROADMAP_ITEM_1)]
+)
+def test_random_rank4_downgrade_matches_oracle(s):
+    fan = random_complete_fan(random.Random(1000 + s), 4, 5)
+    x = downgrade(DowngradeInput(fan))
+    for k in range(fan.ambient_rank + 1):
+        assert presentation(x, k).smith == toric_chow_presentation(fan, k).smith, k
+
+
 def test_random_downgrade_oracle_equivalence_small():
     rng = random.Random(99)
     for _ in range(3):

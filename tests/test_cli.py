@@ -243,6 +243,15 @@ def test_unreadable_file_is_parse_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("parse error: cannot read")
 
 
+def test_unwritable_out_is_parse_error(tmp_path, capsys):
+    fixture_file = tmp_path / "p2_E.json"
+    fixture_file.write_text(json.dumps(divisor_document(fixture("p2_E"))))
+    target = tmp_path / "missing" / "x.json"
+    assert main(["chow", "--json", "--out", str(target), str(fixture_file)]) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: cannot write {target}:")
+    assert not target.exists()
+
+
 def test_singular_basis_change_is_validation_failure(tmp_path, capsys):
     path = tmp_path / "doc.json"
     change = [[1, 0, 0], [0, 1, 0], [1, 1, 0]]

@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from conftest import fraction_primitive
 
 from tchow.exactlin import (
     Sublattice,
+    bareiss_inverse,
     det,
     face_character_lattice,
     hnf,
@@ -25,9 +27,9 @@ from tchow.exactlin import (
     snf,
     snf_transforms,
     solve_left,
-    unimodular_inverse,
     vec,
 )
+from tchow import exactlin
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda rows: st.integers(1, 4).flatmap(
@@ -218,11 +220,54 @@ def test_solve_left():
     assert sol == (Fraction(1), Fraction(1))
 
 
-def test_unimodular_inverse():
+def fraction_inverse(m):
+    """Reference inverse by Gauss–Jordan elimination in Fractions; None if singular."""
+    n = len(m)
+    aug = [[Fraction(x) for x in m[i]] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if piv is None:
+            return None
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [x * inv for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def test_bareiss_inverse():
     m = [[1, 2], [0, 1]]
-    assert mat_mul(m, unimodular_inverse(m)) == [[1, 0], [0, 1]]
+    s, adj = bareiss_inverse(m)
+    assert s == 1 and mat_mul(m, adj) == [[1, 0], [0, 1]]
+    assert bareiss_inverse([[2, 0], [0, 1]]) == (2, [[1, 0], [0, 2]])
+    assert bareiss_inverse([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])  # row swap
+    assert bareiss_inverse([]) == (1, [])
     with pytest.raises(ValueError):
-        unimodular_inverse([[2, 0], [0, 1]])
+        bareiss_inverse([[1, 2], [2, 4]])
+
+
+def test_bareiss_inverse_matches_fraction_reference():
+    rng = random.Random(6)
+    swaps = big = singular = 0
+    for _ in range(400):
+        r = rng.randint(1, 6)
+        m = [[rng.choice([0, 0, 1, -1, rng.randint(-9, 9)]) for _ in range(r)] for _ in range(r)]
+        ref = fraction_inverse(m)
+        if ref is None:
+            singular += 1
+            with pytest.raises(ValueError):
+                bareiss_inverse(m)
+            continue
+        s, adj = bareiss_inverse(m)
+        assert s == det(m)
+        assert adj == [[s * x for x in row] for row in ref]
+        assert all(type(x) is int for row in adj for x in row)
+        swaps += m[0][0] == 0
+        big += abs(s) > 1
+    assert swaps > 20 and big > 100 and singular > 20
 
 
 def test_quotient_matrix_and_pairing():
@@ -237,15 +282,72 @@ def test_quotient_matrix_and_pairing():
     m = (1, -1, 0)  # kills (1,1,0)
     val = pair_through_quotient(m, p, project(p, (1, 0, 0)))
     assert val == dot_check(m, (1, 0, 0))
+    with pytest.raises(ValueError):
+        pair_through_quotient((1, 0, 0), p, (1, 0))
+    rng = random.Random(5)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        span = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        span = [vec(Fraction(x, rng.randint(1, 3)) for x in row) for row in span]
+        p = quotient_matrix(span, n)
+        q = len(p[0])
+        dim = len(Sublattice.from_rows([primitive(v)[0] for v in span], n).basis) if span else 0
+        assert len(p) == n and q == n - dim
+        assert all(project(p, v) == (0,) * q for v in span)
+        if q:  # onto Z^q: every Smith invariant of P is 1
+            _, d, _ = snf_transforms(p)
+            assert [d[i][i] for i in range(q)] == [1] * q
+        chars = perp_lattice(span, n).basis
+        x = [rng.randint(-4, 4) for _ in range(n)]
+        for m in chars:
+            assert pair_through_quotient(m, p, project(p, x)) == dot_check(m, x)
+        if dim:
+            bad = next(e for e in Sublattice.full(n).basis if any(dot_check(e, v) for v in span))
+            with pytest.raises(ValueError):
+                pair_through_quotient(bad, p, project(p, x))
+
+
+def test_quotient_matrix_takes_one_kernel(monkeypatch):
+    calls = []
+    for name in ("integer_kernel", "snf_transforms"):
+        real = getattr(exactlin, name)
+        monkeypatch.setattr(
+            exactlin, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+        )
+    for span, n in (([vec([1, 1, 0])], 3), ([], 2), ([vec([1, 2]), vec([0, 1])], 2)):
+        calls.clear()
+        quotient_matrix(span, n)
+        assert calls == ["integer_kernel"]
 
 
 def dot_check(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def rational_lattice_inverse(rows):
+    """``(s, A)`` with ``L^-1 = A / s`` for the lattice with rational basis ``rows``."""
+    d = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    s, adj = bareiss_inverse([[int(Fraction(x) * d) for x in row] for row in rows])
+    return s, [[d * x for x in row] for row in adj]
+
+
 def test_minimal_lattice_multiple():
-    lat = [vec([2, 0]), vec([0, 1])]
+    lat = rational_lattice_inverse([vec([2, 0]), vec([0, 1])])
     assert minimal_lattice_multiple(vec([1, 0]), lat) == (Fraction(2), Fraction(0))
     assert minimal_lattice_multiple(vec([1, 1]), lat) == (Fraction(2), Fraction(2))
-    half = [vec([Fraction(1, 2), 0]), vec([0, 1])]
+    half = rational_lattice_inverse([vec([Fraction(1, 2), 0]), vec([0, 1])])
     assert minimal_lattice_multiple(vec([1, 0]), half) == (Fraction(1, 2), Fraction(0))
+    assert minimal_lattice_multiple(vec([0, 0]), half) == (0, 0)
+    rng = random.Random(7)
+    for _ in range(200):
+        q = rng.randint(1, 4)
+        rows = [vec(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(q)) for _ in range(q)]
+        if det([primitive(r)[0] for r in rows]) == 0:
+            continue
+        v = vec(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(q))
+        coords = solve_left(rows, v)  # the Fraction reference
+        b = lcm(*(c.denominator for c in coords))
+        g = gcd(*(int(c * b) for c in coords)) or b
+        assert minimal_lattice_multiple(v, rational_lattice_inverse(rows)) == tuple(
+            Fraction(b, g) * x for x in v
+        )

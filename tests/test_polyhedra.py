@@ -17,7 +17,6 @@ from tchow.exactlin import (
     perp_lattice,
     primitive,
     primitive_direction,
-    saturation,
     snf_transforms,
 )
 from tchow.polyhedra import (
@@ -406,6 +405,11 @@ def fraction_direction(v):
     return tuple(x // g for x in w)
 
 
+def saturation(rows, n):
+    """Saturated lattice ``span_Q(rows) ∩ Z^n`` via a double perp."""
+    return perp_lattice(perp_lattice(rows, n).basis, n)
+
+
 def reference_h_data(gens, n):
     """Sorted relative facet normals and span equations of the cone on ``gens``."""
     sat = saturation([list(g) for g in gens], n).basis
@@ -507,6 +511,20 @@ def test_one_span_kernel_per_construction(monkeypatch):
     assert calls == [2, 2]  # its H-data is derived when first read, once
     calls.clear()
     assert (p.tail.span_eqs, p.tail.normals, p.ineqs, p.eqs) == (p.tail.span_eqs, p.tail.normals, p.ineqs, p.eqs)
+    assert calls == []
+
+
+def test_extreme_rays_take_no_kernel(monkeypatch):
+    cases = [
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1), (2, -1, 1)], 3),
+        ([(2, 1), (1, -3)], 2),  # a start cone of determinant -7
+        ([(0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1)], 3),  # first pivot needs a swap
+    ]
+    expected = [brute_rays(rows, r) for rows, r in cases]
+    calls = []
+    real = polyhedra.integer_kernel
+    monkeypatch.setattr(polyhedra, "integer_kernel", lambda *a: calls.append(a) or real(*a))
+    assert [_extreme_rays(rows, r) for rows, r in cases] == expected
     assert calls == []
 
 
