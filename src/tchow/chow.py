@@ -34,15 +34,12 @@ from .fansy import (
     MarkedFansyDivisor,
     enumerate_generators,
     mu_of_face,
-    s_sigma,
 )
 from .polyhedra import (
     Cone,
     Fan,
     IncompleteFanError,  # re-exported: raised by toric_chow_presentation
     Polyhedron,
-    all_complex_faces,
-    poly_is_face_of,
     require_complete,
 )
 
@@ -130,8 +127,9 @@ def relation_block_v(
 
     One row per basis character of the face's (possibly finite-index)
     character lattice.  Coefficients land on the dimension-(n-k) fiber faces
-    above it; faces with marked tails are redirected onto the contracted
-    generator with the stabilizer-to-multiplicity ratio as multiplier.
+    above it (its cofaces); faces with marked tails are redirected onto the
+    contracted generator with the stabilizer-to-multiplicity ratio as
+    multiplier.
 
     ``base_vertex`` selects the fiber component the rows are written in
     (faces with several vertices lie in several components); any choice
@@ -139,47 +137,36 @@ def relation_block_v(
     lexicographically smallest, vertex.
     """
     n = x.rank
+    ctx = x.context
     p, face = source.point, source.face
     base = face.vertices[base_vertex]
     span = _face_directions(face, base)
     characters = face_character_lattice(span, base, n).basis
     proj = quotient_matrix(span, n)
     lattice = _quotient_lattice_inverse(proj, base)
-    bigger = [
-        g
-        for g in all_complex_faces(x.complex_at(p))
-        if g.dim == n - k and poly_is_face_of(face, g)
-    ]
+    # each coface as the generator it lands on, the multiplier and its step
+    targets = []
+    for g in ctx.fibers[p].cofaces[face]:
+        if not x.is_marked(g.tail):
+            gen, factor = CycleGenerator("V", point=p, face=g), 1
+        else:
+            s = ctx.s(x, g.tail)
+            mu = ctx.mu(x, p, g)
+            if s % mu != 0:
+                raise NonIntegralRedirectError(
+                    f"stabilizer order {s} is not divisible by multiplicity {mu}"
+                )
+            gen, factor = CycleGenerator("T", cone=g.tail), s // mu
+        targets.append((gen, factor, _step_image(proj, lattice, g, base)))
     rows = []
     for m in characters:
         entries: dict[CycleGenerator, int] = {}
-        for g in bigger:
-            step = _step_image(proj, lattice, g, base)
+        for gen, factor, step in targets:
             coeff = _as_int(pair_through_quotient(m, proj, step))
-            if coeff == 0:
-                continue
-            if not x.is_marked(g.tail):
-                gen = CycleGenerator("V", point=p, face=g)
-                entries[gen] = entries.get(gen, 0) + coeff
-            else:
-                s = s_sigma(x, g.tail)
-                mu = mu_of_face(x, p, g)
-                if s % mu != 0:
-                    raise NonIntegralRedirectError(
-                        f"stabilizer order {s} is not divisible by multiplicity {mu}"
-                    )
-                gen = CycleGenerator("T", cone=g.tail)
-                entries[gen] = entries.get(gen, 0) + coeff * (s // mu)
+            if coeff:
+                entries[gen] = entries.get(gen, 0) + coeff * factor
         rows.append(tuple(entries.items()))
     return RelationBlock(source, tuple(rows))
-
-
-def _tail_translates(x: MarkedFansyDivisor, p: str, tau: Cone) -> list[Polyhedron]:
-    return [
-        f
-        for f in all_complex_faces(x.complex_at(p))
-        if f.tail == tau and f.dim == tau.dim
-    ]
 
 
 def relation_block_r(
@@ -196,10 +183,13 @@ def relation_block_r(
     n = x.rank
     tau = source.cone
     proj = quotient_matrix(tau.generators, n)
+    ctx = x.context
     per_point: dict[str, list[tuple[Polyhedron, int]]] = {}
     for p in x.points:
         per_point[p] = [
-            (f, mu_of_face(x, p, f)) for f in _tail_translates(x, p, tau)
+            (f, ctx.mu(x, p, f))
+            for f in ctx.fibers[p].by_tail.get(tau, ())
+            if f.dim == tau.dim
         ]
     rows = []
     basepoint = x.points[-1]
@@ -356,13 +346,21 @@ def _smith_presentation(k, generators, rows) -> ChowPresentation:
 
 
 def presentation(x: MarkedFansyDivisor, k: int) -> ChowPresentation:
-    """The full k-cycle class group presentation of the divisor's variety."""
+    """The full k-cycle class group presentation of the divisor's variety.
+
+    Built once per divisor object and k, and kept in its context: every
+    later call, such as :func:`tchow.effcone.eff_generators`, returns the
+    same presentation.
+    """
     n = x.rank
     if not 0 <= k <= n + 1:
         raise ValueError(f"k must lie in [0, {n + 1}]")
-    gens = enumerate_generators(x, k).ordered()
-    rows = [row for block in relation_blocks(x, k) for row in block.rows]
-    return _smith_presentation(k, gens, rows)
+    built = x.context.presentations
+    if k not in built:
+        gens = enumerate_generators(x, k).ordered()
+        rows = [row for block in relation_blocks(x, k) for row in block.rows]
+        built[k] = _smith_presentation(k, gens, rows)
+    return built[k]
 
 
 def toric_chow_presentation(fan: Fan, k: int) -> ChowPresentation:

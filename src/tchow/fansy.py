@@ -5,6 +5,13 @@ complexity-one torus variety: a complete fan (the tailfan of the general
 fiber), one complete polyhedral subdivision per special point of the base
 line, and a marked set of tailfan cones recording which invariant cycles the
 contraction morphism collapses.
+
+Everything derived from a divisor that the k-cycle presentations share is
+built once per divisor object, on first use, and kept in its
+:class:`DivisorContext` (outside the dataclass fields, like the validation
+report): each fiber's faces indexed by dimension, by tail cone and by
+coface, the :func:`s_sigma` and :func:`mu_of_face` tables, the generator
+sets of each level and the presentation of each k.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from .exactlin import Vec, dot, hnf_basis, primitive, project, quotient_matrix, 
 from .polyhedra import (
     Cone,
     Fan,
-    NonFanTailsError,
     PolyhedralComplex,
     Polyhedron,
     all_complex_faces,
@@ -49,7 +55,7 @@ class MarkedFansyDivisor:
     ``points`` is ordered; the last label plays the role of the basepoint at
     infinity in all relation blocks.  The report of :func:`validate` is
     computed on first use and kept on the object, outside the dataclass
-    fields.
+    fields, and so is its :class:`DivisorContext`.
     """
 
     rank: int
@@ -78,6 +84,80 @@ class MarkedFansyDivisor:
     @cached_property
     def _report(self) -> ValidationReport:
         return ValidationReport(tuple(_violations(self)))
+
+    @cached_property
+    def context(self) -> DivisorContext:
+        return DivisorContext(self)
+
+
+class FiberFaces:
+    """The faces of one fiber's subdivision, sorted, and their indexes.
+
+    ``by_dim`` and ``by_tail`` map a dimension or a tail cone to its faces.
+    ``cofaces`` maps each face to the faces one dimension up that contain
+    it: within a polyhedral complex a face lies in another exactly when its
+    vertices and tail rays are among the other's, so the map is read off the
+    listed V-data, with no face lattice of any single face.
+    """
+
+    def __init__(self, s: PolyhedralComplex):
+        self.faces = tuple(all_complex_faces(s))
+        by_dim: dict[int, list[Polyhedron]] = {}
+        by_tail: dict[Cone, list[Polyhedron]] = {}
+        for f in self.faces:
+            by_dim.setdefault(f.dim, []).append(f)
+            by_tail.setdefault(f.tail, []).append(f)
+        self.by_dim = {d: tuple(fs) for d, fs in by_dim.items()}
+        self.by_tail = {c: tuple(fs) for c, fs in by_tail.items()}
+
+    @cached_property
+    def cofaces(self) -> dict[Polyhedron, tuple[Polyhedron, ...]]:
+        up: dict[Polyhedron, list[Polyhedron]] = {f: [] for f in self.faces}
+        for d, smaller in self.by_dim.items():
+            by_vertex: dict[Vec, list[Polyhedron]] = {}
+            for f in smaller:
+                by_vertex.setdefault(f.vertices[0], []).append(f)
+            for g in self.by_dim.get(d + 1, ()):
+                verts, rays = set(g.vertices), set(g.tail.generators)
+                for v in g.vertices:
+                    for f in by_vertex.get(v, ()):
+                        if verts.issuperset(f.vertices) and rays.issuperset(
+                            f.tail.generators
+                        ):
+                            up[f].append(g)
+        return {f: tuple(gs) for f, gs in up.items()}
+
+
+class DivisorContext:
+    """What every k of one divisor shares, each part built on first request.
+
+    ``fibers`` maps each point to its :class:`FiberFaces`.  The tables hold
+    :func:`s_sigma` by marked cone, :func:`mu_of_face` by (point, face), the
+    :class:`GeneratorSets` of each level and the presentation of each k
+    (filled in by :func:`tchow.chow.presentation`).  The context keeps no
+    reference to its divisor, so the two form no cycle; the lookups take it
+    as an argument.
+    """
+
+    def __init__(self, x: MarkedFansyDivisor):
+        self.fibers = {p: FiberFaces(x.complex_at(p)) for p in x.points}
+        self.s_table: dict[Cone, int] = {}
+        self.mu_table: dict[tuple[str, Polyhedron], int] = {}
+        self.levels: dict[int, GeneratorSets] = {}
+        self.presentations: dict = {}
+
+    def s(self, x: MarkedFansyDivisor, sigma: Cone) -> int:
+        """``s_sigma(x, sigma)``, computed once."""
+        if sigma not in self.s_table:
+            self.s_table[sigma] = s_sigma(x, sigma)
+        return self.s_table[sigma]
+
+    def mu(self, x: MarkedFansyDivisor, p: str, face: Polyhedron) -> int:
+        """``mu_of_face(x, p, face)``, computed once."""
+        key = (p, face)
+        if key not in self.mu_table:
+            self.mu_table[key] = mu_of_face(x, p, face)
+        return self.mu_table[key]
 
 
 @dataclass(frozen=True)
@@ -230,7 +310,7 @@ def pdivisor_slice(x: "MarkedFansyDivisor", sigma: Cone) -> PDivisorSlice:
     """
     coeffs = []
     for p in x.points:
-        hits = faces_with_tail(x.complex_at(p), sigma)
+        hits = x.context.fibers[p].by_tail.get(sigma, ())
         if len(hits) > 1:
             raise NonUniqueFaceError(
                 f"{len(hits)} faces with tail {sigma.generators} over {p}"
@@ -239,15 +319,11 @@ def pdivisor_slice(x: "MarkedFansyDivisor", sigma: Cone) -> PDivisorSlice:
     return PDivisorSlice(sigma, tuple(coeffs))
 
 
-def faces_with_tail(s: PolyhedralComplex, c: Cone) -> list[Polyhedron]:
-    return [f for f in all_complex_faces(s) if f.tail == c]
-
-
 def unique_face_over(x: MarkedFansyDivisor, sigma: Cone, p: str) -> Polyhedron:
     """The unique face of the fiber over ``p`` whose tailcone is ``sigma``."""
     if not x.is_marked(sigma):
         raise NonUniqueFaceError("cone is not marked; its fiber face need not be unique")
-    hits = faces_with_tail(x.complex_at(p), sigma)
+    hits = x.context.fibers[p].by_tail.get(sigma, ())
     if len(hits) != 1:
         raise NonUniqueFaceError(
             f"expected exactly one face with tail {sigma.generators} over {p}, found {len(hits)}"
@@ -328,31 +404,35 @@ def enumerate_generators(x: MarkedFansyDivisor, k: int) -> GeneratorSets:
 
     R: unmarked tailfan cones of dimension ``n+1-k``; V: fiber faces of
     dimension ``n-k`` with unmarked tail, over every special point; T: marked
-    cones of dimension ``n-k``.
+    cones of dimension ``n-k``.  Enumerated once per divisor and level.
     """
     n = x.rank
     if not 0 <= k <= n + 1:
         raise ValueError(f"k must lie in [0, {n + 1}]")
+    levels = x.context.levels
+    if k in levels:
+        return levels[k]
     r_gens = [
         CycleGenerator("R", cone=c)
         for c in x.tailfan.cones(n + 1 - k)
         if not x.is_marked(c)
     ]
-    v_gens = []
-    if 0 <= n - k:
-        for p in x.points:
-            for f in all_complex_faces(x.complex_at(p)):
-                if f.dim == n - k and not x.is_marked(f.tail):
-                    v_gens.append(CycleGenerator("V", point=p, face=f))
+    v_gens = [
+        CycleGenerator("V", point=p, face=f)
+        for p in x.points
+        for f in x.context.fibers[p].by_dim.get(n - k, ())
+        if not x.is_marked(f.tail)
+    ]
     t_gens = [
         CycleGenerator("T", cone=c) for c in x.tailfan.cones(n - k) if x.is_marked(c)
     ]
     key = lambda g: generator_sort_key(x, g)
-    return GeneratorSets(
+    levels[k] = GeneratorSets(
         tuple(sorted(r_gens, key=key)),
         tuple(sorted(v_gens, key=key)),
         tuple(sorted(t_gens, key=key)),
     )
+    return levels[k]
 
 
 def _poly_min(face: Polyhedron, u: Sequence) -> Fraction | None:
@@ -397,10 +477,12 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
         if problems:
             complexes_ok = False
             continue
-        try:
-            tf = complex_tailfan(s)
-        except NonFanTailsError as exc:
-            add("NON_FAN_TAILS", f"fiber over {p}: {exc}")
+        tf = s.tail_fan
+        # a fiber's tail fan is usually equal to the tailfan, whose
+        # validity is already stored on it
+        tail_problems = fan_validate(x.tailfan if tf == x.tailfan else tf)
+        if tail_problems:
+            add("NON_FAN_TAILS", f"fiber over {p}: " + "; ".join(tail_problems))
             complexes_ok = False
             continue
         if tf != x.tailfan:
@@ -430,7 +512,7 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
     unique_ok = True
     for sigma in sorted(x.marked, key=Cone.sort_key):
         for p in x.points:
-            hits = faces_with_tail(x.complex_at(p), sigma)
+            hits = x.context.fibers[p].by_tail.get(sigma, ())
             if len(hits) != 1:
                 add(
                     "NON_UNIQUE_MARKED_FACE",

@@ -182,17 +182,17 @@ def _h_to_generators(
 ) -> list[IVec]:
     """Primitive extreme rays of ``{x : ineq . x >= 0, eq . x = 0}``; pointed only.
 
-    The equations cut out a saturated lattice, so rays primitive in its
+    Without equations this is one double-description pass on the rows.  The
+    equations cut out a saturated lattice, so rays primitive in its
     coordinates are primitive in Z^n.
     """
-    int_eqs = [list(primitive(e)[0]) for e in eq_rows]
-    w_basis = integer_kernel(int_eqs, n) if int_eqs else tuple(
-        tuple(r) for r in identity_matrix(n)
-    )
+    int_ineqs = [primitive(a)[0] for a in ineq_rows]
+    if not eq_rows:
+        return _extreme_rays(int_ineqs, n)
+    w_basis = integer_kernel([list(primitive(e)[0]) for e in eq_rows], n)
     w = len(w_basis)
     if w == 0:
         return []
-    int_ineqs = [primitive(a)[0] for a in ineq_rows]
     restricted = [tuple(dot(a, wr) for wr in w_basis) for a in int_ineqs]
     rays_c = _extreme_rays(restricted, w)
     return [_uncoords([list(r) for r in w_basis], y) for y in rays_c]
@@ -664,8 +664,9 @@ class PolyhedralComplex:
     """A polyhedral complex given by its maximal cells.
 
     Like :class:`Fan`, it keeps what :func:`complex_validate` finds, the fan
-    :func:`complex_tailfan` builds and the faces :func:`all_complex_faces`
-    lists, each computed on first use.
+    its cells' tail cones generate (``tail_fan``, not validated; see
+    :func:`complex_tailfan`) and the faces :func:`all_complex_faces` lists,
+    each computed on first use.
     """
 
     ambient_rank: int
@@ -676,7 +677,7 @@ class PolyhedralComplex:
         return tuple(_complex_problems(self))
 
     @cached_property
-    def _tailfan(self) -> Fan:
+    def tail_fan(self) -> Fan:
         return make_fan((c.tail for c in self.maximal_cells), self.ambient_rank)
 
     @cached_property
@@ -780,7 +781,7 @@ def complex_tailfan(s: PolyhedralComplex) -> Fan:
 
     Built once per complex object, so its own validity is checked once too.
     """
-    fan = s._tailfan
+    fan = s.tail_fan
     problems = fan_validate(fan)
     if problems:
         raise NonFanTailsError("; ".join(problems))

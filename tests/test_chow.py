@@ -279,6 +279,56 @@ def test_component_choice_invariance(gr24):
             assert alt.smith == presentation(x, k).smith, (k,)
 
 
+def test_presentation_is_built_once_and_shared(monkeypatch):
+    from tchow import chow
+    from tchow.effcone import eff_generators
+
+    x = fixture("p2_E")
+    first = [presentation(x, k) for k in range(x.rank + 2)]
+    calls = []
+    real = chow.relation_blocks
+    monkeypatch.setattr(chow, "relation_blocks", lambda *a: calls.append(a) or real(*a))
+    for k, pres in enumerate(first):
+        assert presentation(x, k) is pres
+        assert eff_generators(x, k).presentation is pres
+    assert calls == []
+    presentation(fixture("p2_E"), 1)  # an equal but new divisor builds its own
+    assert len(calls) == 1
+
+
+def test_s_sigma_once_per_divisor_and_marked_cone(monkeypatch):
+    from tchow import chow, fansy
+
+    calls = []
+    real = fansy.s_sigma
+    spy = lambda x, sigma: calls.append((id(x), sigma)) or real(x, sigma)
+    for module in (fansy, chow):  # wherever a caller may look it up
+        monkeypatch.setattr(module, "s_sigma", spy, raising=False)
+    xs = [fixture(name) for name in ("gr24", "p1p1_bundle", "p2_E", "p2_F")]
+    for x in xs:
+        for k in range(x.rank + 2):
+            presentation(x, k)
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_step_image_once_per_source_and_coface(monkeypatch):
+    from tchow import chow
+
+    calls = []
+    real = chow._step_image
+    monkeypatch.setattr(chow, "_step_image", lambda *a: calls.append(a) or real(*a))
+    several = 0
+    for x in (fixture("gr24"), fixture("p1p1_bundle")):
+        for k in range(x.rank + 1):
+            for source in enumerate_generators(x, k + 1).v:
+                calls.clear()
+                block = relation_block_v(x, k, source)
+                cofaces = x.context.fibers[source.point].cofaces[source.face]
+                assert len(calls) == len(cofaces)
+                several += len(block.rows) > 1 and len(cofaces) > 0
+    assert several
+
+
 ROADMAP_ITEM_1 = pytest.mark.xfail(
     strict=True,
     raises=AssertionError,

@@ -1,9 +1,12 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import p1p1_fan, p2_fan, random_bundle, random_complete_fan
 
-from tchow.build import fixture
+from tchow import polyhedra
+from tchow.build import FIXTURE_NAMES, DowngradeInput, bundle_rank2, downgrade, fixture
 from tchow.fansy import (
     MarkedFansyDivisor,
     NonUniqueFaceError,
@@ -18,12 +21,14 @@ from tchow.fansy import (
     with_extra_generic_point,
 )
 from tchow.polyhedra import (
+    all_complex_faces,
     complex_faces,
     complex_tailfan,
     make_complex,
     make_cone,
     make_fan,
     make_polyhedron,
+    poly_is_face_of,
 )
 
 F = Fraction
@@ -291,3 +296,72 @@ def test_aux_point_padding():
     y = with_extra_generic_point(x, "aux2")
     assert len(y.points) == 3
     assert validate(y).ok
+
+
+def context_divisors():
+    """The fixtures, seeded bundles, and seeded rank-3 and rank-4 downgrades."""
+    xs = [fixture(name) for name in FIXTURE_NAMES]
+    rng = random.Random(5)
+    bases = [p2_fan(), p1p1_fan()]
+    xs += [bundle_rank2(random_bundle(rng, bases[i % 2])) for i in range(4)]
+    fans = [random_complete_fan(random.Random(s)) for s in (1, 2)]
+    fans.append(random_complete_fan(random.Random(1001), 4, 5))
+    xs += [downgrade(DowngradeInput(fan)) for fan in fans]
+    return xs
+
+
+def test_context_indexes_match_linear_scans():
+    for x in context_divisors():
+        cones = set(x.tailfan.all_cones())
+        for p in x.points:
+            faces = all_complex_faces(x.complex_at(p))
+            fiber = x.context.fibers[p]
+            assert list(fiber.faces) == faces
+            for d in range(x.rank + 1):
+                assert list(fiber.by_dim.get(d, ())) == [f for f in faces if f.dim == d]
+            assert set(fiber.by_tail) <= cones
+            for c in cones:
+                assert list(fiber.by_tail.get(c, ())) == [f for f in faces if f.tail == c]
+            assert set(fiber.cofaces) == set(faces)
+            for f in faces:
+                assert list(fiber.cofaces[f]) == [
+                    g for g in faces if g.dim == f.dim + 1 and poly_is_face_of(f, g)
+                ], (p, f)
+
+
+def test_fiber_tail_fans_reuse_the_tailfan_check(monkeypatch):
+    calls = []
+    real = polyhedra._fan_problems
+    monkeypatch.setattr(polyhedra, "_fan_problems", lambda fan: calls.append(fan) or real(fan))
+    fan = p2_fan()
+    x = make_divisor(2, [("0", sigma_as_complex(fan)), ("inf", sigma_as_complex(fan))], [])
+    assert validate(x).ok
+    assert calls == [x.tailfan]  # both fibers' tail fans equal it
+
+
+@pytest.mark.parametrize("own, bad", [(True, True), (False, True), (False, False)])
+def test_shared_tail_fan_messages(monkeypatch, own, bad):
+    # two fibers share one tail fan: the divisor's own tailfan or another
+    # complete fan, reported as not being a fan or not
+    fibers = [sigma_as_complex(p2_fan() if own else p1p1_fan()) for _ in range(2)]
+    tailfan = fibers[0].tail_fan if own else p2_fan()
+    problem = "cones ((0, 1),) and ((1, 0),) do not meet in a common face"
+    real = polyhedra._fan_problems
+    calls = []
+
+    def problems(fan):
+        calls.append(fan)
+        return [problem] if bad and fan == fibers[0].tail_fan else real(fan)
+
+    monkeypatch.setattr(polyhedra, "_fan_problems", problems)
+    x = MarkedFansyDivisor(2, ("0", "inf"), tuple(fibers), tailfan, frozenset())
+    found = [(v.code, v.message) for v in validate(x).violations]
+    if not bad:
+        expected = [("TAILFAN_MISMATCH", f"fiber over {p} has a different tailfan") for p in x.points]
+    else:
+        expected = [("NON_FAN_TAILS", f"fiber over {p}: {problem}") for p in x.points]
+        if own:
+            expected.insert(0, ("BAD_TAILFAN", problem))
+    assert found == expected
+    if own:
+        assert calls == [tailfan]

@@ -44,6 +44,7 @@ from tchow.polyhedra import (
     poly_is_face_of,
     polyhedron_from_hrep,
     _extreme_rays,
+    _h_to_generators,
 )
 
 F = Fraction
@@ -365,6 +366,23 @@ def test_facets_match_brute_force():
         spanning += 1
         assert _extreme_rays(gens, r) == brute_facets(gens, r), (gens, r)
     assert spanning > 300
+
+
+def test_h_to_generators_match_brute_force():
+    # without equations the rows go to the double description as they are;
+    # with them, through coordinates of the lattice they cut out
+    rng = random.Random(6)
+    tally = {(False, False): 0, (False, True): 0, (True, False): 0, (True, True): 0}
+    for _ in range(800):
+        r = rng.randint(1, 5)
+        rows = random_rows(rng, r)
+        eqs = [tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(rng.choice((0, 0, 1, 2)))]
+        both_sides = rows + eqs + [tuple(-c for c in e) for e in eqs]
+        expected = rays_or_error(brute_rays, both_sides, r)
+        got = rays_or_error(lambda rows, r: _h_to_generators(rows, eqs, r), rows, r)
+        assert got == expected, (rows, eqs, r)
+        tally[bool(eqs), expected != "not pointed"] += 1
+    assert min(tally.values()) > 50, tally
 
 
 def test_extreme_rays_zero_cone():
