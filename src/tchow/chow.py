@@ -34,6 +34,7 @@ from .fansy import (
     MarkedFansyDivisor,
     enumerate_generators,
     mu_of_face,
+    unique_face_over,
 )
 from .polyhedra import (
     Cone,
@@ -243,25 +244,40 @@ def _cone_image_ray(proj, sigma: Cone) -> IVec:
 def relation_block_t(
     x: MarkedFansyDivisor, k: int, source: CycleGenerator
 ) -> RelationBlock:
-    """Rational equivalences among contracted cycles from one marked cone."""
+    """Divisors of characters on the contracted cycle of one marked cone.
+
+    The paper's relation for contracted cycles: a marked cone ``tau`` of
+    dimension n-k-1 gives a contracted (k+1)-cycle, whose torus has the
+    characters ``m`` in ``tau^perp`` with ``<m, v>`` integral, where
+    ``v + tau`` is the unique face with tail ``tau`` over the first point,
+    that is, the dual of the lattice ``(N + Z*v) / span(tau)``.  The divisor
+    of such a character is ``sum <m, n_sigma> [T(sigma)]`` over the cones
+    ``sigma`` one dimension up containing ``tau`` (all marked, the marks
+    being upward closed), where ``n_sigma`` is the first point of that
+    lattice on the image ray of ``sigma``.  (In the toric case ``tau`` is the
+    slice of a cone ``c`` with ``span(c) = span(tau) + Q*(v, 1)``, so
+    ``N / span(c)`` is this lattice and these are its orbit-closure
+    relations.)
+    """
     n = x.rank
     tau = source.cone
+    v = unique_face_over(x, tau, x.points[0]).vertices[0]
     proj = quotient_matrix(tau.generators, n)
-    above = [
-        c for c in x.tailfan.cones(n - k) if c.contains_cone(tau)
-    ]
+    lattice = _quotient_lattice_inverse(proj, v)
+    steps = []
+    for sigma in x.tailfan.cones(n - k):
+        if not sigma.contains_cone(tau):
+            continue
+        if not x.is_marked(sigma):
+            raise AssertionError("marks are not upward closed; validate the divisor first")
+        image = _cone_image_ray(proj, sigma)
+        steps.append((CycleGenerator("T", cone=sigma), minimal_lattice_multiple(image, lattice)))
     rows = []
-    for m in perp_lattice(tau.generators, n).basis:
+    for m in face_character_lattice(tau.generators, v, n).basis:
         entries: dict[CycleGenerator, int] = {}
-        for sigma in above:
-            if not x.is_marked(sigma):
-                raise AssertionError(
-                    "marks are not upward closed; validate the divisor first"
-                )
-            image = _cone_image_ray(proj, sigma)
-            coeff = _as_int(pair_through_quotient(m, proj, image))
+        for gen, step in steps:
+            coeff = _as_int(pair_through_quotient(m, proj, step))
             if coeff:
-                gen = CycleGenerator("T", cone=sigma)
                 entries[gen] = entries.get(gen, 0) + coeff
         rows.append(tuple(entries.items()))
     return RelationBlock(source, tuple(rows))

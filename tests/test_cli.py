@@ -117,6 +117,13 @@ def test_crosscheck_and_oracle(tmp_path):
     assert smith == {"free_rank": 2, "torsion": []}
 
 
+def test_crosscheck_recorded_rank4_fan():
+    fanfile = Path(__file__).resolve().parent.parent / "bench" / "data" / "r4_defect_fan.json"
+    res = run_cli(["crosscheck", "--json", str(fanfile)])
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert json.loads(res.stdout)["match"] is True
+
+
 WEIGHTED_PLANE_FAN = {
     "rank": 2,
     "maximal_cones": [[[1, 2], [1, -2]], [[1, 2], [-1, 0]], [[-1, 0], [1, -2]]],
