@@ -2,9 +2,13 @@
 
 For each k the generators are the invariant-cycle classes enumerated by
 :mod:`tchow.fansy`; the relations are divisors of eigenfunctions on the
-invariant (k+1)-cycles, assembled block by block.  An independent classical
-presentation for complete toric varieties (orbit closures modulo divisors of
-characters) serves as a cross-check through the downgrade construction.
+invariant (k+1)-cycles, assembled block by block from the divisor's
+:class:`~tchow.fansy.DivisorContext` (faces by tail and coface, stabilizer
+orders and multiplicities).  Each k's presentation is built once per divisor
+object and kept in that context, so ``chow``, ``eff`` and ``crosscheck``
+share it.  An independent classical presentation for complete toric
+varieties (orbit closures modulo divisors of characters) serves as a
+cross-check through the downgrade construction.
 """
 
 from __future__ import annotations
@@ -269,9 +273,11 @@ def relation_block_t(
         if not sigma.contains_cone(tau):
             continue
         if not x.is_marked(sigma):
-            raise AssertionError("marks are not upward closed; validate the divisor first")
-        image = _cone_image_ray(proj, sigma)
-        steps.append((CycleGenerator("T", cone=sigma), minimal_lattice_multiple(image, lattice)))
+            raise AssertionError(
+                "marks are not upward closed; validate the divisor first"
+            )
+        step = minimal_lattice_multiple(_cone_image_ray(proj, sigma), lattice)
+        steps.append((CycleGenerator("T", cone=sigma), step))
     rows = []
     for m in face_character_lattice(tau.generators, v, n).basis:
         entries: dict[CycleGenerator, int] = {}

@@ -118,7 +118,8 @@ def test_crosscheck_and_oracle(tmp_path):
 
 
 def test_crosscheck_recorded_rank4_fan():
-    fanfile = Path(__file__).resolve().parent.parent / "bench" / "data" / "r4_defect_fan.json"
+    root = Path(__file__).resolve().parent.parent
+    fanfile = root / "bench" / "data" / "r4_defect_fan.json"
     res = run_cli(["crosscheck", "--json", str(fanfile)])
     assert res.returncode == 0, res.stdout + res.stderr
     assert json.loads(res.stdout)["match"] is True

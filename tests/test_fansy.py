@@ -332,7 +332,8 @@ def test_context_indexes_match_linear_scans():
 def test_fiber_tail_fans_reuse_the_tailfan_check(monkeypatch):
     calls = []
     real = polyhedra._fan_problems
-    monkeypatch.setattr(polyhedra, "_fan_problems", lambda fan: calls.append(fan) or real(fan))
+    spy = lambda fan: calls.append(fan) or real(fan)
+    monkeypatch.setattr(polyhedra, "_fan_problems", spy)
     fan = p2_fan()
     x = make_divisor(2, [("0", sigma_as_complex(fan)), ("inf", sigma_as_complex(fan))], [])
     assert validate(x).ok
@@ -357,7 +358,8 @@ def test_shared_tail_fan_messages(monkeypatch, own, bad):
     x = MarkedFansyDivisor(2, ("0", "inf"), tuple(fibers), tailfan, frozenset())
     found = [(v.code, v.message) for v in validate(x).violations]
     if not bad:
-        expected = [("TAILFAN_MISMATCH", f"fiber over {p} has a different tailfan") for p in x.points]
+        message = "fiber over {} has a different tailfan"
+        expected = [("TAILFAN_MISMATCH", message.format(p)) for p in x.points]
     else:
         expected = [("NON_FAN_TAILS", f"fiber over {p}: {problem}") for p in x.points]
         if own:

@@ -376,7 +376,8 @@ def test_h_to_generators_match_brute_force():
     for _ in range(800):
         r = rng.randint(1, 5)
         rows = random_rows(rng, r)
-        eqs = [tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(rng.choice((0, 0, 1, 2)))]
+        neqs = rng.choice((0, 0, 1, 2))
+        eqs = [tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(neqs)]
         both_sides = rows + eqs + [tuple(-c for c in e) for e in eqs]
         expected = rays_or_error(brute_rays, both_sides, r)
         got = rays_or_error(lambda rows, r: _h_to_generators(rows, eqs, r), rows, r)
