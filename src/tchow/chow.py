@@ -125,6 +125,22 @@ def _step_image(proj, lattice_inverse, big_face: Polyhedron, base):
     raise AssertionError("face does not step out of the projected span")
 
 
+def _character_rows(characters, proj, targets) -> tuple:
+    """One row per character: ``factor * <m, step>`` on each target's generator.
+
+    ``targets`` holds ``(generator, factor, step)`` triples.
+    """
+    rows = []
+    for m in characters:
+        entries: dict[CycleGenerator, int] = {}
+        for gen, factor, step in targets:
+            coeff = _as_int(pair_through_quotient(m, proj, step))
+            if coeff:
+                entries[gen] = entries.get(gen, 0) + coeff * factor
+        rows.append(tuple(entries.items()))
+    return tuple(rows)
+
+
 def relation_block_v(
     x: MarkedFansyDivisor, k: int, source: CycleGenerator, base_vertex: int = 0
 ) -> RelationBlock:
@@ -163,15 +179,7 @@ def relation_block_v(
                 )
             gen, factor = CycleGenerator("T", cone=g.tail), s // mu
         targets.append((gen, factor, _step_image(proj, lattice, g, base)))
-    rows = []
-    for m in characters:
-        entries: dict[CycleGenerator, int] = {}
-        for gen, factor, step in targets:
-            coeff = _as_int(pair_through_quotient(m, proj, step))
-            if coeff:
-                entries[gen] = entries.get(gen, 0) + coeff * factor
-        rows.append(tuple(entries.items()))
-    return RelationBlock(source, tuple(rows))
+    return RelationBlock(source, _character_rows(characters, proj, targets))
 
 
 def relation_block_r(
@@ -268,7 +276,7 @@ def relation_block_t(
     v = unique_face_over(x, tau, x.points[0]).vertices[0]
     proj = quotient_matrix(tau.generators, n)
     lattice = _quotient_lattice_inverse(proj, v)
-    steps = []
+    targets = []
     for sigma in x.tailfan.cones(n - k):
         if not sigma.contains_cone(tau):
             continue
@@ -277,16 +285,9 @@ def relation_block_t(
                 "marks are not upward closed; validate the divisor first"
             )
         step = minimal_lattice_multiple(_cone_image_ray(proj, sigma), lattice)
-        steps.append((CycleGenerator("T", cone=sigma), step))
-    rows = []
-    for m in face_character_lattice(tau.generators, v, n).basis:
-        entries: dict[CycleGenerator, int] = {}
-        for gen, step in steps:
-            coeff = _as_int(pair_through_quotient(m, proj, step))
-            if coeff:
-                entries[gen] = entries.get(gen, 0) + coeff
-        rows.append(tuple(entries.items()))
-    return RelationBlock(source, tuple(rows))
+        targets.append((CycleGenerator("T", cone=sigma), 1, step))
+    characters = face_character_lattice(tau.generators, v, n).basis
+    return RelationBlock(source, _character_rows(characters, proj, targets))
 
 
 def face_pair_sides(
