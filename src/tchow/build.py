@@ -9,7 +9,6 @@ hard-coded worked fixtures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .exactlin import (
@@ -436,27 +435,6 @@ def p1p1_bundle() -> KlyachkoBundle:
             ((0, -1), RayFiltration(0)),
         ),
     )
-
-
-def p2_split_bundle(which: str) -> KlyachkoBundle:
-    """The two split rank-two bundles on P^2 giving the same variety."""
-    if which == "E":
-        # O(D1) + O: one line, supported on the first ray
-        filts = (
-            ((1, 0), RayFiltration(0, "0", 1)),
-            ((0, 1), RayFiltration(0)),
-            ((-1, -1), RayFiltration(0)),
-        )
-    elif which == "F":
-        # O(D1 + D2) + O(D0): two lines
-        filts = (
-            ((1, 0), RayFiltration(0, "0", 1)),
-            ((0, 1), RayFiltration(0, "0", 1)),
-            ((-1, -1), RayFiltration(0, "1", 1)),
-        )
-    else:
-        raise ValueError("which must be 'E' or 'F'")
-    return KlyachkoBundle(_p2_fan(), filts)
 
 
 def p2_projectivized_fan(which: str) -> Fan:

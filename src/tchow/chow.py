@@ -30,14 +30,12 @@ from .exactlin import (
     project,
     quotient_matrix,
     snf_transforms,
-    vec,
     vsub,
 )
 from .fansy import (
     CycleGenerator,
     MarkedFansyDivisor,
     enumerate_generators,
-    mu_of_face,
     unique_face_over,
 )
 from .polyhedra import (
@@ -162,7 +160,7 @@ def relation_block_v(
     p, face = source.point, source.face
     base = face.vertices[base_vertex]
     span = _face_directions(face, base)
-    characters = face_character_lattice(span, base, n).basis
+    characters = face_character_lattice(span, base, n)
     proj = quotient_matrix(span, n)
     lattice = _quotient_lattice_inverse(proj, base)
     # each coface as the generator it lands on, the multiplier and its step
@@ -215,12 +213,13 @@ def relation_block_r(
             gen = CycleGenerator("V", point=basepoint, face=f)
             entries[gen] = entries.get(gen, 0) - mu
         rows.append(tuple(entries.items()))
+    # each horizontal coface as its generator and image ray, for every character
     horizontal = [
-        c
-        for c in x.tailfan.cones(n + 1 - k)
-        if c.contains_cone(tau) and not x.is_marked(c)
+        (CycleGenerator("R", cone=sigma), _cone_image_ray(proj, sigma))
+        for sigma in x.tailfan.cofaces[tau]
+        if not x.is_marked(sigma)
     ]
-    for m in perp_lattice(tau.generators, n).basis:
+    for m in perp_lattice(tau.generators, n):
         entries = {}
         for p in x.points:
             for f, mu in per_point[p]:
@@ -228,11 +227,9 @@ def relation_block_r(
                 if coeff:
                     gen = CycleGenerator("V", point=p, face=f)
                     entries[gen] = entries.get(gen, 0) + coeff
-        for sigma in horizontal:
-            image = _cone_image_ray(proj, sigma)
+        for gen, image in horizontal:
             coeff = _as_int(pair_through_quotient(m, proj, image))
             if coeff:
-                gen = CycleGenerator("R", cone=sigma)
                 entries[gen] = entries.get(gen, 0) + coeff
         rows.append(tuple(entries.items()))
     return RelationBlock(source, tuple(rows))
@@ -277,40 +274,15 @@ def relation_block_t(
     proj = quotient_matrix(tau.generators, n)
     lattice = _quotient_lattice_inverse(proj, v)
     targets = []
-    for sigma in x.tailfan.cones(n - k):
-        if not sigma.contains_cone(tau):
-            continue
+    for sigma in x.tailfan.cofaces[tau]:
         if not x.is_marked(sigma):
             raise AssertionError(
                 "marks are not upward closed; validate the divisor first"
             )
         step = minimal_lattice_multiple(_cone_image_ray(proj, sigma), lattice)
         targets.append((CycleGenerator("T", cone=sigma), 1, step))
-    characters = face_character_lattice(tau.generators, v, n).basis
+    characters = face_character_lattice(tau.generators, v, n)
     return RelationBlock(source, _character_rows(characters, proj, targets))
-
-
-def face_pair_sides(
-    x: MarkedFansyDivisor, p: str, small: Polyhedron, big: Polyhedron
-):
-    """Both sides of the multiplicity identity for a nested tail-collapsed pair.
-
-    For faces ``small < big`` of one fiber whose dimensions equal their tails',
-    returns ``mu(small) * v_{small,big}`` and ``mu(big) * v_{tail,tail}`` in
-    the quotient modulo the tail span of ``small``, both oriented toward
-    ``big``.  The two agree on every valid divisor.
-    """
-    base = small.vertices[0]
-    span = _face_directions(small, base)
-    proj = quotient_matrix(span, x.rank)
-    lattice = _quotient_lattice_inverse(proj, base)
-    step = _step_image(proj, lattice, big, base)
-    mu_small = mu_of_face(x, p, small)
-    lhs = tuple(mu_small * c for c in vec(step))
-    sigma_image = _cone_image_ray(proj, big.tail)
-    mu_big = mu_of_face(x, p, big)
-    rhs = tuple(Fraction(mu_big * c) for c in sigma_image)
-    return lhs, rhs
 
 
 def relation_blocks(x: MarkedFansyDivisor, k: int) -> list[RelationBlock]:
@@ -401,13 +373,15 @@ def toric_chow_presentation(fan: Fan, k: int) -> ChowPresentation:
     rows = []
     for tau in fan.cones(n - k - 1):
         proj = quotient_matrix(tau.generators, n)
-        above = [c for c in fan.cones(n - k) if c.contains_cone(tau)]
-        for m in perp_lattice(tau.generators, n).basis:
+        above = [
+            (CycleGenerator("R", cone=sigma), _cone_image_ray(proj, sigma))
+            for sigma in fan.cofaces[tau]
+        ]
+        for m in perp_lattice(tau.generators, n):
             entries = []
-            for sigma in above:
-                image = _cone_image_ray(proj, sigma)
+            for gen, image in above:
                 coeff = _as_int(pair_through_quotient(m, proj, image))
                 if coeff:
-                    entries.append((CycleGenerator("R", cone=sigma), coeff))
+                    entries.append((gen, coeff))
             rows.append(tuple(entries))
     return _smith_presentation(k, gens, rows)

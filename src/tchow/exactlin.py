@@ -4,13 +4,13 @@ All arithmetic is done with arbitrary-precision ints; nothing here ever
 rounds.  Every elimination is fraction-free: Hermite and Smith forms by
 integer row and column operations, determinants and inverses by Bareiss
 elimination.  ``fractions.Fraction`` remains only for rational vertex
-coordinates and :meth:`Sublattice.coords`.  Matrices are plain lists of rows,
-vectors are tuples, so every value is hashable once frozen into a tuple.
+coordinates.  A lattice is given by its canonical row-HNF basis, a tuple of
+integer vectors.  Matrices are plain lists of rows, vectors are tuples, so
+every value is hashable once frozen into a tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -21,16 +21,6 @@ IVec = tuple[int, ...]
 
 def vec(entries: Iterable) -> Vec:
     return tuple(Fraction(e) for e in entries)
-
-
-def ivec(entries: Iterable) -> IVec:
-    out = []
-    for e in entries:
-        f = Fraction(e)
-        if f.denominator != 1:
-            raise ValueError(f"expected integer entry, got {e}")
-        out.append(int(f))
-    return tuple(out)
 
 
 def dot(u: Sequence, v: Sequence):
@@ -47,14 +37,6 @@ def vsub(u: Sequence, v: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vscale(c, u: Sequence) -> tuple:
-    return tuple(c * a for a in u)
-
-
-def is_zero_vec(u: Sequence) -> bool:
-    return all(a == 0 for a in u)
-
-
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -68,10 +50,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple:
     return tuple(dot(row, v) for row in a)
-
-
-def transpose(a: Sequence[Sequence]) -> list[list]:
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def det(m: Sequence[Sequence[int]]) -> int:
@@ -267,19 +245,6 @@ def snf_transforms(
     return u, d, v
 
 
-def snf(m: Sequence[Sequence[int]]) -> tuple[list[int], int]:
-    """Smith invariants ``> 1`` and the free rank of the cokernel.
-
-    The cokernel is ``Z^{cols} / (row span of m)``; its free rank is
-    ``cols - rank(m)`` and its torsion is the product of the listed invariants.
-    """
-    nc = len(m[0]) if m else 0
-    _, d, _ = snf_transforms(m)
-    diag = [d[i][i] for i in range(min(len(d), nc))] if m else []
-    nonzero = [x for x in diag if x != 0]
-    return [x for x in nonzero if x > 1], nc - len(nonzero)
-
-
 def primitive(v: Sequence) -> tuple[IVec, int]:
     """Clear denominators: ``(w, mu)`` with ``w = mu*v`` and ``mu`` minimal.
 
@@ -302,44 +267,6 @@ def primitive_direction(v: Sequence) -> IVec:
     return tuple(x // (g or 1) for x in w)
 
 
-def solve_left(a: Sequence[Sequence], b: Sequence) -> Vec | None:
-    """Solve ``x @ a == b`` exactly over the rationals; None if inconsistent.
-
-    ``a`` has ``len(a)`` rows; the solution has one coordinate per row.  When
-    the rows are dependent an arbitrary consistent solution is returned.
-    """
-    rows = [vec(r) for r in a]
-    target = vec(b)
-    nr = len(rows)
-    nc = len(target)
-    if any(len(r) != nc for r in rows):
-        raise ValueError("dimension mismatch")
-    # Gaussian elimination on [a^T | b^T], tracking row combinations.
-    aug = [[rows[i][c] for i in range(nr)] + [target[c]] for c in range(nc)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(nr):
-        piv = next((i for i in range(r, nc) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nc):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, nc):
-        if aug[i][nr] != 0:
-            return None
-    x = [Fraction(0)] * nr
-    for row, col in pivots:
-        x[col] = aug[row][nr]
-    return tuple(x)
-
-
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[IVec, ...]:
     """HNF basis of ``{x in Z^ncols : <x, r> = 0 for every row r}``.
 
@@ -353,126 +280,40 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[IVec, ...
     return hnf_basis(kernel)
 
 
-@dataclass(frozen=True)
-class Sublattice:
-    """A saturable sublattice of Z^n, stored via a canonical row-HNF basis."""
-
-    ambient_rank: int
-    basis: tuple[IVec, ...]
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]], ambient_rank: int) -> "Sublattice":
-        return Sublattice(ambient_rank, hnf_basis(rows))
-
-    @staticmethod
-    def full(ambient_rank: int) -> "Sublattice":
-        return Sublattice.from_rows(identity_matrix(ambient_rank), ambient_rank)
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    def coords(self, w: Sequence) -> Vec | None:
-        """Rational coordinates of ``w`` in this basis, or None if outside the span."""
-        sol = solve_left(self.basis, w) if self.basis else None
-        if self.basis:
-            return sol
-        return () if is_zero_vec(vec(w)) else None
-
-    def contains(self, w: Sequence[int]) -> bool:
-        c = self.coords(w)
-        return c is not None and all(f.denominator == 1 for f in c)
-
-
-def perp_lattice(span_basis: Sequence[Sequence], ambient_rank: int) -> Sublattice:
-    """The saturated lattice ``{m in Z^n : <m, v> = 0 for all spanning v}``."""
+def perp_lattice(span_basis: Sequence[Sequence], ambient_rank: int) -> tuple[IVec, ...]:
+    """The saturated lattice ``{m in Z^n : <m, v> = 0 for all spanning v}``, as an HNF basis."""
     int_rows = []
     for v in span_basis:
         w, _ = primitive(v)
         if any(w):
             int_rows.append(list(w))
-    return Sublattice(ambient_rank, integer_kernel(int_rows, ambient_rank))
-
-
-def lattice_index(inner: Sublattice, outer: Sublattice) -> int:
-    """Index ``[outer : inner]`` for equal-rank nested sublattices."""
-    if inner.ambient_rank != outer.ambient_rank:
-        raise ValueError("ambient ranks differ")
-    if inner.rank != outer.rank:
-        raise ValueError("lattice_index requires equal ranks")
-    change = []
-    for row in inner.basis:
-        c = outer.coords(row)
-        if c is None or any(f.denominator != 1 for f in c):
-            raise ValueError("inner lattice is not contained in outer lattice")
-        change.append([int(f) for f in c])
-    d = det(change)
-    if d == 0:
-        raise ValueError("inner basis is degenerate")
-    return abs(d)
-
-
-def quotient_generator(inner: Sublattice, outer: Sublattice) -> tuple[IVec, int]:
-    """A vector of ``outer`` generating the free part of ``outer / inner``.
-
-    Requires ``rank(outer) == rank(inner) + 1`` and containment.  Returns
-    ``(v, index)`` where ``index`` is the order of the torsion subgroup of
-    ``outer / (inner + Z v)`` (1 whenever ``inner`` is saturated in ``outer``).
-    The sign of ``v`` is arbitrary; callers needing an orientation must fix it.
-    """
-    if inner.ambient_rank != outer.ambient_rank:
-        raise ValueError("ambient ranks differ")
-    if outer.rank != inner.rank + 1:
-        raise ValueError("quotient_generator requires rank(outer) == rank(inner) + 1")
-    change = []
-    for row in inner.basis:
-        c = outer.coords(row)
-        if c is None or any(f.denominator != 1 for f in c):
-            raise ValueError("inner lattice is not contained in outer lattice")
-        change.append([int(f) for f in c])
-    k1 = outer.rank
-    if not change:
-        # inner is zero; outer has rank 1
-        return outer.basis[0], 1
-    _, d, v = snf_transforms(change)
-    s, vadj = bareiss_inverse(v)  # v is unimodular: v^-1 = s * vadj
-    free_coords = [s * x for x in vadj[k1 - 1]]
-    gen = tuple(
-        sum(free_coords[i] * outer.basis[i][j] for i in range(k1))
-        for j in range(outer.ambient_rank)
-    )
-    index = 1
-    for i in range(len(change)):
-        index *= abs(d[i][i])
-    if index == 0:
-        raise ValueError("inner basis is degenerate")
-    return gen, index
+    return integer_kernel(int_rows, ambient_rank)
 
 
 def face_character_lattice(
     tail_span: Sequence[Sequence], vertex_image: Sequence, ambient_rank: int
-) -> Sublattice:
-    """Characters integral on a face: ``{m ⟂ tail_span : <m, vertex> ∈ Z}``.
+) -> tuple[IVec, ...]:
+    """Characters integral on a face, ``{m ⟂ tail_span : <m, vertex> ∈ Z}``, as an HNF basis.
 
     The index of the result inside the perp lattice of ``tail_span`` equals
     the multiplicity of ``vertex_image``.
     """
     m0 = perp_lattice(tail_span, ambient_rank)
-    if m0.rank == 0:
+    if not m0:
         return m0
     vert = vec(vertex_image)
-    vals = [dot(b, vert) for b in m0.basis]
+    vals = [dot(b, vert) for b in m0]
     q = lcm(*(t.denominator for t in vals))
     if q == 1:
         return m0
     row = [int(t * q) for t in vals] + [q]
-    kern = integer_kernel([row], m0.rank + 1)
+    kern = integer_kernel([row], len(m0) + 1)
     coeff_rows = [k[:-1] for k in kern]
     new_rows = [
-        [sum(c[i] * m0.basis[i][j] for i in range(m0.rank)) for j in range(ambient_rank)]
+        [sum(c[i] * m0[i][j] for i in range(len(m0))) for j in range(ambient_rank)]
         for c in coeff_rows
     ]
-    return Sublattice.from_rows(new_rows, ambient_rank)
+    return hnf_basis(new_rows)
 
 
 def quotient_matrix(span_rows: Sequence[Sequence], ambient_rank: int) -> list[list[int]]:
@@ -483,7 +324,7 @@ def quotient_matrix(span_rows: Sequence[Sequence], ambient_rank: int) -> list[li
     ``Z^n`` onto ``Z^q`` with kernel exactly the rational span of
     ``span_rows``; ``q = n - dim(span)``.
     """
-    basis = perp_lattice(span_rows, ambient_rank).basis
+    basis = perp_lattice(span_rows, ambient_rank)
     return [[b[i] for b in basis] for i in range(ambient_rank)]
 
 
@@ -528,4 +369,5 @@ def minimal_lattice_multiple(
     if g == 0:
         return vec(q_vec)
     # the coordinates are (w @ A) / (mu * s), and w @ A has content g
-    return vscale(abs(Fraction(mu * s, g)), vec(q_vec))
+    c = abs(Fraction(mu * s, g))
+    return tuple(c * a for a in vec(q_vec))

@@ -22,7 +22,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence
 
-from .exactlin import Vec, dot, hnf_basis, primitive, project, quotient_matrix, vec
+from .exactlin import dot, hnf_basis, primitive, project, quotient_matrix, vec
 from .polyhedra import (
     Cone,
     Fan,
@@ -33,9 +33,9 @@ from .polyhedra import (
     complex_validate,
     cone_as_polyhedron,
     cone_faces,
-    empty_polyhedron,
     fan_is_complete,
     fan_validate,
+    inclusion_cofaces,
     make_complex,
     minkowski_sum,
     poly_intersect,
@@ -65,10 +65,6 @@ class MarkedFansyDivisor:
     marked: frozenset[Cone]
 
     @property
-    def n(self) -> int:
-        return self.rank
-
-    @property
     def dim_x(self) -> int:
         return self.rank + 1
 
@@ -95,9 +91,9 @@ class FiberFaces:
 
     ``by_dim`` and ``by_tail`` map a dimension or a tail cone to its faces.
     ``cofaces`` maps each face to the faces one dimension up that contain
-    it: within a polyhedral complex a face lies in another exactly when its
-    vertices and tail rays are among the other's, so the map is read off the
-    listed V-data, with no face lattice of any single face.
+    it, read off the inclusion of vertices and tail rays by
+    :func:`~tchow.polyhedra.inclusion_cofaces`, with no face lattice of any
+    single face.
     """
 
     def __init__(self, s: PolyhedralComplex):
@@ -112,20 +108,15 @@ class FiberFaces:
 
     @cached_property
     def cofaces(self) -> dict[Polyhedron, tuple[Polyhedron, ...]]:
-        up: dict[Polyhedron, list[Polyhedron]] = {f: [] for f in self.faces}
-        for d, smaller in self.by_dim.items():
-            by_vertex: dict[Vec, list[Polyhedron]] = {}
-            for f in smaller:
-                by_vertex.setdefault(f.vertices[0], []).append(f)
-            for g in self.by_dim.get(d + 1, ()):
-                verts, rays = set(g.vertices), set(g.tail.generators)
-                for v in g.vertices:
-                    for f in by_vertex.get(v, ()):
-                        if verts.issuperset(f.vertices) and rays.issuperset(
-                            f.tail.generators
-                        ):
-                            up[f].append(g)
-        return {f: tuple(gs) for f, gs in up.items()}
+        tagged = {d: [(f, _tagged_elements(f)) for f in fs] for d, fs in self.by_dim.items()}
+        return inclusion_cofaces(tagged)
+
+
+def _tagged_elements(f: Polyhedron) -> frozenset:
+    """The vertices and tail rays of ``f``, tagged apart: ``(0, v)`` and ``(1, r)``."""
+    return frozenset(
+        [(0, v) for v in f.vertices] + [(1, r) for r in f.tail.generators]
+    )
 
 
 class DivisorContext:
@@ -260,65 +251,6 @@ def make_divisor(
     )
 
 
-def with_extra_generic_point(x: MarkedFansyDivisor, label: str) -> MarkedFansyDivisor:
-    """The same variety presented with one more generic fiber marked special."""
-    return MarkedFansyDivisor(
-        x.rank,
-        x.points + (label,),
-        x.complexes + (sigma_as_complex(x.tailfan),),
-        x.tailfan,
-        x.marked,
-    )
-
-
-def with_point_order(x: MarkedFansyDivisor, order: Sequence[str]) -> MarkedFansyDivisor:
-    """Reorder the special points (changing which one is the basepoint)."""
-    if sorted(order) != sorted(x.points):
-        raise ValueError("order must be a permutation of the points")
-    return MarkedFansyDivisor(
-        x.rank,
-        tuple(order),
-        tuple(x.complex_at(p) for p in order),
-        x.tailfan,
-        x.marked,
-    )
-
-
-@dataclass(frozen=True)
-class PDivisorSlice:
-    """The formal sum with tail ``tail`` assembled from per-point fiber faces.
-
-    Coefficients are keyed by point label in point order; a point without a
-    face of the given tail carries the empty polyhedron.
-    """
-
-    tail: Cone
-    coefficients: tuple[tuple[str, Polyhedron], ...]
-
-    def coefficient(self, p: str) -> Polyhedron:
-        for label, poly in self.coefficients:
-            if label == p:
-                return poly
-        raise KeyError(p)
-
-
-def pdivisor_slice(x: "MarkedFansyDivisor", sigma: Cone) -> PDivisorSlice:
-    """The slice of the divisor with the given tailcone.
-
-    Each fiber must contain at most one face with that tail (always true for
-    full-dimensional or marked cones of a valid divisor).
-    """
-    coeffs = []
-    for p in x.points:
-        hits = x.context.fibers[p].by_tail.get(sigma, ())
-        if len(hits) > 1:
-            raise NonUniqueFaceError(
-                f"{len(hits)} faces with tail {sigma.generators} over {p}"
-            )
-        coeffs.append((p, hits[0] if hits else empty_polyhedron(x.rank)))
-    return PDivisorSlice(sigma, tuple(coeffs))
-
-
 def unique_face_over(x: MarkedFansyDivisor, sigma: Cone, p: str) -> Polyhedron:
     """The unique face of the fiber over ``p`` whose tailcone is ``sigma``."""
     if not x.is_marked(sigma):
@@ -343,17 +275,6 @@ def mu_of_face(x: MarkedFansyDivisor, p: str, face: Polyhedron) -> int:
         return 1
     images = {project(q, v) for v in face.vertices}
     return lcm(*(primitive(im)[1] for im in images))
-
-
-def vertex_image(x: MarkedFansyDivisor, face: Polyhedron) -> Vec:
-    """Image of a tail-collapsed face under projection modulo its tail span."""
-    q = quotient_matrix(face.tail.generators, x.rank)
-    if not q or not q[0]:
-        return ()
-    images = {project(q, v) for v in face.vertices}
-    if len(images) != 1:
-        raise ValueError("face does not collapse to a vertex modulo its tail")
-    return next(iter(images))
 
 
 def s_sigma(x: MarkedFansyDivisor, sigma: Cone) -> int:
@@ -383,20 +304,6 @@ def s_sigma(x: MarkedFansyDivisor, sigma: Cone) -> int:
     for i, row in enumerate(basis):
         covolume *= row[i]
     return d**r // covolume
-
-
-def deg_xi(x: MarkedFansyDivisor) -> list[tuple[Cone, Polyhedron]]:
-    """Per marked full-dimensional cone, the Minkowski sum of its fiber cells."""
-    out = []
-    for sigma in x.tailfan.cones(x.rank):
-        if not x.is_marked(sigma):
-            continue
-        total = None
-        for p in x.points:
-            cell = unique_face_over(x, sigma, p)
-            total = cell if total is None else minkowski_sum(total, cell)
-        out.append((sigma, total))
-    return out
 
 
 def enumerate_generators(x: MarkedFansyDivisor, k: int) -> GeneratorSets:

@@ -21,7 +21,10 @@ Face queries are answered from hashed sets.  The faces of a cone or a
 polyhedron, and the set :func:`cone_is_face_of` / :func:`poly_is_face_of`
 test membership in, are held in global caches keyed by value, so a rebuilt
 but equal object still hits them.  A complex lists the faces of all its cells
-once, on the object (see :func:`all_complex_faces`).
+once, on the object (see :func:`all_complex_faces`).  The coface map of a
+fan or of a complex, from each face to the faces one dimension up that
+contain it, is read off vertex/ray inclusion (:func:`inclusion_cofaces`);
+a fan keeps its map on the object (``Fan.cofaces``).
 
 Cones and polyhedra with lineality (a contained line) are rejected at
 construction; every object in a fan or complete complex is pointed.
@@ -76,8 +79,8 @@ def _span_coords(int_gens: Sequence[IVec], n: int):
     the generators serves both.  ``coords(x) = x @ Q`` identifies the span
     lattice with Z^r; ``x = c @ B`` maps back.
     """
-    eqs = perp_lattice(int_gens, n).basis
-    b = [list(r) for r in perp_lattice(eqs, n).basis]
+    eqs = perp_lattice(int_gens, n)
+    b = [list(r) for r in perp_lattice(eqs, n)]
     r = len(b)
     if r == 0:
         return eqs, [], [], 0
@@ -558,6 +561,31 @@ def poly_is_face_of(f: Polyhedron, p: Polyhedron) -> bool:
 # fans
 
 
+def inclusion_cofaces(by_dim: dict[int, Sequence[tuple[object, frozenset]]]) -> dict:
+    """Map each face to the faces one dimension up that contain it.
+
+    ``by_dim`` lists the faces of each dimension, each face with the set of
+    its vertices and rays.  In a fan or a polyhedral complex one face lies in
+    another exactly when its set is a subset of the other's, so the map needs
+    no H-data.  The sets must tell a vertex from a ray with equal entries
+    (``Fraction(1)`` equals ``1``), so the caller tags them apart.  Each
+    face's cofaces keep the order of their dimension's list.
+    """
+    up: dict = {}
+    for d, smaller in by_dim.items():
+        # each face is indexed under one of its elements, or None when it has none
+        by_element: dict = {}
+        for f, elements in smaller:
+            up[f] = []
+            by_element.setdefault(next(iter(elements), None), []).append((f, elements))
+        for g, g_elements in by_dim.get(d + 1, ()):
+            for e in (None, *g_elements):
+                for f, elements in by_element.get(e, ()):
+                    if elements <= g_elements:
+                        up[f].append(g)
+    return {f: tuple(gs) for f, gs in up.items()}
+
+
 @dataclass(frozen=True)
 class Fan:
     """A fan given by its maximal cones.
@@ -573,6 +601,15 @@ class Fan:
     @cached_property
     def _problems(self) -> tuple[str, ...]:
         return tuple(_fan_problems(self))
+
+    @cached_property
+    def cofaces(self) -> dict[Cone, tuple[Cone, ...]]:
+        """Each cone mapped to the cones one dimension up that contain it.
+
+        Read off ray inclusion by :func:`inclusion_cofaces`, with no H-data.
+        """
+        rays = {d: [(c, frozenset(c.generators)) for c in cs] for d, cs in fan_cones(self).items()}
+        return inclusion_cofaces(rays)
 
     def cones(self, d: int) -> tuple[Cone, ...]:
         return fan_cones(self).get(d, ())
@@ -754,18 +791,6 @@ def complex_validate(s: PolyhedralComplex) -> list[str]:
     Checked once per complex object; every call returns a fresh list.
     """
     return list(s._problems)
-
-
-def complex_faces(s: PolyhedralComplex, d: int) -> list[tuple[Polyhedron, tuple[int, ...]]]:
-    """All d-faces with the indices of the maximal cells containing each."""
-    found: dict[Polyhedron, list[int]] = {}
-    for i, c in enumerate(s.maximal_cells):
-        for f in poly_faces(c):
-            if f.dim == d:
-                found.setdefault(f, []).append(i)
-    return [
-        (f, tuple(idx)) for f, idx in sorted(found.items(), key=lambda kv: kv[0].sort_key())
-    ]
 
 
 def all_complex_faces(s: PolyhedralComplex) -> list[Polyhedron]:

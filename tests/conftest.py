@@ -1,4 +1,6 @@
-"""Shared test helpers: seeded random fans and bundles at desk scale."""
+"""Shared test helpers: seeded random fans and bundles at desk scale, and the
+oracles and identities the tests check the library against, which the
+pipeline itself does not use."""
 
 import random
 from fractions import Fraction
@@ -6,8 +8,17 @@ from math import lcm
 
 from tchow.build import KlyachkoBundle, RayFiltration
 from tchow.build import _p1p1_fan as p1p1_fan, _p2_fan as p2_fan  # noqa: F401  (for the tests)
-from tchow.exactlin import primitive_direction, vec
-from tchow.polyhedra import Fan, make_cone, make_fan, make_polyhedron
+from tchow.chow import _cone_image_ray, _face_directions, _quotient_lattice_inverse, _step_image
+from tchow.exactlin import det, primitive_direction, quotient_matrix, vec
+from tchow.fansy import MarkedFansyDivisor, mu_of_face, sigma_as_complex, unique_face_over
+from tchow.polyhedra import (
+    Fan,
+    make_cone,
+    make_fan,
+    make_polyhedron,
+    minkowski_sum,
+    poly_faces,
+)
 
 
 def fraction_primitive(v):
@@ -60,3 +71,157 @@ def random_bundle(rng: random.Random, base: Fan) -> KlyachkoBundle:
             )
     return KlyachkoBundle(base, tuple(filts))
 
+
+
+def p2_split_bundle(which: str) -> KlyachkoBundle:
+    """The two split rank-two bundles on P^2 giving the same variety."""
+    if which == "E":
+        # O(D1) + O: one line, supported on the first ray
+        filts = (
+            ((1, 0), RayFiltration(0, "0", 1)),
+            ((0, 1), RayFiltration(0)),
+            ((-1, -1), RayFiltration(0)),
+        )
+    elif which == "F":
+        # O(D1 + D2) + O(D0): two lines
+        filts = (
+            ((1, 0), RayFiltration(0, "0", 1)),
+            ((0, 1), RayFiltration(0, "0", 1)),
+            ((-1, -1), RayFiltration(0, "1", 1)),
+        )
+    else:
+        raise ValueError("which must be 'E' or 'F'")
+    return KlyachkoBundle(p2_fan(), filts)
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra oracles
+
+
+def solve_left(a, b):
+    """Solve ``x @ a == b`` exactly over the rationals; None if inconsistent.
+
+    ``a`` has ``len(a)`` rows; the solution has one coordinate per row.  When
+    the rows are dependent an arbitrary consistent solution is returned.
+    """
+    rows = [vec(r) for r in a]
+    target = vec(b)
+    nr = len(rows)
+    nc = len(target)
+    if any(len(r) != nc for r in rows):
+        raise ValueError("dimension mismatch")
+    # Gaussian elimination on [a^T | b^T], tracking row combinations.
+    aug = [[rows[i][c] for i in range(nr)] + [target[c]] for c in range(nc)]
+    pivots = []
+    r = 0
+    for c in range(nr):
+        piv = next((i for i in range(r, nc) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = Fraction(1) / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(nc):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append((r, c))
+        r += 1
+    for i in range(r, nc):
+        if aug[i][nr] != 0:
+            return None
+    x = [Fraction(0)] * nr
+    for row, col in pivots:
+        x[col] = aug[row][nr]
+    return tuple(x)
+
+
+def lattice_index(inner, outer) -> int:
+    """Index ``[outer : inner]`` of nested lattices of equal rank, given by bases."""
+    if len(inner) != len(outer):
+        raise ValueError("lattice_index requires equal ranks")
+    change = []
+    for row in inner:
+        c = solve_left(outer, row) if outer else None
+        if c is None or any(f.denominator != 1 for f in c):
+            raise ValueError("inner lattice is not contained in outer lattice")
+        change.append([int(f) for f in c])
+    d = det(change)
+    if d == 0:
+        raise ValueError("inner basis is degenerate")
+    return abs(d)
+
+
+# ---------------------------------------------------------------------------
+# complexes and divisors: independent listings, identities and invariances
+
+
+def complex_faces(s, d: int):
+    """All d-faces of a complex with the indices of the maximal cells containing each."""
+    found = {}
+    for i, c in enumerate(s.maximal_cells):
+        for f in poly_faces(c):
+            if f.dim == d:
+                found.setdefault(f, []).append(i)
+    return [
+        (f, tuple(idx)) for f, idx in sorted(found.items(), key=lambda kv: kv[0].sort_key())
+    ]
+
+
+def deg_xi(x: MarkedFansyDivisor):
+    """Per marked full-dimensional cone, the Minkowski sum of its fiber cells."""
+    out = []
+    for sigma in x.tailfan.cones(x.rank):
+        if not x.is_marked(sigma):
+            continue
+        total = None
+        for p in x.points:
+            cell = unique_face_over(x, sigma, p)
+            total = cell if total is None else minkowski_sum(total, cell)
+        out.append((sigma, total))
+    return out
+
+
+def face_pair_sides(x: MarkedFansyDivisor, p: str, small, big):
+    """Both sides of the multiplicity identity for a nested tail-collapsed pair.
+
+    For faces ``small < big`` of one fiber whose dimensions equal their tails',
+    returns ``mu(small) * v_{small,big}`` and ``mu(big) * v_{tail,tail}`` in
+    the quotient modulo the tail span of ``small``, both oriented toward
+    ``big``.  The two agree on every valid divisor.
+    """
+    base = small.vertices[0]
+    span = _face_directions(small, base)
+    proj = quotient_matrix(span, x.rank)
+    lattice = _quotient_lattice_inverse(proj, base)
+    step = _step_image(proj, lattice, big, base)
+    mu_small = mu_of_face(x, p, small)
+    lhs = tuple(mu_small * c for c in vec(step))
+    sigma_image = _cone_image_ray(proj, big.tail)
+    mu_big = mu_of_face(x, p, big)
+    rhs = tuple(Fraction(mu_big * c) for c in sigma_image)
+    return lhs, rhs
+
+
+def with_extra_generic_point(x: MarkedFansyDivisor, label: str) -> MarkedFansyDivisor:
+    """The same variety presented with one more generic fiber marked special."""
+    return MarkedFansyDivisor(
+        x.rank,
+        x.points + (label,),
+        x.complexes + (sigma_as_complex(x.tailfan),),
+        x.tailfan,
+        x.marked,
+    )
+
+
+def with_point_order(x: MarkedFansyDivisor, order) -> MarkedFansyDivisor:
+    """Reorder the special points (changing which one is the basepoint)."""
+    if sorted(order) != sorted(x.points):
+        raise ValueError("order must be a permutation of the points")
+    return MarkedFansyDivisor(
+        x.rank,
+        tuple(order),
+        tuple(x.complex_at(p) for p in order),
+        x.tailfan,
+        x.marked,
+    )

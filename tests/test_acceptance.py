@@ -9,7 +9,16 @@ import random
 import time
 
 import pytest
-from conftest import p1p1_fan, p2_fan, random_bundle, random_complete_fan
+from conftest import (
+    face_pair_sides,
+    p1p1_fan,
+    p2_fan,
+    p2_split_bundle,
+    random_bundle,
+    random_complete_fan,
+    with_extra_generic_point,
+    with_point_order,
+)
 
 from tchow.build import (
     DowngradeInput,
@@ -18,17 +27,11 @@ from tchow.build import (
     fixture,
     p1p1_bundle,
     p2_projectivized_fan,
-    p2_split_bundle,
     predicted_counts,
 )
-from tchow.chow import face_pair_sides, presentation, toric_chow_presentation
+from tchow.chow import presentation, toric_chow_presentation
 from tchow.effcone import eff_generators
-from tchow.fansy import (
-    enumerate_generators,
-    validate,
-    with_extra_generic_point,
-    with_point_order,
-)
+from tchow.fansy import enumerate_generators, validate
 from tchow.polyhedra import all_complex_faces, poly_is_face_of
 
 ALL_FIXTURES = ("gr24", "p1p1_bundle", "p2_E", "p2_F")

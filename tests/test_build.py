@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import p1p1_fan, p2_fan, random_bundle, random_complete_fan
+from conftest import p1p1_fan, p2_fan, p2_split_bundle, random_bundle, random_complete_fan
 
 from tchow.build import (
     DowngradeInput,
@@ -17,7 +17,6 @@ from tchow.build import (
     downgrade,
     fixture,
     p2_projectivized_fan,
-    p2_split_bundle,
     predicted_counts,
     projectivized_split_fan,
 )

@@ -3,12 +3,16 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from conftest import random_complete_fan
+from conftest import (
+    face_pair_sides,
+    random_complete_fan,
+    with_extra_generic_point,
+    with_point_order,
+)
 
 from tchow.build import DowngradeInput, downgrade, fixture
 from tchow.chow import (
     IncompleteFanError,
-    face_pair_sides,
     presentation,
     relation_block_v,
     toric_chow_presentation,
@@ -17,8 +21,6 @@ from tchow.fansy import (
     CycleGenerator,
     enumerate_generators,
     validate,
-    with_extra_generic_point,
-    with_point_order,
 )
 from tchow import polyhedra
 from tchow.polyhedra import all_complex_faces, make_cone, make_fan, poly_is_face_of

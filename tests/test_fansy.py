@@ -3,14 +3,28 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import p1p1_fan, p2_fan, random_bundle, random_complete_fan
+from conftest import (
+    complex_faces,
+    deg_xi,
+    p1p1_fan,
+    p2_fan,
+    random_bundle,
+    random_complete_fan,
+    with_extra_generic_point,
+)
 
 from tchow import polyhedra
-from tchow.build import FIXTURE_NAMES, DowngradeInput, bundle_rank2, downgrade, fixture
+from tchow.build import (
+    FIXTURE_NAMES,
+    DowngradeInput,
+    bundle_rank2,
+    downgrade,
+    fixture,
+    p2_projectivized_fan,
+)
 from tchow.fansy import (
     MarkedFansyDivisor,
     NonUniqueFaceError,
-    deg_xi,
     enumerate_generators,
     make_divisor,
     mu_of_face,
@@ -18,11 +32,9 @@ from tchow.fansy import (
     sigma_as_complex,
     unique_face_over,
     validate,
-    with_extra_generic_point,
 )
 from tchow.polyhedra import (
     all_complex_faces,
-    complex_faces,
     complex_tailfan,
     make_complex,
     make_cone,
@@ -165,6 +177,20 @@ def test_unique_face_over_downgrade_crossing():
     assert f0.tail == ray
 
 
+def test_unique_face_over_counts_the_faces():
+    # an unvalidated divisor whose marks break uniqueness: the ray (0, 1) of
+    # p2_E has three faces over 0, and the ray (1, 1) is in no fiber at all
+    x = fixture("p2_E")
+    several, none = make_cone([(0, 1)], 2), make_cone([(1, 1)], 2)
+    y = MarkedFansyDivisor(
+        x.rank, x.points, x.complexes, x.tailfan, x.marked | {several, none}
+    )
+    with pytest.raises(NonUniqueFaceError, match="over 0, found 3"):
+        unique_face_over(y, several, "0")
+    with pytest.raises(NonUniqueFaceError, match="over 0, found 0"):
+        unique_face_over(y, none, "0")
+
+
 def test_mu_of_face_examples(gr24):
     # lattice vertices give multiplicity one
     edge = unique_face_over(gr24, make_cone([(1, 0, 0)], 3), "0")
@@ -174,19 +200,6 @@ def test_mu_of_face_examples(gr24):
     assert mu_of_face(toy, "0", ray_from_half) == 1
     half_vertex = make_polyhedron([(F(1, 2), F(0))], [], 2)
     assert mu_of_face(toy, "0", half_vertex) == 2
-
-
-def test_vertex_image_collapsed_face(gr24):
-    from tchow.fansy import vertex_image
-
-    ray = make_cone([(1, 0, 0)], 3)
-    face = unique_face_over(gr24, ray, "0")
-    assert vertex_image(gr24, face) == (F(0), F(0))
-    compact = [
-        f for f, _ in complex_faces(gr24.complex_at("0"), 1) if f.tail.is_zero()
-    ][0]
-    with pytest.raises(ValueError):
-        vertex_image(gr24, compact)
 
 
 def test_s_sigma_gr24_all_one(gr24):
@@ -269,25 +282,6 @@ def test_marking_biconditional_rederived(gr24, p1p1):
                 assert meets == x.is_marked(tau)
 
 
-def test_pdivisor_slice(gr24):
-    from tchow.fansy import pdivisor_slice
-
-    sigma = max(gr24.tailfan.maximal_cones, key=lambda c: c.sort_key())
-    sl = pdivisor_slice(gr24, sigma)
-    assert sl.tail == sigma
-    assert [p for p, _ in sl.coefficients] == list(gr24.points)
-    for p, poly in sl.coefficients:
-        assert not poly.is_empty
-        assert poly.tail == sigma
-    # the marked crossing ray of the split-bundle fixture slices uniquely
-    x = fixture("p2_E")
-    ray = make_cone([(1, 0)], 2)
-    sl = pdivisor_slice(x, ray)
-    assert all(poly.tail == ray for _, poly in sl.coefficients)
-    with pytest.raises(NonUniqueFaceError):
-        pdivisor_slice(x, make_cone([(0, 1)], 2))
-
-
 def test_aux_point_padding():
     fan = make_fan([make_cone([(1,)], 1), make_cone([(-1,)], 1)], 1)
     x = make_divisor(1, [("0", sigma_as_complex(fan))], [])
@@ -298,20 +292,38 @@ def test_aux_point_padding():
     assert validate(y).ok
 
 
+def context_fans():
+    """Seeded rank-3 and rank-4 fans."""
+    fans = [random_complete_fan(random.Random(s)) for s in (1, 2)]
+    fans.append(random_complete_fan(random.Random(1001), 4, 5))
+    return fans
+
+
 def context_divisors():
-    """The fixtures, seeded bundles, and seeded rank-3 and rank-4 downgrades."""
+    """The fixtures, seeded bundles, and the downgrades of the seeded fans."""
     xs = [fixture(name) for name in FIXTURE_NAMES]
     rng = random.Random(5)
     bases = [p2_fan(), p1p1_fan()]
     xs += [bundle_rank2(random_bundle(rng, bases[i % 2])) for i in range(4)]
-    fans = [random_complete_fan(random.Random(s)) for s in (1, 2)]
-    fans.append(random_complete_fan(random.Random(1001), 4, 5))
-    xs += [downgrade(DowngradeInput(fan)) for fan in fans]
+    xs += [downgrade(DowngradeInput(fan)) for fan in context_fans()]
     return xs
 
 
+def assert_fan_cofaces_match_scan(fan):
+    assert set(fan.cofaces) == set(fan.all_cones())
+    assert fan.cofaces[fan.cones(0)[0]] == fan.cones(1)  # the zero cone's
+    for tau in fan.all_cones():
+        assert list(fan.cofaces[tau]) == [
+            sigma for sigma in fan.cones(tau.dim + 1) if sigma.contains_cone(tau)
+        ], tau
+
+
 def test_context_indexes_match_linear_scans():
+    # the fans the toric oracle reads: the seeded ones and the two p2 fans
+    for fan in context_fans() + [p2_projectivized_fan(w) for w in "EF"]:
+        assert_fan_cofaces_match_scan(fan)
     for x in context_divisors():
+        assert_fan_cofaces_match_scan(x.tailfan)
         cones = set(x.tailfan.all_cones())
         for p in x.points:
             faces = all_complex_faces(x.complex_at(p))

@@ -1,0 +1,61 @@
+"""The library holds only what the pipeline, the CLI or the public API uses.
+
+A function, class or method defined in ``src/tchow`` must be referenced by
+some other line of ``src/tchow`` or be exported in ``tchow.__all__``.  Code
+that only the tests use (oracles, identities, fixtures) belongs in
+``tests/``.  The scan uses the stdlib ``ast`` module alone and matches by
+name: a reference is any identifier or attribute with the defined name.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "tchow"
+
+
+def definitions(tree):
+    """``(qualified name, name, line)`` of each top-level def, class and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item.name, item.lineno
+
+
+def exported():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unreferenced_definitions():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = set()  # (module, line, name) of every identifier read in an expression
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add((module, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                used.add((module, node.end_lineno, node.attr))
+    public = exported()
+    found = []
+    for module, tree in trees.items():
+        for qualified, name, line in definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name in public:
+                continue
+            if not any(n == name and (m, ln) != (module, line) for m, ln, n in used):
+                found.append(f"{module}:{line} {qualified}")
+    return found
+
+
+def test_every_definition_is_used_or_exported():
+    found = unreferenced_definitions()
+    assert not found, "referenced nowhere in src/tchow and not exported:\n" + "\n".join(found)

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import fraction_primitive
+from conftest import complex_faces, fraction_primitive
 
 from tchow import polyhedra
 from tchow.build import FIXTURE_NAMES, fixture
@@ -24,7 +24,6 @@ from tchow.polyhedra import (
     all_complex_faces,
     GeometryError,
     NonFanTailsError,
-    complex_faces,
     complex_tailfan,
     complex_validate,
     cone_as_polyhedron,
@@ -426,18 +425,18 @@ def fraction_direction(v):
 
 def saturation(rows, n):
     """Saturated lattice ``span_Q(rows) ∩ Z^n`` via a double perp."""
-    return perp_lattice(perp_lattice(rows, n).basis, n)
+    return perp_lattice(perp_lattice(rows, n), n)
 
 
 def reference_h_data(gens, n):
     """Sorted relative facet normals and span equations of the cone on ``gens``."""
-    sat = saturation([list(g) for g in gens], n).basis
+    sat = saturation([list(g) for g in gens], n)
     r = len(sat)
     u, _, v = snf_transforms([list(b) for b in sat])
     q = mat_mul([[v[i][j] for j in range(r)] for i in range(n)], u)
     coords = [tuple(dot(g, col) for col in zip(*q)) for g in gens]
     normals = [tuple(dot(w, row) for row in q) for w in _extreme_rays(coords, r)]
-    return sorted(normals), list(perp_lattice([list(g) for g in gens], n).basis)
+    return sorted(normals), list(perp_lattice([list(g) for g in gens], n))
 
 
 def reference_cone_h(gens, n):
