@@ -8,7 +8,6 @@ hard-coded worked fixtures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .exactlin import (
@@ -39,6 +38,7 @@ from .polyhedra import (
     polyhedron_from_hrep,
     require_complete,
 )
+from .value import Value
 
 
 class NonSmoothBaseError(GeometryError):
@@ -53,8 +53,7 @@ class InconsistentFiltrationsError(GeometryError):
 # toric downgrades
 
 
-@dataclass(frozen=True)
-class DowngradeInput:
+class DowngradeInput(Value):
     """A complete fan plus the splitting that forgets the last coordinate.
 
     ``basis_change``, when given, is a unimodular matrix applied to every ray
@@ -62,7 +61,11 @@ class DowngradeInput:
     """
 
     fan: Fan
-    basis_change: tuple[IVec, ...] | None = None
+    basis_change: tuple[IVec, ...] | None
+
+    def __init__(self, fan: Fan, basis_change: tuple[IVec, ...] | None = None):
+        object.__setattr__(self, "fan", fan)
+        object.__setattr__(self, "basis_change", basis_change)
 
 
 def _slice_at_height(c: Cone, height: int) -> Polyhedron:
@@ -120,8 +123,7 @@ def downgrade(inp: DowngradeInput) -> MarkedFansyDivisor:
 # rank-two equivariant bundles
 
 
-@dataclass(frozen=True)
-class RayFiltration:
+class RayFiltration(Value):
     """Decreasing fiber filtration on one ray.
 
     The fiber is full for ``j <= full_until``; if ``line`` is set it then
@@ -130,22 +132,26 @@ class RayFiltration:
     """
 
     full_until: int
-    line: str | None = None
-    line_until: int | None = None
+    line: str | None
+    line_until: int | None
 
-    def __post_init__(self):
-        if (self.line is None) != (self.line_until is None):
+    def __init__(
+        self, full_until: int, line: str | None = None, line_until: int | None = None
+    ):
+        if (line is None) != (line_until is None):
             raise ValueError("line and line_until must be given together")
-        if self.line is not None and self.line_until <= self.full_until:
+        if line is not None and line_until <= full_until:
             raise ValueError("filtration must be strictly decreasing")
+        object.__setattr__(self, "full_until", full_until)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "line_until", line_until)
 
     @property
     def jump(self) -> int:
         return 0 if self.line is None else self.line_until - self.full_until
 
 
-@dataclass(frozen=True)
-class KlyachkoBundle:
+class KlyachkoBundle(Value):
     """A rank-two equivariant bundle on a smooth complete toric surface+.
 
     ``filtrations`` maps every primitive ray generator of the base fan to its
@@ -154,6 +160,10 @@ class KlyachkoBundle:
 
     base_fan: Fan
     filtrations: tuple[tuple[IVec, RayFiltration], ...]
+
+    def __init__(self, base_fan: Fan, filtrations: tuple[tuple[IVec, RayFiltration], ...]):
+        object.__setattr__(self, "base_fan", base_fan)
+        object.__setattr__(self, "filtrations", filtrations)
 
     def filtration(self, ray: IVec) -> RayFiltration:
         for r, f in self.filtrations:

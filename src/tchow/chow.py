@@ -13,7 +13,6 @@ cross-check through the downgrade construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import (
@@ -45,22 +44,29 @@ from .polyhedra import (
     Polyhedron,
     require_complete,
 )
+from .value import Value
 
 
 class NonIntegralRedirectError(ArithmeticError):
     """A contracted-cycle redirect coefficient failed to be an integer."""
 
 
-@dataclass(frozen=True)
-class RelationBlock:
+class RelationBlock(Value):
     """Rows contributed by one (k+1)-dimensional cycle, as generator->coeff maps."""
 
     source: CycleGenerator
     rows: tuple[tuple[tuple[CycleGenerator, int], ...], ...]
 
+    def __init__(
+        self,
+        source: CycleGenerator,
+        rows: tuple[tuple[tuple[CycleGenerator, int], ...], ...],
+    ):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "rows", rows)
 
-@dataclass(frozen=True)
-class ChowPresentation:
+
+class ChowPresentation(Value):
     """Generators, integer relation rows, and the reduced (Smith) data.
 
     ``moduli`` has one entry per reduced coordinate: the torsion modulus for
@@ -75,6 +81,24 @@ class ChowPresentation:
     torsion: tuple[int, ...]
     moduli: tuple[int, ...]
     class_map: tuple[IVec, ...]
+
+    def __init__(
+        self,
+        k: int,
+        generators: tuple[CycleGenerator, ...],
+        relations: tuple[IVec, ...],
+        free_rank: int,
+        torsion: tuple[int, ...],
+        moduli: tuple[int, ...],
+        class_map: tuple[IVec, ...],
+    ):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "moduli", moduli)
+        object.__setattr__(self, "class_map", class_map)
 
     @property
     def smith(self) -> tuple[int, tuple[int, ...]]:

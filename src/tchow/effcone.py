@@ -9,18 +9,28 @@ since numerical equivalence is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chow import ChowPresentation, presentation
 from .fansy import CycleGenerator, MarkedFansyDivisor
+from .value import Value
 
 
-@dataclass(frozen=True)
-class EffConeReport:
+class EffConeReport(Value):
     k: int
     presentation: ChowPresentation
     entries: tuple[tuple[CycleGenerator, tuple[int, ...]], ...]
     distinct_classes: tuple[tuple[tuple[int, ...], tuple[CycleGenerator, ...]], ...]
+
+    def __init__(
+        self,
+        k: int,
+        presentation: ChowPresentation,
+        entries: tuple[tuple[CycleGenerator, tuple[int, ...]], ...],
+        distinct_classes: tuple[tuple[tuple[int, ...], tuple[CycleGenerator, ...]], ...],
+    ):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "distinct_classes", distinct_classes)
 
     @property
     def generator_count(self) -> int:

@@ -8,15 +8,15 @@ contraction morphism collapses.
 
 Everything derived from a divisor that the k-cycle presentations share is
 built once per divisor object, on first use, and kept in its
-:class:`DivisorContext` (outside the dataclass fields, like the validation
-report): each fiber's faces indexed by dimension, by tail cone and by
-coface, the :func:`s_sigma` and :func:`mu_of_face` tables, the generator
-sets of each level and the presentation of each k.
+:class:`DivisorContext` (on the object but not among the fields that
+equality and hashing read, like the validation report): each fiber's faces
+indexed by dimension, by tail cone and by coface, the :func:`s_sigma` and
+:func:`mu_of_face` tables, the generator sets of each level and the
+presentation of each k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -40,6 +40,7 @@ from .polyhedra import (
     minkowski_sum,
     poly_intersect,
 )
+from .value import Value
 
 AUX_LABELS = ("aux1", "aux2")
 
@@ -48,14 +49,14 @@ class NonUniqueFaceError(ValueError):
     """A marked cone fails to have a unique face over some point."""
 
 
-@dataclass(frozen=True)
-class MarkedFansyDivisor:
+class MarkedFansyDivisor(Value):
     """Tailfan, per-point subdivisions and marked cones; dim X = rank + 1.
 
     ``points`` is ordered; the last label plays the role of the basepoint at
     infinity in all relation blocks.  The report of :func:`validate` is
-    computed on first use and kept on the object, outside the dataclass
-    fields, and so is its :class:`DivisorContext`.
+    computed on first use and kept on the object, next to its fields but not
+    among them, so equality and hashing ignore it; so is its
+    :class:`DivisorContext`.
     """
 
     rank: int
@@ -63,6 +64,20 @@ class MarkedFansyDivisor:
     complexes: tuple[PolyhedralComplex, ...]
     tailfan: Fan
     marked: frozenset[Cone]
+
+    def __init__(
+        self,
+        rank: int,
+        points: tuple[str, ...],
+        complexes: tuple[PolyhedralComplex, ...],
+        tailfan: Fan,
+        marked: frozenset[Cone],
+    ):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "complexes", complexes)
+        object.__setattr__(self, "tailfan", tailfan)
+        object.__setattr__(self, "marked", marked)
 
     @property
     def dim_x(self) -> int:
@@ -151,14 +166,25 @@ class DivisorContext:
         return self.mu_table[key]
 
 
-@dataclass(frozen=True)
-class CycleGenerator:
+class CycleGenerator(Value):
     """One invariant-cycle class: horizontal (R), vertical (V) or contracted (T)."""
 
     kind: str  # "V", "R" or "T"
-    point: str | None = None
-    face: Polyhedron | None = None
-    cone: Cone | None = None
+    point: str | None
+    face: Polyhedron | None
+    cone: Cone | None
+
+    def __init__(
+        self,
+        kind: str,
+        point: str | None = None,
+        face: Polyhedron | None = None,
+        cone: Cone | None = None,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "face", face)
+        object.__setattr__(self, "cone", cone)
 
     def label(self) -> str:
         if self.kind == "V":
@@ -182,11 +208,20 @@ def generator_sort_key(x: MarkedFansyDivisor, g: CycleGenerator):
     return (kind_order[g.kind], 0, g.cone.sort_key())
 
 
-@dataclass(frozen=True)
-class GeneratorSets:
+class GeneratorSets(Value):
     r: tuple[CycleGenerator, ...]
     v: tuple[CycleGenerator, ...]
     t: tuple[CycleGenerator, ...]
+
+    def __init__(
+        self,
+        r: tuple[CycleGenerator, ...],
+        v: tuple[CycleGenerator, ...],
+        t: tuple[CycleGenerator, ...],
+    ):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "t", t)
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -196,15 +231,20 @@ class GeneratorSets:
         return self.v + self.r + self.t
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     code: str
     message: str
 
+    def __init__(self, code: str, message: str):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
 
-@dataclass(frozen=True)
-class ValidationReport:
+
+class ValidationReport(Value):
     violations: tuple[Violation, ...]
+
+    def __init__(self, violations: tuple[Violation, ...]):
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

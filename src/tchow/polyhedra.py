@@ -32,7 +32,6 @@ construction; every object in a fan or complete complex is pointed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
@@ -53,6 +52,7 @@ from .exactlin import (
     vadd,
     vec,
 )
+from .value import Value
 
 
 class GeometryError(ValueError):
@@ -253,8 +253,7 @@ def _masked(items: Sequence, mask: int) -> tuple:
 # cones
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Value):
     """A pointed rational polyhedral cone in canonical V-representation.
 
     ``generators`` are the primitive extreme rays, sorted; the zero cone has
@@ -265,6 +264,10 @@ class Cone:
 
     ambient_rank: int
     generators: tuple[IVec, ...]
+
+    def __init__(self, ambient_rank: int, generators: tuple[IVec, ...]):
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "generators", generators)
 
     @cached_property
     def _h_data(self) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
@@ -365,8 +368,7 @@ def cone_intersect(a: Cone, b: Cone) -> Cone:
 # polyhedra
 
 
-@dataclass(frozen=True)
-class Polyhedron:
+class Polyhedron(Value):
     """A rational polyhedron ``conv(vertices) + tail``; empty iff no vertices.
 
     ``ineqs`` are pairs ``(a, b)`` meaning ``a . x >= b``; ``eqs`` are pairs
@@ -377,6 +379,11 @@ class Polyhedron:
     ambient_rank: int
     vertices: tuple[Vec, ...]
     tail: Cone
+
+    def __init__(self, ambient_rank: int, vertices: tuple[Vec, ...], tail: Cone):
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "tail", tail)
 
     def _homogenized(self) -> list[IVec]:
         """Primitive generators of the cone over ``self`` at last coordinate 1."""
@@ -586,17 +593,20 @@ def inclusion_cofaces(by_dim: dict[int, Sequence[tuple[object, frozenset]]]) -> 
     return {f: tuple(gs) for f, gs in up.items()}
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Value):
     """A fan given by its maximal cones.
 
     Its validity is computed on first use by :func:`fan_validate` and kept on
-    the object, outside the dataclass fields, so equality and hashing ignore
-    it.
+    the object, next to its fields but not among them, so equality and
+    hashing ignore it; so is its coface map.
     """
 
     ambient_rank: int
     maximal_cones: tuple[Cone, ...]
+
+    def __init__(self, ambient_rank: int, maximal_cones: tuple[Cone, ...]):
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "maximal_cones", maximal_cones)
 
     @cached_property
     def _problems(self) -> tuple[str, ...]:
@@ -696,8 +706,7 @@ def require_complete(fan: Fan) -> None:
 # polyhedral complexes
 
 
-@dataclass(frozen=True)
-class PolyhedralComplex:
+class PolyhedralComplex(Value):
     """A polyhedral complex given by its maximal cells.
 
     Like :class:`Fan`, it keeps what :func:`complex_validate` finds, the fan
@@ -708,6 +717,10 @@ class PolyhedralComplex:
 
     ambient_rank: int
     maximal_cells: tuple[Polyhedron, ...]
+
+    def __init__(self, ambient_rank: int, maximal_cells: tuple[Polyhedron, ...]):
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "maximal_cells", maximal_cells)
 
     @cached_property
     def _problems(self) -> tuple[str, ...]:
@@ -728,20 +741,16 @@ def make_complex(cells: Iterable[Polyhedron], ambient_rank: int) -> PolyhedralCo
     uniq = sorted(
         {c for c in cells if not c.is_empty}, key=Polyhedron.sort_key
     )
-    maximal = []
-    for c in uniq:
-        contained = False
-        for other in uniq:
-            if other is c:
-                continue
-            if all(other.contains(v) for v in c.vertices) and all(
-                other.tail.contains(r) for r in c.tail.generators
-            ):
-                if other != c:
-                    contained = True
-                    break
-        if not contained:
-            maximal.append(c)
+    maximal = [
+        c
+        for c in uniq
+        if not any(
+            other is not c
+            and all(other.contains(v) for v in c.vertices)
+            and all(other.tail.contains(r) for r in c.tail.generators)
+            for other in uniq
+        )
+    ]
     return PolyhedralComplex(ambient_rank, tuple(maximal))
 
 

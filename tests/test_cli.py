@@ -44,6 +44,20 @@ def run_cli(args, stdin=None):
     return proc
 
 
+def test_cli_import_loads_no_heavy_module():
+    # every tchow call pays for its imports; dataclasses alone pulls in
+    # inspect, ast, dis and tokenize, tens of milliseconds per process
+    code = (
+        "import sys, tchow.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_document_round_trip():
     for name in ("gr24", "p1p1_bundle", "p2_E"):
         x = fixture(name)

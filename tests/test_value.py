@@ -1,0 +1,173 @@
+"""Value semantics of the library's immutable classes.
+
+Each class compares, hashes and prints by its fields, in declaration order,
+as a frozen dataclass does, and refuses assignment and deletion.  Derived
+data kept on an object (H-data, a coface map, a tail fan, a validation
+report, a divisor's context) is not part of its value.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from tchow.build import DowngradeInput, KlyachkoBundle, RayFiltration, fixture
+from tchow.chow import ChowPresentation, RelationBlock, presentation
+from tchow.effcone import EffConeReport, eff_generators
+from tchow.fansy import (
+    CycleGenerator,
+    GeneratorSets,
+    MarkedFansyDivisor,
+    ValidationReport,
+    Violation,
+    validate,
+)
+from tchow.polyhedra import Cone, Fan, PolyhedralComplex, Polyhedron
+
+F = Fraction
+P2_CONES = (((0, 1), (1, 0)), ((-1, -1), (0, 1)), ((-1, -1), (1, 0)))
+
+
+# each factory builds a new object, equal to the one it built before; the
+# constructors are called directly, so no derived data is kept yet
+def cone():
+    return Cone(2, P2_CONES[0])
+
+
+def polyhedron():
+    return Polyhedron(2, ((F(1, 2), F(0)),), cone())
+
+
+def fan():
+    return Fan(2, tuple(Cone(2, g) for g in P2_CONES))
+
+
+def generator():
+    return CycleGenerator("R", cone=cone())
+
+
+def violation():
+    return Violation("BAD_FAN", "cones do not meet in a common face")
+
+
+def read_context_and_report(x):
+    x.context
+    validate(x)
+
+
+CASES = [
+    (cone, ("ambient_rank", "generators"), lambda c: c.normals),
+    (polyhedron, ("ambient_rank", "vertices", "tail"), lambda p: p.ineqs),
+    (fan, ("ambient_rank", "maximal_cones"), lambda f: f.cofaces),
+    (
+        lambda: PolyhedralComplex(2, (polyhedron(),)),
+        ("ambient_rank", "maximal_cells"),
+        lambda s: s.tail_fan,
+    ),
+    (
+        lambda: fixture("p2_E"),
+        ("rank", "points", "complexes", "tailfan", "marked"),
+        read_context_and_report,
+    ),
+    (generator, ("kind", "point", "face", "cone"), CycleGenerator.label),
+    (lambda: GeneratorSets((generator(),), (), ()), ("r", "v", "t"), None),
+    (violation, ("code", "message"), None),
+    (lambda: ValidationReport((violation(),)), ("violations",), None),
+    (
+        lambda: RelationBlock(generator(), (((generator(), 1),),)),
+        ("source", "rows"),
+        None,
+    ),
+    (
+        lambda: presentation(fixture("p2_E"), 1),
+        ("k", "generators", "relations", "free_rank", "torsion", "moduli", "class_map"),
+        None,
+    ),
+    (
+        lambda: eff_generators(fixture("p2_E"), 1),
+        ("k", "presentation", "entries", "distinct_classes"),
+        None,
+    ),
+    (lambda: DowngradeInput(fan(), ((1, 0), (0, 1))), ("fan", "basis_change"), None),
+    (lambda: RayFiltration(0, "a", 2), ("full_until", "line", "line_until"), None),
+    (
+        lambda: KlyachkoBundle(fan(), (((1, 0), RayFiltration(0)),)),
+        ("base_fan", "filtrations"),
+        None,
+    ),
+]
+CLASSES = [
+    Cone,
+    Polyhedron,
+    Fan,
+    PolyhedralComplex,
+    MarkedFansyDivisor,
+    CycleGenerator,
+    GeneratorSets,
+    Violation,
+    ValidationReport,
+    RelationBlock,
+    ChowPresentation,
+    EffConeReport,
+    DowngradeInput,
+    RayFiltration,
+    KlyachkoBundle,
+]
+
+
+@pytest.mark.parametrize(
+    "make, fields, touch", CASES, ids=[cls.__name__ for cls in CLASSES]
+)
+def test_value_semantics(make, fields, touch):
+    a, b = make(), make()
+    cls = type(a)
+    assert a is not b and cls in CLASSES
+    values = tuple(getattr(a, f) for f in fields)
+    hash_b = hash(b)
+    if touch is not None:
+        touch(a)
+    assert a == b and not a != b
+    assert hash(a) == hash_b == hash(values) == hash(b)
+    assert cls(*values) == a
+    assert repr(a) == f"{cls.__name__}(" + ", ".join(
+        f"{f}={v!r}" for f, v in zip(fields, values)
+    ) + ")"
+
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, f, getattr(a, f))
+        with pytest.raises(AttributeError):
+            delattr(a, f)
+    with pytest.raises(AttributeError):
+        a.extra = None
+    assert tuple(getattr(a, f) for f in fields) == values
+
+    # equal fields in another class give an unequal object
+    sub = type("Sub", (cls,), {})(*values)
+    assert sub != a and a != sub and sub == type(sub)(*values)
+    assert a != values
+
+
+def test_objects_of_different_classes_are_unequal():
+    objects = [make() for make, _, _ in CASES]
+    for i, a in enumerate(objects):
+        for b in objects[i + 1 :]:
+            assert a != b and b != a
+
+
+def test_defaults_and_filtration_checks():
+    assert repr(CycleGenerator("T")) == (
+        "CycleGenerator(kind='T', point=None, face=None, cone=None)"
+    )
+    assert repr(Violation("X", "m")) == "Violation(code='X', message='m')"
+    assert DowngradeInput(fan()) == DowngradeInput(fan(), None)
+    f = RayFiltration(2)
+    assert (f.full_until, f.line, f.line_until, f.jump) == (2, None, None, 0)
+    assert RayFiltration(0, "a", 3).jump == 3
+    with pytest.raises(ValueError, match="given together"):
+        RayFiltration(0, line="a")
+    with pytest.raises(ValueError, match="given together"):
+        RayFiltration(0, line_until=1)
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        RayFiltration(1, "a", 1)
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        RayFiltration(1, "a", 0)
