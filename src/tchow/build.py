@@ -8,7 +8,7 @@ hard-coded worked fixtures.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .exactlin import (
     IVec,
@@ -19,6 +19,7 @@ from .exactlin import (
     vec,
 )
 from .fansy import (
+    AUX_LABELS,
     MarkedFansyDivisor,
     make_divisor,
     validate,
@@ -61,11 +62,7 @@ class DowngradeInput(Value):
     """
 
     fan: Fan
-    basis_change: tuple[IVec, ...] | None
-
-    def __init__(self, fan: Fan, basis_change: tuple[IVec, ...] | None = None):
-        object.__setattr__(self, "fan", fan)
-        object.__setattr__(self, "basis_change", basis_change)
+    basis_change: tuple[IVec, ...] | None = None
 
 
 def _slice_at_height(c: Cone, height: int) -> Polyhedron:
@@ -142,9 +139,7 @@ class RayFiltration(Value):
             raise ValueError("line and line_until must be given together")
         if line is not None and line_until <= full_until:
             raise ValueError("filtration must be strictly decreasing")
-        object.__setattr__(self, "full_until", full_until)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "line_until", line_until)
+        super().__init__(full_until, line, line_until)
 
     @property
     def jump(self) -> int:
@@ -160,10 +155,6 @@ class KlyachkoBundle(Value):
 
     base_fan: Fan
     filtrations: tuple[tuple[IVec, RayFiltration], ...]
-
-    def __init__(self, base_fan: Fan, filtrations: tuple[tuple[IVec, RayFiltration], ...]):
-        object.__setattr__(self, "base_fan", base_fan)
-        object.__setattr__(self, "filtrations", filtrations)
 
     def filtration(self, ray: IVec) -> RayFiltration:
         for r, f in self.filtrations:
@@ -267,7 +258,7 @@ def bundle_rank2(b: KlyachkoBundle) -> MarkedFansyDivisor:
     _check_base(b)
     n = b.base_fan.ambient_rank
     labels = bundle_labels(b)
-    aux = iter(("aux1", "aux2"))
+    aux = iter(AUX_LABELS)
     while len(labels) < 2:
         labels.append(next(aux))
     cells: dict[str, list[Polyhedron]] = {p: [] for p in labels}

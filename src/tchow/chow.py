@@ -57,14 +57,6 @@ class RelationBlock(Value):
     source: CycleGenerator
     rows: tuple[tuple[tuple[CycleGenerator, int], ...], ...]
 
-    def __init__(
-        self,
-        source: CycleGenerator,
-        rows: tuple[tuple[tuple[CycleGenerator, int], ...], ...],
-    ):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "rows", rows)
-
 
 class ChowPresentation(Value):
     """Generators, integer relation rows, and the reduced (Smith) data.
@@ -81,24 +73,6 @@ class ChowPresentation(Value):
     torsion: tuple[int, ...]
     moduli: tuple[int, ...]
     class_map: tuple[IVec, ...]
-
-    def __init__(
-        self,
-        k: int,
-        generators: tuple[CycleGenerator, ...],
-        relations: tuple[IVec, ...],
-        free_rank: int,
-        torsion: tuple[int, ...],
-        moduli: tuple[int, ...],
-        class_map: tuple[IVec, ...],
-    ):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
-        object.__setattr__(self, "moduli", moduli)
-        object.__setattr__(self, "class_map", class_map)
 
     @property
     def smith(self) -> tuple[int, tuple[int, ...]]:

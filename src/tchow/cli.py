@@ -70,10 +70,6 @@ def _rat(value) -> Fraction:
     raise ParseError(f"bad rational {value!r}")
 
 
-def _rat_str(f: Fraction) -> str:
-    return str(f)
-
-
 def _int(value) -> int:
     f = _rat(value)
     if f.denominator != 1:
@@ -202,7 +198,7 @@ def divisor_document(x: MarkedFansyDivisor) -> dict:
         "complexes": {
             p: [
                 {
-                    "vertices": [[_rat_str(c) for c in v] for v in cell.vertices],
+                    "vertices": [[str(c) for c in v] for v in cell.vertices],
                     "rays": [list(g) for g in cell.tail.generators],
                 }
                 for cell in x.complex_at(p).maximal_cells

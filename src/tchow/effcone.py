@@ -20,18 +20,6 @@ class EffConeReport(Value):
     entries: tuple[tuple[CycleGenerator, tuple[int, ...]], ...]
     distinct_classes: tuple[tuple[tuple[int, ...], tuple[CycleGenerator, ...]], ...]
 
-    def __init__(
-        self,
-        k: int,
-        presentation: ChowPresentation,
-        entries: tuple[tuple[CycleGenerator, tuple[int, ...]], ...],
-        distinct_classes: tuple[tuple[tuple[int, ...], tuple[CycleGenerator, ...]], ...],
-    ):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "distinct_classes", distinct_classes)
-
     @property
     def generator_count(self) -> int:
         return len(self.entries)

@@ -11,9 +11,9 @@ every value is hashable once frozen into a tuple.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 IVec = tuple[int, ...]
@@ -54,27 +54,10 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple:
 
 def det(m: Sequence[Sequence[int]]) -> int:
     """Exact determinant by fraction-free Bareiss elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    try:
+        return bareiss_inverse(m)[0]
+    except ValueError:  # singular
+        return 0
 
 
 def bareiss_inverse(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:

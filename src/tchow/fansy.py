@@ -17,10 +17,10 @@ presentation of each k.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Sequence
 
 from .exactlin import dot, hnf_basis, primitive, project, quotient_matrix, vec
 from .polyhedra import (
@@ -64,20 +64,6 @@ class MarkedFansyDivisor(Value):
     complexes: tuple[PolyhedralComplex, ...]
     tailfan: Fan
     marked: frozenset[Cone]
-
-    def __init__(
-        self,
-        rank: int,
-        points: tuple[str, ...],
-        complexes: tuple[PolyhedralComplex, ...],
-        tailfan: Fan,
-        marked: frozenset[Cone],
-    ):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "complexes", complexes)
-        object.__setattr__(self, "tailfan", tailfan)
-        object.__setattr__(self, "marked", marked)
 
     @property
     def dim_x(self) -> int:
@@ -170,21 +156,9 @@ class CycleGenerator(Value):
     """One invariant-cycle class: horizontal (R), vertical (V) or contracted (T)."""
 
     kind: str  # "V", "R" or "T"
-    point: str | None
-    face: Polyhedron | None
-    cone: Cone | None
-
-    def __init__(
-        self,
-        kind: str,
-        point: str | None = None,
-        face: Polyhedron | None = None,
-        cone: Cone | None = None,
-    ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "face", face)
-        object.__setattr__(self, "cone", cone)
+    point: str | None = None
+    face: Polyhedron | None = None
+    cone: Cone | None = None
 
     def label(self) -> str:
         if self.kind == "V":
@@ -213,16 +187,6 @@ class GeneratorSets(Value):
     v: tuple[CycleGenerator, ...]
     t: tuple[CycleGenerator, ...]
 
-    def __init__(
-        self,
-        r: tuple[CycleGenerator, ...],
-        v: tuple[CycleGenerator, ...],
-        t: tuple[CycleGenerator, ...],
-    ):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "t", t)
-
     @property
     def counts(self) -> tuple[int, int, int]:
         return (len(self.r), len(self.v), len(self.t))
@@ -235,16 +199,9 @@ class Violation(Value):
     code: str
     message: str
 
-    def __init__(self, code: str, message: str):
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "message", message)
-
 
 class ValidationReport(Value):
     violations: tuple[Violation, ...]
-
-    def __init__(self, violations: tuple[Violation, ...]):
-        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

@@ -32,10 +32,10 @@ construction; every object in a fan or complete complex is pointed.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import Iterable, Sequence
 
 from .exactlin import (
     IVec,
@@ -45,9 +45,11 @@ from .exactlin import (
     identity_matrix,
     integer_kernel,
     mat_mul,
+    mat_vec,
     perp_lattice,
     primitive,
     primitive_direction,
+    project,
     snf_transforms,
     vadd,
     vec,
@@ -87,14 +89,6 @@ def _span_coords(int_gens: Sequence[IVec], n: int):
     u, _, v = snf_transforms(b)
     q = mat_mul([[v[i][j] for j in range(r)] for i in range(n)], u)
     return eqs, b, q, r
-
-
-def _coords(q, x: Sequence) -> tuple:
-    return tuple(sum(x[i] * q[i][j] for i in range(len(x))) for j in range(len(q[0])))
-
-
-def _uncoords(b, c: Sequence) -> tuple:
-    return tuple(sum(c[i] * b[i][j] for i in range(len(c))) for j in range(len(b[0])))
 
 
 def _independent_rows(rows: Sequence[IVec], r: int) -> list[int]:
@@ -198,22 +192,17 @@ def _h_to_generators(
         return []
     restricted = [tuple(dot(a, wr) for wr in w_basis) for a in int_ineqs]
     rays_c = _extreme_rays(restricted, w)
-    return [_uncoords([list(r) for r in w_basis], y) for y in rays_c]
+    return [project([list(r) for r in w_basis], y) for y in rays_c]
 
 
 def _span_facets(gens: Sequence[IVec], n: int):
     """Span equations, span basis ``B``, coordinate map ``Q`` and facets of a cone.
 
     ``gens`` are integer generators of the cone; the facet normals are
-    returned in span coordinates (lift them with :func:`_lift`).
+    returned in span coordinates (``mat_vec(Q, w)`` lifts one to Z^n).
     """
     eqs, b, q, r = _span_coords(gens, n)
-    return eqs, b, q, _extreme_rays([_coords(q, g) for g in gens], r)
-
-
-def _lift(q, w: Sequence) -> IVec:
-    """The span-coordinate functional ``w`` as a vector of Z^n, ``Q @ w``."""
-    return tuple(sum(w[i] * row[i] for i in range(len(w))) for row in q)
+    return eqs, b, q, _extreme_rays([project(q, g) for g in gens], r)
 
 
 def _keep(obj, **derived):
@@ -265,14 +254,10 @@ class Cone(Value):
     ambient_rank: int
     generators: tuple[IVec, ...]
 
-    def __init__(self, ambient_rank: int, generators: tuple[IVec, ...]):
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "generators", generators)
-
     @cached_property
     def _h_data(self) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
         eqs, _, q, normals_c = _span_facets(self.generators, self.ambient_rank)
-        return tuple(sorted(_lift(q, w) for w in normals_c)), eqs
+        return tuple(sorted(mat_vec(q, w) for w in normals_c)), eqs
 
     @cached_property
     def normals(self) -> tuple[IVec, ...]:
@@ -328,8 +313,8 @@ def make_cone(generators: Iterable[Sequence], ambient_rank: int) -> Cone:
         return zero_cone(ambient_rank)
     eqs, b, q, normals_c = _span_facets(prims, ambient_rank)
     rays_c = _extreme_rays(normals_c, len(b))
-    c = _cone_on_rays((_uncoords(b, y) for y in rays_c), ambient_rank)
-    normals = tuple(sorted(_lift(q, w) for w in normals_c))
+    c = _cone_on_rays((project(b, y) for y in rays_c), ambient_rank)
+    normals = tuple(sorted(mat_vec(q, w) for w in normals_c))
     return _keep(c, normals=normals, span_eqs=eqs, dim=len(b))
 
 
@@ -379,11 +364,6 @@ class Polyhedron(Value):
     ambient_rank: int
     vertices: tuple[Vec, ...]
     tail: Cone
-
-    def __init__(self, ambient_rank: int, vertices: tuple[Vec, ...], tail: Cone):
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "tail", tail)
 
     def _homogenized(self) -> list[IVec]:
         """Primitive generators of the cone over ``self`` at last coordinate 1."""
@@ -438,7 +418,7 @@ def _affine_h(span_eqs, q, normals_c, n: int):
     """``(ineqs, eqs)`` of a polyhedron from the H-data of its homogenized cone."""
     ineqs = []
     for w in normals_c:
-        u = _lift(q, w)
+        u = mat_vec(q, w)
         ineqs.append((u[:n], -u[n]))
     return tuple(sorted(ineqs)), tuple(sorted((e[:n], -e[n]) for e in span_eqs))
 
@@ -490,7 +470,7 @@ def make_polyhedron(
             homog.append(d + (0,))
     span_eqs, b, q, normals_c = _span_facets(homog, n + 1)
     rays_c = _extreme_rays(normals_c, len(b))
-    p = _from_homogenized((_uncoords(b, y) for y in rays_c), n)
+    p = _from_homogenized((project(b, y) for y in rays_c), n)
     ineqs, eqs = _affine_h(span_eqs, q, normals_c, n)
     return _keep(p, ineqs=ineqs, eqs=eqs, dim=len(b) - 1)
 
@@ -604,10 +584,6 @@ class Fan(Value):
     ambient_rank: int
     maximal_cones: tuple[Cone, ...]
 
-    def __init__(self, ambient_rank: int, maximal_cones: tuple[Cone, ...]):
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "maximal_cones", maximal_cones)
-
     @cached_property
     def _problems(self) -> tuple[str, ...]:
         return tuple(_fan_problems(self))
@@ -717,10 +693,6 @@ class PolyhedralComplex(Value):
 
     ambient_rank: int
     maximal_cells: tuple[Polyhedron, ...]
-
-    def __init__(self, ambient_rank: int, maximal_cells: tuple[Polyhedron, ...]):
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "maximal_cells", maximal_cells)
 
     @cached_property
     def _problems(self) -> tuple[str, ...]:

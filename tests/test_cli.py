@@ -46,16 +46,17 @@ def run_cli(args, stdin=None):
 
 def test_cli_import_loads_no_heavy_module():
     # every tchow call pays for its imports; dataclasses alone pulls in
-    # inspect, ast, dis and tokenize, tens of milliseconds per process
-    code = (
-        "import sys, tchow.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    # inspect, ast, dis and tokenize, tens of milliseconds per process.
+    # Without site (-S), whose .pth hooks may load typing anyway, the
+    # package must not load typing either.
+    heavy = "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+    for flags, modules in (((), heavy), (("-S",), heavy + " | {'typing'}")):
+        code = f"import sys, tchow.cli; print(sorted(({modules}) & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", flags
 
 
 def test_document_round_trip():

@@ -147,6 +147,40 @@ def test_value_semantics(make, fields, touch):
     assert a != values
 
 
+@pytest.mark.parametrize(
+    "make, fields, touch", CASES, ids=[cls.__name__ for cls in CLASSES]
+)
+def test_constructor_takes_fields_by_position_and_keyword(make, fields, touch):
+    a = make()
+    cls = type(a)
+    values = tuple(getattr(a, f) for f in fields)
+    keywords = dict(zip(fields, values))
+    assert cls(**keywords) == a
+    assert cls(*values[:1], **dict(list(keywords.items())[1:])) == a
+    sub = type("Sub", (cls,), {})
+    assert sub(**keywords) == sub(*values)
+
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values, extra=None)
+    with pytest.raises(TypeError):
+        cls(*values, **{fields[0]: values[0]})
+    # a misspelt keyword is refused, also where the field it misses has a default
+    with pytest.raises(TypeError):
+        cls(*values[:-1], **{fields[-1] + "_": values[-1]})
+
+    if cls is RayFiltration:  # its own check refuses a line without its end
+        with pytest.raises(ValueError, match="given together"):
+            cls(*values[:-1])
+    elif cls in (CycleGenerator, DowngradeInput):  # the last field defaults to None
+        assert cls(*values[:-1]) == cls(*values[:-1], None)
+        assert sub(*values[:-1]) == sub(*values[:-1], None)
+    else:
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+
+
 def test_objects_of_different_classes_are_unequal():
     objects = [make() for make, _, _ in CASES]
     for i, a in enumerate(objects):
