@@ -5,10 +5,8 @@ from .build import (
     KlyachkoBundle,
     RayFiltration,
     bundle_rank2,
-    classify_hij,
     downgrade,
     fixture,
-    predicted_counts,
 )
 from .chow import ChowPresentation, presentation, toric_chow_presentation
 from .effcone import EffConeReport, eff_generators
@@ -43,7 +41,6 @@ __all__ = [
     "Polyhedron",
     "RayFiltration",
     "bundle_rank2",
-    "classify_hij",
     "downgrade",
     "eff_generators",
     "enumerate_generators",
@@ -53,7 +50,6 @@ __all__ = [
     "make_divisor",
     "make_fan",
     "make_polyhedron",
-    "predicted_counts",
     "presentation",
     "toric_chow_presentation",
     "validate",

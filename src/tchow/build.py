@@ -222,30 +222,6 @@ def _cone_delta(b: KlyachkoBundle, c: Cone) -> IVec:
     return tuple(s * dot(row, targets) for row in adj)
 
 
-def classify_hij(b: KlyachkoBundle, c: Cone) -> str:
-    """H/I/J sign class of the summand character difference on a cone.
-
-    Non-maximal cones inherit the class from any containing maximal cone;
-    agreement across containing cones is checked.
-    """
-    classes = set()
-    for top in b.base_fan.maximal_cones:
-        if top.contains_cone(c):
-            delta = _cone_delta(b, top)
-            vals = [dot(delta, g) for g in c.generators]
-            if all(v == 0 for v in vals):
-                classes.add("H")
-            elif any(v > 0 for v in vals) and any(v < 0 for v in vals):
-                classes.add("I")
-            else:
-                classes.add("J")
-    if len(classes) != 1:
-        raise InconsistentFiltrationsError(
-            f"sign class of cone {c.generators} differs between containing cones"
-        )
-    return classes.pop()
-
-
 def bundle_rank2(b: KlyachkoBundle) -> MarkedFansyDivisor:
     """Marked fansy divisor of the projectivized bundle.
 
@@ -314,30 +290,6 @@ def bundle_rank2(b: KlyachkoBundle) -> MarkedFansyDivisor:
             f"filtrations produced an invalid divisor: {report}"
         )
     return result
-
-
-def predicted_counts(b: KlyachkoBundle, k: int) -> tuple[int, int, int]:
-    """Generator counts of the projectivized bundle from sign classes alone.
-
-    Counts H/J/I base cones by dimension; the fiber contribution of an
-    H-cone appears once per special point.
-    """
-    n = b.base_fan.ambient_rank
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, {n}]")
-    tallies: dict[tuple[int, str], int] = {}
-    for c in b.base_fan.all_cones():
-        key = (c.dim, classify_hij(b, c))
-        tallies[key] = tallies.get(key, 0) + 1
-
-    def count(d: int, cls: str) -> int:
-        return tallies.get((d, cls), 0)
-
-    npoints = max(2, len(bundle_labels(b)))
-    r = count(n - k + 1, "H")
-    v = count(n - k + 1, "J") + count(n - k, "J") + npoints * count(n - k, "H")
-    t = count(n - k + 1, "I") + count(n - k, "J") + 2 * count(n - k, "I")
-    return (r, v, t)
 
 
 # ---------------------------------------------------------------------------

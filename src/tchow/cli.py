@@ -129,8 +129,9 @@ def parse_input(doc) -> MarkedFansyDivisor:
     """Build a divisor from an explicit document or a constructor stanza."""
     if not isinstance(doc, dict):
         raise ParseError("input document must be a JSON object")
-    if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:  # True and 1.0 equal 1
+        raise ParseError(f"unsupported schema_version {version!r}")
     stanzas = [key for key in ("downgrade", "bundle") if key in doc]
     explicit = "complexes" in doc
     if explicit + len(stanzas) != 1:
@@ -255,10 +256,14 @@ def _read_json(path: str):
         data = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
     try:
         return json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
 
 
 def _load_divisor(path: str) -> MarkedFansyDivisor:

@@ -92,7 +92,7 @@ class FiberFaces:
 
     ``by_dim`` and ``by_tail`` map a dimension or a tail cone to its faces.
     ``cofaces`` maps each face to the faces one dimension up that contain
-    it, read off the inclusion of vertices and tail rays by
+    it, read off the inclusion of their homogenized cones' rays by
     :func:`~tchow.polyhedra.inclusion_cofaces`, with no face lattice of any
     single face.
     """
@@ -109,15 +109,8 @@ class FiberFaces:
 
     @cached_property
     def cofaces(self) -> dict[Polyhedron, tuple[Polyhedron, ...]]:
-        tagged = {d: [(f, _tagged_elements(f)) for f in fs] for d, fs in self.by_dim.items()}
-        return inclusion_cofaces(tagged)
-
-
-def _tagged_elements(f: Polyhedron) -> frozenset:
-    """The vertices and tail rays of ``f``, tagged apart: ``(0, v)`` and ``(1, r)``."""
-    return frozenset(
-        [(0, v) for v in f.vertices] + [(1, r) for r in f.tail.generators]
-    )
+        rays = {d: [(f, frozenset(f.cone.generators)) for f in fs] for d, fs in self.by_dim.items()}
+        return inclusion_cofaces(rays)
 
 
 class DivisorContext:

@@ -2,7 +2,10 @@
 
 A cone or a polyhedron stores its V-representation only: primitive extreme
 rays, vertices and tail, sorted, which equality, hashing and ``repr`` use.
-Its H-representation (facet normals and span equations) is derived from that
+A polyhedron ``P`` is read through its homogenized cone, the cone over
+``P x {1}`` plus ``tail x {0}`` (``Polyhedron.cone``): its H-data, faces,
+meets, containment and dimension are those of that cone.  A cone's
+H-representation (facet normals and span equations) is derived from its
 V-data when first read, once per object, and kept on it.  Conversion both
 ways is one exact integer double-description routine, :func:`_extreme_rays`:
 facets of a cone are the extreme rays of its dual.  Each conversion takes one
@@ -12,19 +15,19 @@ span's saturated basis.
 :func:`make_cone` and :func:`make_polyhedron` canonicalize arbitrary input and
 keep the H-data they computed on the way.  Everything whose extreme rays are
 already known is built from them directly, with no kernel: faces (from the
-vertex/ray-facet incidences of the parent, closed under intersection, in the
-spirit of Kaibel & Pfetsch 2002), intersections and H-described polyhedra
-(whose double description yields extreme rays), tails, and cones as
-polyhedra.
+ray-facet incidences of the cone, closed under intersection, in the spirit of
+Kaibel & Pfetsch 2002; a polyhedron's faces are its cone's faces that hold a
+vertex), intersections and H-described polyhedra (whose double description
+yields extreme rays), tails, and cones as polyhedra.
 
 Face queries are answered from hashed sets.  The faces of a cone or a
-polyhedron, and the set :func:`cone_is_face_of` / :func:`poly_is_face_of`
-test membership in, are held in global caches keyed by value, so a rebuilt
-but equal object still hits them.  A complex lists the faces of all its cells
-once, on the object (see :func:`all_complex_faces`).  The coface map of a
-fan or of a complex, from each face to the faces one dimension up that
-contain it, is read off vertex/ray inclusion (:func:`inclusion_cofaces`);
-a fan keeps its map on the object (``Fan.cofaces``).
+polyhedron, and the set :func:`cone_is_face_of` tests membership in, are held
+in global caches keyed by value, so a rebuilt but equal object still hits
+them.  A complex lists the faces of all its cells once, on the object (see
+:func:`all_complex_faces`).  The coface map of a fan or of a complex, from
+each face to the faces one dimension up that contain it, is read off ray
+inclusion (:func:`inclusion_cofaces`); a fan keeps its map on the object
+(``Fan.cofaces``).
 
 Cones and polyhedra with lineality (a contained line) are rejected at
 construction; every object in a fan or complete complex is pointed.
@@ -214,13 +217,12 @@ def _keep(obj, **derived):
     return obj
 
 
-def _face_masks(incidence: Sequence[int], full: int, need: int) -> set[int]:
+def _face_masks(incidence: Sequence[int], full: int) -> set[int]:
     """Every face, as the bitmask of the generators it contains.
 
     ``incidence`` holds the mask of the generators on each facet.  The faces
     are ``full`` and every intersection of facets: the closure of ``full``
-    under intersecting with a facet, keeping only sets that meet ``need``
-    (the vertices of a polyhedron, whose faces are nonempty) when it is set.
+    under intersecting with a facet.
     """
     seen = {full}
     todo = [full]
@@ -228,7 +230,7 @@ def _face_masks(incidence: Sequence[int], full: int, need: int) -> set[int]:
         s = todo.pop()
         for m in incidence:
             t = s & m
-            if t not in seen and (t & need or not need):
+            if t not in seen:
                 seen.add(t)
                 todo.append(t)
     return seen
@@ -328,7 +330,7 @@ def cone_faces(c: Cone) -> tuple[Cone, ...]:
     full = (1 << len(gens)) - 1
     faces = [
         c if mask == full else _cone_on_rays(_masked(gens, mask), c.ambient_rank)
-        for mask in _face_masks(incidence, full, 0)
+        for mask in _face_masks(incidence, full)
     ]
     return tuple(sorted(faces, key=Cone.sort_key))
 
@@ -356,36 +358,37 @@ def cone_intersect(a: Cone, b: Cone) -> Cone:
 class Polyhedron(Value):
     """A rational polyhedron ``conv(vertices) + tail``; empty iff no vertices.
 
-    ``ineqs`` are pairs ``(a, b)`` meaning ``a . x >= b``; ``eqs`` are pairs
-    ``(a, b)`` meaning ``a . x == b``.  Both are canonical data derived from
-    the vertices and the tail when first read.
+    Every H-side question is answered by ``cone``, the homogenized cone in
+    rank n+1 spanned by ``(v, 1)`` for each vertex ``v`` and ``(r, 0)`` for
+    each tail ray ``r``: the polyhedron is its slice at last coordinate 1.
+    ``ineqs`` (pairs ``(a, b)`` meaning ``a . x >= b``) and ``eqs`` (``a . x
+    == b``) read the cone's facet normals and span equations.
     """
 
     ambient_rank: int
     vertices: tuple[Vec, ...]
     tail: Cone
 
-    def _homogenized(self) -> list[IVec]:
-        """Primitive generators of the cone over ``self`` at last coordinate 1."""
-        return [primitive(v + (1,))[0] for v in self.vertices] + [
-            g + (0,) for g in self.tail.generators
-        ]
-
     @cached_property
-    def _h_data(self):
-        if self.is_empty:
-            return (), ()
-        n = self.ambient_rank
-        span_eqs, _, q, normals_c = _span_facets(self._homogenized(), n + 1)
-        return _affine_h(span_eqs, q, normals_c, n)
+    def cone(self) -> Cone:
+        """Primitive generators ``(v, 1)`` and ``(r, 0)``; the zero cone when empty."""
+        return _cone_on_rays(
+            [primitive(v + (1,))[0] for v in self.vertices]
+            + [g + (0,) for g in self.tail.generators],
+            self.ambient_rank + 1,
+        )
 
     @cached_property
     def ineqs(self) -> tuple[tuple[IVec, int], ...]:
-        return self._h_data[0]
+        n = self.ambient_rank
+        return tuple(sorted((u[:n], -u[n]) for u in self.cone.normals))
 
     @cached_property
     def eqs(self) -> tuple[tuple[IVec, int], ...]:
-        return self._h_data[1]
+        if self.is_empty:
+            return ()
+        n = self.ambient_rank
+        return tuple(sorted((e[:n], -e[n]) for e in self.cone.span_eqs))
 
     @property
     def is_empty(self) -> bool:
@@ -393,17 +396,10 @@ class Polyhedron(Value):
 
     @cached_property
     def dim(self) -> int:
-        if self.is_empty:
-            return -1
-        return len(_independent_rows(self._homogenized(), self.ambient_rank + 1)) - 1
+        return self.cone.dim - 1
 
     def contains(self, x: Sequence) -> bool:
-        if self.is_empty:
-            return False
-        p = vec(x)
-        return all(dot(a, p) == b for a, b in self.eqs) and all(
-            dot(a, p) >= b for a, b in self.ineqs
-        )
+        return not self.is_empty and self.cone.contains(tuple(x) + (1,))
 
     def translate(self, t: Sequence) -> "Polyhedron":
         tv = vec(t)
@@ -412,15 +408,6 @@ class Polyhedron(Value):
 
     def sort_key(self):
         return (len(self.vertices), self.vertices, self.tail.sort_key())
-
-
-def _affine_h(span_eqs, q, normals_c, n: int):
-    """``(ineqs, eqs)`` of a polyhedron from the H-data of its homogenized cone."""
-    ineqs = []
-    for w in normals_c:
-        u = mat_vec(q, w)
-        ineqs.append((u[:n], -u[n]))
-    return tuple(sorted(ineqs)), tuple(sorted((e[:n], -e[n]) for e in span_eqs))
 
 
 def empty_polyhedron(ambient_rank: int) -> Polyhedron:
@@ -437,14 +424,16 @@ def _polyhedron_on_rays(vertices: Iterable[Vec], tail: Cone) -> Polyhedron:
     return Polyhedron(tail.ambient_rank, tuple(sorted(vertices)), tail)
 
 
-def _from_homogenized(rays: Iterable[IVec], n: int) -> Polyhedron:
-    """The polyhedron whose homogenized cone has the primitive extreme ``rays``.
+def _from_homogenized(c: Cone) -> Polyhedron:
+    """The polyhedron whose homogenized cone is ``c``, which it keeps.
 
     Rays with a positive last coordinate give the vertices, those with last
-    coordinate 0 the tail; with no vertex the polyhedron is empty.
+    coordinate 0 the tail.  With no vertex the polyhedron is empty and keeps
+    nothing: a cone at last coordinate 0 is not the empty polyhedron's.
     """
+    n = c.ambient_rank - 1
     verts, tail_gens = [], []
-    for g in rays:
+    for g in c.generators:
         if g[n] > 0:
             verts.append(tuple(Fraction(x, g[n]) for x in g[:n]))
         elif g[n] == 0:
@@ -453,26 +442,18 @@ def _from_homogenized(rays: Iterable[IVec], n: int) -> Polyhedron:
             raise AssertionError("negative homogenizing coordinate")
     if not verts:
         return empty_polyhedron(n)
-    return _polyhedron_on_rays(verts, _cone_on_rays(tail_gens, n))
+    return _keep(_polyhedron_on_rays(verts, _cone_on_rays(tail_gens, n)), cone=c)
 
 
 def make_polyhedron(
     vertices: Iterable[Sequence], rays: Iterable[Sequence], ambient_rank: int
 ) -> Polyhedron:
     """Canonicalize V-data; an empty vertex list yields the empty polyhedron."""
-    homog = [primitive(tuple(v) + (1,))[0] for v in vertices]
+    homog = [tuple(v) + (1,) for v in vertices]
     if not homog:
         return empty_polyhedron(ambient_rank)
-    n = ambient_rank
-    for r in rays:
-        d = primitive_direction(r)
-        if any(d):
-            homog.append(d + (0,))
-    span_eqs, b, q, normals_c = _span_facets(homog, n + 1)
-    rays_c = _extreme_rays(normals_c, len(b))
-    p = _from_homogenized((project(b, y) for y in rays_c), n)
-    ineqs, eqs = _affine_h(span_eqs, q, normals_c, n)
-    return _keep(p, ineqs=ineqs, eqs=eqs, dim=len(b) - 1)
+    homog += [tuple(r) + (0,) for r in rays]
+    return _from_homogenized(make_cone(homog, ambient_rank + 1))
 
 
 def cone_as_polyhedron(c: Cone) -> Polyhedron:
@@ -500,48 +481,28 @@ def polyhedron_from_hrep(
     ineq_rows = [tuple(u) + (-rhs,) for u, rhs in ineqs]
     ineq_rows.append((0,) * n + (1,))
     eq_rows = [tuple(u) + (-rhs,) for u, rhs in eqs]
-    return _from_homogenized(_h_to_generators(ineq_rows, eq_rows, n + 1), n)
+    return _from_homogenized(_cone_on_rays(_h_to_generators(ineq_rows, eq_rows, n + 1), n + 1))
 
 
 def poly_intersect(a: Polyhedron, b: Polyhedron) -> Polyhedron:
-    if a.ambient_rank != b.ambient_rank:
-        raise ValueError("ambient rank mismatch")
-    if a.is_empty or b.is_empty:
-        return empty_polyhedron(a.ambient_rank)
-    return polyhedron_from_hrep(a.ineqs + b.ineqs, a.eqs + b.eqs, a.ambient_rank)
+    return _from_homogenized(cone_intersect(a.cone, b.cone))
 
 
 @lru_cache(maxsize=None)
 def poly_faces(p: Polyhedron) -> tuple[Polyhedron, ...]:
-    """All nonempty faces of ``p`` (including itself), canonical."""
-    if p.is_empty:
-        return ()
-    verts, rays = p.vertices, p.tail.generators
-    incidence = [
-        sum(1 << i for i, v in enumerate(verts) if dot(a, v) == rhs)
-        | sum(1 << (len(verts) + i) for i, r in enumerate(rays) if dot(a, r) == 0)
-        for a, rhs in p.ineqs
+    """All nonempty faces of ``p`` (including itself), canonical.
+
+    They are the faces of ``p.cone`` with a generator at last coordinate 1.
+    """
+    n = p.ambient_rank
+    faces = [
+        _from_homogenized(f) for f in cone_faces(p.cone) if any(g[n] for g in f.generators)
     ]
-    vertex_bits = (1 << len(verts)) - 1
-    full = (1 << (len(verts) + len(rays))) - 1
-    faces = []
-    for mask in _face_masks(incidence, full, vertex_bits):
-        if mask == full:
-            faces.append(p)
-            continue
-        rs = _masked(rays, mask >> len(verts))
-        tail = p.tail if rs == rays else _cone_on_rays(rs, p.ambient_rank)
-        faces.append(_polyhedron_on_rays(_masked(verts, mask), tail))
     return tuple(sorted(faces, key=Polyhedron.sort_key))
 
 
-@lru_cache(maxsize=None)
-def _poly_face_set(p: Polyhedron) -> frozenset[Polyhedron]:
-    return frozenset(poly_faces(p))
-
-
 def poly_is_face_of(f: Polyhedron, p: Polyhedron) -> bool:
-    return f in _poly_face_set(p)
+    return not f.is_empty and cone_is_face_of(f.cone, p.cone)
 
 
 # ---------------------------------------------------------------------------
@@ -552,11 +513,10 @@ def inclusion_cofaces(by_dim: dict[int, Sequence[tuple[object, frozenset]]]) -> 
     """Map each face to the faces one dimension up that contain it.
 
     ``by_dim`` lists the faces of each dimension, each face with the set of
-    its vertices and rays.  In a fan or a polyhedral complex one face lies in
-    another exactly when its set is a subset of the other's, so the map needs
-    no H-data.  The sets must tell a vertex from a ray with equal entries
-    (``Fraction(1)`` equals ``1``), so the caller tags them apart.  Each
-    face's cofaces keep the order of their dimension's list.
+    its rays: a cone's generators, or those of a polyhedron's homogenized
+    cone.  In a fan or a polyhedral complex one face lies in another exactly
+    when its set is a subset of the other's, so the map needs no H-data.
+    Each face's cofaces keep the order of their dimension's list.
     """
     up: dict = {}
     for d, smaller in by_dim.items():
@@ -716,12 +676,7 @@ def make_complex(cells: Iterable[Polyhedron], ambient_rank: int) -> PolyhedralCo
     maximal = [
         c
         for c in uniq
-        if not any(
-            other is not c
-            and all(other.contains(v) for v in c.vertices)
-            and all(other.tail.contains(r) for r in c.tail.generators)
-            for other in uniq
-        )
+        if not any(other is not c and other.cone.contains_cone(c.cone) for other in uniq)
     ]
     return PolyhedralComplex(ambient_rank, tuple(maximal))
 

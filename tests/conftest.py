@@ -6,12 +6,13 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from tchow.build import KlyachkoBundle, RayFiltration
+from tchow.build import InconsistentFiltrationsError, KlyachkoBundle, RayFiltration, _cone_delta, bundle_labels
 from tchow.build import _p1p1_fan as p1p1_fan, _p2_fan as p2_fan  # noqa: F401  (for the tests)
 from tchow.chow import _cone_image_ray, _face_directions, _quotient_lattice_inverse, _step_image
-from tchow.exactlin import det, primitive_direction, quotient_matrix, vec
+from tchow.exactlin import det, dot, primitive_direction, quotient_matrix, vec
 from tchow.fansy import MarkedFansyDivisor, mu_of_face, sigma_as_complex, unique_face_over
 from tchow.polyhedra import (
+    Cone,
     Fan,
     make_cone,
     make_fan,
@@ -72,7 +73,6 @@ def random_bundle(rng: random.Random, base: Fan) -> KlyachkoBundle:
     return KlyachkoBundle(base, tuple(filts))
 
 
-
 def p2_split_bundle(which: str) -> KlyachkoBundle:
     """The two split rank-two bundles on P^2 giving the same variety."""
     if which == "E":
@@ -92,6 +92,54 @@ def p2_split_bundle(which: str) -> KlyachkoBundle:
     else:
         raise ValueError("which must be 'E' or 'F'")
     return KlyachkoBundle(p2_fan(), filts)
+
+
+def classify_hij(b: KlyachkoBundle, c: Cone) -> str:
+    """H/I/J sign class of the summand character difference on a cone.
+
+    Non-maximal cones inherit the class from any containing maximal cone;
+    agreement across containing cones is checked.
+    """
+    classes = set()
+    for top in b.base_fan.maximal_cones:
+        if top.contains_cone(c):
+            delta = _cone_delta(b, top)
+            vals = [dot(delta, g) for g in c.generators]
+            if all(v == 0 for v in vals):
+                classes.add("H")
+            elif any(v > 0 for v in vals) and any(v < 0 for v in vals):
+                classes.add("I")
+            else:
+                classes.add("J")
+    if len(classes) != 1:
+        raise InconsistentFiltrationsError(
+            f"sign class of cone {c.generators} differs between containing cones"
+        )
+    return classes.pop()
+
+
+def predicted_counts(b: KlyachkoBundle, k: int) -> tuple[int, int, int]:
+    """Generator counts of the projectivized bundle from sign classes alone.
+
+    Counts H/J/I base cones by dimension; the fiber contribution of an
+    H-cone appears once per special point.
+    """
+    n = b.base_fan.ambient_rank
+    if not 0 <= k <= n:
+        raise ValueError(f"k must lie in [0, {n}]")
+    tallies: dict[tuple[int, str], int] = {}
+    for c in b.base_fan.all_cones():
+        key = (c.dim, classify_hij(b, c))
+        tallies[key] = tallies.get(key, 0) + 1
+
+    def count(d: int, cls: str) -> int:
+        return tallies.get((d, cls), 0)
+
+    npoints = max(2, len(bundle_labels(b)))
+    r = count(n - k + 1, "H")
+    v = count(n - k + 1, "J") + count(n - k, "J") + npoints * count(n - k, "H")
+    t = count(n - k + 1, "I") + count(n - k, "J") + 2 * count(n - k, "I")
+    return (r, v, t)
 
 
 # ---------------------------------------------------------------------------

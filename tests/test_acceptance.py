@@ -14,6 +14,7 @@ from conftest import (
     p1p1_fan,
     p2_fan,
     p2_split_bundle,
+    predicted_counts,
     random_bundle,
     random_complete_fan,
     with_extra_generic_point,
@@ -27,7 +28,6 @@ from tchow.build import (
     fixture,
     p1p1_bundle,
     p2_projectivized_fan,
-    predicted_counts,
 )
 from tchow.chow import presentation, toric_chow_presentation
 from tchow.effcone import eff_generators

@@ -3,7 +3,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import p1p1_fan, p2_fan, p2_split_bundle, random_bundle, random_complete_fan
+from conftest import (
+    classify_hij,
+    p1p1_fan,
+    p2_fan,
+    p2_split_bundle,
+    predicted_counts,
+    random_bundle,
+    random_complete_fan,
+)
 
 from tchow.build import (
     DowngradeInput,
@@ -13,11 +21,9 @@ from tchow.build import (
     NonSmoothBaseError,
     RayFiltration,
     bundle_rank2,
-    classify_hij,
     downgrade,
     fixture,
     p2_projectivized_fan,
-    predicted_counts,
     projectivized_split_fan,
 )
 from tchow import chow, polyhedra

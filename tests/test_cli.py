@@ -240,6 +240,8 @@ BAD_DOCUMENTS = {
         {"rank": 1, "points": ["0", "0"], "complexes": {"0": [P1_CELL]}, "marked": []},
     ),
     "rank5_fan": ("oracle", {"rank": 5, "maximal_cones": [RANK5_SIMPLEX]}),
+    "bool_schema_version": ("validate", {"schema_version": True, "downgrade": {"fan": P2E_FAN}}),
+    "float_schema_version": ("validate", {"schema_version": 1.0, "downgrade": {"fan": P2E_FAN}}),
     "rank5_explicit": (
         "validate",
         {
@@ -264,6 +266,20 @@ def test_bad_document_is_parse_error(tmp_path, capsys, name):
 def test_unreadable_file_is_parse_error(tmp_path, capsys):
     assert main(["chow", str(tmp_path / "missing.json")]) == 2
     assert capsys.readouterr().err.startswith("parse error: cannot read")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe", "cannot read {path}: not UTF-8 text"),
+        (b"[" * 200_000, "invalid JSON: nested too deeply"),
+    ],
+)
+def test_undecodable_file_is_parse_error(tmp_path, capsys, content, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"parse error: {message.format(path=path)}\n"
 
 
 def test_unwritable_out_is_parse_error(tmp_path, capsys):

@@ -192,6 +192,11 @@ def test_poly_intersect():
     assert meet.contains((F(3, 2), F(5))) is meet.contains((F(3, 2), F(5)))
     disjoint = poly_intersect(P([(0, 0)], []), P([(1, 1)], []))
     assert disjoint.is_empty
+    # parallel half-lines: their homogenized cones meet in a ray at last coordinate 0
+    apart = poly_intersect(P([(0, 0)], [(0, 1)]), P([(1, 0)], [(0, 1)]))
+    assert apart == empty_polyhedron(2) and apart.cone == polyhedra.zero_cone(3)
+    assert (apart.ineqs, apart.eqs, apart.dim) == ((), (), -1)
+    assert not poly_is_face_of(empty_polyhedron(2), a)
 
 
 def test_poly_faces_closed_under_faces():
@@ -621,6 +626,9 @@ def assert_canonical_polyhedron(p):
     again = make_polyhedron(p.vertices, p.tail.generators, p.ambient_rank)
     assert p == again and (p.vertices, p.tail) == (again.vertices, again.tail)
     assert (p.ineqs, p.eqs, p.dim) == (again.ineqs, again.eqs, again.dim)
+    homogenized = [fraction_primitive(v + (1,))[0] for v in p.vertices]
+    homogenized += [r + (0,) for r in p.tail.generators]
+    assert p.cone == again.cone and p.cone.generators == tuple(sorted(homogenized))
     assert_canonical_cone(p.tail)
 
 
