@@ -4,7 +4,10 @@ For each k the generators are the invariant-cycle classes enumerated by
 :mod:`tchow.fansy`; the relations are divisors of eigenfunctions on the
 invariant (k+1)-cycles, assembled block by block from the divisor's
 :class:`~tchow.fansy.DivisorContext` (faces by tail and coface, stabilizer
-orders and multiplicities).  Each k's presentation is built once per divisor
+orders and multiplicities).  A cycle's lattice is ``Z^(n+1)`` modulo a
+homogenized cone, and the coefficient of a coface in the divisor of the
+``j``-th basis character is coordinate ``j`` of the coface's primitive image
+there (Fulton & Sturmfels, 1997).  Each k's presentation is built once per divisor
 object and kept in that context, so ``chow``, ``eff`` and ``crosscheck``
 share it.  An independent classical presentation for complete toric
 varieties (orbit closures modulo divisors of characters) serves as a
@@ -13,23 +16,12 @@ cross-check through the downgrade construction.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exactlin import (
     IVec,
-    bareiss_inverse,
-    dot,
-    hnf_basis,
-    minimal_lattice_multiple,
-    pair_through_quotient,
-    perp_lattice,
-    face_character_lattice,
-    primitive,
     primitive_direction,
     project,
     quotient_matrix,
     snf_transforms,
-    vsub,
 )
 from .fansy import (
     CycleGenerator,
@@ -41,7 +33,6 @@ from .polyhedra import (
     Cone,
     Fan,
     IncompleteFanError,  # re-exported: raised by toric_chow_presentation
-    Polyhedron,
     require_complete,
 )
 from .value import Value
@@ -79,89 +70,57 @@ class ChowPresentation(Value):
         return (self.free_rank, self.torsion)
 
 
-def _as_int(value) -> int:
-    f = Fraction(value)
-    if f.denominator != 1:
-        raise AssertionError(f"expected an integer coefficient, got {value}")
-    return int(f)
+def _cone_image_ray(proj, gens) -> IVec:
+    """Primitive generator of the image of a cone (given by ``gens``) that projects to a ray."""
+    images = {primitive_direction(im) for im in (project(proj, g) for g in gens) if any(im)}
+    if not images:
+        raise AssertionError("cone projects to zero")
+    if len(images) > 1:
+        raise AssertionError("cone does not project onto a single ray")
+    return images.pop()
 
 
-def _face_directions(face: Polyhedron, base) -> list:
-    dirs = [vsub(v, base) for v in face.vertices if v != base]
-    dirs += face.tail.generators
-    return dirs
+def _image_rows(targets, coords) -> tuple:
+    """One row per coordinate ``j`` in ``coords``: ``factor * image[j]`` on each target's generator.
 
-
-def _quotient_lattice_inverse(proj, vertex) -> tuple[int, list[list[int]]]:
-    """``(s, A)`` with ``L^-1 = A / s`` for ``L = Z^q + Z*vbar`` in ``N/span``.
-
-    ``vbar`` is the image of ``vertex`` under ``proj``, so ``L`` is the image of
-    ``Z^n + Z*vertex``.  With ``vbar = w / mu`` the lattice is ``M / mu`` for the
-    integer HNF basis ``M`` of ``mu*Z^q + Z*w``; one fraction-free inverse of
-    ``M`` serves every face step of a relation block.
-    """
-    w, mu = primitive(project(proj, vertex))
-    q = len(w)
-    rows = [[mu if i == j else 0 for j in range(q)] for i in range(q)] + [list(w)]
-    s, adj = bareiss_inverse(hnf_basis(rows))
-    return s, [[mu * x for x in row] for row in adj]
-
-
-def _step_image(proj, lattice_inverse, big_face: Polyhedron, base):
-    """Primitive generator (in the quotient lattice) of a face-step direction.
-
-    ``big_face`` exceeds the projected-out span by one dimension; its image
-    is a ray, and the result is that ray's first lattice point, on the side
-    of ``big_face``.
-    """
-    for d in _face_directions(big_face, base):
-        image = project(proj, d)
-        if any(image):
-            return minimal_lattice_multiple(image, lattice_inverse)
-    raise AssertionError("face does not step out of the projected span")
-
-
-def _character_rows(characters, proj, targets) -> tuple:
-    """One row per character: ``factor * <m, step>`` on each target's generator.
-
-    ``targets`` holds ``(generator, factor, step)`` triples.
+    ``targets`` holds ``(generator, factor, image)`` triples, ``image`` the
+    primitive image of a coface in the quotient by a cone.  Coordinate ``j``
+    is the pairing with the ``j``-th basis character of that quotient, so each
+    row is the divisor of one character.
     """
     rows = []
-    for m in characters:
+    for j in coords:
         entries: dict[CycleGenerator, int] = {}
-        for gen, factor, step in targets:
-            coeff = _as_int(pair_through_quotient(m, proj, step))
-            if coeff:
-                entries[gen] = entries.get(gen, 0) + coeff * factor
+        for gen, factor, image in targets:
+            if image[j]:
+                entries[gen] = entries.get(gen, 0) + factor * image[j]
         rows.append(tuple(entries.items()))
     return tuple(rows)
 
 
+def _lift(cone: Cone) -> list[IVec]:
+    """Generators of a tail cone at height 0 in rank n+1."""
+    return [g + (0,) for g in cone.generators]
+
+
 def relation_block_v(
-    x: MarkedFansyDivisor, k: int, source: CycleGenerator, base_vertex: int = 0
+    x: MarkedFansyDivisor, k: int, source: CycleGenerator
 ) -> RelationBlock:
     """Divisors of characters on one fiber face of dimension n-k-1.
 
-    One row per basis character of the face's (possibly finite-index)
-    character lattice.  Coefficients land on the dimension-(n-k) fiber faces
-    above it (its cofaces); faces with marked tails are redirected onto the
-    contracted generator with the stabilizer-to-multiplicity ratio as
-    multiplier.
-
-    ``base_vertex`` selects the fiber component the rows are written in
-    (faces with several vertices lie in several components); any choice
-    presents the same quotient, and the default is the first, i.e.
-    lexicographically smallest, vertex.
+    The cycle's lattice is ``Z^(n+1)`` modulo the span of the face's
+    homogenized cone; one row per coordinate of that quotient, i.e. per basis
+    character of the face's (possibly finite-index) character lattice.  Each
+    coefficient is a coordinate of a coface's primitive image: on the
+    dimension-(n-k) fiber faces above the source, with faces whose tails are
+    marked redirected onto the contracted generator with the
+    stabilizer-to-multiplicity ratio as multiplier.
     """
     n = x.rank
     ctx = x.context
     p, face = source.point, source.face
-    base = face.vertices[base_vertex]
-    span = _face_directions(face, base)
-    characters = face_character_lattice(span, base, n)
-    proj = quotient_matrix(span, n)
-    lattice = _quotient_lattice_inverse(proj, base)
-    # each coface as the generator it lands on, the multiplier and its step
+    proj = quotient_matrix(face.cone.generators, n + 1)
+    # each coface as the generator it lands on, the multiplier and its image
     targets = []
     for g in ctx.fibers[p].cofaces[face]:
         if not x.is_marked(g.tail):
@@ -174,8 +133,8 @@ def relation_block_v(
                     f"stabilizer order {s} is not divisible by multiplicity {mu}"
                 )
             gen, factor = CycleGenerator("T", cone=g.tail), s // mu
-        targets.append((gen, factor, _step_image(proj, lattice, g, base)))
-    return RelationBlock(source, _character_rows(characters, proj, targets))
+        targets.append((gen, factor, _cone_image_ray(proj, g.cone.generators)))
+    return RelationBlock(source, _image_rows(targets, range(len(proj[0]))))
 
 
 def relation_block_r(
@@ -183,69 +142,42 @@ def relation_block_r(
 ) -> RelationBlock:
     """Relations on one horizontal uncontracted cycle of dimension k+1.
 
-    Fiber-difference rows (one per special point away from the basepoint)
-    plus one row per basis character of the cone's perp lattice.  The
-    character rows sum the weighted vertex pairings over every special point
-    and add the horizontal ray pairings; containing cones that are marked
-    contribute nothing, since contraction drops their dimension by two.
+    Read in ``Z^(n+1)`` modulo the cone ``tau`` lifted to height 0, whose
+    quotient coordinates are the basis characters of ``tau``'s perp lattice
+    followed by the height.  The last coordinate of a translate face's image
+    is its multiplicity: the fiber-difference rows (one per special point
+    away from the basepoint) are that coordinate at the point minus at the
+    basepoint.  The character rows, one per other coordinate, sum the images
+    of every special point's faces and of the horizontal cofaces; containing
+    cones that are marked contribute nothing, since contraction drops their
+    dimension by two.
     """
     n = x.rank
     tau = source.cone
-    proj = quotient_matrix(tau.generators, n)
+    proj = quotient_matrix(_lift(tau), n + 1)
+    q = len(proj[0]) - 1
     ctx = x.context
-    per_point: dict[str, list[tuple[Polyhedron, int]]] = {}
-    for p in x.points:
-        per_point[p] = [
-            (f, ctx.mu(x, p, f))
+    per_point = {
+        p: [
+            (CycleGenerator("V", point=p, face=f), 1, _cone_image_ray(proj, f.cone.generators))
             for f in ctx.fibers[p].by_tail.get(tau, ())
             if f.dim == tau.dim
         ]
-    rows = []
+        for p in x.points
+    }
     basepoint = x.points[-1]
+    negated = [(gen, -1, image) for gen, _, image in per_point[basepoint]]
+    rows = []
     for p in x.points[:-1]:
-        entries: dict[CycleGenerator, int] = {}
-        for f, mu in per_point[p]:
-            gen = CycleGenerator("V", point=p, face=f)
-            entries[gen] = entries.get(gen, 0) + mu
-        for f, mu in per_point[basepoint]:
-            gen = CycleGenerator("V", point=basepoint, face=f)
-            entries[gen] = entries.get(gen, 0) - mu
-        rows.append(tuple(entries.items()))
-    # each horizontal coface as its generator and image ray, for every character
+        rows.extend(_image_rows(per_point[p] + negated, [q]))
     horizontal = [
-        (CycleGenerator("R", cone=sigma), _cone_image_ray(proj, sigma))
+        (CycleGenerator("R", cone=sigma), 1, _cone_image_ray(proj, _lift(sigma)))
         for sigma in x.tailfan.cofaces[tau]
         if not x.is_marked(sigma)
     ]
-    for m in perp_lattice(tau.generators, n):
-        entries = {}
-        for p in x.points:
-            for f, mu in per_point[p]:
-                coeff = _as_int(mu * dot(m, f.vertices[0]))
-                if coeff:
-                    gen = CycleGenerator("V", point=p, face=f)
-                    entries[gen] = entries.get(gen, 0) + coeff
-        for gen, image in horizontal:
-            coeff = _as_int(pair_through_quotient(m, proj, image))
-            if coeff:
-                entries[gen] = entries.get(gen, 0) + coeff
-        rows.append(tuple(entries.items()))
+    targets = [t for p in x.points for t in per_point[p]] + horizontal
+    rows.extend(_image_rows(targets, range(q)))
     return RelationBlock(source, tuple(rows))
-
-
-def _cone_image_ray(proj, sigma: Cone) -> IVec:
-    """Primitive generator of the image of a cone that projects to a ray."""
-    images = [
-        primitive_direction(project(proj, g))
-        for g in sigma.generators
-        if any(project(proj, g))
-    ]
-    if not images:
-        raise AssertionError("cone projects to zero")
-    first = images[0]
-    if any(im != first for im in images):
-        raise AssertionError("cone does not project onto a single ray")
-    return first
 
 
 def relation_block_t(
@@ -257,30 +189,26 @@ def relation_block_t(
     dimension n-k-1 gives a contracted (k+1)-cycle, whose torus has the
     characters ``m`` in ``tau^perp`` with ``<m, v>`` integral, where
     ``v + tau`` is the unique face with tail ``tau`` over the first point,
-    that is, the dual of the lattice ``(N + Z*v) / span(tau)``.  The divisor
-    of such a character is ``sum <m, n_sigma> [T(sigma)]`` over the cones
-    ``sigma`` one dimension up containing ``tau`` (all marked, the marks
-    being upward closed), where ``n_sigma`` is the first point of that
-    lattice on the image ray of ``sigma``.  (In the toric case ``tau`` is the
-    slice of a cone ``c`` with ``span(c) = span(tau) + Q*(v, 1)``, so
-    ``N / span(c)`` is this lattice and these are its orbit-closure
-    relations.)
+    that is, the dual of the lattice ``(N + Z*v) / span(tau)``.  That lattice
+    is ``Z^(n+1)`` modulo the homogenized cone of ``v + tau``.  The divisor
+    of the ``j``-th basis character is ``sum n_sigma[j] [T(sigma)]`` over the
+    cones ``sigma`` one dimension up containing ``tau`` (all marked, the marks
+    being upward closed), where ``n_sigma`` is the primitive image of
+    ``sigma`` lifted to height 0.  (In the toric case ``tau`` is the slice of
+    a cone ``c`` with ``span(c) = span(tau) + Q*(v, 1)``, so ``N / span(c)``
+    is this lattice and these are its orbit-closure relations.)
     """
     n = x.rank
     tau = source.cone
-    v = unique_face_over(x, tau, x.points[0]).vertices[0]
-    proj = quotient_matrix(tau.generators, n)
-    lattice = _quotient_lattice_inverse(proj, v)
+    proj = quotient_matrix(unique_face_over(x, tau, x.points[0]).cone.generators, n + 1)
     targets = []
     for sigma in x.tailfan.cofaces[tau]:
         if not x.is_marked(sigma):
             raise AssertionError(
                 "marks are not upward closed; validate the divisor first"
             )
-        step = minimal_lattice_multiple(_cone_image_ray(proj, sigma), lattice)
-        targets.append((CycleGenerator("T", cone=sigma), 1, step))
-    characters = face_character_lattice(tau.generators, v, n)
-    return RelationBlock(source, _character_rows(characters, proj, targets))
+        targets.append((CycleGenerator("T", cone=sigma), 1, _cone_image_ray(proj, _lift(sigma))))
+    return RelationBlock(source, _image_rows(targets, range(len(proj[0]))))
 
 
 def relation_blocks(x: MarkedFansyDivisor, k: int) -> list[RelationBlock]:
@@ -372,14 +300,8 @@ def toric_chow_presentation(fan: Fan, k: int) -> ChowPresentation:
     for tau in fan.cones(n - k - 1):
         proj = quotient_matrix(tau.generators, n)
         above = [
-            (CycleGenerator("R", cone=sigma), _cone_image_ray(proj, sigma))
+            (CycleGenerator("R", cone=sigma), 1, _cone_image_ray(proj, sigma.generators))
             for sigma in fan.cofaces[tau]
         ]
-        for m in perp_lattice(tau.generators, n):
-            entries = []
-            for gen, image in above:
-                coeff = _as_int(pair_through_quotient(m, proj, image))
-                if coeff:
-                    entries.append((gen, coeff))
-            rows.append(tuple(entries))
+        rows.extend(_image_rows(above, range(len(proj[0]))))
     return _smith_presentation(k, gens, rows)

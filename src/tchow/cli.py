@@ -57,37 +57,46 @@ class ParseError(ValueError):
 # exact JSON coordinates
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a message, cut to 80 characters with its full length named."""
+    text = repr(value)
+    if len(text) <= 80:
+        return text
+    return f"{text[:80]}... ({len(text)} characters)"
+
+
 def _rat(value) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"coordinates must be integers or 'a/b' strings, got {value!r}")
+        raise ParseError(f"coordinates must be integers or 'a/b' strings, got {_shown(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {value!r}") from exc
-    raise ParseError(f"bad rational {value!r}")
+            raise ParseError(f"bad rational {_shown(value)}") from exc
+    raise ParseError(f"bad rational {_shown(value)}")
 
 
 def _int(value) -> int:
     f = _rat(value)
     if f.denominator != 1:
-        raise ParseError(f"expected an integer, got {value!r}")
+        raise ParseError(f"expected an integer, got {_shown(value)}")
     return int(f)
 
 
 def _rank(value) -> int:
     rank = _int(value)
     if not 0 <= rank <= MAX_RANK:
-        raise ParseError(f"rank must lie in [0, {MAX_RANK}], got {value!r}")
+        raise ParseError(f"rank must lie in [0, {MAX_RANK}], got {_shown(value)}")
     return rank
 
 
 def _vector(value, rank: int, entry=_int) -> tuple:
     """A coordinate vector with exactly ``rank`` entries read by ``entry``."""
     if not isinstance(value, list) or len(value) != rank:
-        raise ParseError(f"expected a vector of length {rank}, got {value!r}")
+        got = f"length {len(value)}: " if isinstance(value, list) else ""
+        raise ParseError(f"expected a vector of length {rank}, got {got}{_shown(value)}")
     return tuple(entry(c) for c in value)
 
 
@@ -97,17 +106,17 @@ _REQUIRED = object()
 def _field(obj, key: str, what: str, default=_REQUIRED):
     """``obj[key]`` for a JSON object ``obj`` called ``what`` in messages."""
     if not isinstance(obj, dict):
-        raise ParseError(f"{what} must be a JSON object, got {obj!r}")
+        raise ParseError(f"{what} must be a JSON object, got {_shown(obj)}")
     if key in obj:
         return obj[key]
     if default is _REQUIRED:
-        raise ParseError(f"{what} needs {key!r}")
+        raise ParseError(f"{what} needs {_shown(key)}")
     return default
 
 
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
-        raise ParseError(f"{what} must be a list, got {value!r}")
+        raise ParseError(f"{what} must be a list, got {_shown(value)}")
     return value
 
 
@@ -131,7 +140,7 @@ def parse_input(doc) -> MarkedFansyDivisor:
         raise ParseError("input document must be a JSON object")
     version = doc.get("schema_version", SCHEMA_VERSION)
     if type(version) is not int or version != SCHEMA_VERSION:  # True and 1.0 equal 1
-        raise ParseError(f"unsupported schema_version {version!r}")
+        raise ParseError(f"unsupported schema_version {_shown(version)}")
     stanzas = [key for key in ("downgrade", "bundle") if key in doc]
     explicit = "complexes" in doc
     if explicit + len(stanzas) != 1:
@@ -157,7 +166,7 @@ def parse_input(doc) -> MarkedFansyDivisor:
             full_until = _int(_field(entry, "full_until", "a filtration"))
             line = _field(entry, "line", "a filtration", None)
             if line is not None and not isinstance(line, str):
-                raise ParseError(f"a filtration line must be a point label, got {line!r}")
+                raise ParseError(f"a filtration line must be a point label, got {_shown(line)}")
             line_until = (
                 None if line is None else _int(_field(entry, "line_until", "a filtration"))
             )
@@ -170,13 +179,13 @@ def parse_input(doc) -> MarkedFansyDivisor:
     rank = _rank(_field(doc, "rank", what))
     points = [str(p) for p in _list(_field(doc, "points", what), "points")]
     if not points or len(set(points)) != len(points):
-        raise ParseError(f"points must be a nonempty list of distinct labels, got {points!r}")
+        raise ParseError(f"points must be a nonempty list of distinct labels, got {_shown(points)}")
     complexes = _field(doc, "complexes", what)
     marked_doc = _list(_field(doc, "marked", what), "marked")
     labeled = []
     for p in points:
         cells = []
-        for cell in _list(_field(complexes, p, "complexes"), f"the cells of point {p!r}"):
+        for cell in _list(_field(complexes, p, "complexes"), f"the cells of point {_shown(p)}"):
             verts = _list(_field(cell, "vertices", "a cell", []), "vertices")
             rays = _list(_field(cell, "rays", "a cell", []), "rays")
             cells.append(
@@ -437,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chow", help="class-group presentations")
     p.add_argument("file", nargs="?", default="-")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--all", action="store_true", help="all k (the default)")
     add_common(p)
     p.set_defaults(func=cmd_chow)
 

@@ -6,7 +6,10 @@ integer row and column operations, determinants and inverses by Bareiss
 elimination.  ``fractions.Fraction`` remains only for rational vertex
 coordinates.  A lattice is given by its canonical row-HNF basis, a tuple of
 integer vectors.  Matrices are plain lists of rows, vectors are tuples, so
-every value is hashable once frozen into a tuple.
+every value is hashable once frozen into a tuple.  A quotient by a span is
+one integer matrix, :func:`quotient_matrix`, whose columns are the basis
+characters: the coordinates of an image are its pairings with them, so no
+character is ever solved for.
 """
 
 from __future__ import annotations
@@ -31,10 +34,6 @@ def dot(u: Sequence, v: Sequence):
 
 def vadd(u: Sequence, v: Sequence) -> tuple:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -273,32 +272,6 @@ def perp_lattice(span_basis: Sequence[Sequence], ambient_rank: int) -> tuple[IVe
     return integer_kernel(int_rows, ambient_rank)
 
 
-def face_character_lattice(
-    tail_span: Sequence[Sequence], vertex_image: Sequence, ambient_rank: int
-) -> tuple[IVec, ...]:
-    """Characters integral on a face, ``{m ⟂ tail_span : <m, vertex> ∈ Z}``, as an HNF basis.
-
-    The index of the result inside the perp lattice of ``tail_span`` equals
-    the multiplicity of ``vertex_image``.
-    """
-    m0 = perp_lattice(tail_span, ambient_rank)
-    if not m0:
-        return m0
-    vert = vec(vertex_image)
-    vals = [dot(b, vert) for b in m0]
-    q = lcm(*(t.denominator for t in vals))
-    if q == 1:
-        return m0
-    row = [int(t * q) for t in vals] + [q]
-    kern = integer_kernel([row], len(m0) + 1)
-    coeff_rows = [k[:-1] for k in kern]
-    new_rows = [
-        [sum(c[i] * m0[i][j] for i in range(len(m0))) for j in range(ambient_rank)]
-        for c in coeff_rows
-    ]
-    return hnf_basis(new_rows)
-
-
 def quotient_matrix(span_rows: Sequence[Sequence], ambient_rank: int) -> list[list[int]]:
     """Integer matrix ``P`` (n x q) realizing the projection ``N -> N/span``.
 
@@ -315,42 +288,3 @@ def project(p_matrix: Sequence[Sequence[int]], x: Sequence) -> tuple:
     """Apply a quotient matrix: image of row vector ``x``."""
     cols = len(p_matrix[0]) if p_matrix else 0
     return tuple(sum(x[i] * p_matrix[i][j] for i in range(len(x))) for j in range(cols))
-
-
-def pair_through_quotient(
-    m: Sequence[int], p_matrix: Sequence[Sequence[int]], image_vec: Sequence
-):
-    """Pair an integer character ``m`` that kills ``ker(P)`` with a vector in the quotient.
-
-    Solves ``m = P @ mbar`` in integers through the pivot rows of ``P``, whose
-    columns are an HNF basis (see :func:`quotient_matrix`), and returns
-    ``<mbar, image_vec>``.  Raises ValueError when ``m`` does not vanish on
-    ``ker(P)``.
-    """
-    q = len(p_matrix[0]) if p_matrix else 0
-    mbar: list[int] = []
-    for j in range(q):
-        c = next(i for i, row in enumerate(p_matrix) if row[j])
-        mbar.append((m[c] - dot(mbar, p_matrix[c][:j])) // p_matrix[c][j])
-    if mat_vec(p_matrix, mbar) != tuple(m):
-        raise ValueError("character does not vanish on the projected-out span")
-    return dot(mbar, image_vec)
-
-
-def minimal_lattice_multiple(
-    q_vec: Sequence, inverse: tuple[int, Sequence[Sequence[int]]]
-) -> tuple:
-    """Smallest positive multiple of ``q_vec`` lying in a full-rank lattice ``L``.
-
-    ``inverse`` is ``(s, A)`` with integer ``A`` and ``L^-1 = A / s`` (``L``
-    written as a matrix of basis rows), so the lattice coordinates of
-    ``q_vec`` are ``q_vec @ A / s``.
-    """
-    w, mu = primitive(q_vec)
-    s, a = inverse
-    g = gcd(*(dot(w, col) for col in zip(*a)))
-    if g == 0:
-        return vec(q_vec)
-    # the coordinates are (w @ A) / (mu * s), and w @ A has content g
-    c = abs(Fraction(mu * s, g))
-    return tuple(c * a for a in vec(q_vec))

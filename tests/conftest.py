@@ -3,17 +3,29 @@ oracles and identities the tests check the library against, which the
 pipeline itself does not use."""
 
 import random
+from collections.abc import Sequence
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from tchow.build import InconsistentFiltrationsError, KlyachkoBundle, RayFiltration, _cone_delta, bundle_labels
 from tchow.build import _p1p1_fan as p1p1_fan, _p2_fan as p2_fan  # noqa: F401  (for the tests)
-from tchow.chow import _cone_image_ray, _face_directions, _quotient_lattice_inverse, _step_image
-from tchow.exactlin import det, dot, primitive_direction, quotient_matrix, vec
+from tchow.chow import _cone_image_ray
+from tchow.exactlin import (
+    bareiss_inverse,
+    det,
+    dot,
+    hnf_basis,
+    primitive,
+    primitive_direction,
+    project,
+    quotient_matrix,
+    vec,
+)
 from tchow.fansy import MarkedFansyDivisor, mu_of_face, sigma_as_complex, unique_face_over
 from tchow.polyhedra import (
     Cone,
     Fan,
+    Polyhedron,
     make_cone,
     make_fan,
     make_polyhedron,
@@ -230,6 +242,64 @@ def deg_xi(x: MarkedFansyDivisor):
     return out
 
 
+def vsub(u: Sequence, v: Sequence) -> tuple:
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def minimal_lattice_multiple(
+    q_vec: Sequence, inverse: tuple[int, Sequence[Sequence[int]]]
+) -> tuple:
+    """Smallest positive multiple of ``q_vec`` lying in a full-rank lattice ``L``.
+
+    ``inverse`` is ``(s, A)`` with integer ``A`` and ``L^-1 = A / s`` (``L``
+    written as a matrix of basis rows), so the lattice coordinates of
+    ``q_vec`` are ``q_vec @ A / s``.
+    """
+    w, mu = primitive(q_vec)
+    s, a = inverse
+    g = gcd(*(dot(w, col) for col in zip(*a)))
+    if g == 0:
+        return vec(q_vec)
+    # the coordinates are (w @ A) / (mu * s), and w @ A has content g
+    c = abs(Fraction(mu * s, g))
+    return tuple(c * a for a in vec(q_vec))
+
+
+def _face_directions(face: Polyhedron, base) -> list:
+    dirs = [vsub(v, base) for v in face.vertices if v != base]
+    dirs += face.tail.generators
+    return dirs
+
+
+def _quotient_lattice_inverse(proj, vertex) -> tuple[int, list[list[int]]]:
+    """``(s, A)`` with ``L^-1 = A / s`` for ``L = Z^q + Z*vbar`` in ``N/span``.
+
+    ``vbar`` is the image of ``vertex`` under ``proj``, so ``L`` is the image of
+    ``Z^n + Z*vertex``.  With ``vbar = w / mu`` the lattice is ``M / mu`` for the
+    integer HNF basis ``M`` of ``mu*Z^q + Z*w``; one fraction-free inverse of
+    ``M`` serves every face step of a relation block.
+    """
+    w, mu = primitive(project(proj, vertex))
+    q = len(w)
+    rows = [[mu if i == j else 0 for j in range(q)] for i in range(q)] + [list(w)]
+    s, adj = bareiss_inverse(hnf_basis(rows))
+    return s, [[mu * x for x in row] for row in adj]
+
+
+def _step_image(proj, lattice_inverse, big_face: Polyhedron, base):
+    """Primitive generator (in the quotient lattice) of a face-step direction.
+
+    ``big_face`` exceeds the projected-out span by one dimension; its image
+    is a ray, and the result is that ray's first lattice point, on the side
+    of ``big_face``.
+    """
+    for d in _face_directions(big_face, base):
+        image = project(proj, d)
+        if any(image):
+            return minimal_lattice_multiple(image, lattice_inverse)
+    raise AssertionError("face does not step out of the projected span")
+
+
 def face_pair_sides(x: MarkedFansyDivisor, p: str, small, big):
     """Both sides of the multiplicity identity for a nested tail-collapsed pair.
 
@@ -245,7 +315,7 @@ def face_pair_sides(x: MarkedFansyDivisor, p: str, small, big):
     step = _step_image(proj, lattice, big, base)
     mu_small = mu_of_face(x, p, small)
     lhs = tuple(mu_small * c for c in vec(step))
-    sigma_image = _cone_image_ray(proj, big.tail)
+    sigma_image = _cone_image_ray(proj, big.tail.generators)
     mu_big = mu_of_face(x, p, big)
     rhs = tuple(Fraction(mu_big * c) for c in sigma_image)
     return lhs, rhs

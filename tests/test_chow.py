@@ -258,29 +258,6 @@ def test_multiplicity_step_identity_random_downgrades():
                         assert lhs == rhs
 
 
-def test_component_choice_invariance(gr24):
-    # writing the vertical relation rows in the other fiber component of each
-    # multi-vertex face presents the same quotient
-    from tchow.chow import _smith_presentation, relation_block_r, relation_block_t
-
-    for x in (gr24, fixture("p1p1_bundle")):
-        for k in range(x.rank + 1):
-            level = enumerate_generators(x, k + 1)
-            if not any(len(f.face.vertices) > 1 for f in level.v):
-                continue
-            rows = []
-            for f in level.v:
-                rows.extend(
-                    relation_block_v(x, k, f, base_vertex=len(f.face.vertices) - 1).rows
-                )
-            for c in level.r:
-                rows.extend(relation_block_r(x, k, c).rows)
-            for c in level.t:
-                rows.extend(relation_block_t(x, k, c).rows)
-            alt = _smith_presentation(k, enumerate_generators(x, k).ordered(), rows)
-            assert alt.smith == presentation(x, k).smith, (k,)
-
-
 def test_presentation_is_built_once_and_shared(monkeypatch):
     from tchow import chow
     from tchow.effcone import eff_generators
@@ -317,8 +294,8 @@ def test_step_image_once_per_source_and_coface(monkeypatch):
     from tchow import chow
 
     calls = []
-    real = chow._step_image
-    monkeypatch.setattr(chow, "_step_image", lambda *a: calls.append(a) or real(*a))
+    real = chow._cone_image_ray
+    monkeypatch.setattr(chow, "_cone_image_ray", lambda *a: calls.append(a) or real(*a))
     several = 0
     for x in (fixture("gr24"), fixture("p1p1_bundle")):
         for k in range(x.rank + 1):

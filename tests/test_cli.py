@@ -251,6 +251,13 @@ BAD_DOCUMENTS = {
             "marked": [],
         },
     ),
+    # oversized values are echoed only as a bounded prefix
+    "huge_generator": ("oracle", {"rank": 2, "maximal_cones": [[[0] * 100_000]]}),
+    "huge_rational": ("oracle", {"rank": 2, "maximal_cones": [[["1/" + "x" * 50_000, 0]]]}),
+    "many_repeated_points": (
+        "validate",
+        {"rank": 1, "points": ["0"] * 3_000, "complexes": {"0": [P1_CELL]}, "marked": []},
+    ),
 }
 
 
@@ -260,7 +267,9 @@ def test_bad_document_is_parse_error(tmp_path, capsys, name):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert main([command, str(path)]) == 2
-    assert capsys.readouterr().err.startswith("parse error:")
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:")
+    assert len(err.encode()) < 1_000
 
 
 def test_unreadable_file_is_parse_error(tmp_path, capsys):

@@ -5,19 +5,16 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import fraction_primitive, lattice_index, solve_left
+from conftest import fraction_primitive, lattice_index, minimal_lattice_multiple, solve_left
 
 from tchow.exactlin import (
     bareiss_inverse,
     det,
-    face_character_lattice,
     hnf,
     hnf_basis,
     identity_matrix,
     integer_kernel,
     mat_mul,
-    minimal_lattice_multiple,
-    pair_through_quotient,
     perp_lattice,
     primitive,
     primitive_direction,
@@ -174,6 +171,13 @@ def test_lattice_index_multiplicative(rows, scale):
     )
 
 
+def face_character_lattice(span, vertex, n):
+    """Characters integral on ``vertex + span``: the first n coordinates of the
+    quotient columns of the homogenized point plus span."""
+    gens = [tuple(v) + (0,) for v in span] + [tuple(vertex) + (1,)]
+    return tuple(col[:n] for col in zip(*quotient_matrix(gens, n + 1)))
+
+
 def test_face_character_lattice():
     lat = face_character_lattice([], vec([Fraction(1, 2)]), 1)
     assert lat == ((2,),)
@@ -268,11 +272,10 @@ def test_quotient_matrix_and_pairing():
     # the projection hits all of Z^2
     img = hnf_basis([list(project(p, e)) for e in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
     assert img == full_lattice(2)
-    m = (1, -1, 0)  # kills (1,1,0)
-    val = pair_through_quotient(m, p, project(p, (1, 0, 0)))
-    assert val == dot_check(m, (1, 0, 0))
-    with pytest.raises(ValueError):
-        pair_through_quotient((1, 0, 0), p, (1, 0))
+    # the image coordinates are the pairings with the perp lattice's basis
+    chars = perp_lattice([vec([1, 1, 0])], 3)
+    assert (1, -1, 0) in chars  # kills (1,1,0)
+    assert project(p, (1, 0, 0)) == tuple(dot_check(m, (1, 0, 0)) for m in chars)
     rng = random.Random(5)
     for _ in range(150):
         n = rng.randint(1, 5)
@@ -286,14 +289,8 @@ def test_quotient_matrix_and_pairing():
         if q:  # onto Z^q: every Smith invariant of P is 1
             _, d, _ = snf_transforms(p)
             assert [d[i][i] for i in range(q)] == [1] * q
-        chars = perp_lattice(span, n)
         x = [rng.randint(-4, 4) for _ in range(n)]
-        for m in chars:
-            assert pair_through_quotient(m, p, project(p, x)) == dot_check(m, x)
-        if dim:
-            bad = next(e for e in full_lattice(n) if any(dot_check(e, v) for v in span))
-            with pytest.raises(ValueError):
-                pair_through_quotient(bad, p, project(p, x))
+        assert project(p, x) == tuple(dot_check(m, x) for m in perp_lattice(span, n))
 
 
 def test_quotient_matrix_takes_one_kernel(monkeypatch):

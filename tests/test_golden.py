@@ -2,22 +2,34 @@
 
 The digests were recorded with the program as it was before faces,
 intersections and slices were built from their extreme rays, so a change that
-moves any byte of these outputs fails here.  To print the digests of the
-current program (to record them after a deliberate change of output), run::
+moves any byte of these outputs fails here.  ``CORPUS_DIGEST`` pins the
+relation rows and class maps of seeded random downgrades and bundles beyond
+the fixtures, at every k.  To print the digests of the current program (to
+record them after a deliberate change of output), run::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
 import json
+import random
 import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
-from conftest import fan_document
+from conftest import fan_document, p1p1_fan, p2_fan, random_bundle, random_complete_fan
 
-from tchow.build import FIXTURE_NAMES, fixture, p2_projectivized_fan
-from tchow.cli import divisor_document, main
+from tchow.build import (
+    FIXTURE_NAMES,
+    DowngradeInput,
+    bundle_rank2,
+    downgrade,
+    fixture,
+    p2_projectivized_fan,
+)
+from tchow.chow import presentation
+from tchow.cli import divisor_document, main, parse_fan
 
 GOLDEN = {
     "gr24 validate": "e7f4ad0446efb9b429d7f293e794b9ad1103d6ed2d002ca061e568b9bd6bc030",
@@ -52,6 +64,36 @@ GOLDEN = {
     "p2_E_fan oracle": "799f099db389e5050b99c8e9f1679e66a3dfd6fea3528827abf9d3dfff059778",
     "p2_F_fan oracle": "82a63283feaf9950bacb5168c22fa650cb9d3c12da5ef81f4757d2892e5aa735",
 }
+
+RECORDED_RANK4_FAN = Path(__file__).resolve().parent.parent / "bench" / "data" / "r4_defect_fan.json"
+CORPUS_DIGEST = "b19ab087b7694fd418f6b48e63234d5f388338ef5a0c95999b686c14bbc624f6"
+
+
+def corpus_divisors():
+    """10 rank-3 and 4 rank-4 downgrades, then 10 seeded bundles.
+
+    The rank-4 fans (three seeded, one recorded) have contracted cycles whose
+    character lattice is a proper sublattice of the perp lattice.
+    """
+    for s in range(10):
+        yield downgrade(DowngradeInput(random_complete_fan(random.Random(500 + s), 3, 5)))
+    for s in (0, 17, 28):
+        yield downgrade(DowngradeInput(random_complete_fan(random.Random(1000 + s), 4, 5)))
+    yield downgrade(DowngradeInput(parse_fan(json.loads(RECORDED_RANK4_FAN.read_text()))))
+    rng = random.Random(2024)
+    bases = [p2_fan(), p1p1_fan()]
+    for i in range(10):
+        yield bundle_rank2(random_bundle(rng, bases[i % 2]))
+
+
+def corpus_digest() -> str:
+    """sha256 over ``(k, relations, class_map)`` of every corpus divisor at every k."""
+    h = hashlib.sha256()
+    for x in corpus_divisors():
+        for k in range(x.rank + 2):
+            pres = presentation(x, k)
+            h.update(json.dumps([k, pres.relations, pres.class_map]).encode())
+    return h.hexdigest()
 
 
 @lru_cache(maxsize=None)
@@ -95,10 +137,14 @@ def test_golden_output(tmp_path, key):
     assert output_digest(tmp_path, command, doc) == GOLDEN[key]
 
 
+def test_corpus_relations_and_class_maps():
+    assert corpus_digest() == CORPUS_DIGEST
+
+
 if __name__ == "__main__":
     import tempfile
-    from pathlib import Path
 
     with tempfile.TemporaryDirectory() as tmp:
         for key, (command, doc) in documents().items():
             sys.stdout.write(f'    "{key}": "{output_digest(Path(tmp), command, doc)}",\n')
+    sys.stdout.write(f'CORPUS_DIGEST = "{corpus_digest()}"\n')
