@@ -103,9 +103,7 @@ def _lift(cone: Cone) -> list[IVec]:
     return [g + (0,) for g in cone.generators]
 
 
-def relation_block_v(
-    x: MarkedFansyDivisor, k: int, source: CycleGenerator
-) -> RelationBlock:
+def relation_block_v(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationBlock:
     """Divisors of characters on one fiber face of dimension n-k-1.
 
     The cycle's lattice is ``Z^(n+1)`` modulo the span of the face's
@@ -137,9 +135,7 @@ def relation_block_v(
     return RelationBlock(source, _image_rows(targets, range(len(proj[0]))))
 
 
-def relation_block_r(
-    x: MarkedFansyDivisor, k: int, source: CycleGenerator
-) -> RelationBlock:
+def relation_block_r(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationBlock:
     """Relations on one horizontal uncontracted cycle of dimension k+1.
 
     Read in ``Z^(n+1)`` modulo the cone ``tau`` lifted to height 0, whose
@@ -180,9 +176,7 @@ def relation_block_r(
     return RelationBlock(source, tuple(rows))
 
 
-def relation_block_t(
-    x: MarkedFansyDivisor, k: int, source: CycleGenerator
-) -> RelationBlock:
+def relation_block_t(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationBlock:
     """Divisors of characters on the contracted cycle of one marked cone.
 
     The paper's relation for contracted cycles: a marked cone ``tau`` of
@@ -218,11 +212,11 @@ def relation_blocks(x: MarkedFansyDivisor, k: int) -> list[RelationBlock]:
     level = enumerate_generators(x, k + 1)
     blocks = []
     for f in level.v:
-        blocks.append(relation_block_v(x, k, f))
+        blocks.append(relation_block_v(x, f))
     for c in level.r:
-        blocks.append(relation_block_r(x, k, c))
+        blocks.append(relation_block_r(x, c))
     for c in level.t:
-        blocks.append(relation_block_t(x, k, c))
+        blocks.append(relation_block_t(x, c))
     return blocks
 
 

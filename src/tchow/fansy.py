@@ -385,7 +385,9 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
         if tf != x.tailfan:
             add("TAILFAN_MISMATCH", f"fiber over {p} has a different tailfan")
             complexes_ok = False
-    if not complexes_ok or not fan_is_complete(x.tailfan):
+    # past this point the tailfan is a valid complete fan (with a point, its
+    # validity was checked as each fiber's tail fan)
+    if not complexes_ok or fan_validate(x.tailfan) or not fan_is_complete(x.tailfan):
         return out
 
     fan_all = set(x.tailfan.all_cones())
@@ -397,9 +399,11 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
     if any(v.code == "MARK_NOT_IN_FAN" for v in out):
         return out
 
+    # in a fan, a cone contains another exactly when it is a face of it, that
+    # is, when it holds the other's rays: no H-data is needed
     for tau in x.marked:
         for sigma in fan_all:
-            if sigma.dim > tau.dim and sigma.contains_cone(tau) and sigma not in x.marked:
+            if sigma.dim > tau.dim and set(tau.generators) <= set(sigma.generators) and sigma not in x.marked:
                 add(
                     "MARKS_NOT_UPWARD_CLOSED",
                     f"{tau.generators} is marked but the containing cone "

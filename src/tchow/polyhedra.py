@@ -7,18 +7,24 @@ A polyhedron ``P`` is read through its homogenized cone, the cone over
 meets, containment and dimension are those of that cone.  A cone's
 H-representation (facet normals and span equations) is derived from its
 V-data when first read, once per object, and kept on it.  Conversion both
-ways is one exact integer double-description routine, :func:`_extreme_rays`:
-facets of a cone are the extreme rays of its dual.  Each conversion takes one
-lattice kernel of its generators, which gives both the span equations and the
-span's saturated basis.
+ways is one exact integer double description, :func:`_extreme_rays` (which
+starts from a simplicial cone and adds rows with :func:`_add_rows`): facets
+of a cone are the extreme rays of its dual.  Each conversion takes one
+lattice kernel of its generators, the span equations.  A full-dimensional
+cone has none and is converted as it is; a lower-dimensional one also takes
+the kernel of its equations, the span's saturated basis, and one Smith form
+for coordinates on it.
 
 :func:`make_cone` and :func:`make_polyhedron` canonicalize arbitrary input and
-keep the H-data they computed on the way.  Everything whose extreme rays are
-already known is built from them directly, with no kernel: faces (from the
-ray-facet incidences of the cone, closed under intersection, in the spirit of
-Kaibel & Pfetsch 2002; a polyhedron's faces are its cone's faces that hold a
-vertex), intersections and H-described polyhedra (whose double description
-yields extreme rays), tails, and cones as polyhedra.
+keep the H-data they computed on the way: one double description finds the
+facets, and the extreme rays are the generators whose facet incidences no
+other generator's contain.  Everything whose extreme rays are already known
+is built from them directly, with no kernel: faces (from the ray-facet
+incidences of the cone, closed under intersection, in the spirit of Kaibel &
+Pfetsch 2002; a polyhedron's faces are its cone's faces that hold a vertex),
+intersections and H-described polyhedra (whose double description yields
+extreme rays; a meet with a full-dimensional cone starts from that cone's
+rays), tails, and cones as polyhedra.
 
 Face queries are answered from hashed sets.  The faces of a cone or a
 polyhedron, and the set :func:`cone_is_face_of` tests membership in, are held
@@ -76,24 +82,6 @@ class IncompleteFanError(GeometryError):
 # span coordinates and the double description
 
 
-def _span_coords(int_gens: Sequence[IVec], n: int):
-    """Span equations ``E``, saturated basis ``B`` of the span, coordinate map ``Q``.
-
-    ``E`` is the HNF basis of the integer equations vanishing on the
-    generators, and ``B`` that of the lattice they cut out, so one kernel of
-    the generators serves both.  ``coords(x) = x @ Q`` identifies the span
-    lattice with Z^r; ``x = c @ B`` maps back.
-    """
-    eqs = perp_lattice(int_gens, n)
-    b = [list(r) for r in perp_lattice(eqs, n)]
-    r = len(b)
-    if r == 0:
-        return eqs, [], [], 0
-    u, _, v = snf_transforms(b)
-    q = mat_mul([[v[i][j] for j in range(r)] for i in range(n)], u)
-    return eqs, b, q, r
-
-
 def _independent_rows(rows: Sequence[IVec], r: int) -> list[int]:
     """Indices of up to ``r`` independent rows, taken greedily in input order.
 
@@ -130,10 +118,7 @@ def _extreme_rays(rows: Sequence[IVec], r: int) -> list[IVec]:
     Double description (Motzkin et al. 1953): start from the simplicial cone
     of ``r`` independent rows, whose rays are the columns of the adjugate of
     those rows (one fraction-free inverse) made primitive, and add the other
-    rows in input order.  A ray carries the bitmask of the rows it is tight
-    on; a (+, -) pair is joined on the new hyperplane only when adjacent,
-    which by the combinatorial test (Fukuda & Prodon 1996) means no other ray
-    is tight on every row both are.
+    rows in input order with :func:`_add_rows`.
     """
     if r == 0:
         return []
@@ -149,9 +134,21 @@ def _extreme_rays(rows: Sequence[IVec], r: int) -> list[IVec]:
         if dot(rows[i], y) < 0:
             y = tuple(-x for x in y)
         rays.append((y, basis_mask & ~(1 << i)))
-    for i, a in enumerate(rows):
-        if basis_mask >> i & 1:
-            continue
+    return _add_rows(rays, [(i, a) for i, a in enumerate(rows) if not basis_mask >> i & 1], r)
+
+
+def _add_rows(
+    rays: list[tuple[IVec, int]], rows: Iterable[tuple[int, IVec]], r: int
+) -> list[IVec]:
+    """Cut a pointed cone in Q^r by more rows; its primitive extreme rays, sorted.
+
+    ``rays`` are the extreme rays of the cone so far, each with the bitmask of
+    the rows it is tight on, and ``rows`` the pairs ``(bit, a)`` still to
+    add, each meaning ``a . y >= 0``.  A (+, -) pair of rays is joined on the
+    new hyperplane only when adjacent, which by the combinatorial test
+    (Fukuda & Prodon 1996) means no other ray is tight on every row both are.
+    """
+    for i, a in rows:
         bit = 1 << i
         kept, pos, neg = [], [], []
         for y, mask in rays:
@@ -199,13 +196,30 @@ def _h_to_generators(
 
 
 def _span_facets(gens: Sequence[IVec], n: int):
-    """Span equations, span basis ``B``, coordinate map ``Q`` and facets of a cone.
+    """Span equations, dimension and facet normals of the cone on ``gens``.
 
-    ``gens`` are integer generators of the cone; the facet normals are
-    returned in span coordinates (``mat_vec(Q, w)`` lifts one to Z^n).
+    ``gens`` are nonzero integer vectors.  One lattice kernel gives the span
+    equations ``E`` (its HNF basis).  With none, the span is Q^n and the
+    facets come from the generators as they are.  Otherwise ``B``, the HNF
+    basis of the lattice ``E`` cuts out, is saturated, and its Smith
+    transforms give the coordinate map ``Q`` (``coords(x) = x @ Q``, with
+    ``x = c @ B`` back): the facets are found in Z^r and lifted by ``Q``.
+    The normals are returned sorted.
     """
-    eqs, b, q, r = _span_coords(gens, n)
-    return eqs, b, q, _extreme_rays([project(q, g) for g in gens], r)
+    eqs = perp_lattice(gens, n)
+    if not eqs:
+        return eqs, n, tuple(_extreme_rays(gens, n))
+    b = [list(r) for r in perp_lattice(eqs, n)]
+    r = len(b)
+    u, _, v = snf_transforms(b)
+    q = mat_mul([[v[i][j] for j in range(r)] for i in range(n)], u)
+    normals_c = _extreme_rays([project(q, g) for g in gens], r)
+    return eqs, r, tuple(sorted(mat_vec(q, w) for w in normals_c))
+
+
+def _tight(normals: Sequence[IVec], y: Sequence) -> int:
+    """Bitmask of the normals that vanish on ``y``."""
+    return sum(1 << j for j, u in enumerate(normals) if dot(u, y) == 0)
 
 
 def _keep(obj, **derived):
@@ -258,8 +272,8 @@ class Cone(Value):
 
     @cached_property
     def _h_data(self) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
-        eqs, _, q, normals_c = _span_facets(self.generators, self.ambient_rank)
-        return tuple(sorted(mat_vec(q, w) for w in normals_c)), eqs
+        eqs, _, normals = _span_facets(self.generators, self.ambient_rank)
+        return normals, eqs
 
     @cached_property
     def normals(self) -> tuple[IVec, ...]:
@@ -305,19 +319,26 @@ def _cone_on_rays(rays: Iterable[IVec], ambient_rank: int) -> Cone:
 
 
 def make_cone(generators: Iterable[Sequence], ambient_rank: int) -> Cone:
-    """Canonicalize arbitrary generators into a Cone (raises if not pointed)."""
-    prims = []
-    for g in generators:
-        d = primitive_direction(g)
-        if any(d):
-            prims.append(d)
-    if not prims:
+    """Canonicalize arbitrary generators into a Cone (raises if not pointed).
+
+    The extreme rays are read off the facet incidences: they are among the
+    primitive generators, and as every face is an intersection of facets, a
+    generator is extreme unless another one is tight on every facet it is.
+    The cone is pointed iff its facet normals have rank its dimension.
+    """
+    gens = sorted({d for d in map(primitive_direction, generators) if any(d)})
+    if not gens:
         return zero_cone(ambient_rank)
-    eqs, b, q, normals_c = _span_facets(prims, ambient_rank)
-    rays_c = _extreme_rays(normals_c, len(b))
-    c = _cone_on_rays((project(b, y) for y in rays_c), ambient_rank)
-    normals = tuple(sorted(mat_vec(q, w) for w in normals_c))
-    return _keep(c, normals=normals, span_eqs=eqs, dim=len(b))
+    eqs, r, normals = _span_facets(gens, ambient_rank)
+    if len(_independent_rows(normals, r)) < r:
+        raise GeometryError("cone is not pointed")
+    masks = [_tight(normals, g) for g in gens]
+    rays = tuple(
+        g
+        for i, (g, m) in enumerate(zip(gens, masks))
+        if not any(o & m == m for j, o in enumerate(masks) if j != i)
+    )
+    return _keep(Cone(ambient_rank, rays), normals=normals, span_eqs=eqs, dim=r)
 
 
 @lru_cache(maxsize=None)
@@ -345,10 +366,22 @@ def cone_is_face_of(f: Cone, c: Cone) -> bool:
 
 
 def cone_intersect(a: Cone, b: Cone) -> Cone:
+    """The meet of two cones, canonical.
+
+    When one side is full-dimensional its extreme rays, with their tight
+    facets, are already a double description of it: the other side's facets
+    and span equations (each as a pair of opposite rows) are added to that.
+    """
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient rank mismatch")
-    gens = _h_to_generators(a.normals + b.normals, a.span_eqs + b.span_eqs, a.ambient_rank)
-    return _cone_on_rays(gens, a.ambient_rank)
+    n = a.ambient_rank
+    if a.span_eqs and not b.span_eqs:
+        a, b = b, a
+    if a.span_eqs:
+        return _cone_on_rays(_h_to_generators(a.normals + b.normals, a.span_eqs + b.span_eqs, n), n)
+    seed = [(g, _tight(a.normals, g)) for g in a.generators]
+    rows = b.normals + b.span_eqs + tuple(tuple(-x for x in e) for e in b.span_eqs)
+    return _cone_on_rays(_add_rows(seed, enumerate(rows, len(a.normals)), n), n)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ from math import comb
 import pytest
 from conftest import (
     face_pair_sides,
+    p1p1_fan,
     random_complete_fan,
     with_extra_generic_point,
     with_point_order,
 )
 
-from tchow.build import DowngradeInput, downgrade, fixture
+from tchow.build import DowngradeInput, KlyachkoBundle, RayFiltration, bundle_rank2, downgrade, fixture
 from tchow.chow import (
     IncompleteFanError,
     presentation,
@@ -20,6 +21,8 @@ from tchow.chow import (
 from tchow.fansy import (
     CycleGenerator,
     enumerate_generators,
+    mu_of_face,
+    s_sigma,
     validate,
 )
 from tchow import polyhedra
@@ -109,7 +112,7 @@ def test_gr24_vertex_relations_match_worked_example(gr24):
     # rows at the origin vertex of the fiber over 0, in ray coordinates:
     # the first character pairs +1 with two marked rays and -1 with the edge
     source = _vertex_generator(gr24, "0", (0, 0, 0))
-    block = relation_block_v(gr24, 2, source)
+    block = relation_block_v(gr24, source)
     assert len(block.rows) == 3
     readable = []
     for row in block.rows:
@@ -301,11 +304,33 @@ def test_step_image_once_per_source_and_coface(monkeypatch):
         for k in range(x.rank + 1):
             for source in enumerate_generators(x, k + 1).v:
                 calls.clear()
-                block = relation_block_v(x, k, source)
+                block = relation_block_v(x, source)
                 cofaces = x.context.fibers[source.point].cofaces[source.face]
                 assert len(calls) == len(cofaces)
                 several += len(block.rows) > 1 and len(cofaces) > 0
     assert several
+
+
+def test_redirect_factor_above_one():
+    # a nonsplit bundle over P1xP1 whose face over inf with tail (-1,-1) has
+    # stabilizer order 2 and multiplicity 1, so V rows redirect onto that
+    # contracted cycle with factor 2; the projective bundle formula gives
+    # A_k = A_k(P1xP1) + A_(k-1)(P1xP1), free of ranks 1, 3, 3, 1
+    b = KlyachkoBundle(
+        p1p1_fan(),
+        (
+            ((-1, 0), RayFiltration(1, "1", 3)),
+            ((0, -1), RayFiltration(2, "0", 4)),
+            ((0, 1), RayFiltration(-1, "1", 1)),
+            ((1, 0), RayFiltration(0, "inf", 1)),
+        ),
+    )
+    x = bundle_rank2(b)
+    assert validate(x).ok
+    tail = make_cone([(-1, -1)], 2)
+    (face,) = x.context.fibers["inf"].by_tail[tail]
+    assert (s_sigma(x, tail), mu_of_face(x, "inf", face)) == (2, 1)
+    assert [presentation(x, k).smith for k in range(4)] == [(r, ()) for r in (1, 3, 3, 1)]
 
 
 # seeds 0, 17, 28, 32, 36, 46 and 58 have contracted-cycle relations whose

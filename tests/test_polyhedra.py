@@ -433,14 +433,19 @@ def saturation(rows, n):
     return perp_lattice(perp_lattice(rows, n), n)
 
 
-def reference_h_data(gens, n):
-    """Sorted relative facet normals and span equations of the cone on ``gens``."""
+def span_lattice(gens, n):
+    """Saturated basis ``B`` of the span of ``gens`` and coordinates ``x @ Q`` on it."""
     sat = saturation([list(g) for g in gens], n)
     r = len(sat)
     u, _, v = snf_transforms([list(b) for b in sat])
-    q = mat_mul([[v[i][j] for j in range(r)] for i in range(n)], u)
+    return sat, mat_mul([[v[i][j] for j in range(r)] for i in range(n)], u)
+
+
+def reference_h_data(gens, n):
+    """Sorted relative facet normals and span equations of the cone on ``gens``."""
+    sat, q = span_lattice(gens, n)
     coords = [tuple(dot(g, col) for col in zip(*q)) for g in gens]
-    normals = [tuple(dot(w, row) for row in q) for w in _extreme_rays(coords, r)]
+    normals = [tuple(dot(w, row) for row in q) for w in _extreme_rays(coords, len(sat))]
     return sorted(normals), list(perp_lattice([list(g) for g in gens], n))
 
 
@@ -512,6 +517,89 @@ def test_polyhedron_h_data_matches_reference():
     assert lower > 60 and fractional > 150
 
 
+def brute_cone(gens, n):
+    """Extreme rays, facet normals and span equations of the cone on nonzero ``gens``.
+
+    In coordinates of the span lattice, the facets are the brute-force facets
+    of the generators and the rays the brute-force rays of those facets
+    (``GeometryError`` when the cone is not pointed).
+    """
+    prims = sorted({fraction_direction(g) for g in gens if any(g)})
+    sat, q = span_lattice(prims, n)
+    r = len(sat)
+    facets = brute_facets([tuple(dot(g, col) for col in zip(*q)) for g in prims], r)
+    rays = [tuple(dot(y, col) for col in zip(*sat)) for y in brute_rays(facets, r)]
+    normals = [tuple(dot(w, row) for row in q) for w in facets]
+    return tuple(sorted(rays)), tuple(sorted(normals)), perp_lattice(prims, n)
+
+
+def cone_or_error(gens, n):
+    try:
+        c = make_cone(gens, n)
+    except GeometryError as exc:
+        return str(exc)
+    return c.generators, c.normals, c.span_eqs
+
+
+def test_make_cone_matches_brute_force():
+    # duplicate, scaled, non-extreme (sums of others), zero and opposite generators
+    rng = random.Random(44)
+    seen = dict.fromkeys(["duplicate", "non-extreme", "not pointed", "lower", "full"], 0)
+    for _ in range(500):
+        n = rng.randint(1, 4)
+        gens = random_pointed_gens(rng, n)
+        if not gens:
+            continue
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(gens), rng.choice(gens)
+            extra = rng.choice([a, tuple(2 * x for x in a), tuple(x + y for x, y in zip(a, b)), (0,) * n])
+            gens.insert(rng.randint(0, len(gens)), extra)
+        if rng.random() < 0.25:
+            gens.append(tuple(-x for x in rng.choice(gens)))
+        try:
+            expected = brute_cone(gens, n)
+        except GeometryError as exc:
+            expected = str(exc)
+        assert cone_or_error(gens, n) == expected, (gens, n)
+        if isinstance(expected, str):
+            seen["not pointed"] += 1
+            continue
+        distinct = {fraction_direction(g) for g in gens if any(g)}
+        seen["duplicate"] += len(distinct) < sum(map(any, gens))
+        seen["non-extreme"] += len(expected[0]) < len(distinct)
+        seen["lower" if expected[2] else "full"] += 1
+    assert min(seen.values()) > 40, seen
+
+
+def random_full_gens(rng, n):
+    """Integer vectors spanning Q^n, on the positive side of a functional."""
+    side = [rng.randint(1, 3) for _ in range(n)]
+    while True:
+        gens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n, n + 3))]
+        gens = [g if dot(side, g) > 0 else tuple(-x for x in g) for g in gens if dot(side, g)]
+        if gens and not integer_kernel([list(g) for g in gens], n):
+            return gens
+
+
+def test_cone_intersect_matches_double_description():
+    # a full-dimensional side seeds the meet with its own rays; the meet must
+    # be the cone one double description of both sides' H-data gives
+    rng = random.Random(45)
+    tally = dict.fromkeys([(True, True), (True, False), (False, True), (False, False)], 0)
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        full = rng.random() < 0.3, rng.random() < 0.3
+        gens = [random_full_gens(rng, n) if f else random_pointed_gens(rng, n) for f in full]
+        if not all(gens):
+            continue
+        a, b = (make_cone(g, n) for g in gens)
+        expected = _h_to_generators(a.normals + b.normals, a.span_eqs + b.span_eqs, n)
+        meet = cone_intersect(a, b)
+        assert meet.generators == tuple(sorted(expected)) == cone_intersect(b, a).generators, (a, b)
+        tally[a.dim == n, b.dim == n] += 1
+    assert min(tally.values()) > 40, tally
+
+
 def test_one_span_kernel_per_construction(monkeypatch):
     calls = []
     real = polyhedra.perp_lattice
@@ -522,16 +610,19 @@ def test_one_span_kernel_per_construction(monkeypatch):
 
     monkeypatch.setattr(polyhedra, "perp_lattice", spy)
     make_cone([(1, 0, 0), (1, 2, 0)], 3)
-    assert calls == [3, 3]
+    assert calls == [3, 3]  # a lower-dimensional span also needs its saturated basis
+    calls.clear()
+    make_cone([(1, 0, 0), (1, 2, 0), (0, 0, 1), (1, 1, 0)], 3)
+    assert calls == [3]  # a full-dimensional span is Z^n: no span lattice
     calls.clear()
     make_polyhedron([(F(1, 2), 0, 0), (0, 1, 0), (0, 0, 1)], [], 3)
     assert calls == [4, 4]  # a polytope's tail is the zero cone, built without a kernel
     calls.clear()
     p = make_polyhedron([(0, 0)], [(1, 0), (1, 1)], 2)
-    assert calls == [3, 3]  # the tail is built from the polyhedron's extreme rays
+    assert calls == [3]  # the tail is built from the polyhedron's extreme rays
     calls.clear()
     assert p.tail.normals == ((0, 1), (1, -1))
-    assert calls == [2, 2]  # its H-data is derived when first read, once
+    assert calls == [2]  # its H-data is derived when first read, once
     calls.clear()
     assert (p.tail.span_eqs, p.tail.normals, p.ineqs, p.eqs) == (p.tail.span_eqs, p.tail.normals, p.ineqs, p.eqs)
     assert calls == []
