@@ -232,7 +232,7 @@ def _smith_presentation(k, generators, rows) -> ChowPresentation:
     # cokernel of the transpose: generators are the columns of the relations
     mt = [[matrix[r][i] for r in range(len(matrix))] for i in range(g)]
     if matrix:
-        u, d, _ = snf_transforms(mt)
+        u, d = snf_transforms(mt)
         diag = [d[i][i] for i in range(min(g, len(matrix)))]
     else:
         u = [[1 if i == j else 0 for j in range(g)] for i in range(g)]

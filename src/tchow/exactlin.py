@@ -3,7 +3,8 @@
 All arithmetic is done with arbitrary-precision ints; nothing here ever
 rounds.  Every elimination is fraction-free: Hermite and Smith forms by
 integer row and column operations, determinants and inverses by Bareiss
-elimination.  ``fractions.Fraction`` remains only for rational vertex
+elimination.  The Smith form serves the Chow presentation alone and keeps
+only its row transform, which gives the class map.  ``fractions.Fraction`` remains only for rational vertex
 coordinates.  A lattice is given by its canonical row-HNF basis, a tuple of
 integer vectors.  Matrices are plain lists of rows, vectors are tuples, so
 every value is hashable once frozen into a tuple.  A quotient by a span is
@@ -38,13 +39,6 @@ def vadd(u: Sequence, v: Sequence) -> tuple:
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("dimension mismatch in matrix product")
-    bt = list(zip(*b)) if b else []
-    return [[dot(row, col) for col in bt] for row in a]
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple:
@@ -146,32 +140,26 @@ def hnf_basis(rows: Sequence[Sequence[int]]) -> tuple[IVec, ...]:
     return tuple(tuple(r) for r in h if any(x != 0 for x in r))
 
 
-def snf_transforms(
-    m: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form with transforms: returns ``(u, d, v)``, ``u@m@v == d``.
+def snf_transforms(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Smith normal form with its row transform: returns ``(u, d)``.
 
-    ``u`` and ``v`` are unimodular and ``d`` is diagonal with nonnegative
-    entries satisfying ``d[i] | d[i+1]``.
+    ``u`` is unimodular and ``d`` is diagonal with nonnegative entries
+    satisfying ``d[i] | d[i+1]``, and ``u@m@v == d`` for some unimodular
+    ``v``, which is not built: column operations touch ``d`` alone.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
     d = [list(map(int, row)) for row in m]
     u = identity_matrix(nr)
-    v = identity_matrix(nc)
 
     def col_sub(j: int, t: int, q: int) -> None:
         if q:
             for r in range(nr):
                 d[r][j] -= q * d[r][t]
-            for r in range(nc):
-                v[r][j] -= q * v[r][t]
 
     def col_swap(j: int, t: int) -> None:
         for r in range(nr):
             d[r][j], d[r][t] = d[r][t], d[r][j]
-        for r in range(nc):
-            v[r][j], v[r][t] = v[r][t], v[r][j]
 
     t = 0
     while t < min(nr, nc):
@@ -224,7 +212,7 @@ def snf_transforms(
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    return u, d, v
+    return u, d
 
 
 def primitive(v: Sequence) -> tuple[IVec, int]:

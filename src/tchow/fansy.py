@@ -360,6 +360,8 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
     if len(x.points) != len(x.complexes):
         add("POINTS_COMPLEXES_MISMATCH", "one subdivision per point is required")
         return out
+    if not x.points:  # no fiber, so no degree to check the marks against
+        return out
 
     for problem in fan_validate(x.tailfan):
         add("BAD_TAILFAN", problem)

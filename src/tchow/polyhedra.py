@@ -9,11 +9,12 @@ H-representation (facet normals and span equations) is derived from its
 V-data when first read, once per object, and kept on it.  Conversion both
 ways is one exact integer double description, :func:`_extreme_rays` (which
 starts from a simplicial cone and adds rows with :func:`_add_rows`): facets
-of a cone are the extreme rays of its dual.  Each conversion takes one
-lattice kernel of its generators, the span equations.  A full-dimensional
-cone has none and is converted as it is; a lower-dimensional one also takes
-the kernel of its equations, the span's saturated basis, and one Smith form
-for coordinates on it.
+of a cone are the extreme rays of its dual.  A full-dimensional cone is
+converted as it is, with no lattice kernel.  A lower-dimensional one takes
+one, its span equations, and is converted in a basis of its own independent
+generators (:func:`_rays_in`): its facet normals are the primitive ones that
+lie in its span.  H-described cones with equations are converted the same
+way, in a basis of the lattice the equations cut out.
 
 :func:`make_cone` and :func:`make_polyhedron` canonicalize arbitrary input and
 keep the H-data they computed on the way: one double description finds the
@@ -53,13 +54,10 @@ from .exactlin import (
     dot,
     identity_matrix,
     integer_kernel,
-    mat_mul,
-    mat_vec,
     perp_lattice,
     primitive,
     primitive_direction,
     project,
-    snf_transforms,
     vadd,
     vec,
 )
@@ -174,47 +172,45 @@ def _add_rows(
     return sorted(y for y, _ in rays)
 
 
+def _rays_in(basis: Sequence[IVec], rows: Sequence[IVec]) -> list[IVec]:
+    """Primitive extreme rays of ``{y in span(basis) : a . y >= 0}``, ``a`` in ``rows``.
+
+    ``basis`` holds independent integer vectors and the cone must be pointed.
+    Written as ``y = c @ basis``, it is ``{c in Q^r : (b . a for b in basis) . c
+    >= 0}``: one double description in Q^r, each ray lifted back to Z^n.
+    """
+    restricted = [tuple(dot(b, a) for b in basis) for a in rows]
+    return [primitive_direction(project(basis, c)) for c in _extreme_rays(restricted, len(basis))]
+
+
 def _h_to_generators(
     ineq_rows: Sequence[Sequence], eq_rows: Sequence[Sequence], n: int
 ) -> list[IVec]:
     """Primitive extreme rays of ``{x : ineq . x >= 0, eq . x = 0}``; pointed only.
 
-    Without equations this is one double-description pass on the rows.  The
-    equations cut out a saturated lattice, so rays primitive in its
-    coordinates are primitive in Z^n.
+    Without equations this is one double-description pass on the rows; with
+    them it is the same pass in a basis of the lattice they cut out.
     """
     int_ineqs = [primitive(a)[0] for a in ineq_rows]
     if not eq_rows:
         return _extreme_rays(int_ineqs, n)
-    w_basis = integer_kernel([list(primitive(e)[0]) for e in eq_rows], n)
-    w = len(w_basis)
-    if w == 0:
-        return []
-    restricted = [tuple(dot(a, wr) for wr in w_basis) for a in int_ineqs]
-    rays_c = _extreme_rays(restricted, w)
-    return [project([list(r) for r in w_basis], y) for y in rays_c]
+    return _rays_in(integer_kernel([primitive(e)[0] for e in eq_rows], n), int_ineqs)
 
 
 def _span_facets(gens: Sequence[IVec], n: int):
     """Span equations, dimension and facet normals of the cone on ``gens``.
 
-    ``gens`` are nonzero integer vectors.  One lattice kernel gives the span
-    equations ``E`` (its HNF basis).  With none, the span is Q^n and the
-    facets come from the generators as they are.  Otherwise ``B``, the HNF
-    basis of the lattice ``E`` cuts out, is saturated, and its Smith
-    transforms give the coordinate map ``Q`` (``coords(x) = x @ Q``, with
-    ``x = c @ B`` back): the facets are found in Z^r and lifted by ``Q``.
-    The normals are returned sorted.
+    ``gens`` are nonzero integer vectors.  When ``n`` of them are independent
+    the span is Q^n: there are no equations, and the facets come from the
+    generators as they are, with no lattice kernel.  Otherwise one kernel
+    gives the span equations (its HNF basis), and the facets are read in a
+    basis of independent generators: each normal is the primitive one that
+    lies in the span.  The normals are returned sorted.
     """
-    eqs = perp_lattice(gens, n)
-    if not eqs:
-        return eqs, n, tuple(_extreme_rays(gens, n))
-    b = [list(r) for r in perp_lattice(eqs, n)]
-    r = len(b)
-    u, _, v = snf_transforms(b)
-    q = mat_mul([[v[i][j] for j in range(r)] for i in range(n)], u)
-    normals_c = _extreme_rays([project(q, g) for g in gens], r)
-    return eqs, r, tuple(sorted(mat_vec(q, w) for w in normals_c))
+    basis = [gens[i] for i in _independent_rows(gens, n)]
+    if len(basis) == n:
+        return (), n, tuple(_extreme_rays(gens, n))
+    return perp_lattice(gens, n), len(basis), tuple(sorted(_rays_in(basis, gens)))
 
 
 def _tight(normals: Sequence[IVec], y: Sequence) -> int:
@@ -262,9 +258,10 @@ class Cone(Value):
     """A pointed rational polyhedral cone in canonical V-representation.
 
     ``generators`` are the primitive extreme rays, sorted; the zero cone has
-    no generators.  ``normals`` (relative facet normals, sorted) and
-    ``span_eqs`` (the HNF basis of the equations cutting out the linear span)
-    are derived from the generators when first read.
+    no generators.  ``normals`` (the primitive facet normals that lie in the
+    cone's linear span, sorted) and ``span_eqs`` (the HNF basis of the
+    equations cutting out that span) are derived from the generators when
+    first read.
     """
 
     ambient_rank: int
@@ -394,8 +391,6 @@ class Polyhedron(Value):
     Every H-side question is answered by ``cone``, the homogenized cone in
     rank n+1 spanned by ``(v, 1)`` for each vertex ``v`` and ``(r, 0)`` for
     each tail ray ``r``: the polyhedron is its slice at last coordinate 1.
-    ``ineqs`` (pairs ``(a, b)`` meaning ``a . x >= b``) and ``eqs`` (``a . x
-    == b``) read the cone's facet normals and span equations.
     """
 
     ambient_rank: int
@@ -410,18 +405,6 @@ class Polyhedron(Value):
             + [g + (0,) for g in self.tail.generators],
             self.ambient_rank + 1,
         )
-
-    @cached_property
-    def ineqs(self) -> tuple[tuple[IVec, int], ...]:
-        n = self.ambient_rank
-        return tuple(sorted((u[:n], -u[n]) for u in self.cone.normals))
-
-    @cached_property
-    def eqs(self) -> tuple[tuple[IVec, int], ...]:
-        if self.is_empty:
-            return ()
-        n = self.ambient_rank
-        return tuple(sorted((e[:n], -e[n]) for e in self.cone.span_eqs))
 
     @property
     def is_empty(self) -> bool:

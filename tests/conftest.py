@@ -11,10 +11,12 @@ from tchow.build import InconsistentFiltrationsError, KlyachkoBundle, RayFiltrat
 from tchow.build import _p1p1_fan as p1p1_fan, _p2_fan as p2_fan  # noqa: F401  (for the tests)
 from tchow.chow import _cone_image_ray
 from tchow.exactlin import (
+    _row_sub,
     bareiss_inverse,
     det,
     dot,
     hnf_basis,
+    identity_matrix,
     primitive,
     primitive_direction,
     project,
@@ -41,6 +43,122 @@ def fraction_primitive(v):
     return tuple(int(f * mu) for f in fv), mu
 
 
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("dimension mismatch in matrix product")
+    bt = list(zip(*b)) if b else []
+    return [[dot(row, col) for col in bt] for row in a]
+
+
+def snf_transforms_reference(
+    m: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Smith normal form with transforms: returns ``(u, d, v)``, ``u@m@v == d``.
+
+    ``u`` and ``v`` are unimodular and ``d`` is diagonal with nonnegative
+    entries satisfying ``d[i] | d[i+1]``.  Reference for
+    ``exactlin.snf_transforms``, which builds no ``v``.
+    """
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    d = [list(map(int, row)) for row in m]
+    u = identity_matrix(nr)
+    v = identity_matrix(nc)
+
+    def col_sub(j: int, t: int, q: int) -> None:
+        if q:
+            for r in range(nr):
+                d[r][j] -= q * d[r][t]
+            for r in range(nc):
+                v[r][j] -= q * v[r][t]
+
+    def col_swap(j: int, t: int) -> None:
+        for r in range(nr):
+            d[r][j], d[r][t] = d[r][t], d[r][j]
+        for r in range(nc):
+            v[r][j], v[r][t] = v[r][t], v[r][j]
+
+    t = 0
+    while t < min(nr, nc):
+        entries = [
+            (abs(d[i][j]), i, j)
+            for i in range(t, nr)
+            for j in range(t, nc)
+            if d[i][j] != 0
+        ]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        if pi != t:
+            d[pi], d[t] = d[t], d[pi]
+            u[pi], u[t] = u[t], u[pi]
+        if pj != t:
+            col_swap(pj, t)
+        dirty = False
+        for i in range(t + 1, nr):
+            if d[i][t] != 0:
+                q = d[i][t] // d[t][t]
+                _row_sub(d, i, t, q)
+                _row_sub(u, i, t, q)
+                if d[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, nc):
+            if d[t][j] != 0:
+                q = d[t][j] // d[t][t]
+                col_sub(j, t, q)
+                if d[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        pivot = d[t][t]
+        off = next(
+            (
+                (i, j)
+                for i in range(t + 1, nr)
+                for j in range(t + 1, nc)
+                if d[i][j] % pivot != 0
+            ),
+            None,
+        )
+        if off is not None:
+            i, _ = off
+            _row_sub(d, t, i, -1)
+            _row_sub(u, t, i, -1)
+            continue
+        if pivot < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return u, d, v
+
+
+def polyhedron_hrep(p: Polyhedron) -> tuple[tuple, tuple]:
+    """``(ineqs, eqs)`` of ``p``, read off its homogenized cone.
+
+    Sorted pairs ``(a, b)``, meaning ``a . x >= b`` and ``a . x == b``; an
+    empty polyhedron has no equations.
+    """
+    n = p.ambient_rank
+    ineqs = tuple(sorted((u[:n], -u[n]) for u in p.cone.normals))
+    eqs = () if p.is_empty else tuple(sorted((e[:n], -e[n]) for e in p.cone.span_eqs))
+    return ineqs, eqs
+
+
+def assert_same_facets(normals, expected, generators, span_eqs):
+    """``normals`` cut the same facets of the cone on ``generators`` as ``expected``.
+
+    Each normal is compared by its values on the generators, up to a positive
+    factor, and must be primitive and orthogonal to every span equation: a
+    normal in the span is pinned by those values.
+    """
+    def values(us):
+        return sorted(primitive_direction([dot(u, g) for g in generators]) for u in us)
+
+    assert values(normals) == values(expected), (normals, expected, generators)
+    for u in normals:
+        assert gcd(*u) == 1 and all(dot(e, u) == 0 for e in span_eqs), (u, span_eqs)
+
+
 def fan_document(fan: Fan) -> dict:
     """The CLI's fan document of ``fan``."""
     return {
@@ -63,7 +181,7 @@ def random_complete_fan(rng: random.Random, rank: int = 3, max_extra: int = 6) -
             pts.add(primitive_direction(vec(p)))
     hull = make_polyhedron(list(pts), [], rank)
     cones = []
-    for u, rhs in hull.ineqs:
+    for u, rhs in polyhedron_hrep(hull)[0]:
         tight = [v for v in hull.vertices if sum(a * b for a, b in zip(u, v)) == rhs]
         cones.append(make_cone(tight, rank))
     return make_fan(cones, rank)

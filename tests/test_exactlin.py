@@ -5,7 +5,14 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import fraction_primitive, lattice_index, minimal_lattice_multiple, solve_left
+from conftest import (
+    fraction_primitive,
+    lattice_index,
+    mat_mul,
+    minimal_lattice_multiple,
+    snf_transforms_reference,
+    solve_left,
+)
 
 from tchow.exactlin import (
     bareiss_inverse,
@@ -14,7 +21,6 @@ from tchow.exactlin import (
     hnf_basis,
     identity_matrix,
     integer_kernel,
-    mat_mul,
     perp_lattice,
     primitive,
     primitive_direction,
@@ -65,7 +71,7 @@ def test_hnf_transform_property(m):
 
 
 def snf_diagonal(m):
-    _, d, _ = snf_transforms(m)
+    _, d = snf_transforms(m)
     return [d[i][i] for i in range(min(len(d), len(d[0])))]
 
 
@@ -78,11 +84,15 @@ def test_snf_examples():
 @settings(max_examples=150)
 @given(small_matrices)
 def test_snf_transforms_property(m):
-    u, d, v = snf_transforms(m)
-    assert mat_mul(mat_mul(u, m), v) == d
+    u, d = snf_transforms(m)
     assert abs(det(u)) == 1
-    assert abs(det(v)) == 1
+    # u@m@v == d for a unimodular v exactly when the columns of u@m and of d
+    # span the same lattice
+    columns = lambda a: [list(c) for c in zip(*a)]
+    assert hnf_basis(columns(mat_mul(u, m))) == hnf_basis(columns(d))
+    assert d == snf_transforms_reference(m)[1]
     diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
+    assert all(x >= 0 for x in diag)
     for i in range(len(diag) - 1):
         if diag[i + 1] != 0:
             assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
@@ -287,7 +297,7 @@ def test_quotient_matrix_and_pairing():
         assert len(p) == n and q == n - dim
         assert all(project(p, v) == (0,) * q for v in span)
         if q:  # onto Z^q: every Smith invariant of P is 1
-            _, d, _ = snf_transforms(p)
+            _, d = snf_transforms(p)
             assert [d[i][i] for i in range(q)] == [1] * q
         x = [rng.randint(-4, 4) for _ in range(n)]
         assert project(p, x) == tuple(dot_check(m, x) for m in perp_lattice(span, n))

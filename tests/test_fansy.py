@@ -380,3 +380,11 @@ def test_shared_tail_fan_messages(monkeypatch, own, bad):
     assert found == expected
     if own:
         assert calls == [tailfan]
+
+
+def test_divisor_without_points_reports_too_few_points():
+    # no fiber means no degree locus: the marks cannot be checked against one
+    fan = p2_fan()
+    marked = frozenset(c for c in fan.all_cones() if not c.is_zero())
+    x = MarkedFansyDivisor(2, (), (), fan, marked)
+    assert [v.code for v in validate(x).violations] == ["TOO_FEW_POINTS"]

@@ -4,7 +4,9 @@ A function, class or method defined in ``src/tchow`` must be referenced by
 some other line of ``src/tchow`` or be exported in ``tchow.__all__``.  Code
 that only the tests use (oracles, identities, fixtures) belongs in
 ``tests/``.  The scan uses the stdlib ``ast`` module alone and matches by
-name: a reference is any identifier or attribute with the defined name.
+name.  A function or class is referenced by any identifier or attribute with
+its name; a method or property only by an attribute read (``x.name``), so a
+local variable that happens to share its name does not count.
 """
 
 import ast
@@ -14,14 +16,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tchow"
 
 
 def definitions(tree):
-    """``(qualified name, name, line)`` of each top-level def, class and method."""
+    """``(qualified name, name, line, is member)`` of each top-level def, class and method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.name, node.lineno
+            yield node.name, node.name, node.lineno, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{node.name}.{item.name}", item.name, item.lineno
+                    yield f"{node.name}.{item.name}", item.name, item.lineno, True
 
 
 def exported():
@@ -36,22 +38,26 @@ def exported():
 
 def unreferenced_definitions():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    used = set()  # (module, line, name) of every identifier read in an expression
+    # (module, line, name, is attribute) of every identifier read in an expression
+    used = set()
     for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add((module, node.lineno, node.id))
+                used.add((module, node.lineno, node.id, False))
             elif isinstance(node, ast.Attribute):
-                used.add((module, node.end_lineno, node.attr))
+                used.add((module, node.end_lineno, node.attr, True))
     public = exported()
     found = []
     for module, tree in trees.items():
-        for qualified, name, line in definitions(tree):
+        for qualified, name, line, member in definitions(tree):
             if name.startswith("__") and name.endswith("__"):
                 continue
             if name in public:
                 continue
-            if not any(n == name and (m, ln) != (module, line) for m, ln, n in used):
+            if not any(
+                n == name and (m, ln) != (module, line) and (attr or not member)
+                for m, ln, n, attr in used
+            ):
                 found.append(f"{module}:{line} {qualified}")
     return found
 

@@ -6,18 +6,23 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import complex_faces, fraction_primitive
+from conftest import (
+    assert_same_facets,
+    complex_faces,
+    fraction_primitive,
+    mat_mul,
+    polyhedron_hrep,
+    snf_transforms_reference,
+)
 
 from tchow import polyhedra
 from tchow.build import FIXTURE_NAMES, fixture
 from tchow.exactlin import (
     dot,
     integer_kernel,
-    mat_mul,
     perp_lattice,
     primitive,
     primitive_direction,
-    snf_transforms,
 )
 from tchow.polyhedra import (
     Cone,
@@ -195,7 +200,7 @@ def test_poly_intersect():
     # parallel half-lines: their homogenized cones meet in a ray at last coordinate 0
     apart = poly_intersect(P([(0, 0)], [(0, 1)]), P([(1, 0)], [(0, 1)]))
     assert apart == empty_polyhedron(2) and apart.cone == polyhedra.zero_cone(3)
-    assert (apart.ineqs, apart.eqs, apart.dim) == ((), (), -1)
+    assert (*polyhedron_hrep(apart), apart.dim) == ((), (), -1)
     assert not poly_is_face_of(empty_polyhedron(2), a)
 
 
@@ -417,9 +422,11 @@ def test_extreme_rays_rank_one_and_zero():
 
 
 # ---------------------------------------------------------------------------
-# test-only reference: H-data built with the span's saturated basis from
-# ``saturation`` and the span equations from a separate kernel, and with
-# denominators cleared through Fractions
+# test-only reference: H-data built in Smith coordinates on the span's
+# saturated basis from ``saturation``, with the span equations from a separate
+# kernel and denominators cleared through Fractions.  Its normals of a
+# lower-dimensional cone need not lie in the span, so they are compared with
+# the library's by their values on the generators (``assert_same_facets``).
 
 
 def fraction_direction(v):
@@ -437,7 +444,7 @@ def span_lattice(gens, n):
     """Saturated basis ``B`` of the span of ``gens`` and coordinates ``x @ Q`` on it."""
     sat = saturation([list(g) for g in gens], n)
     r = len(sat)
-    u, _, v = snf_transforms([list(b) for b in sat])
+    u, _, v = snf_transforms_reference([list(b) for b in sat])
     return sat, mat_mul([[v[i][j] for j in range(r)] for i in range(n)], u)
 
 
@@ -454,14 +461,19 @@ def reference_cone_h(gens, n):
     return tuple(normals), tuple(eqs)
 
 
-def reference_polyhedron_h(verts, rays, n):
+def reference_homogenized_h(verts, rays, n):
+    """Reference H-data of the homogenized cone of ``conv(verts) + cone(rays)``."""
     homog = [fraction_primitive(tuple(v) + (1,))[0] for v in verts]
     homog += [fraction_direction(r) + (0,) for r in rays if any(r)]
     normals, eqs = reference_h_data(homog, n + 1)
-    return (
-        tuple(sorted((u[:n], -u[n]) for u in normals)),
-        tuple(sorted((e[:n], -e[n]) for e in eqs)),
-    )
+    return tuple(normals), tuple(eqs)
+
+
+def assert_h_data(c, reference):
+    normals, eqs = reference
+    assert c.span_eqs == eqs, (c, eqs)
+    assert c.normals == tuple(sorted(c.normals))
+    assert_same_facets(c.normals, normals, c.generators, c.span_eqs)
 
 
 def random_pointed_gens(rng, n):
@@ -498,7 +510,7 @@ def test_cone_h_data_matches_reference():
         if not gens:
             continue
         c = make_cone(gens, n)
-        assert (c.normals, c.span_eqs) == reference_cone_h(gens, n), (gens, n)
+        assert_h_data(c, reference_cone_h(gens, n))
         lower += c.dim < n
     assert lower > 80
 
@@ -510,8 +522,8 @@ def test_polyhedron_h_data_matches_reference():
         n = rng.randint(1, 4)
         verts, rays = random_v_data(rng, n)
         p = make_polyhedron(verts, rays, n)
-        assert (p.ineqs, p.eqs) == reference_polyhedron_h(verts, rays, n), (verts, rays, n)
-        assert (p.tail.normals, p.tail.span_eqs) == reference_cone_h(p.tail.generators, n)
+        assert_h_data(p.cone, reference_homogenized_h(verts, rays, n))
+        assert_h_data(p.tail, reference_cone_h(p.tail.generators, n))
         lower += p.dim < n
         fractional += any(x.denominator > 1 for v in p.vertices for x in v)
     assert lower > 60 and fractional > 150
@@ -560,10 +572,14 @@ def test_make_cone_matches_brute_force():
             expected = brute_cone(gens, n)
         except GeometryError as exc:
             expected = str(exc)
-        assert cone_or_error(gens, n) == expected, (gens, n)
+        found = cone_or_error(gens, n)
         if isinstance(expected, str):
+            assert found == expected, (gens, n)
             seen["not pointed"] += 1
             continue
+        rays, normals, eqs = expected
+        assert (found[0], found[2]) == (rays, eqs), (gens, n)
+        assert_same_facets(found[1], normals, rays, eqs)
         distinct = {fraction_direction(g) for g in gens if any(g)}
         seen["duplicate"] += len(distinct) < sum(map(any, gens))
         seen["non-extreme"] += len(expected[0]) < len(distinct)
@@ -602,30 +618,35 @@ def test_cone_intersect_matches_double_description():
 
 def test_one_span_kernel_per_construction(monkeypatch):
     calls = []
-    real = polyhedra.perp_lattice
-
-    def spy(rows, n):
-        calls.append(n)
-        return real(rows, n)
-
-    monkeypatch.setattr(polyhedra, "perp_lattice", spy)
+    for name in ("perp_lattice", "_extreme_rays"):
+        real = getattr(polyhedra, name)
+        spy = lambda rows, n, name=name, real=real: calls.append((name, n)) or real(rows, n)
+        monkeypatch.setattr(polyhedra, name, spy)
     make_cone([(1, 0, 0), (1, 2, 0)], 3)
-    assert calls == [3, 3]  # a lower-dimensional span also needs its saturated basis
+    # a lower-dimensional span: its equations, then facets in a basis of 2 generators
+    assert calls == [("perp_lattice", 3), ("_extreme_rays", 2)]
     calls.clear()
     make_cone([(1, 0, 0), (1, 2, 0), (0, 0, 1), (1, 1, 0)], 3)
-    assert calls == [3]  # a full-dimensional span is Z^n: no span lattice
+    assert calls == [("_extreme_rays", 3)]  # a full-dimensional span: no kernel
     calls.clear()
     make_polyhedron([(F(1, 2), 0, 0), (0, 1, 0), (0, 0, 1)], [], 3)
-    assert calls == [4, 4]  # a polytope's tail is the zero cone, built without a kernel
+    # a polytope's tail is the zero cone, built without a kernel
+    assert calls == [("perp_lattice", 4), ("_extreme_rays", 3)]
     calls.clear()
     p = make_polyhedron([(0, 0)], [(1, 0), (1, 1)], 2)
-    assert calls == [3]  # the tail is built from the polyhedron's extreme rays
+    assert calls == [("_extreme_rays", 3)]  # the tail is built from the polyhedron's extreme rays
     calls.clear()
     assert p.tail.normals == ((0, 1), (1, -1))
-    assert calls == [2]  # its H-data is derived when first read, once
+    assert calls == [("_extreme_rays", 2)]  # its H-data is derived when first read, once
     calls.clear()
-    assert (p.tail.span_eqs, p.tail.normals, p.ineqs, p.eqs) == (p.tail.span_eqs, p.tail.normals, p.ineqs, p.eqs)
+    assert (p.tail.span_eqs, p.tail.normals, polyhedron_hrep(p)) == (p.tail.span_eqs, p.tail.normals, polyhedron_hrep(p))
     assert calls == []
+
+
+def test_lower_dimensional_normals_lie_in_the_span():
+    c = make_cone([(1, 0, 1), (0, 1, 1)], 3)
+    assert c.span_eqs == ((1, 1, -1),)
+    assert c.normals == ((-1, 2, 1), (2, -1, 1))
 
 
 def test_extreme_rays_take_no_kernel(monkeypatch):
@@ -647,7 +668,7 @@ def test_faces_are_built_without_kernels(monkeypatch):
     cells = [c for p in x.points for c in x.complex_at(p).maximal_cells]
     cones = x.tailfan.maximal_cones
     for obj in cells + list(cones):  # the parents' own H-data, read up front
-        obj.ineqs if isinstance(obj, polyhedra.Polyhedron) else obj.normals
+        obj.cone.normals if isinstance(obj, polyhedra.Polyhedron) else obj.normals
     calls = []
 
     def spy(name):
@@ -716,7 +737,7 @@ def assert_canonical_cone(c):
 def assert_canonical_polyhedron(p):
     again = make_polyhedron(p.vertices, p.tail.generators, p.ambient_rank)
     assert p == again and (p.vertices, p.tail) == (again.vertices, again.tail)
-    assert (p.ineqs, p.eqs, p.dim) == (again.ineqs, again.eqs, again.dim)
+    assert (polyhedron_hrep(p), p.dim) == (polyhedron_hrep(again), again.dim)
     homogenized = [fraction_primitive(v + (1,))[0] for v in p.vertices]
     homogenized += [r + (0,) for r in p.tail.generators]
     assert p.cone == again.cone and p.cone.generators == tuple(sorted(homogenized))

@@ -9,6 +9,7 @@ report, a divisor's context) is not part of its value.
 from fractions import Fraction
 
 import pytest
+from conftest import polyhedron_hrep
 
 from tchow.build import DowngradeInput, KlyachkoBundle, RayFiltration, fixture
 from tchow.chow import ChowPresentation, RelationBlock, presentation
@@ -56,7 +57,7 @@ def read_context_and_report(x):
 
 CASES = [
     (cone, ("ambient_rank", "generators"), lambda c: c.normals),
-    (polyhedron, ("ambient_rank", "vertices", "tail"), lambda p: p.ineqs),
+    (polyhedron, ("ambient_rank", "vertices", "tail"), polyhedron_hrep),
     (fan, ("ambient_rank", "maximal_cones"), lambda f: f.cofaces),
     (
         lambda: PolyhedralComplex(2, (polyhedron(),)),
