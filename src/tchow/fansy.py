@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import lcm
 
 from .exactlin import dot, hnf_basis, primitive, project, quotient_matrix, vec
@@ -339,11 +339,37 @@ def _poly_min(face: Polyhedron, u: Sequence) -> Fraction | None:
     return min(dot(u, v) for v in face.vertices)
 
 
+def _degree_locus_meets(sigma: Cone, cells: Sequence[Polyhedron], semiample: bool):
+    """The test whether ``deg sigma``, the Minkowski sum of ``cells``, meets a face ``tau``.
+
+    When ``semiample`` (``deg sigma`` lies in ``sigma``) no polyhedron is
+    built: the sum ``w`` of ``sigma``'s facet normals through ``tau`` is
+    nonnegative on ``sigma`` and vanishes there exactly on ``tau``, so the
+    meet is nonempty iff the minimum of ``w`` on ``deg sigma``, the sum of
+    the cells' minima at a vertex, is 0.  Otherwise the sum is built.
+    """
+    if not semiample:
+        deg = reduce(minkowski_sum, cells)
+        return lambda tau: not poly_intersect(deg, cone_as_polyhedron(tau)).is_empty
+
+    def meets(tau: Cone) -> bool:
+        through = [u for u in sigma.normals if all(dot(u, g) == 0 for g in tau.generators)]
+        w = [sum(col) for col in zip(*through)]
+        return sum(_poly_min(cell, w) for cell in cells) == 0
+
+    return meets
+
+
 def validate(x: MarkedFansyDivisor) -> ValidationReport:
     """Check every defining condition of a marked fansy divisor.
 
     Returns a report listing each violated condition; never raises on
-    well-formed (if invalid) input.  Checked once per divisor object; later
+    well-formed (if invalid) input.  The marks are checked against the
+    degree loci ``deg sigma = sum_p Delta_p(sigma)`` of the marked maximal
+    cones: once ``deg sigma`` lies in ``sigma`` it meets a face ``tau`` exactly
+    when ``sum_p min_v w . v`` over the vertices ``v`` of ``Delta_p(sigma)`` is
+    0, ``w`` the sum of ``sigma``'s facet normals through ``tau``
+    (:func:`_degree_locus_meets`).  Checked once per divisor object; later
     calls return the same frozen report.
     """
     return x._report
@@ -435,6 +461,7 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
         if not x.is_marked(sigma):
             continue
         cells = [unique_face_over(x, sigma, p) for p in x.points]
+        semiample = True
         for u in sigma.normals:
             mins = [_poly_min(cell, u) for cell in cells]
             if any(m is None for m in mins):
@@ -442,19 +469,19 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
                     "EVALUATION_UNBOUNDED",
                     f"cell with tail {sigma.generators} sticks out of its dual constraint {u}",
                 )
+                semiample = False
             elif sum(m for m in mins) < 0:
                 add(
                     "NOT_SEMIAMPLE",
                     f"marked cone {sigma.generators}: evaluation against {u} "
                     "has negative total degree",
                 )
-        deg = None
-        for cell in cells:
-            deg = cell if deg is None else minkowski_sum(deg, cell)
+                semiample = False
+        meets_face = _degree_locus_meets(sigma, cells, semiample)
         for tau in cone_faces(sigma):
             if tau == sigma:
                 continue
-            meets = not poly_intersect(deg, cone_as_polyhedron(tau)).is_empty
+            meets = meets_face(tau)
             if meets and not x.is_marked(tau) and not tau.is_zero():
                 add(
                     "MARKING_TOO_SMALL",

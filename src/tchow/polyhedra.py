@@ -36,6 +36,14 @@ each face to the faces one dimension up that contain it, is read off ray
 inclusion (:func:`inclusion_cofaces`); a fan keeps its map on the object
 (``Fan.cofaces``).
 
+A fan or a complex is valid only if every two of its maximal cones (or of
+its cells' homogenized cones) meet in a common face.  Most pairs are proved
+so without a meet (:func:`_certified_meet`): a facet normal ``u`` of one side
+that is nonpositive on the other side's generators confines the meet to the
+other side's face on the ``u``-tight generators, and when that face is in
+the first side's face set it is the meet.  Only the pairs with no such
+certificate are met by double description, and they alone write problems.
+
 Cones and polyhedra with lineality (a contained line) are rejected at
 construction; every object in a fan or complete complex is pointed.
 """
@@ -381,6 +389,47 @@ def cone_intersect(a: Cone, b: Cone) -> Cone:
     return _cone_on_rays(_add_rows(seed, enumerate(rows, len(a.normals)), n), n)
 
 
+def _certified_meet(a: Cone, b: Cone) -> Cone | None:
+    """The meet of ``a`` and ``b`` when a separating facet shows it is a face of both.
+
+    Let ``u`` be a facet normal of one side ``x`` with ``u . g <= 0`` on every
+    generator ``g`` of the other side ``y``.  The meet then lies in ``u``'s
+    facet of ``x`` and in ``y``'s face ``G`` on the ``u``-tight generators.
+    When ``G`` is also a face of ``x`` it lies in the meet, so it is the meet:
+    a face of both, and the canonical cone :func:`cone_intersect` returns.
+    None when no facet of either side gives such a ``G``.
+    """
+    if a.ambient_rank != b.ambient_rank:
+        return None  # cone_intersect reports the mismatch
+    for x, y in ((a, b), (b, a)):
+        for u in x.normals:
+            tight = []
+            for g in y.generators:
+                v = dot(u, g)
+                if v > 0:
+                    break
+                if v == 0:
+                    tight.append(g)
+            else:
+                face = _cone_on_rays(tight, a.ambient_rank)
+                if face in _cone_face_set(x):
+                    return face
+    return None
+
+
+def _pair_meet(a: Cone, b: Cone) -> tuple[Cone, bool]:
+    """The meet of two cones and whether it is a face of both.
+
+    Certified by :func:`_certified_meet` when it can be; otherwise met by
+    :func:`cone_intersect` and looked up in both face sets.
+    """
+    meet = _certified_meet(a, b)
+    if meet is not None:
+        return meet, True
+    meet = cone_intersect(a, b)
+    return meet, cone_is_face_of(meet, a) and cone_is_face_of(meet, b)
+
+
 # ---------------------------------------------------------------------------
 # polyhedra
 
@@ -517,10 +566,6 @@ def poly_faces(p: Polyhedron) -> tuple[Polyhedron, ...]:
     return tuple(sorted(faces, key=Polyhedron.sort_key))
 
 
-def poly_is_face_of(f: Polyhedron, p: Polyhedron) -> bool:
-    return not f.is_empty and cone_is_face_of(f.cone, p.cone)
-
-
 # ---------------------------------------------------------------------------
 # fans
 
@@ -609,11 +654,11 @@ def _fan_problems(fan: Fan) -> list[str]:
     for i, a in enumerate(cones):
         for b in cones[i + 1 :]:
             try:
-                meet = cone_intersect(a, b)
+                _, proper = _pair_meet(a, b)
             except GeometryError as exc:
                 problems.append(f"intersection failed for {a.generators} and {b.generators}: {exc}")
                 continue
-            if not (cone_is_face_of(meet, a) and cone_is_face_of(meet, b)):
+            if not proper:
                 problems.append(
                     f"cones {a.generators} and {b.generators} do not meet in a common face"
                 )
@@ -623,7 +668,10 @@ def _fan_problems(fan: Fan) -> list[str]:
 def fan_validate(fan: Fan) -> list[str]:
     """Structural violations: non-pointed cones or improper intersections.
 
-    Checked once per fan object; every call returns a fresh list.
+    Each pair of maximal cones is proved proper by a separating facet whose
+    tight face on the other side is a face of both, or else met by double
+    description (:func:`_pair_meet`).  Checked once per fan object; every
+    call returns a fresh list.
     """
     return list(fan._problems)
 
@@ -709,13 +757,12 @@ def _complex_problems(s: PolyhedralComplex) -> list[str]:
     for i, a in enumerate(cells):
         for b in cells[i + 1 :]:
             try:
-                meet = poly_intersect(a, b)
+                meet, proper = _pair_meet(a.cone, b.cone)
             except GeometryError as exc:
                 problems.append(f"cells fail to intersect properly: {exc}")
                 continue
-            if meet.is_empty:
-                continue
-            if not (poly_is_face_of(meet, a) and poly_is_face_of(meet, b)):
+            # a meet with no vertex is empty: it lies at last coordinate 0
+            if not proper and any(g[n] for g in meet.generators):
                 problems.append(
                     f"cells {a.vertices}+{a.tail.generators} and "
                     f"{b.vertices}+{b.tail.generators} do not meet in a common face"
@@ -740,7 +787,10 @@ def _complex_problems(s: PolyhedralComplex) -> list[str]:
 def complex_validate(s: PolyhedralComplex) -> list[str]:
     """Violations of the complex axioms and of completeness.
 
-    Checked once per complex object; every call returns a fresh list.
+    Each pair of maximal cells is checked as :func:`fan_validate` checks a
+    pair of cones, on their homogenized cones; a meet with no vertex is
+    empty and proper.  Checked once per complex object; every call returns a
+    fresh list.
     """
     return list(s._problems)
 

@@ -5,7 +5,9 @@ pipeline itself does not use."""
 import random
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from unittest import mock
 
 from tchow.build import InconsistentFiltrationsError, KlyachkoBundle, RayFiltration, _cone_delta, bundle_labels
 from tchow.build import _p1p1_fan as p1p1_fan, _p2_fan as p2_fan  # noqa: F401  (for the tests)
@@ -23,16 +25,23 @@ from tchow.exactlin import (
     quotient_matrix,
     vec,
 )
+from tchow import fansy
 from tchow.fansy import MarkedFansyDivisor, mu_of_face, sigma_as_complex, unique_face_over
 from tchow.polyhedra import (
     Cone,
     Fan,
+    GeometryError,
+    PolyhedralComplex,
     Polyhedron,
+    cone_as_polyhedron,
+    cone_intersect,
+    cone_is_face_of,
     make_cone,
     make_fan,
     make_polyhedron,
     minkowski_sum,
     poly_faces,
+    poly_intersect,
 )
 
 
@@ -157,6 +166,91 @@ def assert_same_facets(normals, expected, generators, span_eqs):
     assert values(normals) == values(expected), (normals, expected, generators)
     for u in normals:
         assert gcd(*u) == 1 and all(dot(e, u) == 0 for e in span_eqs), (u, span_eqs)
+
+
+def poly_is_face_of(f: Polyhedron, p: Polyhedron) -> bool:
+    """Whether ``f`` is a nonempty face of ``p``: its homogenized cone is a face of ``p``'s."""
+    return not f.is_empty and cone_is_face_of(f.cone, p.cone)
+
+
+def reference_fan_problems(fan: Fan) -> list[str]:
+    """Reference for ``fan_validate``: every pair of maximal cones met by ``cone_intersect``."""
+    problems = []
+    cones = fan.maximal_cones
+    for i, a in enumerate(cones):
+        for b in cones[i + 1 :]:
+            try:
+                meet = cone_intersect(a, b)
+            except GeometryError as exc:
+                problems.append(f"intersection failed for {a.generators} and {b.generators}: {exc}")
+                continue
+            if not (cone_is_face_of(meet, a) and cone_is_face_of(meet, b)):
+                problems.append(
+                    f"cones {a.generators} and {b.generators} do not meet in a common face"
+                )
+    return problems
+
+
+def reference_complex_problems(s: PolyhedralComplex) -> list[str]:
+    """Reference for ``complex_validate``: every pair of maximal cells met by ``poly_intersect``."""
+    problems = []
+    n = s.ambient_rank
+    cells = s.maximal_cells
+    if not cells:
+        return ["complex has no cells"]
+    for c in cells:
+        if c.dim != n:
+            problems.append(f"maximal cell {c.vertices} has dimension {c.dim} != {n}")
+    for i, a in enumerate(cells):
+        for b in cells[i + 1 :]:
+            try:
+                meet = poly_intersect(a, b)
+            except GeometryError as exc:
+                problems.append(f"cells fail to intersect properly: {exc}")
+                continue
+            if meet.is_empty:
+                continue
+            if not (poly_is_face_of(meet, a) and poly_is_face_of(meet, b)):
+                problems.append(
+                    f"cells {a.vertices}+{a.tail.generators} and "
+                    f"{b.vertices}+{b.tail.generators} do not meet in a common face"
+                )
+    if problems:
+        return problems
+    if n >= 1:
+        tally: dict[Polyhedron, int] = {}
+        for c in cells:
+            for f in poly_faces(c):
+                if f.dim == n - 1:
+                    tally[f] = tally.get(f, 0) + 1
+        for f, count in tally.items():
+            if count != 2:
+                problems.append(
+                    f"face {f.vertices}+{f.tail.generators} lies in {count} cells; "
+                    "the complex does not cover the whole space"
+                )
+    return problems
+
+
+def reference_degree_meets(sigma: Cone, cells: Sequence[Polyhedron], semiample: bool):
+    """Reference for ``fansy._degree_locus_meets``: the Minkowski sum, met with each face."""
+    deg = reduce(minkowski_sum, cells)
+    return lambda tau: not poly_intersect(deg, cone_as_polyhedron(tau)).is_empty
+
+
+def reference_violations(x: MarkedFansyDivisor) -> list[tuple[str, str]]:
+    """Reference for ``validate``: ``(code, message)`` pairs, found afresh.
+
+    The divisor's checks run with the three references above in place of
+    fan and complex validation and of the degree-locus meets.
+    """
+    with mock.patch.multiple(
+        fansy,
+        fan_validate=reference_fan_problems,
+        complex_validate=reference_complex_problems,
+        _degree_locus_meets=reference_degree_meets,
+    ):
+        return [(v.code, v.message) for v in fansy._violations(x)]
 
 
 def fan_document(fan: Fan) -> dict:

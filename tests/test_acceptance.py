@@ -14,6 +14,7 @@ from conftest import (
     p1p1_fan,
     p2_fan,
     p2_split_bundle,
+    poly_is_face_of,
     predicted_counts,
     random_bundle,
     random_complete_fan,
@@ -32,7 +33,7 @@ from tchow.build import (
 from tchow.chow import presentation, toric_chow_presentation
 from tchow.effcone import eff_generators
 from tchow.fansy import enumerate_generators, validate
-from tchow.polyhedra import all_complex_faces, poly_is_face_of
+from tchow.polyhedra import all_complex_faces
 
 ALL_FIXTURES = ("gr24", "p1p1_bundle", "p2_E", "p2_F")
 

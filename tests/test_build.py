@@ -68,18 +68,18 @@ def test_one_incomplete_fan_error():
 
 def test_downgrade_then_validate_intersects_each_cell_pair_once(monkeypatch):
     calls = Counter()
-    real = polyhedra.poly_intersect
+    real = polyhedra._pair_meet
 
     def spy(a, b):
         calls[id(a), id(b)] += 1
         return real(a, b)
 
-    monkeypatch.setattr(polyhedra, "poly_intersect", spy)
+    monkeypatch.setattr(polyhedra, "_pair_meet", spy)
     x = downgrade(DowngradeInput(random_complete_fan(random.Random(7))))
     assert validate(x).ok
     for s in x.complexes:
         cells = s.maximal_cells
-        pairs = [(id(a), id(b)) for i, a in enumerate(cells) for b in cells[i + 1 :]]
+        pairs = [(id(a.cone), id(b.cone)) for i, a in enumerate(cells) for b in cells[i + 1 :]]
         assert [calls[p] for p in pairs] == [1] * len(pairs)
 
 

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     face_pair_sides,
     p1p1_fan,
+    poly_is_face_of,
     random_complete_fan,
     with_extra_generic_point,
     with_point_order,
@@ -26,7 +27,7 @@ from tchow.fansy import (
     validate,
 )
 from tchow import polyhedra
-from tchow.polyhedra import all_complex_faces, make_cone, make_fan, poly_is_face_of
+from tchow.polyhedra import all_complex_faces, make_cone, make_fan
 
 F = Fraction
 
@@ -63,9 +64,9 @@ def test_oracle_requires_complete():
 def test_oracle_validates_its_fan_once(monkeypatch):
     fan = random_complete_fan(random.Random(3))
     calls = []
-    real = polyhedra.cone_intersect
+    real = polyhedra._pair_meet
     monkeypatch.setattr(
-        polyhedra, "cone_intersect", lambda a, b: calls.append((a, b)) or real(a, b)
+        polyhedra, "_pair_meet", lambda a, b: calls.append((a, b)) or real(a, b)
     )
     for k in range(fan.ambient_rank + 1):
         toric_chow_presentation(fan, k)

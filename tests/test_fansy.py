@@ -7,6 +7,7 @@ from conftest import (
     deg_xi,
     p1p1_fan,
     p2_fan,
+    poly_is_face_of,
     random_bundle,
     random_complete_fan,
     with_extra_generic_point,
@@ -39,7 +40,6 @@ from tchow.polyhedra import (
     make_cone,
     make_fan,
     make_polyhedron,
-    poly_is_face_of,
 )
 
 F = Fraction

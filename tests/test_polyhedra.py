@@ -11,6 +11,7 @@ from conftest import (
     complex_faces,
     fraction_primitive,
     mat_mul,
+    poly_is_face_of,
     polyhedron_hrep,
     snf_transforms_reference,
 )
@@ -45,7 +46,6 @@ from tchow.polyhedra import (
     minkowski_sum,
     poly_faces,
     poly_intersect,
-    poly_is_face_of,
     polyhedron_from_hrep,
     _extreme_rays,
     _h_to_generators,
