@@ -3,12 +3,15 @@
 Three sources: restricting the torus action of a complete toric variety to a
 corank-one subtorus (``downgrade``), projectivizing a rank-two equivariant
 vector bundle given by its ray filtrations (``bundle_rank2``), and the
-hard-coded worked fixtures.
+hard-coded worked fixtures.  ``downgrade`` and ``bundle_rank2`` run once per
+input value and process: a later call with an equal input returns the
+divisor built first, with its validity and presentations.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 
 from .exactlin import (
     IVec,
@@ -78,6 +81,7 @@ def _crosses(c: Cone) -> bool:
     return any(x > 0 for x in last) and any(x < 0 for x in last)
 
 
+@lru_cache(maxsize=None)
 def downgrade(inp: DowngradeInput) -> MarkedFansyDivisor:
     """Marked fansy divisor of a toric variety under a corank-one subtorus.
 
@@ -147,7 +151,10 @@ class RayFiltration(Value):
 
 
 class KlyachkoBundle(Value):
-    """A rank-two equivariant bundle on a smooth complete toric surface+.
+    """A rank-two equivariant bundle on a smooth complete toric variety.
+
+    The base fan may be any smooth complete fan; :func:`bundle_rank2` checks
+    Klyachko compatibility (at most two lines over each maximal cone).
 
     ``filtrations`` maps every primitive ray generator of the base fan to its
     ray filtration.  Point labels name elements of the projectivized fiber.
@@ -222,6 +229,7 @@ def _cone_delta(b: KlyachkoBundle, c: Cone) -> IVec:
     return tuple(s * dot(row, targets) for row in adj)
 
 
+@lru_cache(maxsize=None)
 def bundle_rank2(b: KlyachkoBundle) -> MarkedFansyDivisor:
     """Marked fansy divisor of the projectivized bundle.
 

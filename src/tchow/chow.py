@@ -11,7 +11,9 @@ there (Fulton & Sturmfels, 1997).  Each k's presentation is built once per divis
 object and kept in that context, so ``chow``, ``eff`` and ``crosscheck``
 share it.  An independent classical presentation for complete toric
 varieties (orbit closures modulo divisors of characters) serves as a
-cross-check through the downgrade construction.
+cross-check through the downgrade construction; it is kept on the fan, per
+k.  Divisors and fans from the ``make_*`` constructors are one object per
+value, so one built again finds the presentations built for the first.
 """
 
 from __future__ import annotations
@@ -265,7 +267,8 @@ def presentation(x: MarkedFansyDivisor, k: int) -> ChowPresentation:
 
     Built once per divisor object and k, and kept in its context: every
     later call, such as :func:`tchow.effcone.eff_generators`, returns the
-    same presentation.
+    same presentation.  Divisors from :func:`~tchow.fansy.make_divisor` are one
+    object per value, so an equal divisor built again through it builds nothing.
     """
     n = x.rank
     if not 0 <= k <= n + 1:
@@ -284,7 +287,12 @@ def toric_chow_presentation(fan: Fan, k: int) -> ChowPresentation:
     Generators are the orbit closures (cones of codimension k); relations are
     divisors of characters on the one-dimension-larger orbit closures.  This
     is the independent oracle the downgrade construction is checked against.
+    Built once per fan object and k, and kept on the fan, which
+    :func:`~tchow.polyhedra.make_fan` makes the one object of its value.
     """
+    built = fan.toric_presentations
+    if k in built:  # so the fan is a valid complete fan
+        return built[k]
     require_complete(fan)
     n = fan.ambient_rank
     if not 0 <= k <= n:
@@ -298,4 +306,5 @@ def toric_chow_presentation(fan: Fan, k: int) -> ChowPresentation:
             for sigma in fan.cofaces[tau]
         ]
         rows.extend(_image_rows(above, range(len(proj[0]))))
-    return _smith_presentation(k, gens, rows)
+    built[k] = _smith_presentation(k, gens, rows)
+    return built[k]

@@ -12,7 +12,9 @@ built once per divisor object, on first use, and kept in its
 equality and hashing read, like the validation report): each fiber's faces
 indexed by dimension, by tail cone and by coface, the :func:`s_sigma` and
 :func:`mu_of_face` tables, the generator sets of each level and the
-presentation of each k.
+presentation of each k.  :func:`make_divisor` returns one object per value
+(:func:`~tchow.value.canonical`), so an equal divisor built again through it
+shares that report and context.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .polyhedra import (
     minkowski_sum,
     poly_intersect,
 )
-from .value import Value
+from .value import Value, canonical
 
 AUX_LABELS = ("aux1", "aux2")
 
@@ -222,7 +224,7 @@ def make_divisor(
 
     Fewer than two supplied points get generic fibers (the tailfan itself)
     appended under the labels ``aux1``/``aux2``; the final point is the
-    basepoint.
+    basepoint.  Returns the first divisor built with the same value, if any.
     """
     if not labeled_complexes:
         raise ValueError("at least one fiber subdivision is required")
@@ -232,13 +234,8 @@ def make_divisor(
     while len(pairs) < 2:
         pairs.append((AUX_LABELS[i], sigma_as_complex(tailfan)))
         i += 1
-    return MarkedFansyDivisor(
-        rank,
-        tuple(p for p, _ in pairs),
-        tuple(s for _, s in pairs),
-        tailfan,
-        frozenset(marked),
-    )
+    points, complexes = tuple(p for p, _ in pairs), tuple(s for _, s in pairs)
+    return canonical(MarkedFansyDivisor(rank, points, complexes, tailfan, frozenset(marked)))
 
 
 def unique_face_over(x: MarkedFansyDivisor, sigma: Cone, p: str) -> Polyhedron:
@@ -369,8 +366,8 @@ def validate(x: MarkedFansyDivisor) -> ValidationReport:
     cones: once ``deg sigma`` lies in ``sigma`` it meets a face ``tau`` exactly
     when ``sum_p min_v w . v`` over the vertices ``v`` of ``Delta_p(sigma)`` is
     0, ``w`` the sum of ``sigma``'s facet normals through ``tau``
-    (:func:`_degree_locus_meets`).  Checked once per divisor object; later
-    calls return the same frozen report.
+    (:func:`_degree_locus_meets`).  Checked once per divisor object (per value
+    from :func:`make_divisor`); later calls return the same frozen report.
     """
     return x._report
 
@@ -403,9 +400,7 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
             complexes_ok = False
             continue
         tf = s.tail_fan
-        # a fiber's tail fan is usually equal to the tailfan, whose
-        # validity is already stored on it
-        tail_problems = fan_validate(x.tailfan if tf == x.tailfan else tf)
+        tail_problems = fan_validate(tf)
         if tail_problems:
             add("NON_FAN_TAILS", f"fiber over {p}: " + "; ".join(tail_problems))
             complexes_ok = False

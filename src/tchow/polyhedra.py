@@ -30,7 +30,10 @@ rays), tails, and cones as polyhedra.
 Face queries are answered from hashed sets.  The faces of a cone or a
 polyhedron, and the set :func:`cone_is_face_of` tests membership in, are held
 in global caches keyed by value, so a rebuilt but equal object still hits
-them.  A complex lists the faces of all its cells once, on the object (see
+them.  :func:`make_fan` and :func:`make_complex` return one object per value
+(:func:`~tchow.value.canonical`), so a fan or a complex built again is the
+object built first, with its validity, faces and coface map.  A complex
+lists the faces of all its cells once, on the object (see
 :func:`all_complex_faces`).  The coface map of a fan or of a complex, from
 each face to the faces one dimension up that contain it, is read off ray
 inclusion (:func:`inclusion_cofaces`); a fan keeps its map on the object
@@ -69,7 +72,7 @@ from .exactlin import (
     vadd,
     vec,
 )
-from .value import Value
+from .value import Value, canonical
 
 
 class GeometryError(ValueError):
@@ -599,7 +602,8 @@ class Fan(Value):
 
     Its validity is computed on first use by :func:`fan_validate` and kept on
     the object, next to its fields but not among them, so equality and
-    hashing ignore it; so is its coface map.
+    hashing ignore it; so are its coface map and the oracle presentation of
+    each k (filled in by :func:`tchow.chow.toric_chow_presentation`).
     """
 
     ambient_rank: int
@@ -608,6 +612,10 @@ class Fan(Value):
     @cached_property
     def _problems(self) -> tuple[str, ...]:
         return tuple(_fan_problems(self))
+
+    @cached_property
+    def toric_presentations(self) -> dict:
+        return {}
 
     @cached_property
     def cofaces(self) -> dict[Cone, tuple[Cone, ...]]:
@@ -626,14 +634,14 @@ class Fan(Value):
 
 
 def make_fan(cones: Iterable[Cone], ambient_rank: int) -> Fan:
-    """Normalize a generating list of cones: dedupe and drop non-maximal ones."""
+    """Normalize a generating list of cones: dedupe and drop non-maximal ones; one object per value."""
     uniq = sorted(set(cones), key=Cone.sort_key)
     maximal = [
         c
         for c in uniq
         if not any(other is not c and other.contains_cone(c) for other in uniq)
     ]
-    return Fan(ambient_rank, tuple(sorted(maximal, key=Cone.sort_key)))
+    return canonical(Fan(ambient_rank, tuple(sorted(maximal, key=Cone.sort_key))))
 
 
 @lru_cache(maxsize=None)
@@ -670,8 +678,8 @@ def fan_validate(fan: Fan) -> list[str]:
 
     Each pair of maximal cones is proved proper by a separating facet whose
     tight face on the other side is a face of both, or else met by double
-    description (:func:`_pair_meet`).  Checked once per fan object; every
-    call returns a fresh list.
+    description (:func:`_pair_meet`).  Checked once per fan object (per value
+    for fans from :func:`make_fan`); every call returns a fresh list.
     """
     return list(fan._problems)
 
@@ -733,7 +741,7 @@ class PolyhedralComplex(Value):
 
 
 def make_complex(cells: Iterable[Polyhedron], ambient_rank: int) -> PolyhedralComplex:
-    """Dedupe cells and drop any cell contained in another."""
+    """Dedupe cells and drop any cell contained in another; one object per value."""
     uniq = sorted(
         {c for c in cells if not c.is_empty}, key=Polyhedron.sort_key
     )
@@ -742,7 +750,7 @@ def make_complex(cells: Iterable[Polyhedron], ambient_rank: int) -> PolyhedralCo
         for c in uniq
         if not any(other is not c and other.cone.contains_cone(c.cone) for other in uniq)
     ]
-    return PolyhedralComplex(ambient_rank, tuple(maximal))
+    return canonical(PolyhedralComplex(ambient_rank, tuple(maximal)))
 
 
 def _complex_problems(s: PolyhedralComplex) -> list[str]:

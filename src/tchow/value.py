@@ -8,10 +8,14 @@ keyword, and sets them with ``object.__setattr__``.  Equality, hashing and
 different classes are unequal, and the hash is that of the tuple of fields.
 Derived data kept on the instance ``__dict__`` (a ``cached_property``, the
 memoized hash) is outside the value.
+The ``make_*`` constructors return :func:`canonical` of what they build:
+one object per value for the life of the process, whose derived data serve
+every later build of that value.  A class constructor's object is not canonical.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import attrgetter
 
 _set = object.__setattr__  # never self.__dict__, which would turn off inline attribute values
@@ -74,3 +78,9 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+@lru_cache(maxsize=None)
+def canonical(obj):
+    """The first object passed here that equals ``obj`` (``obj`` itself, the first time)."""
+    return obj

@@ -1,6 +1,7 @@
 """Shared test helpers: seeded random fans and bundles at desk scale, and the
 oracles and identities the tests check the library against, which the
-pipeline itself does not use."""
+pipeline itself does not use.  Each test starts with empty one-object-per-value
+tables, so what a test counts does not depend on the tests run before it."""
 
 import random
 from collections.abc import Sequence
@@ -9,7 +10,10 @@ from functools import reduce
 from math import gcd, lcm
 from unittest import mock
 
+import pytest
+
 from tchow.build import InconsistentFiltrationsError, KlyachkoBundle, RayFiltration, _cone_delta, bundle_labels
+from tchow.build import bundle_rank2, downgrade
 from tchow.build import _p1p1_fan as p1p1_fan, _p2_fan as p2_fan  # noqa: F401  (for the tests)
 from tchow.chow import _cone_image_ray
 from tchow.exactlin import (
@@ -43,6 +47,18 @@ from tchow.polyhedra import (
     poly_faces,
     poly_intersect,
 )
+from tchow.value import canonical
+
+
+def forget_values():
+    """Forget the canonical objects and the memoized divisor constructors."""
+    for table in (canonical, downgrade, bundle_rank2):
+        table.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_value_tables():
+    forget_values()
 
 
 def fraction_primitive(v):

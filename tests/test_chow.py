@@ -21,6 +21,7 @@ from tchow.chow import (
 )
 from tchow.fansy import (
     CycleGenerator,
+    MarkedFansyDivisor,
     enumerate_generators,
     mu_of_face,
     s_sigma,
@@ -275,7 +276,11 @@ def test_presentation_is_built_once_and_shared(monkeypatch):
         assert presentation(x, k) is pres
         assert eff_generators(x, k).presentation is pres
     assert calls == []
-    presentation(fixture("p2_E"), 1)  # an equal but new divisor builds its own
+    assert fixture("p2_E") is x  # an equal divisor built again is the same object
+    presentation(fixture("p2_E"), 1)
+    assert calls == []
+    # one built directly by the class constructor is not canonical: it builds its own
+    presentation(MarkedFansyDivisor(*(getattr(x, f) for f in x._fields)), 1)
     assert len(calls) == 1
 
 

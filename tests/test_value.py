@@ -3,16 +3,30 @@
 Each class compares, hashes and prints by its fields, in declaration order,
 as a frozen dataclass does, and refuses assignment and deletion.  Derived
 data kept on an object (H-data, a coface map, a tail fan, a validation
-report, a divisor's context) is not part of its value.
+report, a divisor's context) is not part of its value.  The constructors
+of fans, complexes and divisors return one object per value, so input read
+again reuses all of that derived data.
 """
 
+import copy
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import polyhedron_hrep
+from conftest import fan_document, forget_values, polyhedron_hrep
+from test_golden import GOLDEN, output_digest
 
-from tchow.build import DowngradeInput, KlyachkoBundle, RayFiltration, fixture
-from tchow.chow import ChowPresentation, RelationBlock, presentation
+from tchow import chow, fansy, polyhedra
+from tchow.build import (
+    DowngradeInput,
+    KlyachkoBundle,
+    RayFiltration,
+    fixture,
+    p1p1_bundle,
+    p2_projectivized_fan,
+)
+from tchow.chow import ChowPresentation, RelationBlock, presentation, toric_chow_presentation
+from tchow.cli import divisor_document, parse_fan, parse_input
 from tchow.effcone import EffConeReport, eff_generators
 from tchow.fansy import (
     CycleGenerator,
@@ -29,7 +43,8 @@ P2_CONES = (((0, 1), (1, 0)), ((-1, -1), (0, 1)), ((-1, -1), (1, 0)))
 
 
 # each factory builds a new object, equal to the one it built before; the
-# constructors are called directly, so no derived data is kept yet
+# constructors are called directly, so no derived data is kept yet (and no
+# object is canonical: the make_* constructors would return the same one)
 def cone():
     return Cone(2, P2_CONES[0])
 
@@ -50,6 +65,11 @@ def violation():
     return Violation("BAD_FAN", "cones do not meet in a common face")
 
 
+def rebuilt(obj):
+    """A new object equal to ``obj``, by its class constructor."""
+    return type(obj)(*(getattr(obj, f) for f in obj._fields))
+
+
 def read_context_and_report(x):
     x.context
     validate(x)
@@ -65,7 +85,7 @@ CASES = [
         lambda s: s.tail_fan,
     ),
     (
-        lambda: fixture("p2_E"),
+        lambda: rebuilt(fixture("p2_E")),  # fixture() returns one object per value
         ("rank", "points", "complexes", "tailfan", "marked"),
         read_context_and_report,
     ),
@@ -79,7 +99,7 @@ CASES = [
         None,
     ),
     (
-        lambda: presentation(fixture("p2_E"), 1),
+        lambda: rebuilt(presentation(fixture("p2_E"), 1)),
         ("k", "generators", "relations", "free_rank", "torsion", "moduli", "class_map"),
         None,
     ),
@@ -206,3 +226,60 @@ def test_defaults_and_filtration_checks():
         RayFiltration(1, "a", 1)
     with pytest.raises(ValueError, match="strictly decreasing"):
         RayFiltration(1, "a", 0)
+
+
+def bundle_stanza(b: KlyachkoBundle) -> dict:
+    filtrations = [
+        {"ray": list(ray), "full_until": f.full_until}
+        | ({} if f.line is None else {"line": f.line, "line_until": f.line_until})
+        for ray, f in b.filtrations
+    ]
+    return {"bundle": {"fan": fan_document(b.base_fan), "filtrations": filtrations}}
+
+
+def test_revisited_input_builds_nothing(monkeypatch, tmp_path):
+    docs = {
+        "p2_E": {"downgrade": {"fan": fan_document(p2_projectivized_fan("E"))}},
+        "p1p1_bundle": bundle_stanza(p1p1_bundle()),
+        "gr24": divisor_document(fixture("gr24")),
+    }
+    fan_doc = fan_document(p2_projectivized_fan("F"))
+    forget_values()  # as in a new process: nothing is built yet
+    calls = Counter()
+    for module, name in (
+        (chow, "relation_blocks"),
+        (chow, "_smith_presentation"),
+        (polyhedra, "_pair_meet"),
+        (fansy, "_violations"),
+    ):
+        real = getattr(module, name)
+        spy = lambda *a, real=real, name=name: calls.update([name]) or real(*a)
+        monkeypatch.setattr(module, name, spy)
+
+    def use(x):
+        assert validate(x).ok
+        for k in range(x.rank + 2):
+            eff_generators(x, k)
+        return [presentation(x, k) for k in range(x.rank + 2)]
+
+    for name, doc in docs.items():
+        x = parse_input(doc)
+        first = use(x)
+        chow_digest = output_digest(tmp_path, "chow", doc)
+        assert calls["relation_blocks"] and calls["_violations"], name
+        calls.clear()
+        again = parse_input(copy.deepcopy(doc))
+        assert again is x, name
+        assert use(again) == first
+        assert output_digest(tmp_path, "chow", doc) == chow_digest == GOLDEN[f"{name} chow"]
+        assert not calls, (name, calls)
+
+    fan = parse_fan(fan_doc)
+    first = [toric_chow_presentation(fan, k) for k in range(fan.ambient_rank + 1)]
+    assert calls["_smith_presentation"] == len(first)
+    calls.clear()
+    again = parse_fan(copy.deepcopy(fan_doc))
+    assert again is fan
+    assert [toric_chow_presentation(again, k) for k in range(fan.ambient_rank + 1)] == first
+    assert output_digest(tmp_path, "oracle", fan_doc) == GOLDEN["p2_F_fan oracle"]
+    assert not calls
