@@ -19,7 +19,6 @@ from .exactlin import (
     det,
     dot,
     mat_vec,
-    vec,
 )
 from .fansy import (
     AUX_LABELS,
@@ -344,16 +343,16 @@ def projectivized_split_fan(base: Fan, twist: dict[IVec, int]) -> Fan:
 
 def _insert_edge(fan: Fan, a: Sequence, b: Sequence) -> "list[Polyhedron]":
     """Subdivision cells obtained by replacing the origin with a lattice edge."""
-    av, bv = vec(a), vec(b)
-    d = tuple(x - y for x, y in zip(bv, av))
+    n = fan.ambient_rank
+    d = tuple(x - y for x, y in zip(b, a))
     cells = []
     for c in fan.maximal_cones:
         if c.contains(d):
-            cells.append(cone_as_polyhedron(c).translate(bv))
+            cells.append(make_polyhedron([b], c.generators, n))
         elif c.contains([-x for x in d]):
-            cells.append(cone_as_polyhedron(c).translate(av))
+            cells.append(make_polyhedron([a], c.generators, n))
         else:
-            cells.append(make_polyhedron([av, bv], c.generators, fan.ambient_rank))
+            cells.append(make_polyhedron([a, b], c.generators, n))
     return cells
 
 

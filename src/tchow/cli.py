@@ -11,7 +11,8 @@ Commands
 ``crosscheck`` downgrade pipeline vs toric oracle for every k
 
 Inputs are JSON documents with exact rational coordinates: integers, or
-strings like ``"-3/2"``.  Floating point is never read or written.  Every
+strings like ``"-3/2"`` (optional sign, digits, optional ``/digits``).
+Floating point, decimal and exponent strings are never read or written.  Every
 rank (of a fan or of an explicit document) is at most ``MAX_RANK`` = 4.  Exit
 codes: 0 success, 1 validation failure or crosscheck mismatch, 2 parse error
 (malformed or out-of-range input), 3 internal error (a fault in this program).
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -70,7 +72,7 @@ def _rat(value) -> Fraction:
         raise ParseError(f"coordinates must be integers or 'a/b' strings, got {_shown(value)}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -269,7 +271,7 @@ def _read_json(path: str):
         raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
     try:
         return json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply") from exc

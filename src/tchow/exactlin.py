@@ -4,8 +4,9 @@ All arithmetic is done with arbitrary-precision ints; nothing here ever
 rounds.  Every elimination is fraction-free: Hermite and Smith forms by
 integer row and column operations, determinants and inverses by Bareiss
 elimination.  The Smith form serves the Chow presentation alone and keeps
-only its row transform, which gives the class map.  ``fractions.Fraction`` remains only for rational vertex
-coordinates.  A lattice is given by its canonical row-HNF basis, a tuple of
+only its row transform, which gives the class map.  ``fractions.Fraction``
+appears only where :func:`primitive` clears the denominators of a rational
+vector.  A lattice is given by its canonical row-HNF basis, a tuple of
 integer vectors.  Matrices are plain lists of rows, vectors are tuples, so
 every value is hashable once frozen into a tuple.  A quotient by a span is
 one integer matrix, :func:`quotient_matrix`, whose columns are the basis
@@ -15,26 +16,17 @@ character is ever solved for.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-Vec = tuple[Fraction, ...]
 IVec = tuple[int, ...]
-
-
-def vec(entries: Iterable) -> Vec:
-    return tuple(Fraction(e) for e in entries)
 
 
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError("dimension mismatch in dot product")
     return sum(a * b for a, b in zip(u, v))
-
-
-def vadd(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -225,7 +217,7 @@ def primitive(v: Sequence) -> tuple[IVec, int]:
     v = tuple(v)
     if all(type(x) is int for x in v):
         return v, 1
-    fv = vec(v)
+    fv = [Fraction(x) for x in v]
     mu = lcm(*(f.denominator for f in fv))
     return tuple(f.numerator * (mu // f.denominator) for f in fv), mu
 

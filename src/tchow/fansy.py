@@ -22,9 +22,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import lcm
+from math import gcd, lcm
 
-from .exactlin import dot, hnf_basis, primitive, project, quotient_matrix, vec
+from .exactlin import dot, hnf_basis, project, quotient_matrix
 from .polyhedra import (
     Cone,
     Fan,
@@ -254,14 +254,14 @@ def mu_of_face(x: MarkedFansyDivisor, p: str, face: Polyhedron) -> int:
     """Multiplicity of the image vertex of a fiber face.
 
     The face is projected modulo the span of its tailcone; the result is the
-    lcm of the multiplicities of the image polytope's vertices (for a face
-    whose dimension equals its tail's the image is a single vertex).
+    lcm of the multiplicities of the image polytope's vertices.  A vertex
+    generator ``(w, h)`` has image ``y / h`` of multiplicity ``h / gcd(h, y)``.
     """
-    q = quotient_matrix(face.tail.generators, x.rank)
+    n = x.rank
+    q = quotient_matrix(face.tail.generators, n)
     if not q or not q[0]:
         return 1
-    images = {project(q, v) for v in face.vertices}
-    return lcm(*(primitive(im)[1] for im in images))
+    return lcm(*(g[n] // gcd(g[n], *project(q, g[:n])) for g in face.cone.generators if g[n]))
 
 
 def s_sigma(x: MarkedFansyDivisor, sigma: Cone) -> int:
@@ -269,23 +269,25 @@ def s_sigma(x: MarkedFansyDivisor, sigma: Cone) -> int:
 
     The images of the per-point unique-face vertices generate a finite
     subgroup of ``N(sigma)_Q / N(sigma)``; this returns its order.  The
-    multiplicity of every tail-``sigma`` face divides it.
+    multiplicity of every tail-``sigma`` face divides it.  Any vertex
+    generator ``(w, h)`` of a face of ``sigma``'s dimension gives its image.
     """
     if not x.is_marked(sigma):
         raise ValueError("s_sigma is defined for marked cones only")
-    q = quotient_matrix(sigma.generators, x.rank)
+    n = x.rank
+    q = quotient_matrix(sigma.generators, n)
     r = len(q[0]) if q else 0
     if r == 0:
         return 1
     vbars = []
     for p in x.points:
-        face = unique_face_over(x, sigma, p)
-        vbars.append(vec(project(q, face.vertices[0])))
-    d = lcm(*(f.denominator for vb in vbars for f in vb)) if vbars else 1
+        g = next(g for g in unique_face_over(x, sigma, p).cone.generators if g[n])
+        vbars.append((project(q, g[:n]), g[n]))
+    d = lcm(*(h for _, h in vbars))
     if d == 1:
         return 1
     rows = [[d if i == j else 0 for j in range(r)] for i in range(r)]
-    rows += [[int(f * d) for f in vb] for vb in vbars]
+    rows += [[v * (d // h) for v in y] for y, h in vbars]
     basis = hnf_basis(rows)
     covolume = 1
     for i, row in enumerate(basis):
@@ -330,10 +332,14 @@ def enumerate_generators(x: MarkedFansyDivisor, k: int) -> GeneratorSets:
 
 
 def _poly_min(face: Polyhedron, u: Sequence) -> Fraction | None:
-    """Exact minimum of ``<u, .>`` on a polyhedron; None when unbounded below."""
-    if any(dot(u, r) < 0 for r in face.tail.generators):
+    """Exact minimum of ``<u, .>`` on a polyhedron; None when unbounded below.
+
+    It is the least ``u . w / h`` over the generators ``(w, h)``, ``h > 0``.
+    """
+    n = len(u)
+    if any(dot(u, g[:n]) < 0 for g in face.cone.generators if not g[n]):
         return None
-    return min(dot(u, v) for v in face.vertices)
+    return min(Fraction(dot(u, g[:n]), g[n]) for g in face.cone.generators if g[n])
 
 
 def _degree_locus_meets(sigma: Cone, cells: Sequence[Polyhedron], semiample: bool):

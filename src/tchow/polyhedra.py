@@ -1,10 +1,10 @@
 """Exact rational cones, polyhedra, fans, and complete polyhedral complexes.
 
-A cone or a polyhedron stores its V-representation only: primitive extreme
-rays, vertices and tail, sorted, which equality, hashing and ``repr`` use.
-A polyhedron ``P`` is read through its homogenized cone, the cone over
-``P x {1}`` plus ``tail x {0}`` (``Polyhedron.cone``): its H-data, faces,
-meets, containment and dimension are those of that cone.  A cone's
+A cone stores its V-representation only: its primitive extreme rays,
+sorted, which equality, hashing and ``repr`` use.  A polyhedron ``P`` is
+its homogenized cone alone, the cone over ``P x {1}`` plus ``tail x {0}``
+(``Polyhedron.cone``): its H-data, faces, meets, dimension, vertices and
+tail are read off that cone's integer generators.  A cone's
 H-representation (facet normals and span equations) is derived from its
 V-data when first read, once per object, and kept on it.  Conversion both
 ways is one exact integer double description, :func:`_extreme_rays` (which
@@ -60,7 +60,6 @@ from math import gcd
 
 from .exactlin import (
     IVec,
-    Vec,
     bareiss_inverse,
     dot,
     identity_matrix,
@@ -69,8 +68,6 @@ from .exactlin import (
     primitive,
     primitive_direction,
     project,
-    vadd,
-    vec,
 )
 from .value import Value, canonical
 
@@ -438,79 +435,55 @@ def _pair_meet(a: Cone, b: Cone) -> tuple[Cone, bool]:
 
 
 class Polyhedron(Value):
-    """A rational polyhedron ``conv(vertices) + tail``; empty iff no vertices.
+    """A rational polyhedron, stored as its homogenized cone in rank n+1.
 
-    Every H-side question is answered by ``cone``, the homogenized cone in
-    rank n+1 spanned by ``(v, 1)`` for each vertex ``v`` and ``(r, 0)`` for
-    each tail ray ``r``: the polyhedron is its slice at last coordinate 1.
+    A primitive generator ``(w, h)`` of ``cone`` is a vertex ``w / h`` when
+    ``h > 0`` and a tail ray ``w`` when ``h == 0``; the polyhedron is the
+    slice at last coordinate 1, and the zero cone is the empty polyhedron's.
     """
 
-    ambient_rank: int
-    vertices: tuple[Vec, ...]
-    tail: Cone
+    cone: Cone
+
+    @property
+    def ambient_rank(self) -> int:
+        return self.cone.ambient_rank - 1
 
     @cached_property
-    def cone(self) -> Cone:
-        """Primitive generators ``(v, 1)`` and ``(r, 0)``; the zero cone when empty."""
-        return _cone_on_rays(
-            [primitive(v + (1,))[0] for v in self.vertices]
-            + [g + (0,) for g in self.tail.generators],
-            self.ambient_rank + 1,
-        )
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The vertices as sorted ``Fraction`` tuples, for printing and ordering."""
+        n = self.ambient_rank
+        verts = (tuple(Fraction(x, g[n]) for x in g[:n]) for g in self.cone.generators if g[n])
+        return tuple(sorted(verts))
+
+    @cached_property
+    def tail(self) -> Cone:
+        n = self.ambient_rank
+        return _cone_on_rays([g[:n] for g in self.cone.generators if not g[n]], n)
 
     @property
     def is_empty(self) -> bool:
-        return not self.vertices
+        return self.cone.is_zero()
 
     @cached_property
     def dim(self) -> int:
         return self.cone.dim - 1
-
-    def contains(self, x: Sequence) -> bool:
-        return not self.is_empty and self.cone.contains(tuple(x) + (1,))
-
-    def translate(self, t: Sequence) -> "Polyhedron":
-        tv = vec(t)
-        return make_polyhedron([vadd(v, tv) for v in self.vertices],
-                               self.tail.generators, self.ambient_rank)
 
     def sort_key(self):
         return (len(self.vertices), self.vertices, self.tail.sort_key())
 
 
 def empty_polyhedron(ambient_rank: int) -> Polyhedron:
-    return Polyhedron(ambient_rank, (), zero_cone(ambient_rank))
-
-
-def _polyhedron_on_rays(vertices: Iterable[Vec], tail: Cone) -> Polyhedron:
-    """``conv(vertices) + tail``, where ``vertices`` are exactly its vertices.
-
-    The precondition is not checked: callers already hold the vertices, in
-    any order, and a tail built from its extreme rays.  Nothing is computed
-    here; the H-data is derived when first read.
-    """
-    return Polyhedron(tail.ambient_rank, tuple(sorted(vertices)), tail)
+    return Polyhedron(zero_cone(ambient_rank + 1))
 
 
 def _from_homogenized(c: Cone) -> Polyhedron:
-    """The polyhedron whose homogenized cone is ``c``, which it keeps.
-
-    Rays with a positive last coordinate give the vertices, those with last
-    coordinate 0 the tail.  With no vertex the polyhedron is empty and keeps
-    nothing: a cone at last coordinate 0 is not the empty polyhedron's.
-    """
+    """The polyhedron whose homogenized cone is ``c``; empty when ``c`` has no vertex."""
     n = c.ambient_rank - 1
-    verts, tail_gens = [], []
-    for g in c.generators:
-        if g[n] > 0:
-            verts.append(tuple(Fraction(x, g[n]) for x in g[:n]))
-        elif g[n] == 0:
-            tail_gens.append(g[:n])
-        else:
-            raise AssertionError("negative homogenizing coordinate")
-    if not verts:
+    if any(g[n] < 0 for g in c.generators):
+        raise AssertionError("negative homogenizing coordinate")
+    if not any(g[n] for g in c.generators):
         return empty_polyhedron(n)
-    return _keep(_polyhedron_on_rays(verts, _cone_on_rays(tail_gens, n)), cone=c)
+    return Polyhedron(c)
 
 
 def make_polyhedron(
@@ -525,18 +498,28 @@ def make_polyhedron(
 
 
 def cone_as_polyhedron(c: Cone) -> Polyhedron:
-    return _polyhedron_on_rays([(Fraction(0),) * c.ambient_rank], c)
+    n = c.ambient_rank
+    return Polyhedron(_cone_on_rays([(0,) * n + (1,)] + [g + (0,) for g in c.generators], n + 1))
 
 
 def minkowski_sum(a: Polyhedron, b: Polyhedron) -> Polyhedron:
-    """Minkowski sum; the empty polyhedron is absorbing."""
+    """Minkowski sum; the empty polyhedron is absorbing.
+
+    Vertex generators ``(v, h)`` and ``(w, k)`` sum to ``(k v + h w, h k)``,
+    and the tail rays of both are kept.
+    """
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient rank mismatch")
+    n = a.ambient_rank
     if a.is_empty or b.is_empty:
-        return empty_polyhedron(a.ambient_rank)
-    verts = [vadd(u, v) for u in a.vertices for v in b.vertices]
-    rays = list(a.tail.generators) + list(b.tail.generators)
-    return make_polyhedron(verts, rays, a.ambient_rank)
+        return empty_polyhedron(n)
+    gens = [g for g in a.cone.generators + b.cone.generators if not g[n]]
+    gens += [
+        tuple(g[n] * x + f[n] * y for x, y in zip(f[:n], g[:n])) + (f[n] * g[n],)
+        for f in a.cone.generators if f[n]
+        for g in b.cone.generators if g[n]
+    ]
+    return _from_homogenized(make_cone(gens, n + 1))
 
 
 def polyhedron_from_hrep(
@@ -563,9 +546,7 @@ def poly_faces(p: Polyhedron) -> tuple[Polyhedron, ...]:
     They are the faces of ``p.cone`` with a generator at last coordinate 1.
     """
     n = p.ambient_rank
-    faces = [
-        _from_homogenized(f) for f in cone_faces(p.cone) if any(g[n] for g in f.generators)
-    ]
+    faces = [Polyhedron(f) for f in cone_faces(p.cone) if any(g[n] for g in f.generators)]
     return tuple(sorted(faces, key=Polyhedron.sort_key))
 
 

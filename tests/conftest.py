@@ -27,7 +27,6 @@ from tchow.exactlin import (
     primitive_direction,
     project,
     quotient_matrix,
-    vec,
 )
 from tchow import fansy
 from tchow.fansy import MarkedFansyDivisor, mu_of_face, sigma_as_complex, unique_face_over
@@ -59,6 +58,10 @@ def forget_values():
 @pytest.fixture(autouse=True)
 def fresh_value_tables():
     forget_values()
+
+
+def vec(entries) -> tuple[Fraction, ...]:
+    return tuple(Fraction(e) for e in entries)
 
 
 def fraction_primitive(v):
@@ -184,6 +187,11 @@ def assert_same_facets(normals, expected, generators, span_eqs):
         assert gcd(*u) == 1 and all(dot(e, u) == 0 for e in span_eqs), (u, span_eqs)
 
 
+def poly_contains(p: Polyhedron, x: Sequence) -> bool:
+    """Whether the point ``x`` lies in ``p``: ``(x, 1)`` lies in its homogenized cone."""
+    return not p.is_empty and p.cone.contains(tuple(x) + (1,))
+
+
 def poly_is_face_of(f: Polyhedron, p: Polyhedron) -> bool:
     """Whether ``f`` is a nonempty face of ``p``: its homogenized cone is a face of ``p``'s."""
     return not f.is_empty and cone_is_face_of(f.cone, p.cone)
@@ -250,7 +258,7 @@ def reference_complex_problems(s: PolyhedralComplex) -> list[str]:
 
 def reference_degree_meets(sigma: Cone, cells: Sequence[Polyhedron], semiample: bool):
     """Reference for ``fansy._degree_locus_meets``: the Minkowski sum, met with each face."""
-    deg = reduce(minkowski_sum, cells)
+    deg = reduce(fraction_minkowski_sum, cells)
     return lambda tau: not poly_intersect(deg, cone_as_polyhedron(tau)).is_empty
 
 
@@ -258,13 +266,15 @@ def reference_violations(x: MarkedFansyDivisor) -> list[tuple[str, str]]:
     """Reference for ``validate``: ``(code, message)`` pairs, found afresh.
 
     The divisor's checks run with the three references above in place of
-    fan and complex validation and of the degree-locus meets.
+    fan and complex validation and of the degree-locus meets, and with
+    :func:`fraction_poly_min` in place of ``_poly_min``.
     """
     with mock.patch.multiple(
         fansy,
         fan_validate=reference_fan_problems,
         complex_validate=reference_complex_problems,
         _degree_locus_meets=reference_degree_meets,
+        _poly_min=fraction_poly_min,
     ):
         return [(v.code, v.message) for v in fansy._violations(x)]
 
@@ -571,3 +581,58 @@ def with_point_order(x: MarkedFansyDivisor, order) -> MarkedFansyDivisor:
         x.tailfan,
         x.marked,
     )
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for what the library reads off homogenized generators
+
+
+def fraction_minkowski_sum(a: Polyhedron, b: Polyhedron) -> Polyhedron:
+    """Reference for ``polyhedra.minkowski_sum``: pairwise sums of Fraction vertices."""
+    if a.ambient_rank != b.ambient_rank:
+        raise ValueError("ambient rank mismatch")
+    if a.is_empty or b.is_empty:
+        return make_polyhedron([], [], a.ambient_rank)
+    verts = [tuple(x + y for x, y in zip(u, v)) for u in a.vertices for v in b.vertices]
+    rays = list(a.tail.generators) + list(b.tail.generators)
+    return make_polyhedron(verts, rays, a.ambient_rank)
+
+
+def fraction_poly_min(face: Polyhedron, u: Sequence):
+    """Reference for ``fansy._poly_min``: ``u`` dotted with the Fraction vertices."""
+    if any(dot(u, r) < 0 for r in face.tail.generators):
+        return None
+    return min(dot(u, v) for v in face.vertices)
+
+
+def fraction_mu_of_face(x: MarkedFansyDivisor, p: str, face: Polyhedron) -> int:
+    """Reference for ``fansy.mu_of_face``: the Fraction vertices' images, made primitive."""
+    q = quotient_matrix(face.tail.generators, x.rank)
+    if not q or not q[0]:
+        return 1
+    images = {project(q, v) for v in face.vertices}
+    return lcm(*(primitive(im)[1] for im in images))
+
+
+def fraction_s_sigma(x: MarkedFansyDivisor, sigma: Cone) -> int:
+    """Reference for ``fansy.s_sigma``: denominators of the first Fraction vertex's image."""
+    if not x.is_marked(sigma):
+        raise ValueError("s_sigma is defined for marked cones only")
+    q = quotient_matrix(sigma.generators, x.rank)
+    r = len(q[0]) if q else 0
+    if r == 0:
+        return 1
+    vbars = []
+    for p in x.points:
+        face = unique_face_over(x, sigma, p)
+        vbars.append(vec(project(q, face.vertices[0])))
+    d = lcm(*(f.denominator for vb in vbars for f in vb)) if vbars else 1
+    if d == 1:
+        return 1
+    rows = [[d if i == j else 0 for j in range(r)] for i in range(r)]
+    rows += [[int(f * d) for f in vb] for vb in vbars]
+    basis = hnf_basis(rows)
+    covolume = 1
+    for i, row in enumerate(basis):
+        covolume *= row[i]
+    return d**r // covolume

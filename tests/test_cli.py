@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -258,6 +259,24 @@ BAD_DOCUMENTS = {
         "validate",
         {"rank": 1, "points": ["0"] * 3_000, "complexes": {"0": [P1_CELL]}, "marked": []},
     ),
+    # an integer literal longer than Python converts (4,300 digits), written as raw JSON text
+    "huge_integer_literal": ("oracle", '{"rank": 2, "maximal_cones": [[[' + "1" * 5_000 + ", 0]]]}"),
+    # only integers and "a/b" strings are coordinates: no exponent, decimal, space or underscore
+    "exponent_string": ("oracle", {"rank": 2, "maximal_cones": [[["1e10000000", 0]]]}),
+    "exponent_vertex": (
+        "validate",
+        {"rank": 1, "points": ["0"], "complexes": {"0": [{"vertices": [["1e3"]]}]}, "marked": []},
+    ),
+    "decimal_vertex": (
+        "validate",
+        {"rank": 1, "points": ["0"], "complexes": {"0": [{"vertices": [["0.5"]]}]}, "marked": []},
+    ),
+    "spaced_string": ("oracle", {"rank": 1, "maximal_cones": [[[" 1"]], [["-1"]]]}),
+    "underscore_string": ("oracle", {"rank": 1, "maximal_cones": [[["1_0"]], [["-1"]]]}),
+    "zero_denominator": (
+        "validate",
+        {"rank": 1, "points": ["0"], "complexes": {"0": [{"vertices": [["1/0"]]}]}, "marked": []},
+    ),
 }
 
 
@@ -265,11 +284,32 @@ BAD_DOCUMENTS = {
 def test_bad_document_is_parse_error(tmp_path, capsys, name):
     command, doc = BAD_DOCUMENTS[name]
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error:")
     assert len(err.encode()) < 1_000
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [(7, 7), ("7", 7), ("-3/2", F(-3, 2)), ("+4/6", F(2, 3)), ("0/5", 0), ("-0", 0)],
+)
+def test_rational_coordinates_in_documented_forms(text, value):
+    assert cli._rat(text) == value
+
+
+def test_rational_vertex_document(tmp_path, capsys):
+    """An explicit document with a ``"1/2"`` vertex is read and validated."""
+    cells = lambda v: [{"vertices": [[v]], "rays": [[1]]}, {"vertices": [[v]], "rays": [[-1]]}]
+    doc = {"rank": 1, "points": ["0", "inf"], "complexes": {"0": cells("1/2"), "inf": cells(0)}, "marked": []}
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--json", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"]
+    x = parse_input(doc)
+    assert [c.vertices for c in x.complex_at("0").maximal_cells] == [((F(1, 2),),)] * 2
+    assert divisor_document(x)["complexes"]["0"][0]["vertices"] == [["1/2"]]
 
 
 def test_unreadable_file_is_parse_error(tmp_path, capsys):

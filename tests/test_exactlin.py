@@ -12,6 +12,7 @@ from conftest import (
     minimal_lattice_multiple,
     snf_transforms_reference,
     solve_left,
+    vec,
 )
 
 from tchow.exactlin import (
@@ -27,7 +28,6 @@ from tchow.exactlin import (
     project,
     quotient_matrix,
     snf_transforms,
-    vec,
 )
 from tchow import exactlin
 

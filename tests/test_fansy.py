@@ -5,8 +5,13 @@ import pytest
 from conftest import (
     complex_faces,
     deg_xi,
+    fraction_minkowski_sum,
+    fraction_mu_of_face,
+    fraction_poly_min,
+    fraction_s_sigma,
     p1p1_fan,
     p2_fan,
+    poly_contains,
     poly_is_face_of,
     random_bundle,
     random_complete_fan,
@@ -25,6 +30,7 @@ from tchow.build import (
 from tchow.fansy import (
     MarkedFansyDivisor,
     NonUniqueFaceError,
+    _poly_min,
     enumerate_generators,
     make_divisor,
     mu_of_face,
@@ -40,6 +46,7 @@ from tchow.polyhedra import (
     make_cone,
     make_fan,
     make_polyhedron,
+    minkowski_sum,
 )
 
 F = Fraction
@@ -239,7 +246,7 @@ def test_s_sigma_half_vertices():
 def test_deg_xi_p1p1(p1p1):
     degs = deg_xi(p1p1)
     assert len(degs) == len([c for c in p1p1.tailfan.cones(2) if p1p1.is_marked(c)])
-    point_in = lambda pt: any(d.contains(pt) for _, d in degs)
+    point_in = lambda pt: any(poly_contains(d, pt) for _, d in degs)
     assert not point_in((0, -1))
     assert point_in((2, 0))
     assert point_in((0, 2))
@@ -388,3 +395,51 @@ def test_divisor_without_points_reports_too_few_points():
     marked = frozenset(c for c in fan.all_cones() if not c.is_zero())
     x = MarkedFansyDivisor(2, (), (), fan, marked)
     assert [v.code for v in validate(x).violations] == ["TOO_FEW_POINTS"]
+
+
+def reference_divisors():
+    """The fixtures, seeded rank-3 and rank-4 downgrades and seeded bundles."""
+    xs = [fixture(name) for name in FIXTURE_NAMES]
+    xs += [downgrade(DowngradeInput(random_complete_fan(random.Random(500 + s), 3, 5))) for s in range(4)]
+    xs += [downgrade(DowngradeInput(random_complete_fan(random.Random(1000 + s), 4, 5))) for s in range(2)]
+    rng = random.Random(4711)
+    xs += [bundle_rank2(random_bundle(rng, (p2_fan(), p1p1_fan())[i % 2])) for i in range(6)]
+    return xs
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the message of the GeometryError it raises (a sum with a line)."""
+    try:
+        return f(*args)
+    except polyhedra.GeometryError as exc:
+        return str(exc)
+
+
+def test_integer_generator_reads_match_fraction_references():
+    """``mu_of_face``, ``s_sigma``, ``_poly_min`` and ``minkowski_sum`` read
+    integer homogenized generators; each equals its ``Fraction`` reference."""
+    seen = dict.fromkeys(["mu > 1", "s > 1", "fractional min", "unbounded", "sum"], 0)
+    for x in reference_divisors():
+        normals = {u for c in x.tailfan.maximal_cones for u in c.normals}
+        normals |= {tuple(-a for a in u) for u in normals}
+        fibers = [x.context.fibers[p].faces for p in x.points]
+        for p, faces in zip(x.points, fibers):
+            for f in faces:
+                mu = mu_of_face(x, p, f)
+                assert mu == fraction_mu_of_face(x, p, f), (p, f)
+                seen["mu > 1"] += mu > 1
+                for u in sorted(normals):
+                    m = _poly_min(f, u)
+                    assert m == fraction_poly_min(f, u), (f, u)
+                    seen["unbounded"] += m is None
+                    seen["fractional min"] += m is not None and m.denominator > 1
+        for sigma in x.marked:
+            s = s_sigma(x, sigma)
+            assert s == fraction_s_sigma(x, sigma), sigma
+            seen["s > 1"] += s > 1
+        for a in fibers[0][:12]:
+            for b in fibers[1][:12]:
+                found = outcome(minkowski_sum, a, b)
+                assert found == outcome(fraction_minkowski_sum, a, b), (a, b)
+                seen["sum"] += not isinstance(found, str)
+    assert min(seen.values()) > 0, seen

@@ -11,6 +11,7 @@ from conftest import (
     complex_faces,
     fraction_primitive,
     mat_mul,
+    poly_contains,
     poly_is_face_of,
     polyhedron_hrep,
     snf_transforms_reference,
@@ -182,6 +183,29 @@ def test_minkowski_commutative_associative(sa, sb, sc):
     )
 
 
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def polytopes_plus_tails(draw):
+    """``(vertices, rays, n)``: rational points and a pointed tail in one orthant."""
+    n = draw(st.integers(1, 3))
+    verts = draw(st.lists(st.tuples(*[rationals] * n), min_size=1, max_size=6))
+    signs = draw(st.tuples(*[st.sampled_from((1, -1))] * n))
+    rays = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=3))
+    return verts, [tuple(s * x for s, x in zip(signs, r)) for r in rays], n
+
+
+@settings(max_examples=80)
+@given(polytopes_plus_tails())
+def test_vertices_and_tail_rebuild_the_polyhedron(data):
+    verts, rays, n = data
+    p = make_polyhedron(verts, rays, n)
+    assert make_polyhedron(p.vertices, p.tail.generators, n) == p
+    assert set(p.vertices) <= {tuple(map(F, v)) for v in verts}
+    assert p.tail == make_cone(rays, n) and not p.is_empty
+
+
 def test_tail_of_sum_is_join():
     a = P([(0, 0)], [(1, 0)])
     b = P([(3, 1)], [(0, 1)])
@@ -194,7 +218,7 @@ def test_poly_intersect():
     b = P([(1, -1)], [(0, 1), (1, 1)])
     meet = poly_intersect(a, b)
     assert not meet.is_empty
-    assert meet.contains((F(3, 2), F(5))) is meet.contains((F(3, 2), F(5)))
+    assert poly_contains(meet, (F(3, 2), F(5))) and not poly_contains(meet, (F(1, 2), F(0)))
     disjoint = poly_intersect(P([(0, 0)], []), P([(1, 1)], []))
     assert disjoint.is_empty
     # parallel half-lines: their homogenized cones meet in a ray at last coordinate 0
@@ -787,7 +811,7 @@ def test_built_from_extreme_rays_matches_make():
         if not h.is_empty:
             assert_canonical_polyhedron(h)
             seen["hrep"] += 1
-            assert all(h.contains(v) for v in h.vertices)
+            assert all(poly_contains(h, v) for v in h.vertices)
     assert min(seen.values()) > 20, seen
 
 

@@ -20,7 +20,7 @@ from test_validation_messages import COMPLEXES, FANS, fan
 
 from tchow.build import DowngradeInput, downgrade
 from tchow.fansy import MarkedFansyDivisor, sigma_as_complex, validate
-from tchow.polyhedra import Cone, complex_validate, fan_validate, make_complex
+from tchow.polyhedra import Cone, Polyhedron, complex_validate, fan_validate, make_complex, make_polyhedron
 
 MARKING_CODES = {"NOT_SEMIAMPLE", "MARKING_TOO_SMALL", "MARKING_TOO_LARGE", "DEGREE_MEETS_ORIGIN"}
 
@@ -73,6 +73,12 @@ def test_improper_fans_match_reference():
     ]
 
 
+def translate(p: Polyhedron, t) -> Polyhedron:
+    """``p`` moved by the integer vector ``t``."""
+    verts = [tuple(a + b for a, b in zip(v, t)) for v in p.vertices]
+    return make_polyhedron(verts, p.tail.generators, p.ambient_rank)
+
+
 def mutations(x):
     """Each divisor with one mark dropped, one cone marked or fiber "0" moved."""
     for m in sorted(x.marked, key=Cone.sort_key):
@@ -82,7 +88,7 @@ def mutations(x):
             yield MarkedFansyDivisor(x.rank, x.points, x.complexes, x.tailfan, x.marked | {c})
     i = x.points.index("0")
     for t in ((1, 0), (0, -1), (-2, 1)):
-        moved = make_complex([c.translate(t) for c in x.complexes[i].maximal_cells], x.rank)
+        moved = make_complex([translate(c, t) for c in x.complexes[i].maximal_cells], x.rank)
         complexes = x.complexes[:i] + (moved,) + x.complexes[i + 1 :]
         yield MarkedFansyDivisor(x.rank, x.points, complexes, x.tailfan, x.marked)
 

@@ -50,7 +50,8 @@ def cone():
 
 
 def polyhedron():
-    return Polyhedron(2, ((F(1, 2), F(0)),), cone())
+    """The vertex (1/2, 0) plus the first P2 cone, as its homogenized cone."""
+    return Polyhedron(Cone(3, ((0, 1, 0), (1, 0, 0), (1, 0, 2))))
 
 
 def fan():
@@ -77,7 +78,7 @@ def read_context_and_report(x):
 
 CASES = [
     (cone, ("ambient_rank", "generators"), lambda c: c.normals),
-    (polyhedron, ("ambient_rank", "vertices", "tail"), polyhedron_hrep),
+    (polyhedron, ("cone",), polyhedron_hrep),
     (fan, ("ambient_rank", "maximal_cones"), lambda f: f.cofaces),
     (
         lambda: PolyhedralComplex(2, (polyhedron(),)),
