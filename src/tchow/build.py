@@ -89,6 +89,8 @@ def downgrade(inp: DowngradeInput) -> MarkedFansyDivisor:
     open half-spaces.
     """
     fan = inp.fan
+    if fan.ambient_rank < 1:
+        raise GeometryError("a downgrade needs a fan of rank at least 1")
     if inp.basis_change is not None:
         m = [list(r) for r in inp.basis_change]
         if abs(det(m)) != 1:
@@ -182,11 +184,14 @@ def _check_base(b: KlyachkoBundle) -> None:
                 f"maximal cone {c.generators} is not unimodular"
             )
     rays = {r.generators[0] for r in b.base_fan.cones(1)}
-    given = {r for r, _ in b.filtrations}
-    if rays != given:
+    given = [r for r, _ in b.filtrations]
+    if rays != set(given):
         raise InconsistentFiltrationsError(
             "filtrations must be given for exactly the base rays"
         )
+    for r in given:
+        if given.count(r) > 1:
+            raise InconsistentFiltrationsError(f"ray {r} has more than one filtration")
 
 
 def bundle_labels(b: KlyachkoBundle) -> list[str]:
@@ -241,9 +246,9 @@ def bundle_rank2(b: KlyachkoBundle) -> MarkedFansyDivisor:
     _check_base(b)
     n = b.base_fan.ambient_rank
     labels = bundle_labels(b)
-    aux = iter(AUX_LABELS)
+    aux = [a for a in AUX_LABELS if a not in labels]
     while len(labels) < 2:
-        labels.append(next(aux))
+        labels.append(aux.pop(0))
     cells: dict[str, list[Polyhedron]] = {p: [] for p in labels}
 
     def piece(c: Cone, delta: Sequence[int], sign: int, level) -> Polyhedron:

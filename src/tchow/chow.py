@@ -2,21 +2,23 @@
 
 For each k the generators are the invariant-cycle classes enumerated by
 :mod:`tchow.fansy`; the relations are divisors of eigenfunctions on the
-invariant (k+1)-cycles, assembled block by block from the divisor's
-:class:`~tchow.fansy.DivisorContext` (faces by tail and coface, stabilizer
-orders and multiplicities).  A cycle's lattice is ``Z^(n+1)`` modulo a
+invariant (k+1)-cycles, assembled block by block from each fiber's faces
+by tail and coface (kept on its complex) and the stabilizer orders and
+multiplicities (:func:`~tchow.fansy.s_sigma`,
+:func:`~tchow.fansy.mu_of_face`).  A cycle's lattice is ``Z^(n+1)`` modulo a
 homogenized cone, and the coefficient of a coface in the divisor of the
 ``j``-th basis character is coordinate ``j`` of the coface's primitive image
-there (Fulton & Sturmfels, 1997).  Each k's presentation is built once per divisor
-object and kept in that context, so ``chow``, ``eff`` and ``crosscheck``
-share it.  An independent classical presentation for complete toric
-varieties (orbit closures modulo divisors of characters) serves as a
-cross-check through the downgrade construction; it is kept on the fan, per
-k.  Divisors and fans from the ``make_*`` constructors are one object per
-value, so one built again finds the presentations built for the first.
+there (Fulton & Sturmfels, 1997).  Each k's presentation is built once per
+divisor value and kept in a value-keyed cache, so ``chow``, ``eff`` and
+``crosscheck`` share it.  An independent classical presentation for complete
+toric varieties (orbit closures modulo divisors of characters) serves as a
+cross-check through the downgrade construction; it is cached per fan value
+and k the same way.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .exactlin import (
     IVec,
@@ -29,6 +31,8 @@ from .fansy import (
     CycleGenerator,
     MarkedFansyDivisor,
     enumerate_generators,
+    mu_of_face,
+    s_sigma,
     unique_face_over,
 )
 from .polyhedra import (
@@ -117,17 +121,16 @@ def relation_block_v(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationB
     stabilizer-to-multiplicity ratio as multiplier.
     """
     n = x.rank
-    ctx = x.context
     p, face = source.point, source.face
     proj = quotient_matrix(face.cone.generators, n + 1)
     # each coface as the generator it lands on, the multiplier and its image
     targets = []
-    for g in ctx.fibers[p].cofaces[face]:
+    for g in x.complex_at(p).cofaces[face]:
         if not x.is_marked(g.tail):
             gen, factor = CycleGenerator("V", point=p, face=g), 1
         else:
-            s = ctx.s(x, g.tail)
-            mu = ctx.mu(x, p, g)
+            s = s_sigma(x, g.tail)
+            mu = mu_of_face(g)
             if s % mu != 0:
                 raise NonIntegralRedirectError(
                     f"stabilizer order {s} is not divisible by multiplicity {mu}"
@@ -154,11 +157,10 @@ def relation_block_r(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationB
     tau = source.cone
     proj = quotient_matrix(_lift(tau), n + 1)
     q = len(proj[0]) - 1
-    ctx = x.context
     per_point = {
         p: [
             (CycleGenerator("V", point=p, face=f), 1, _cone_image_ray(proj, f.cone.generators))
-            for f in ctx.fibers[p].by_tail.get(tau, ())
+            for f in x.complex_at(p).by_tail.get(tau, ())
             if f.dim == tau.dim
         ]
         for p in x.points
@@ -262,37 +264,31 @@ def _smith_presentation(k, generators, rows) -> ChowPresentation:
     )
 
 
+@lru_cache(maxsize=None)
 def presentation(x: MarkedFansyDivisor, k: int) -> ChowPresentation:
     """The full k-cycle class group presentation of the divisor's variety.
 
-    Built once per divisor object and k, and kept in its context: every
-    later call, such as :func:`tchow.effcone.eff_generators`, returns the
-    same presentation.  Divisors from :func:`~tchow.fansy.make_divisor` are one
-    object per value, so an equal divisor built again through it builds nothing.
+    Built once per divisor value and k: every later call with an equal
+    divisor, such as :func:`tchow.effcone.eff_generators`, returns the same
+    presentation.
     """
     n = x.rank
     if not 0 <= k <= n + 1:
         raise ValueError(f"k must lie in [0, {n + 1}]")
-    built = x.context.presentations
-    if k not in built:
-        gens = enumerate_generators(x, k).ordered()
-        rows = [row for block in relation_blocks(x, k) for row in block.rows]
-        built[k] = _smith_presentation(k, gens, rows)
-    return built[k]
+    gens = enumerate_generators(x, k).ordered()
+    rows = [row for block in relation_blocks(x, k) for row in block.rows]
+    return _smith_presentation(k, gens, rows)
 
 
+@lru_cache(maxsize=None)
 def toric_chow_presentation(fan: Fan, k: int) -> ChowPresentation:
     """Classical k-cycle presentation of a complete toric variety.
 
     Generators are the orbit closures (cones of codimension k); relations are
     divisors of characters on the one-dimension-larger orbit closures.  This
     is the independent oracle the downgrade construction is checked against.
-    Built once per fan object and k, and kept on the fan, which
-    :func:`~tchow.polyhedra.make_fan` makes the one object of its value.
+    Built once per fan value and k.
     """
-    built = fan.toric_presentations
-    if k in built:  # so the fan is a valid complete fan
-        return built[k]
     require_complete(fan)
     n = fan.ambient_rank
     if not 0 <= k <= n:
@@ -306,5 +302,4 @@ def toric_chow_presentation(fan: Fan, k: int) -> ChowPresentation:
             for sigma in fan.cofaces[tau]
         ]
         rows.extend(_image_rows(above, range(len(proj[0]))))
-    built[k] = _smith_presentation(k, gens, rows)
-    return built[k]
+    return _smith_presentation(k, gens, rows)

@@ -6,22 +6,21 @@ fiber), one complete polyhedral subdivision per special point of the base
 line, and a marked set of tailfan cones recording which invariant cycles the
 contraction morphism collapses.
 
-Everything derived from a divisor that the k-cycle presentations share is
-built once per divisor object, on first use, and kept in its
-:class:`DivisorContext` (on the object but not among the fields that
-equality and hashing read, like the validation report): each fiber's faces
-indexed by dimension, by tail cone and by coface, the :func:`s_sigma` and
-:func:`mu_of_face` tables, the generator sets of each level and the
-presentation of each k.  :func:`make_divisor` returns one object per value
-(:func:`~tchow.value.canonical`), so an equal divisor built again through it
-shares that report and context.
+Everything the k-cycle presentations share is derived per value, once, on
+first use.  Each fiber's faces by dimension, by tail cone and by coface are
+kept on its complex (``PolyhedralComplex.by_dim``, ``by_tail``,
+``cofaces``); :func:`s_sigma`, :func:`mu_of_face` and
+:func:`enumerate_generators` keep their results in value-keyed caches, as
+:func:`tchow.chow.presentation` does.  :func:`make_divisor` returns one
+object per value (:func:`~tchow.value.canonical`), so an equal divisor built
+again through it shares its validation report and complexes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd, lcm
 
 from .exactlin import dot, hnf_basis, project, quotient_matrix
@@ -30,14 +29,12 @@ from .polyhedra import (
     Fan,
     PolyhedralComplex,
     Polyhedron,
-    all_complex_faces,
     complex_tailfan,
     complex_validate,
     cone_as_polyhedron,
     cone_faces,
     fan_is_complete,
     fan_validate,
-    inclusion_cofaces,
     make_complex,
     minkowski_sum,
     poly_intersect,
@@ -57,8 +54,8 @@ class MarkedFansyDivisor(Value):
     ``points`` is ordered; the last label plays the role of the basepoint at
     infinity in all relation blocks.  The report of :func:`validate` is
     computed on first use and kept on the object, next to its fields but not
-    among them, so equality and hashing ignore it; so is its
-    :class:`DivisorContext`.
+    among them, so equality and hashing ignore it.  The fiber indexes live on
+    its complexes, and the tables of every k in value-keyed caches.
     """
 
     rank: int
@@ -83,68 +80,6 @@ class MarkedFansyDivisor(Value):
     @cached_property
     def _report(self) -> ValidationReport:
         return ValidationReport(tuple(_violations(self)))
-
-    @cached_property
-    def context(self) -> DivisorContext:
-        return DivisorContext(self)
-
-
-class FiberFaces:
-    """The faces of one fiber's subdivision, sorted, and their indexes.
-
-    ``by_dim`` and ``by_tail`` map a dimension or a tail cone to its faces.
-    ``cofaces`` maps each face to the faces one dimension up that contain
-    it, read off the inclusion of their homogenized cones' rays by
-    :func:`~tchow.polyhedra.inclusion_cofaces`, with no face lattice of any
-    single face.
-    """
-
-    def __init__(self, s: PolyhedralComplex):
-        self.faces = tuple(all_complex_faces(s))
-        by_dim: dict[int, list[Polyhedron]] = {}
-        by_tail: dict[Cone, list[Polyhedron]] = {}
-        for f in self.faces:
-            by_dim.setdefault(f.dim, []).append(f)
-            by_tail.setdefault(f.tail, []).append(f)
-        self.by_dim = {d: tuple(fs) for d, fs in by_dim.items()}
-        self.by_tail = {c: tuple(fs) for c, fs in by_tail.items()}
-
-    @cached_property
-    def cofaces(self) -> dict[Polyhedron, tuple[Polyhedron, ...]]:
-        rays = {d: [(f, frozenset(f.cone.generators)) for f in fs] for d, fs in self.by_dim.items()}
-        return inclusion_cofaces(rays)
-
-
-class DivisorContext:
-    """What every k of one divisor shares, each part built on first request.
-
-    ``fibers`` maps each point to its :class:`FiberFaces`.  The tables hold
-    :func:`s_sigma` by marked cone, :func:`mu_of_face` by (point, face), the
-    :class:`GeneratorSets` of each level and the presentation of each k
-    (filled in by :func:`tchow.chow.presentation`).  The context keeps no
-    reference to its divisor, so the two form no cycle; the lookups take it
-    as an argument.
-    """
-
-    def __init__(self, x: MarkedFansyDivisor):
-        self.fibers = {p: FiberFaces(x.complex_at(p)) for p in x.points}
-        self.s_table: dict[Cone, int] = {}
-        self.mu_table: dict[tuple[str, Polyhedron], int] = {}
-        self.levels: dict[int, GeneratorSets] = {}
-        self.presentations: dict = {}
-
-    def s(self, x: MarkedFansyDivisor, sigma: Cone) -> int:
-        """``s_sigma(x, sigma)``, computed once."""
-        if sigma not in self.s_table:
-            self.s_table[sigma] = s_sigma(x, sigma)
-        return self.s_table[sigma]
-
-    def mu(self, x: MarkedFansyDivisor, p: str, face: Polyhedron) -> int:
-        """``mu_of_face(x, p, face)``, computed once."""
-        key = (p, face)
-        if key not in self.mu_table:
-            self.mu_table[key] = mu_of_face(x, p, face)
-        return self.mu_table[key]
 
 
 class CycleGenerator(Value):
@@ -223,17 +158,17 @@ def make_divisor(
     """Assemble a marked fansy divisor, padding to at least two points.
 
     Fewer than two supplied points get generic fibers (the tailfan itself)
-    appended under the labels ``aux1``/``aux2``; the final point is the
-    basepoint.  Returns the first divisor built with the same value, if any.
+    appended under the labels ``aux1``/``aux2`` not already in use; the final
+    point is the basepoint.  Returns the first divisor built with the same
+    value, if any.
     """
     if not labeled_complexes:
         raise ValueError("at least one fiber subdivision is required")
     tailfan = complex_tailfan(labeled_complexes[0][1])
     pairs = list(labeled_complexes)
-    i = 0
+    aux = [a for a in AUX_LABELS if all(a != p for p, _ in pairs)]
     while len(pairs) < 2:
-        pairs.append((AUX_LABELS[i], sigma_as_complex(tailfan)))
-        i += 1
+        pairs.append((aux.pop(0), sigma_as_complex(tailfan)))
     points, complexes = tuple(p for p, _ in pairs), tuple(s for _, s in pairs)
     return canonical(MarkedFansyDivisor(rank, points, complexes, tailfan, frozenset(marked)))
 
@@ -242,7 +177,7 @@ def unique_face_over(x: MarkedFansyDivisor, sigma: Cone, p: str) -> Polyhedron:
     """The unique face of the fiber over ``p`` whose tailcone is ``sigma``."""
     if not x.is_marked(sigma):
         raise NonUniqueFaceError("cone is not marked; its fiber face need not be unique")
-    hits = x.context.fibers[p].by_tail.get(sigma, ())
+    hits = x.complex_at(p).by_tail.get(sigma, ())
     if len(hits) != 1:
         raise NonUniqueFaceError(
             f"expected exactly one face with tail {sigma.generators} over {p}, found {len(hits)}"
@@ -250,20 +185,22 @@ def unique_face_over(x: MarkedFansyDivisor, sigma: Cone, p: str) -> Polyhedron:
     return hits[0]
 
 
-def mu_of_face(x: MarkedFansyDivisor, p: str, face: Polyhedron) -> int:
+@lru_cache(maxsize=None)
+def mu_of_face(face: Polyhedron) -> int:
     """Multiplicity of the image vertex of a fiber face.
 
     The face is projected modulo the span of its tailcone; the result is the
     lcm of the multiplicities of the image polytope's vertices.  A vertex
     generator ``(w, h)`` has image ``y / h`` of multiplicity ``h / gcd(h, y)``.
     """
-    n = x.rank
+    n = face.ambient_rank
     q = quotient_matrix(face.tail.generators, n)
     if not q or not q[0]:
         return 1
     return lcm(*(g[n] // gcd(g[n], *project(q, g[:n])) for g in face.cone.generators if g[n]))
 
 
+@lru_cache(maxsize=None)
 def s_sigma(x: MarkedFansyDivisor, sigma: Cone) -> int:
     """Order of the vertex-class group of a marked cone.
 
@@ -295,19 +232,17 @@ def s_sigma(x: MarkedFansyDivisor, sigma: Cone) -> int:
     return d**r // covolume
 
 
+@lru_cache(maxsize=None)
 def enumerate_generators(x: MarkedFansyDivisor, k: int) -> GeneratorSets:
     """The three generator families of the k-cycle presentation.
 
     R: unmarked tailfan cones of dimension ``n+1-k``; V: fiber faces of
     dimension ``n-k`` with unmarked tail, over every special point; T: marked
-    cones of dimension ``n-k``.  Enumerated once per divisor and level.
+    cones of dimension ``n-k``.  Enumerated once per divisor value and level.
     """
     n = x.rank
     if not 0 <= k <= n + 1:
         raise ValueError(f"k must lie in [0, {n + 1}]")
-    levels = x.context.levels
-    if k in levels:
-        return levels[k]
     r_gens = [
         CycleGenerator("R", cone=c)
         for c in x.tailfan.cones(n + 1 - k)
@@ -316,19 +251,18 @@ def enumerate_generators(x: MarkedFansyDivisor, k: int) -> GeneratorSets:
     v_gens = [
         CycleGenerator("V", point=p, face=f)
         for p in x.points
-        for f in x.context.fibers[p].by_dim.get(n - k, ())
+        for f in x.complex_at(p).by_dim.get(n - k, ())
         if not x.is_marked(f.tail)
     ]
     t_gens = [
         CycleGenerator("T", cone=c) for c in x.tailfan.cones(n - k) if x.is_marked(c)
     ]
     key = lambda g: generator_sort_key(x, g)
-    levels[k] = GeneratorSets(
+    return GeneratorSets(
         tuple(sorted(r_gens, key=key)),
         tuple(sorted(v_gens, key=key)),
         tuple(sorted(t_gens, key=key)),
     )
-    return levels[k]
 
 
 def _poly_min(face: Polyhedron, u: Sequence) -> Fraction | None:
@@ -442,7 +376,7 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
     unique_ok = True
     for sigma in sorted(x.marked, key=Cone.sort_key):
         for p in x.points:
-            hits = x.context.fibers[p].by_tail.get(sigma, ())
+            hits = x.complex_at(p).by_tail.get(sigma, ())
             if len(hits) != 1:
                 add(
                     "NON_UNIQUE_MARKED_FACE",

@@ -34,10 +34,10 @@ them.  :func:`make_fan` and :func:`make_complex` return one object per value
 (:func:`~tchow.value.canonical`), so a fan or a complex built again is the
 object built first, with its validity, faces and coface map.  A complex
 lists the faces of all its cells once, on the object (see
-:func:`all_complex_faces`).  The coface map of a fan or of a complex, from
-each face to the faces one dimension up that contain it, is read off ray
-inclusion (:func:`inclusion_cofaces`); a fan keeps its map on the object
-(``Fan.cofaces``).
+:func:`all_complex_faces`), and indexes them by dimension and by tail cone.
+The coface map of a fan or of a complex, from each face to the faces one
+dimension up that contain it, is read off ray inclusion
+(:func:`inclusion_cofaces`) and kept on the object (``cofaces``).
 
 A fan or a complex is valid only if every two of its maximal cones (or of
 its cells' homogenized cones) meet in a common face.  Most pairs are proved
@@ -583,8 +583,7 @@ class Fan(Value):
 
     Its validity is computed on first use by :func:`fan_validate` and kept on
     the object, next to its fields but not among them, so equality and
-    hashing ignore it; so are its coface map and the oracle presentation of
-    each k (filled in by :func:`tchow.chow.toric_chow_presentation`).
+    hashing ignore it; so is its coface map.
     """
 
     ambient_rank: int
@@ -593,10 +592,6 @@ class Fan(Value):
     @cached_property
     def _problems(self) -> tuple[str, ...]:
         return tuple(_fan_problems(self))
-
-    @cached_property
-    def toric_presentations(self) -> dict:
-        return {}
 
     @cached_property
     def cofaces(self) -> dict[Cone, tuple[Cone, ...]]:
@@ -700,8 +695,9 @@ class PolyhedralComplex(Value):
 
     Like :class:`Fan`, it keeps what :func:`complex_validate` finds, the fan
     its cells' tail cones generate (``tail_fan``, not validated; see
-    :func:`complex_tailfan`) and the faces :func:`all_complex_faces` lists,
-    each computed on first use.
+    :func:`complex_tailfan`), the faces :func:`all_complex_faces` lists and
+    their indexes (``by_dim``, ``by_tail``, ``cofaces``), each computed on
+    first use.
     """
 
     ambient_rank: int
@@ -719,6 +715,34 @@ class PolyhedralComplex(Value):
     def _faces(self) -> tuple[Polyhedron, ...]:
         faces = {f for c in self.maximal_cells for f in poly_faces(c)}
         return tuple(sorted(faces, key=Polyhedron.sort_key))
+
+    @cached_property
+    def by_dim(self) -> dict[int, tuple[Polyhedron, ...]]:
+        """Its faces by dimension, each tuple sorted."""
+        return _group(all_complex_faces(self), lambda f: f.dim)
+
+    @cached_property
+    def by_tail(self) -> dict[Cone, tuple[Polyhedron, ...]]:
+        """Its faces by tail cone, each tuple sorted."""
+        return _group(all_complex_faces(self), lambda f: f.tail)
+
+    @cached_property
+    def cofaces(self) -> dict[Polyhedron, tuple[Polyhedron, ...]]:
+        """Each face mapped to the faces one dimension up that contain it.
+
+        Read off the rays of their homogenized cones by
+        :func:`inclusion_cofaces`, as :attr:`Fan.cofaces` is.
+        """
+        rays = {d: [(f, frozenset(f.cone.generators)) for f in fs] for d, fs in self.by_dim.items()}
+        return inclusion_cofaces(rays)
+
+
+def _group(items: Iterable, key) -> dict:
+    """``items`` grouped by ``key``, each group a tuple in the items' order."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return {k: tuple(g) for k, g in groups.items()}
 
 
 def make_complex(cells: Iterable[Polyhedron], ambient_rank: int) -> PolyhedralComplex:

@@ -4,6 +4,7 @@ pipeline itself does not use.  Each test starts with empty one-object-per-value
 tables, so what a test counts does not depend on the tests run before it."""
 
 import random
+import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import reduce
@@ -13,7 +14,6 @@ from unittest import mock
 import pytest
 
 from tchow.build import InconsistentFiltrationsError, KlyachkoBundle, RayFiltration, _cone_delta, bundle_labels
-from tchow.build import bundle_rank2, downgrade
 from tchow.build import _p1p1_fan as p1p1_fan, _p2_fan as p2_fan  # noqa: F401  (for the tests)
 from tchow.chow import _cone_image_ray
 from tchow.exactlin import (
@@ -46,13 +46,19 @@ from tchow.polyhedra import (
     poly_faces,
     poly_intersect,
 )
-from tchow.value import canonical
 
 
 def forget_values():
-    """Forget the canonical objects and the memoized divisor constructors."""
-    for table in (canonical, downgrade, bundle_rank2):
-        table.cache_clear()
+    """Forget every value-keyed cache of the loaded ``tchow`` modules.
+
+    That is each module attribute with a ``cache_clear``: the canonical
+    objects, the memoized constructors and the derived tables.
+    """
+    for name, module in list(sys.modules.items()):
+        if name == "tchow" or name.startswith("tchow."):
+            for table in list(vars(module).values()):
+                if hasattr(table, "cache_clear"):
+                    table.cache_clear()
 
 
 @pytest.fixture(autouse=True)
@@ -538,7 +544,7 @@ def _step_image(proj, lattice_inverse, big_face: Polyhedron, base):
     raise AssertionError("face does not step out of the projected span")
 
 
-def face_pair_sides(x: MarkedFansyDivisor, p: str, small, big):
+def face_pair_sides(small, big):
     """Both sides of the multiplicity identity for a nested tail-collapsed pair.
 
     For faces ``small < big`` of one fiber whose dimensions equal their tails',
@@ -548,13 +554,13 @@ def face_pair_sides(x: MarkedFansyDivisor, p: str, small, big):
     """
     base = small.vertices[0]
     span = _face_directions(small, base)
-    proj = quotient_matrix(span, x.rank)
+    proj = quotient_matrix(span, small.ambient_rank)
     lattice = _quotient_lattice_inverse(proj, base)
     step = _step_image(proj, lattice, big, base)
-    mu_small = mu_of_face(x, p, small)
+    mu_small = mu_of_face(small)
     lhs = tuple(mu_small * c for c in vec(step))
     sigma_image = _cone_image_ray(proj, big.tail.generators)
-    mu_big = mu_of_face(x, p, big)
+    mu_big = mu_of_face(big)
     rhs = tuple(Fraction(mu_big * c) for c in sigma_image)
     return lhs, rhs
 
@@ -605,9 +611,9 @@ def fraction_poly_min(face: Polyhedron, u: Sequence):
     return min(dot(u, v) for v in face.vertices)
 
 
-def fraction_mu_of_face(x: MarkedFansyDivisor, p: str, face: Polyhedron) -> int:
+def fraction_mu_of_face(face: Polyhedron) -> int:
     """Reference for ``fansy.mu_of_face``: the Fraction vertices' images, made primitive."""
-    q = quotient_matrix(face.tail.generators, x.rank)
+    q = quotient_matrix(face.tail.generators, face.ambient_rank)
     if not q or not q[0]:
         return 1
     images = {project(q, v) for v in face.vertices}

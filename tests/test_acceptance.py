@@ -184,7 +184,7 @@ def test_criterion_7_multiplicity_step_identities():
                         and poly_is_face_of(small, big)
                         and big.tail.contains_cone(small.tail)
                     ):
-                        lhs, rhs = face_pair_sides(x, p, small, big)
+                        lhs, rhs = face_pair_sides(small, big)
                         assert lhs == rhs, (name, p)
                         checked += 1
     assert checked > 0

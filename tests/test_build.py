@@ -137,6 +137,19 @@ def test_bundle_trivial_filtrations():
         assert predicted_counts(b, k)[2] == 0
 
 
+def test_bundle_sole_line_padded_with_unused_labels():
+    base = p1p1_fan()
+
+    def sole_line(label):
+        line = lambda g: RayFiltration(0, label, 1) if g == (1, 0) else RayFiltration(0)
+        return KlyachkoBundle(base, tuple((c.generators[0], line(c.generators[0])) for c in base.cones(1)))
+
+    xs = {label: bundle_rank2(sole_line(label)) for label in ("aux1", "aux2", "zzz")}
+    assert [x.points for x in xs.values()] == [("aux1", "aux2"), ("aux2", "aux1"), ("zzz", "aux1")]
+    smith = {label: [presentation(x, k).smith for k in range(4)] for label, x in xs.items()}
+    assert smith["aux1"] == smith["aux2"] == smith["zzz"]
+
+
 def test_bundle_nonsmooth_base_rejected():
     fan = make_fan(
         [make_cone([(1, 0), (1, 2)], 2), make_cone([(1, 2), (-1, 0)], 2),

@@ -348,6 +348,40 @@ def test_singular_basis_change_is_validation_failure(tmp_path, capsys):
     assert capsys.readouterr().err == "validation failure: basis change must be unimodular\n"
 
 
+# input that parses but describes no variety: a validation failure (exit 1) naming the fault
+GEOMETRY_FAILURES = {
+    "repeated_filtration_ray": (
+        "chow",
+        {
+            "bundle": {
+                "fan": P1P1_BASE,
+                "filtrations": [{"ray": r, "full_until": 0} for r in ([1, 0], [0, 1], [-1, 0], [0, -1], [1, 0])],
+            }
+        },
+        "ray (1, 0) has more than one filtration",
+    ),
+    "rank0_downgrade": (
+        "chow",
+        {"downgrade": {"fan": {"rank": 0, "maximal_cones": [[]]}}},
+        "a downgrade needs a fan of rank at least 1",
+    ),
+    "rank0_crosscheck": (
+        "crosscheck",
+        {"rank": 0, "maximal_cones": [[]]},
+        "a downgrade needs a fan of rank at least 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRY_FAILURES))
+def test_geometry_fault_is_validation_failure(tmp_path, capsys, name):
+    command, doc, message = GEOMETRY_FAILURES[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == f"validation failure: {message}\n"
+
+
 @pytest.mark.parametrize("fault", [TypeError, KeyError, IndexError, AssertionError, ValueError])
 def test_internal_fault_is_exit_three(monkeypatch, capsys, fault):
     def broken(name):

@@ -202,12 +202,11 @@ def test_unique_face_over_counts_the_faces():
 def test_mu_of_face_examples(gr24):
     # lattice vertices give multiplicity one
     edge = unique_face_over(gr24, make_cone([(1, 0, 0)], 3), "0")
-    assert mu_of_face(gr24, "0", edge) == 1
+    assert mu_of_face(edge) == 1
     ray_from_half = make_polyhedron([(F(1, 2), F(0))], [(1, 0)], 2)
-    toy = fixture("p2_E")
-    assert mu_of_face(toy, "0", ray_from_half) == 1
+    assert mu_of_face(ray_from_half) == 1
     half_vertex = make_polyhedron([(F(1, 2), F(0))], [], 2)
-    assert mu_of_face(toy, "0", half_vertex) == 2
+    assert mu_of_face(half_vertex) == 2
 
 
 def test_s_sigma_gr24_all_one(gr24):
@@ -215,7 +214,7 @@ def test_s_sigma_gr24_all_one(gr24):
         s = s_sigma(gr24, sigma)
         assert s == 1
         for p in gr24.points:
-            assert s % mu_of_face(gr24, p, unique_face_over(gr24, sigma, p)) == 0
+            assert s % mu_of_face(unique_face_over(gr24, sigma, p)) == 0
 
 
 def quad_complex(shift):
@@ -298,22 +297,27 @@ def test_aux_point_padding():
     y = with_extra_generic_point(x, "aux2")
     assert len(y.points) == 3
     assert validate(y).ok
+    # the padding takes the labels not already in use
+    for label, other in (("aux1", "aux2"), ("aux2", "aux1")):
+        x = make_divisor(1, [(label, sigma_as_complex(fan))], [])
+        assert x.points == (label, other)
+        assert validate(x).ok
 
 
-def context_fans():
+def seeded_fans():
     """Seeded rank-3 and rank-4 fans."""
     fans = [random_complete_fan(random.Random(s)) for s in (1, 2)]
     fans.append(random_complete_fan(random.Random(1001), 4, 5))
     return fans
 
 
-def context_divisors():
+def seeded_divisors():
     """The fixtures, seeded bundles, and the downgrades of the seeded fans."""
     xs = [fixture(name) for name in FIXTURE_NAMES]
     rng = random.Random(5)
     bases = [p2_fan(), p1p1_fan()]
     xs += [bundle_rank2(random_bundle(rng, bases[i % 2])) for i in range(4)]
-    xs += [downgrade(DowngradeInput(fan)) for fan in context_fans()]
+    xs += [downgrade(DowngradeInput(fan)) for fan in seeded_fans()]
     return xs
 
 
@@ -328,15 +332,14 @@ def assert_fan_cofaces_match_scan(fan):
 
 def test_context_indexes_match_linear_scans():
     # the fans the toric oracle reads: the seeded ones and the two p2 fans
-    for fan in context_fans() + [p2_projectivized_fan(w) for w in "EF"]:
+    for fan in seeded_fans() + [p2_projectivized_fan(w) for w in "EF"]:
         assert_fan_cofaces_match_scan(fan)
-    for x in context_divisors():
+    for x in seeded_divisors():
         assert_fan_cofaces_match_scan(x.tailfan)
         cones = set(x.tailfan.all_cones())
         for p in x.points:
-            faces = all_complex_faces(x.complex_at(p))
-            fiber = x.context.fibers[p]
-            assert list(fiber.faces) == faces
+            fiber = x.complex_at(p)
+            faces = all_complex_faces(fiber)
             for d in range(x.rank + 1):
                 assert list(fiber.by_dim.get(d, ())) == [f for f in faces if f.dim == d]
             assert set(fiber.by_tail) <= cones
@@ -422,11 +425,11 @@ def test_integer_generator_reads_match_fraction_references():
     for x in reference_divisors():
         normals = {u for c in x.tailfan.maximal_cones for u in c.normals}
         normals |= {tuple(-a for a in u) for u in normals}
-        fibers = [x.context.fibers[p].faces for p in x.points]
+        fibers = [all_complex_faces(s) for s in x.complexes]
         for p, faces in zip(x.points, fibers):
             for f in faces:
-                mu = mu_of_face(x, p, f)
-                assert mu == fraction_mu_of_face(x, p, f), (p, f)
+                mu = mu_of_face(f)
+                assert mu == fraction_mu_of_face(f), (p, f)
                 seen["mu > 1"] += mu > 1
                 for u in sorted(normals):
                     m = _poly_min(f, u)
