@@ -15,7 +15,8 @@ strings like ``"-3/2"`` (optional sign, digits, optional ``/digits``).
 Floating point, decimal and exponent strings are never read or written.  Every
 rank (of a fan or of an explicit document) is at most ``MAX_RANK`` = 4.  Exit
 codes: 0 success, 1 validation failure or crosscheck mismatch, 2 parse error
-(malformed or out-of-range input), 3 internal error (a fault in this program).
+(malformed or out-of-range input, or a key the schema does not name), 3
+internal error (a fault in this program).
 """
 
 from __future__ import annotations
@@ -105,15 +106,26 @@ def _vector(value, rank: int, entry=_int) -> tuple:
 _REQUIRED = object()
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be a JSON object, got {_shown(value)}")
+    return value
+
+
 def _field(obj, key: str, what: str, default=_REQUIRED):
     """``obj[key]`` for a JSON object ``obj`` called ``what`` in messages."""
-    if not isinstance(obj, dict):
-        raise ParseError(f"{what} must be a JSON object, got {_shown(obj)}")
-    if key in obj:
+    if key in _object(obj, what):
         return obj[key]
     if default is _REQUIRED:
         raise ParseError(f"{what} needs {_shown(key)}")
     return default
+
+
+def _only(obj, keys, what: str) -> None:
+    """Refuse a key of the JSON object ``obj`` that is not among ``keys``."""
+    for key in _object(obj, what):
+        if key not in keys:
+            raise ParseError(f"{what} has unknown key {_shown(key)}")
 
 
 def _list(value, what: str) -> list:
@@ -131,6 +143,7 @@ def _cone(value, rank: int):
 
 
 def parse_fan(doc) -> Fan:
+    _only(doc, ("rank", "maximal_cones"), "a fan document")
     rank = _rank(_field(doc, "rank", "a fan document"))
     cones = _list(_field(doc, "maximal_cones", "a fan document"), "maximal_cones")
     return make_fan([_cone(c, rank) for c in cones], rank)
@@ -149,8 +162,11 @@ def parse_input(doc) -> MarkedFansyDivisor:
         raise ParseError(
             "exactly one of explicit data or a downgrade/bundle stanza is required"
         )
+    keys = stanzas or ["rank", "points", "complexes", "marked"]
+    _only(doc, ("schema_version", *keys), "the document")
     if stanzas == ["downgrade"]:
         stanza = doc["downgrade"]
+        _only(stanza, ("fan", "basis_change"), "the downgrade stanza")
         fan = parse_fan(_field(stanza, "fan", "the downgrade stanza"))
         change = _field(stanza, "basis_change", "the downgrade stanza", None)
         if change is not None:
@@ -161,17 +177,19 @@ def parse_input(doc) -> MarkedFansyDivisor:
         return downgrade(DowngradeInput(fan, change))
     if stanzas == ["bundle"]:
         stanza = doc["bundle"]
+        _only(stanza, ("fan", "filtrations"), "the bundle stanza")
         fan = parse_fan(_field(stanza, "fan", "the bundle stanza"))
         filts = []
         for entry in _list(_field(stanza, "filtrations", "the bundle stanza"), "filtrations"):
+            _only(entry, ("ray", "full_until", "line", "line_until"), "a filtration")
             ray = _vector(_field(entry, "ray", "a filtration"), fan.ambient_rank)
             full_until = _int(_field(entry, "full_until", "a filtration"))
             line = _field(entry, "line", "a filtration", None)
             if line is not None and not isinstance(line, str):
                 raise ParseError(f"a filtration line must be a point label, got {_shown(line)}")
-            line_until = (
-                None if line is None else _int(_field(entry, "line_until", "a filtration"))
-            )
+            line_until = entry.get("line_until")
+            if line is not None or line_until is not None:  # RayFiltration refuses one alone
+                line_until = _int(_field(entry, "line_until", "a filtration"))
             try:
                 filts.append((ray, RayFiltration(full_until, line, line_until)))
             except ValueError as exc:
@@ -183,11 +201,13 @@ def parse_input(doc) -> MarkedFansyDivisor:
     if not points or len(set(points)) != len(points):
         raise ParseError(f"points must be a nonempty list of distinct labels, got {_shown(points)}")
     complexes = _field(doc, "complexes", what)
+    _only(complexes, set(points), "complexes (keyed by points)")
     marked_doc = _list(_field(doc, "marked", what), "marked")
     labeled = []
     for p in points:
         cells = []
         for cell in _list(_field(complexes, p, "complexes"), f"the cells of point {_shown(p)}"):
+            _only(cell, ("vertices", "rays"), "a cell")
             verts = _list(_field(cell, "vertices", "a cell", []), "vertices")
             rays = _list(_field(cell, "rays", "a cell", []), "rays")
             cells.append(

@@ -30,9 +30,12 @@ rays), tails, and cones as polyhedra.
 Face queries are answered from hashed sets.  The faces of a cone or a
 polyhedron, and the set :func:`cone_is_face_of` tests membership in, are held
 in global caches keyed by value, so a rebuilt but equal object still hits
-them.  :func:`make_fan` and :func:`make_complex` return one object per value
-(:func:`~tchow.value.canonical`), so a fan or a complex built again is the
-object built first, with its validity, faces and coface map.  A complex
+them.  :func:`make_cone`, :func:`make_polyhedron`, :func:`make_fan` and
+:func:`make_complex` return one object per value
+(:func:`~tchow.value.canonical`), so an object built again is the object
+built first, with its H-data, validity, faces and coface map.  A cone is
+converted once per set of primitive generator directions, and a fan or a
+complex selects its maximal members once per set of members.  A complex
 lists the faces of all its cells once, on the object (see
 :func:`all_complex_faces`), and indexes them by dimension and by tail cone.
 The coface map of a fan or of a complex, from each face to the faces one
@@ -330,8 +333,14 @@ def make_cone(generators: Iterable[Sequence], ambient_rank: int) -> Cone:
     primitive generators, and as every face is an intersection of facets, a
     generator is extreme unless another one is tight on every facet it is.
     The cone is pointed iff its facet normals have rank its dimension.
+    Converted once per set of primitive directions; one object per value.
     """
-    gens = sorted({d for d in map(primitive_direction, generators) if any(d)})
+    gens = tuple(sorted({d for d in map(primitive_direction, generators) if any(d)}))
+    return _make_cone(gens, ambient_rank)
+
+
+@lru_cache(maxsize=None)
+def _make_cone(gens: tuple[IVec, ...], ambient_rank: int) -> Cone:
     if not gens:
         return zero_cone(ambient_rank)
     eqs, r, normals = _span_facets(gens, ambient_rank)
@@ -343,7 +352,7 @@ def make_cone(generators: Iterable[Sequence], ambient_rank: int) -> Cone:
         for i, (g, m) in enumerate(zip(gens, masks))
         if not any(o & m == m for j, o in enumerate(masks) if j != i)
     )
-    return _keep(Cone(ambient_rank, rays), normals=normals, span_eqs=eqs, dim=r)
+    return _keep(canonical(Cone(ambient_rank, rays)), normals=normals, span_eqs=eqs, dim=r)
 
 
 @lru_cache(maxsize=None)
@@ -472,6 +481,15 @@ class Polyhedron(Value):
         return (len(self.vertices), self.vertices, self.tail.sort_key())
 
 
+def _vertex_text(p: Polyhedron) -> str:
+    """The vertices of ``p`` as a tuple display in input notation, as ``((0, 1/2),)``."""
+
+    def display(items: list[str]) -> str:
+        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+    return display([display([str(c) for c in v]) for v in p.vertices])
+
+
 def empty_polyhedron(ambient_rank: int) -> Polyhedron:
     return Polyhedron(zero_cone(ambient_rank + 1))
 
@@ -489,12 +507,14 @@ def _from_homogenized(c: Cone) -> Polyhedron:
 def make_polyhedron(
     vertices: Iterable[Sequence], rays: Iterable[Sequence], ambient_rank: int
 ) -> Polyhedron:
-    """Canonicalize V-data; an empty vertex list yields the empty polyhedron."""
+    """Canonicalize V-data; an empty vertex list yields the empty polyhedron.
+
+    One object per value, on the cone :func:`make_cone` converts once.
+    """
     homog = [tuple(v) + (1,) for v in vertices]
-    if not homog:
-        return empty_polyhedron(ambient_rank)
-    homog += [tuple(r) + (0,) for r in rays]
-    return _from_homogenized(make_cone(homog, ambient_rank + 1))
+    if homog:
+        homog += [tuple(r) + (0,) for r in rays]
+    return canonical(_from_homogenized(make_cone(homog, ambient_rank + 1)))
 
 
 def cone_as_polyhedron(c: Cone) -> Polyhedron:
@@ -610,8 +630,16 @@ class Fan(Value):
 
 
 def make_fan(cones: Iterable[Cone], ambient_rank: int) -> Fan:
-    """Normalize a generating list of cones: dedupe and drop non-maximal ones; one object per value."""
-    uniq = sorted(set(cones), key=Cone.sort_key)
+    """Normalize a generating list of cones: dedupe and drop non-maximal ones; one object per value.
+
+    The maximal cones are selected once per set of cones.
+    """
+    return _make_fan(frozenset(cones), ambient_rank)
+
+
+@lru_cache(maxsize=None)
+def _make_fan(cones: frozenset[Cone], ambient_rank: int) -> Fan:
+    uniq = sorted(cones, key=Cone.sort_key)
     maximal = [
         c
         for c in uniq
@@ -746,10 +774,16 @@ def _group(items: Iterable, key) -> dict:
 
 
 def make_complex(cells: Iterable[Polyhedron], ambient_rank: int) -> PolyhedralComplex:
-    """Dedupe cells and drop any cell contained in another; one object per value."""
-    uniq = sorted(
-        {c for c in cells if not c.is_empty}, key=Polyhedron.sort_key
-    )
+    """Dedupe cells and drop any cell contained in another; one object per value.
+
+    The maximal cells are selected once per set of cells.
+    """
+    return _make_complex(frozenset(cells), ambient_rank)
+
+
+@lru_cache(maxsize=None)
+def _make_complex(cells: frozenset[Polyhedron], ambient_rank: int) -> PolyhedralComplex:
+    uniq = sorted((c for c in cells if not c.is_empty), key=Polyhedron.sort_key)
     maximal = [
         c
         for c in uniq
@@ -766,7 +800,7 @@ def _complex_problems(s: PolyhedralComplex) -> list[str]:
         return ["complex has no cells"]
     for c in cells:
         if c.dim != n:
-            problems.append(f"maximal cell {c.vertices} has dimension {c.dim} != {n}")
+            problems.append(f"maximal cell {_vertex_text(c)} has dimension {c.dim} != {n}")
     for i, a in enumerate(cells):
         for b in cells[i + 1 :]:
             try:
@@ -777,8 +811,8 @@ def _complex_problems(s: PolyhedralComplex) -> list[str]:
             # a meet with no vertex is empty: it lies at last coordinate 0
             if not proper and any(g[n] for g in meet.generators):
                 problems.append(
-                    f"cells {a.vertices}+{a.tail.generators} and "
-                    f"{b.vertices}+{b.tail.generators} do not meet in a common face"
+                    f"cells {_vertex_text(a)}+{a.tail.generators} and "
+                    f"{_vertex_text(b)}+{b.tail.generators} do not meet in a common face"
                 )
     if problems:
         return problems
@@ -791,7 +825,7 @@ def _complex_problems(s: PolyhedralComplex) -> list[str]:
         for f, count in tally.items():
             if count != 2:
                 problems.append(
-                    f"face {f.vertices}+{f.tail.generators} lies in {count} cells; "
+                    f"face {_vertex_text(f)}+{f.tail.generators} lies in {count} cells; "
                     "the complex does not cover the whole space"
                 )
     return problems

@@ -10,7 +10,10 @@ Derived data kept on the instance ``__dict__`` (a ``cached_property``, the
 memoized hash) is outside the value.
 The ``make_*`` constructors return :func:`canonical` of what they build:
 one object per value for the life of the process, whose derived data serve
-every later build of that value.  A class constructor's object is not canonical.
+every later build of that value.  ``make_cone``, ``make_polyhedron`` and
+``fixture`` are one object per value too, so a document parsed again costs
+a parse and lookups, with no double description.  A class constructor's
+object is not canonical.
 """
 
 from __future__ import annotations

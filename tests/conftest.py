@@ -45,6 +45,7 @@ from tchow.polyhedra import (
     minkowski_sum,
     poly_faces,
     poly_intersect,
+    _vertex_text,
 )
 
 
@@ -166,6 +167,24 @@ def snf_transforms_reference(
     return u, d, v
 
 
+def assert_smith_certificate(m, u, d) -> None:
+    """``(u, d)`` is a Smith normal form of ``m`` with its row transform.
+
+    ``u`` is unimodular; ``u@m@v == d`` for a unimodular ``v`` exactly when
+    the columns of ``u@m`` and of ``d`` span the same lattice, that is, have
+    equal HNF bases; and ``d`` is diagonal with nonnegative entries, each
+    dividing the next.
+    """
+    assert abs(det(u)) == 1
+    columns = lambda a: [list(c) for c in zip(*a)]
+    assert hnf_basis(columns(mat_mul(u, m))) == hnf_basis(columns(d))
+    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
+    assert all(x >= 0 for x in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert b % a == 0 if a else b == 0
+    assert all(x == 0 for i, row in enumerate(d) for j, x in enumerate(row) if i != j)
+
+
 def polyhedron_hrep(p: Polyhedron) -> tuple[tuple, tuple]:
     """``(ineqs, eqs)`` of ``p``, read off its homogenized cone.
 
@@ -230,7 +249,7 @@ def reference_complex_problems(s: PolyhedralComplex) -> list[str]:
         return ["complex has no cells"]
     for c in cells:
         if c.dim != n:
-            problems.append(f"maximal cell {c.vertices} has dimension {c.dim} != {n}")
+            problems.append(f"maximal cell {_vertex_text(c)} has dimension {c.dim} != {n}")
     for i, a in enumerate(cells):
         for b in cells[i + 1 :]:
             try:
@@ -242,8 +261,8 @@ def reference_complex_problems(s: PolyhedralComplex) -> list[str]:
                 continue
             if not (poly_is_face_of(meet, a) and poly_is_face_of(meet, b)):
                 problems.append(
-                    f"cells {a.vertices}+{a.tail.generators} and "
-                    f"{b.vertices}+{b.tail.generators} do not meet in a common face"
+                    f"cells {_vertex_text(a)}+{a.tail.generators} and "
+                    f"{_vertex_text(b)}+{b.tail.generators} do not meet in a common face"
                 )
     if problems:
         return problems
@@ -256,7 +275,7 @@ def reference_complex_problems(s: PolyhedralComplex) -> list[str]:
         for f, count in tally.items():
             if count != 2:
                 problems.append(
-                    f"face {f.vertices}+{f.tail.generators} lies in {count} cells; "
+                    f"face {_vertex_text(f)}+{f.tail.generators} lies in {count} cells; "
                     "the complex does not cover the whole space"
                 )
     return problems

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 from conftest import (
+    assert_smith_certificate,
     face_pair_sides,
     p1p1_fan,
     poly_is_face_of,
@@ -12,7 +13,16 @@ from conftest import (
     with_point_order,
 )
 
-from tchow.build import DowngradeInput, KlyachkoBundle, RayFiltration, bundle_rank2, downgrade, fixture
+from tchow import chow
+from tchow.build import (
+    FIXTURE_NAMES,
+    DowngradeInput,
+    KlyachkoBundle,
+    RayFiltration,
+    bundle_rank2,
+    downgrade,
+    fixture,
+)
 from tchow.chow import (
     IncompleteFanError,
     presentation,
@@ -47,6 +57,30 @@ def p2fan():
         ],
         2,
     )
+
+
+def test_every_smith_form_is_certified(monkeypatch):
+    """Each ``(u, d)`` the presentations and the oracle take from Smith is checked.
+
+    On the four fixtures and seeded rank-3 downgrades, every matrix reaching
+    ``snf_transforms`` gets the certificate of ``assert_smith_certificate``.
+    """
+    taken = []
+    real = chow.snf_transforms
+
+    def spy(m):
+        u, d = real(m)
+        taken.append(([list(row) for row in m], u, d))
+        return u, d
+
+    monkeypatch.setattr(chow, "snf_transforms", spy)
+    fans = [random_complete_fan(random.Random(500 + s), 3, 5) for s in range(4)]
+    divisors = [fixture(name) for name in FIXTURE_NAMES] + [downgrade(DowngradeInput(f)) for f in fans]
+    press = [presentation(x, k) for x in divisors for k in range(x.rank + 2)]
+    press += [toric_chow_presentation(f, k) for f in fans for k in range(4)]
+    assert len(taken) == sum(1 for p in press if p.relations) > len(press) / 2
+    for m, u, d in taken:
+        assert_smith_certificate(m, u, d)
 
 
 def test_oracle_p2():

@@ -9,7 +9,7 @@ import pytest
 
 import tchow
 from tchow import cli
-from tchow.build import fixture
+from tchow.build import FIXTURE_NAMES, fixture
 from tchow.cli import divisor_document, main, parse_input
 from tchow.fansy import validate
 
@@ -61,7 +61,7 @@ def test_cli_import_loads_no_heavy_module():
 
 
 def test_document_round_trip():
-    for name in ("gr24", "p1p1_bundle", "p2_E"):
+    for name in FIXTURE_NAMES:
         x = fixture(name)
         doc = divisor_document(x)
         again = parse_input(json.loads(json.dumps(doc)))
@@ -277,6 +277,33 @@ BAD_DOCUMENTS = {
         "validate",
         {"rank": 1, "points": ["0"], "complexes": {"0": [{"vertices": [["1/0"]]}]}, "marked": []},
     ),
+    # a key no object of the schema reads is refused, not ignored
+    "misspelt_basis_change": ("chow", {"downgrade": {"fan": P2E_FAN, "basis_chnage": [[0, 1, 0], [1, 0, 0], [0, 0, 1]]}}),
+    "misspelt_cell_vertices": (
+        "validate",
+        {"rank": 1, "points": ["0"], "complexes": {"0": [{"vertice": [["0"]], "rays": [[1]]}]}, "marked": []},
+    ),
+    "unknown_explicit_key": (
+        "validate",
+        {"rank": 1, "points": ["0"], "complexes": {"0": [P1_CELL]}, "marked": [], "comment": "x"},
+    ),
+    "explicit_key_in_stanza_document": ("chow", {"downgrade": {"fan": P2E_FAN}, "rank": 3}),
+    "unknown_fan_key": ("oracle", {**P1P1_BASE, "maximal_cone": []}),
+    "unknown_stanza_fan_key": ("chow", {"downgrade": {"fan": {**P2E_FAN, "rays": []}}}),
+    "unknown_bundle_stanza_key": ("chow", {"bundle": {"fan": P1P1_BASE, "filtrations": [], "twist": 1}}),
+    "misspelt_filtration_line": (
+        "chow",
+        {"bundle": {"fan": P1P1_BASE, "filtrations": [{"ray": [1, 0], "full_until": 0, "lines": "0", "line_until": 1}]}},
+    ),
+    "line_until_without_line": (
+        "chow",
+        {"bundle": {"fan": P1P1_BASE, "filtrations": [{"ray": [1, 0], "full_until": 0, "line_until": 1}]}},
+    ),
+    "complexes_entry_not_a_point": (
+        "validate",
+        {"rank": 1, "points": ["0"], "complexes": {"0": [P1_CELL], "1": [P1_CELL]}, "marked": []},
+    ),
+    "huge_unknown_key": ("oracle", {**P1P1_BASE, "x" * 100_000: 0}),
 }
 
 
@@ -289,6 +316,29 @@ def test_bad_document_is_parse_error(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("parse error:")
     assert len(err.encode()) < 1_000
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("misspelt_basis_change", "the downgrade stanza has unknown key 'basis_chnage'"),
+        ("misspelt_cell_vertices", "a cell has unknown key 'vertice'"),
+        ("unknown_explicit_key", "the document has unknown key 'comment'"),
+        ("explicit_key_in_stanza_document", "the document has unknown key 'rank'"),
+        ("unknown_fan_key", "a fan document has unknown key 'maximal_cone'"),
+        ("unknown_bundle_stanza_key", "the bundle stanza has unknown key 'twist'"),
+        ("misspelt_filtration_line", "a filtration has unknown key 'lines'"),
+        ("line_until_without_line", "line and line_until must be given together"),
+        ("complexes_entry_not_a_point", "complexes (keyed by points) has unknown key '1'"),
+        ("huge_unknown_key", f"a fan document has unknown key '{'x' * 79}... (100002 characters)"),
+    ],
+)
+def test_unknown_key_is_named(tmp_path, capsys, name, message):
+    command, doc = BAD_DOCUMENTS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
 @pytest.mark.parametrize(

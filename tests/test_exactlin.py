@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
+    assert_smith_certificate,
     fraction_primitive,
     lattice_index,
     mat_mul,
@@ -85,21 +86,8 @@ def test_snf_examples():
 @given(small_matrices)
 def test_snf_transforms_property(m):
     u, d = snf_transforms(m)
-    assert abs(det(u)) == 1
-    # u@m@v == d for a unimodular v exactly when the columns of u@m and of d
-    # span the same lattice
-    columns = lambda a: [list(c) for c in zip(*a)]
-    assert hnf_basis(columns(mat_mul(u, m))) == hnf_basis(columns(d))
+    assert_smith_certificate(m, u, d)
     assert d == snf_transforms_reference(m)[1]
-    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-    assert all(x >= 0 for x in diag)
-    for i in range(len(diag) - 1):
-        if diag[i + 1] != 0:
-            assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-    for i in range(len(d)):
-        for j in range(len(d[0])):
-            if i != j:
-                assert d[i][j] == 0
 
 
 def test_primitive():

@@ -2,7 +2,8 @@
 
 The expected lists were recorded before fan and complex validation started
 to take meets from one side's extreme rays, so they pin both the findings
-and their order.
+and their order.  Cells print their vertices in input notation: integers, or
+``a/b``.
 """
 
 from fractions import Fraction
@@ -56,6 +57,8 @@ COMPLEXES = {
         ],
         2,
     ),
+    "half_line": lambda: make_complex([cell([(F(1, 2),)], [(1,)])], 1),
+    "flat_cell": lambda: make_complex([cell([(0, 0), (F(1, 3), 0)], [])], 2),
     # two overlapping tetrahedra and an unbounded cell
     "tetrahedra": lambda: make_complex(
         [
@@ -102,25 +105,31 @@ EXPECTED_FAN = {
 
 EXPECTED_COMPLEX = {
     'segments': [
-        'cells ((Fraction(0, 1),), (Fraction(2, 1),))+() and ((Fraction(1, 1),), (Fraction(3, 1),))+() do not meet in a common face',
+        'cells ((0,), (2,))+() and ((1,), (3,))+() do not meet in a common face',
     ],
     'p2_shifted': [
-        'cells ((Fraction(0, 1), Fraction(0, 1)),)+((-1, -1), (1, 0)) and ((Fraction(1, 2), Fraction(-1, 2)),)+((0, 1), (1, 0)) do not meet in a common face',
+        'cells ((0, 0),)+((-1, -1), (1, 0)) and ((1/2, -1/2),)+((0, 1), (1, 0)) do not meet in a common face',
+    ],
+    'half_line': [
+        'face ((1/2,),)+() lies in 1 cells; the complex does not cover the whole space',
+    ],
+    'flat_cell': [
+        'maximal cell ((0, 0), (1/3, 0)) has dimension 1 != 2',
     ],
     'tetrahedra': [
-        'cells ((Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)), (Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)))+() and ((Fraction(0, 1), Fraction(1, 1), Fraction(1, 1)), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 1), Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 1), Fraction(1, 1), Fraction(0, 1)))+() do not meet in a common face',
+        'cells ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))+() and ((0, 1, 1), (1/4, 1/4, 1/4), (1, 0, 1), (1, 1, 0))+() do not meet in a common face',
     ],
 }
 
 EXPECTED_VALIDATE = {
     'overlapping_fiber': [
-        ('BAD_COMPLEX', 'fiber over 1: cells ((Fraction(0, 1), Fraction(0, 1)),)+((-1, -1), (1, 0)) and ((Fraction(1, 2), Fraction(-1, 2)),)+((0, 1), (1, 0)) do not meet in a common face'),
+        ('BAD_COMPLEX', 'fiber over 1: cells ((0, 0),)+((-1, -1), (1, 0)) and ((1/2, -1/2),)+((0, 1), (1, 0)) do not meet in a common face'),
     ],
     'overlapping_tailfan': [
         ('BAD_TAILFAN', 'cones ((-1, 0), (1, 1)) and ((0, 1), (1, 0)) do not meet in a common face'),
         ('INCOMPLETE_TAILFAN', 'the tailfan does not cover the whole space'),
-        ('BAD_COMPLEX', 'fiber over 0: cells ((Fraction(0, 1), Fraction(0, 1)),)+((-1, 0), (1, 1)) and ((Fraction(0, 1), Fraction(0, 1)),)+((0, 1), (1, 0)) do not meet in a common face'),
-        ('BAD_COMPLEX', 'fiber over inf: cells ((Fraction(0, 1), Fraction(0, 1)),)+((-1, 0), (1, 1)) and ((Fraction(0, 1), Fraction(0, 1)),)+((0, 1), (1, 0)) do not meet in a common face'),
+        ('BAD_COMPLEX', 'fiber over 0: cells ((0, 0),)+((-1, 0), (1, 1)) and ((0, 0),)+((0, 1), (1, 0)) do not meet in a common face'),
+        ('BAD_COMPLEX', 'fiber over inf: cells ((0, 0),)+((-1, 0), (1, 1)) and ((0, 0),)+((0, 1), (1, 0)) do not meet in a common face'),
     ],
     'gr24_top_unmarked': [
         ('MARKS_NOT_UPWARD_CLOSED', '((0, 0, -1),) is marked but the containing cone ((0, 0, -1), (0, 1, 0), (1, 0, 0), (1, 1, 1)) is not'),

@@ -4,8 +4,9 @@ Each class compares, hashes and prints by its fields, in declaration order,
 as a frozen dataclass does, and refuses assignment and deletion.  Derived
 data kept on an object (H-data, a coface map, a tail fan, a complex's face
 indexes, a validation report) is not part of its value.  The constructors
-of fans, complexes and divisors return one object per value, so input read
-again reuses all of that derived data.
+of cones, polyhedra, fans, complexes and divisors, and the fixtures, return
+one object per value, so input read again reuses all of that derived data
+and converts no cone again.
 """
 
 import copy
@@ -18,6 +19,7 @@ from test_golden import GOLDEN, output_digest
 
 from tchow import chow, fansy, polyhedra
 from tchow.build import (
+    FIXTURE_NAMES,
     DowngradeInput,
     KlyachkoBundle,
     RayFiltration,
@@ -257,6 +259,14 @@ def test_revisited_input_builds_nothing(monkeypatch, tmp_path):
         real = getattr(module, name)
         spy = lambda *a, real=real, name=name: calls.update([name]) or real(*a)
         monkeypatch.setattr(module, name, spy)
+    # the double description and the maximality scan of make_fan/make_complex
+    real_extreme_rays, real_contains_cone = polyhedra._extreme_rays, Cone.contains_cone
+    monkeypatch.setattr(
+        polyhedra, "_extreme_rays", lambda *a: calls.update(["_extreme_rays"]) or real_extreme_rays(*a)
+    )
+    monkeypatch.setattr(
+        Cone, "contains_cone", lambda *a: calls.update(["contains_cone"]) or real_contains_cone(*a)
+    )
 
     def use(x):
         assert validate(x).ok
@@ -268,7 +278,7 @@ def test_revisited_input_builds_nothing(monkeypatch, tmp_path):
         x = parse_input(doc)
         first = use(x)
         chow_digest = output_digest(tmp_path, "chow", doc)
-        assert calls["relation_blocks"] and calls["_violations"], name
+        assert calls["relation_blocks"] and calls["_violations"] and calls["_extreme_rays"], name
         calls.clear()
         again = parse_input(copy.deepcopy(doc))
         assert again is x, name
@@ -278,10 +288,27 @@ def test_revisited_input_builds_nothing(monkeypatch, tmp_path):
 
     fan = parse_fan(fan_doc)
     first = [toric_chow_presentation(fan, k) for k in range(fan.ambient_rank + 1)]
-    assert calls["_smith_presentation"] == len(first)
+    assert calls["_smith_presentation"] == len(first) and calls["contains_cone"]
     calls.clear()
     again = parse_fan(copy.deepcopy(fan_doc))
     assert again is fan
     assert [toric_chow_presentation(again, k) for k in range(fan.ambient_rank + 1)] == first
     assert output_digest(tmp_path, "oracle", fan_doc) == GOLDEN["p2_F_fan oracle"]
     assert not calls
+
+    # the same fan, its cones reordered and each cone's generators reversed and scaled
+    moved = {
+        "rank": fan_doc["rank"],
+        "maximal_cones": [
+            [[s * x for x in g] for s, g in enumerate(reversed(cone), 2)]
+            for cone in reversed(fan_doc["maximal_cones"])
+        ],
+    }
+    assert moved != fan_doc and parse_fan(moved) is fan
+    assert not calls
+
+    for name in FIXTURE_NAMES:
+        x = fixture(name)
+        calls.clear()
+        assert fixture(name) is x
+        assert not calls, name
