@@ -6,6 +6,8 @@ vector bundle given by its ray filtrations (``bundle_rank2``), and the
 hard-coded worked fixtures.  ``downgrade``, ``bundle_rank2`` and ``fixture``
 run once per input value and process: a later call with an equal input
 returns the divisor built first, with its validity and presentations.
+Each cell is a homogenized cone already held, cut by one more row
+(:func:`~tchow.polyhedra.cut`), and the marks are read off the tail fan.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ from .polyhedra import (
     Polyhedron,
     cone_as_polyhedron,
     complex_tailfan,
+    cut,
+    from_homogenized,
     make_complex,
     make_cone,
     make_fan,
     make_polyhedron,
-    polyhedron_from_hrep,
     require_complete,
 )
 from .value import Value
@@ -67,17 +70,13 @@ class DowngradeInput(Value):
     basis_change: tuple[IVec, ...] | None = None
 
 
-def _slice_at_height(c: Cone, height: int) -> Polyhedron:
-    """Project ``{x : (x, height) in c}`` into the first n coordinates."""
+def _slice(c: Cone, height: int) -> Polyhedron:
+    """``{x : (x, height) in c}``, ``height`` ±1: its homogenized cone is ``c`` cut
+    by ``height * t >= 0``, with the last coordinate ``t`` flipped for -1."""
     n = c.ambient_rank - 1
-    ineqs = [(a[:n], -height * a[n]) for a in c.normals]
-    eqs = [(e[:n], -height * e[n]) for e in c.span_eqs]
-    return polyhedron_from_hrep(ineqs, eqs, n)
-
-
-def _crosses(c: Cone) -> bool:
-    last = [g[-1] for g in c.generators]
-    return any(x > 0 for x in last) and any(x < 0 for x in last)
+    side = cut(c, [(0,) * n + (height,)])
+    flipped = sorted(g[:n] + (height * g[n],) for g in side.generators)
+    return from_homogenized(Cone(n + 1, tuple(flipped)))
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +85,12 @@ def downgrade(inp: DowngradeInput) -> MarkedFansyDivisor:
 
     Fibers over two points: slices of the fan at last coordinate +1 and -1.
     The marked cones are the hyperplane sections of the cones meeting both
-    open half-spaces.
+    open half-spaces: the tail-fan cones ``tau`` whose lift ``tau x 0`` is not a
+    cone of the fan.  Proof: ``tau = F ∩ {t = 0}`` for the carrier ``F`` of
+    ``tau x 0``, the cone of the fan whose relative interior holds its own.  If
+    ``F`` crosses ``{t = 0}``, so does its relative interior: ``F != tau x 0``,
+    and no cone is ``tau x 0``, as it would be its own carrier.  Else ``F``
+    lies in ``{t = 0}`` and ``F = tau x 0``.
     """
     fan = inp.fan
     if fan.ambient_rank < 1:
@@ -104,17 +108,15 @@ def downgrade(inp: DowngradeInput) -> MarkedFansyDivisor:
         )
     require_complete(fan)
     n = fan.ambient_rank - 1
-    cells_zero = [_slice_at_height(c, 1) for c in fan.maximal_cones]
-    cells_inf = [_slice_at_height(c, -1) for c in fan.maximal_cones]
-    marked = set()
-    for c in fan.all_cones():
-        if _crosses(c):
-            marked.add(_slice_at_height(c, 1).tail)
-    result = make_divisor(
-        n,
-        [("0", make_complex(cells_zero, n)), ("inf", make_complex(cells_inf, n))],
-        marked,
-    )
+    zero = make_complex([_slice(c, 1) for c in fan.maximal_cones], n)
+    inf = make_complex([_slice(c, -1) for c in fan.maximal_cones], n)
+    lifts = set(fan.all_cones())
+    marked = [
+        tau
+        for tau in complex_tailfan(zero).all_cones()
+        if Cone(n + 1, tuple(g + (0,) for g in tau.generators)) not in lifts
+    ]
+    result = make_divisor(n, [("0", zero), ("inf", inf)], marked)
     report = validate(result)
     if not report.ok:
         raise GeometryError(f"downgrade produced an invalid divisor: {report}")
@@ -237,9 +239,10 @@ def _cone_delta(b: KlyachkoBundle, c: Cone) -> IVec:
 def bundle_rank2(b: KlyachkoBundle) -> MarkedFansyDivisor:
     """Marked fansy divisor of the projectivized bundle.
 
-    Per maximal cone the two summand characters cut the cone along the levels
-    -1, 0, +1 of their difference; the pieces are distributed over the points
-    named by the filtration lines.  Marked cones are exactly the tailfan
+    Per maximal cone the difference ``delta`` of the two summand characters
+    splits it at a level per point, into ``delta >= level`` and ``delta <=
+    level``: +1 for its first line, -1 for its second, 0 for other points
+    when it has two lines; otherwise they keep the whole cone.  Marked cones are exactly the tailfan
     cones that are either not cones of the base fan or contain a ray with a
     one-dimensional filtration step.
     """
@@ -251,38 +254,21 @@ def bundle_rank2(b: KlyachkoBundle) -> MarkedFansyDivisor:
         labels.append(aux.pop(0))
     cells: dict[str, list[Polyhedron]] = {p: [] for p in labels}
 
-    def piece(c: Cone, delta: Sequence[int], sign: int, level) -> Polyhedron:
-        ineqs = [(a, 0) for a in c.normals]
-        ineqs.append((tuple(sign * d for d in delta), level))
-        eqs = [(e, 0) for e in c.span_eqs]
-        return polyhedron_from_hrep(ineqs, eqs, n)
-
     for c in b.base_fan.maximal_cones:
         lines = _cone_lines(b, c)
         delta = _cone_delta(b, c)
-        if not lines:
-            for p in labels:
-                cells[p].append(cone_as_polyhedron(c))
-        elif len(lines) == 1:
-            v1 = lines[0]
-            for p in labels:
-                if p == v1:
-                    cells[p].append(piece(c, delta, 1, 1))   # level >= 1
-                    cells[p].append(piece(c, delta, -1, -1))  # level <= 1
-                else:
-                    cells[p].append(cone_as_polyhedron(c))
-        else:
-            v1, v2 = lines
-            for p in labels:
-                if p == v1:
-                    cells[p].append(piece(c, delta, 1, 1))
-                    cells[p].append(piece(c, delta, -1, -1))
-                elif p == v2:
-                    cells[p].append(piece(c, delta, -1, 1))
-                    cells[p].append(piece(c, delta, 1, -1))
-                else:
-                    cells[p].append(piece(c, delta, 1, 0))
-                    cells[p].append(piece(c, delta, -1, 0))
+        whole = cone_as_polyhedron(c)
+        for p in labels:
+            if p in lines:
+                level = 1 if p == lines[0] else -1
+            elif len(lines) == 2:
+                level = 0
+            else:
+                cells[p].append(whole)
+                continue
+            above = delta + (-level,)  # delta . x >= level, homogenized
+            below = tuple(-a for a in above)
+            cells[p] += [from_homogenized(cut(whole.cone, [row])) for row in (above, below)]
 
     complexes = [(p, make_complex(cells[p], n)) for p in labels]
     tailfan = complex_tailfan(complexes[0][1])

@@ -82,6 +82,8 @@ def _rat(value) -> Fraction:
 
 
 def _int(value) -> int:
+    if type(value) is int:  # a bool, a string or a float goes through _rat and its messages
+        return value
     f = _rat(value)
     if f.denominator != 1:
         raise ParseError(f"expected an integer, got {_shown(value)}")
@@ -209,6 +211,8 @@ def parse_input(doc) -> MarkedFansyDivisor:
         for cell in _list(_field(complexes, p, "complexes"), f"the cells of point {_shown(p)}"):
             _only(cell, ("vertices", "rays"), "a cell")
             verts = _list(_field(cell, "vertices", "a cell", []), "vertices")
+            if not verts:
+                raise ParseError("a cell needs at least one vertex")
             rays = _list(_field(cell, "rays", "a cell", []), "rays")
             cells.append(
                 make_polyhedron(

@@ -6,15 +6,15 @@ its homogenized cone alone, the cone over ``P x {1}`` plus ``tail x {0}``
 (``Polyhedron.cone``): its H-data, faces, meets, dimension, vertices and
 tail are read off that cone's integer generators.  A cone's
 H-representation (facet normals and span equations) is derived from its
-V-data when first read, once per object, and kept on it.  Conversion both
-ways is one exact integer double description, :func:`_extreme_rays` (which
-starts from a simplicial cone and adds rows with :func:`_add_rows`): facets
-of a cone are the extreme rays of its dual.  A full-dimensional cone is
-converted as it is, with no lattice kernel.  A lower-dimensional one takes
-one, its span equations, and is converted in a basis of its own independent
-generators (:func:`_rays_in`): its facet normals are the primitive ones that
-lie in its span.  H-described cones with equations are converted the same
-way, in a basis of the lattice the equations cut out.
+V-data when first read, once per object, and kept on it.  Conversion is one
+exact integer double description, :func:`_extreme_rays` (which starts from a
+simplicial cone and adds rows with :func:`_add_rows`): facets of a cone are
+the extreme rays of its dual.  A full-dimensional cone is converted as it
+is, with no lattice kernel.  A lower-dimensional one takes one, its span
+equations, and is converted in a basis of its own independent generators
+(:func:`_rays_in`): its facet normals are the primitive ones that lie in its
+span.  No constructor takes inequalities: a meet, a slice or a piece of a
+cone is a cone already held cut by more rows (:func:`cut`), from its own rays.
 
 :func:`make_cone` and :func:`make_polyhedron` canonicalize arbitrary input and
 keep the H-data they computed on the way: one double description finds the
@@ -23,9 +23,8 @@ other generator's contain.  Everything whose extreme rays are already known
 is built from them directly, with no kernel: faces (from the ray-facet
 incidences of the cone, closed under intersection, in the spirit of Kaibel &
 Pfetsch 2002; a polyhedron's faces are its cone's faces that hold a vertex),
-intersections and H-described polyhedra (whose double description yields
-extreme rays; a meet with a full-dimensional cone starts from that cone's
-rays), tails, and cones as polyhedra.
+cuts and meets (whose double description yields extreme rays), tails, and
+cones as polyhedra.
 
 Face queries are answered from hashed sets.  The faces of a cone or a
 polyhedron, and the set :func:`cone_is_face_of` tests membership in, are held
@@ -42,13 +41,15 @@ The coface map of a fan or of a complex, from each face to the faces one
 dimension up that contain it, is read off ray inclusion
 (:func:`inclusion_cofaces`) and kept on the object (``cofaces``).
 
-A fan or a complex is valid only if every two of its maximal cones (or of
-its cells' homogenized cones) meet in a common face.  Most pairs are proved
-so without a meet (:func:`_certified_meet`): a facet normal ``u`` of one side
-that is nonpositive on the other side's generators confines the meet to the
-other side's face on the ``u``-tight generators, and when that face is in
+A fan is checked on its maximal cones and a complex on its cells'
+homogenized cones by one maximality scan, pair check and ridge count
+(:func:`_maximal`, :func:`_improper_pairs`, :func:`_ridge_counts`), where for
+a complex a meet or a facet at height 0 is allowed.  Most pairs are proved
+proper without a meet (:func:`_certified_meet`): a facet normal ``u`` of one
+side that is nonpositive on the other side's generators confines the meet to
+the other side's face on the ``u``-tight generators, and when that face is in
 the first side's face set it is the meet.  Only the pairs with no such
-certificate are met by double description, and they alone write problems.
+certificate are met by double description.
 
 Cones and polyhedra with lineality (a contained line) are rejected at
 construction; every object in a fan or complete complex is pointed.
@@ -66,9 +67,7 @@ from .exactlin import (
     bareiss_inverse,
     dot,
     identity_matrix,
-    integer_kernel,
     perp_lattice,
-    primitive,
     primitive_direction,
     project,
 )
@@ -192,20 +191,6 @@ def _rays_in(basis: Sequence[IVec], rows: Sequence[IVec]) -> list[IVec]:
     """
     restricted = [tuple(dot(b, a) for b in basis) for a in rows]
     return [primitive_direction(project(basis, c)) for c in _extreme_rays(restricted, len(basis))]
-
-
-def _h_to_generators(
-    ineq_rows: Sequence[Sequence], eq_rows: Sequence[Sequence], n: int
-) -> list[IVec]:
-    """Primitive extreme rays of ``{x : ineq . x >= 0, eq . x = 0}``; pointed only.
-
-    Without equations this is one double-description pass on the rows; with
-    them it is the same pass in a basis of the lattice they cut out.
-    """
-    int_ineqs = [primitive(a)[0] for a in ineq_rows]
-    if not eq_rows:
-        return _extreme_rays(int_ineqs, n)
-    return _rays_in(integer_kernel([primitive(e)[0] for e in eq_rows], n), int_ineqs)
 
 
 def _span_facets(gens: Sequence[IVec], n: int):
@@ -379,23 +364,31 @@ def cone_is_face_of(f: Cone, c: Cone) -> bool:
     return f in _cone_face_set(c)
 
 
-def cone_intersect(a: Cone, b: Cone) -> Cone:
-    """The meet of two cones, canonical.
+def cut(c: Cone, rows: Sequence[IVec]) -> Cone:
+    """The cone ``{y in c : a . y >= 0 for a in rows}``, canonical.
 
-    When one side is full-dimensional its extreme rays, with their tight
-    facets, are already a double description of it: the other side's facets
-    and span equations (each as a pair of opposite rows) are added to that.
+    A full-dimensional ``c`` seeds the double description with its own rays;
+    a lower-dimensional one is cut in a basis of its generators (:func:`_rays_in`).
+    """
+    n = c.ambient_rank
+    if c.span_eqs:
+        basis = [c.generators[i] for i in _independent_rows(c.generators, n)]
+        return _cone_on_rays(_rays_in(basis, c.normals + tuple(rows)), n)
+    seed = [(g, _tight(c.normals, g)) for g in c.generators]
+    return _cone_on_rays(_add_rows(seed, enumerate(rows, len(c.normals)), n), n)
+
+
+def cone_intersect(a: Cone, b: Cone) -> Cone:
+    """The meet of two cones, canonical: ``a`` cut by ``b``'s facets and span equations.
+
+    Each equation is a pair of opposite rows, and a full-dimensional side is
+    the one cut, so the double description starts from its rays.
     """
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient rank mismatch")
-    n = a.ambient_rank
     if a.span_eqs and not b.span_eqs:
         a, b = b, a
-    if a.span_eqs:
-        return _cone_on_rays(_h_to_generators(a.normals + b.normals, a.span_eqs + b.span_eqs, n), n)
-    seed = [(g, _tight(a.normals, g)) for g in a.generators]
-    rows = b.normals + b.span_eqs + tuple(tuple(-x for x in e) for e in b.span_eqs)
-    return _cone_on_rays(_add_rows(seed, enumerate(rows, len(a.normals)), n), n)
+    return cut(a, b.normals + b.span_eqs + tuple(tuple(-x for x in e) for e in b.span_eqs))
 
 
 def _certified_meet(a: Cone, b: Cone) -> Cone | None:
@@ -494,7 +487,7 @@ def empty_polyhedron(ambient_rank: int) -> Polyhedron:
     return Polyhedron(zero_cone(ambient_rank + 1))
 
 
-def _from_homogenized(c: Cone) -> Polyhedron:
+def from_homogenized(c: Cone) -> Polyhedron:
     """The polyhedron whose homogenized cone is ``c``; empty when ``c`` has no vertex."""
     n = c.ambient_rank - 1
     if any(g[n] < 0 for g in c.generators):
@@ -514,7 +507,7 @@ def make_polyhedron(
     homog = [tuple(v) + (1,) for v in vertices]
     if homog:
         homog += [tuple(r) + (0,) for r in rays]
-    return canonical(_from_homogenized(make_cone(homog, ambient_rank + 1)))
+    return canonical(from_homogenized(make_cone(homog, ambient_rank + 1)))
 
 
 def cone_as_polyhedron(c: Cone) -> Polyhedron:
@@ -539,24 +532,11 @@ def minkowski_sum(a: Polyhedron, b: Polyhedron) -> Polyhedron:
         for f in a.cone.generators if f[n]
         for g in b.cone.generators if g[n]
     ]
-    return _from_homogenized(make_cone(gens, n + 1))
-
-
-def polyhedron_from_hrep(
-    ineqs: Sequence[tuple[Sequence, object]],
-    eqs: Sequence[tuple[Sequence, object]],
-    ambient_rank: int,
-) -> Polyhedron:
-    """The polyhedron ``{x : a.x >= b, c.x == d}`` from exact (vector, rhs) pairs."""
-    n = ambient_rank
-    ineq_rows = [tuple(u) + (-rhs,) for u, rhs in ineqs]
-    ineq_rows.append((0,) * n + (1,))
-    eq_rows = [tuple(u) + (-rhs,) for u, rhs in eqs]
-    return _from_homogenized(_cone_on_rays(_h_to_generators(ineq_rows, eq_rows, n + 1), n + 1))
+    return from_homogenized(make_cone(gens, n + 1))
 
 
 def poly_intersect(a: Polyhedron, b: Polyhedron) -> Polyhedron:
-    return _from_homogenized(cone_intersect(a.cone, b.cone))
+    return from_homogenized(cone_intersect(a.cone, b.cone))
 
 
 @lru_cache(maxsize=None)
@@ -596,6 +576,42 @@ def inclusion_cofaces(by_dim: dict[int, Sequence[tuple[object, frozenset]]]) -> 
                     if elements <= g_elements:
                         up[f].append(g)
     return {f: tuple(gs) for f, gs in up.items()}
+
+
+def _maximal(cones: Sequence[Cone]) -> list[Cone]:
+    """The cones that no other one of the distinct ``cones`` contains, in order."""
+    return [c for c in cones if not any(o is not c and o.contains_cone(c) for o in cones)]
+
+
+def _improper_pairs(cones: Sequence[Cone], homogenized: bool = False):
+    """Each pair ``(i, j, error)``, ``i < j``, of ``cones`` that do not meet in a common face.
+
+    ``error`` is the GeometryError their meet raised, or None.  Of cells'
+    ``homogenized`` cones, a meet at height 0 is allowed: the cells do not meet.
+    """
+    for i, a in enumerate(cones):
+        for j in range(i + 1, len(cones)):
+            try:
+                meet, proper = _pair_meet(a, cones[j])
+            except GeometryError as exc:
+                yield i, j, exc
+                continue
+            if not proper and (not homogenized or any(g[-1] for g in meet.generators)):
+                yield i, j, None
+
+
+def _ridge_counts(members: Sequence, faces) -> dict:
+    """How many ``members`` hold each facet, in order of first appearance.
+
+    ``faces`` is :func:`cone_faces` for a fan's cones, or :func:`poly_faces` for
+    a complex's cells: their homogenized cones' faces off height 0.
+    """
+    tally: dict = {}
+    for c in members:
+        for f in faces(c):
+            if f.dim == c.dim - 1:
+                tally[f] = tally.get(f, 0) + 1
+    return tally
 
 
 class Fan(Value):
@@ -639,13 +655,8 @@ def make_fan(cones: Iterable[Cone], ambient_rank: int) -> Fan:
 
 @lru_cache(maxsize=None)
 def _make_fan(cones: frozenset[Cone], ambient_rank: int) -> Fan:
-    uniq = sorted(cones, key=Cone.sort_key)
-    maximal = [
-        c
-        for c in uniq
-        if not any(other is not c and other.contains_cone(c) for other in uniq)
-    ]
-    return canonical(Fan(ambient_rank, tuple(sorted(maximal, key=Cone.sort_key))))
+    maximal = _maximal(sorted(cones, key=Cone.sort_key))
+    return canonical(Fan(ambient_rank, tuple(maximal)))
 
 
 @lru_cache(maxsize=None)
@@ -663,17 +674,12 @@ def fan_cones(fan: Fan) -> dict:
 def _fan_problems(fan: Fan) -> list[str]:
     problems = []
     cones = fan.maximal_cones
-    for i, a in enumerate(cones):
-        for b in cones[i + 1 :]:
-            try:
-                _, proper = _pair_meet(a, b)
-            except GeometryError as exc:
-                problems.append(f"intersection failed for {a.generators} and {b.generators}: {exc}")
-                continue
-            if not proper:
-                problems.append(
-                    f"cones {a.generators} and {b.generators} do not meet in a common face"
-                )
+    for i, j, exc in _improper_pairs(cones):
+        a, b = cones[i].generators, cones[j].generators
+        if exc is not None:
+            problems.append(f"intersection failed for {a} and {b}: {exc}")
+        else:
+            problems.append(f"cones {a} and {b} do not meet in a common face")
     return problems
 
 
@@ -695,14 +701,7 @@ def fan_is_complete(fan: Fan) -> bool:
         return False
     if any(c.dim != n for c in fan.maximal_cones):
         return False
-    if n == 0:
-        return True
-    tally: dict[Cone, int] = {}
-    for c in fan.maximal_cones:
-        for f in cone_faces(c):
-            if f.dim == n - 1:
-                tally[f] = tally.get(f, 0) + 1
-    return all(v == 2 for v in tally.values())
+    return all(v == 2 for v in _ridge_counts(fan.maximal_cones, cone_faces).values())
 
 
 def require_complete(fan: Fan) -> None:
@@ -783,61 +782,44 @@ def make_complex(cells: Iterable[Polyhedron], ambient_rank: int) -> PolyhedralCo
 
 @lru_cache(maxsize=None)
 def _make_complex(cells: frozenset[Polyhedron], ambient_rank: int) -> PolyhedralComplex:
-    uniq = sorted((c for c in cells if not c.is_empty), key=Polyhedron.sort_key)
-    maximal = [
-        c
-        for c in uniq
-        if not any(other is not c and other.cone.contains_cone(c.cone) for other in uniq)
-    ]
-    return canonical(PolyhedralComplex(ambient_rank, tuple(maximal)))
+    by_cone = {c.cone: c for c in sorted(cells, key=Polyhedron.sort_key) if not c.is_empty}
+    maximal = tuple(by_cone[k] for k in _maximal(list(by_cone)))
+    return canonical(PolyhedralComplex(ambient_rank, maximal))
 
 
 def _complex_problems(s: PolyhedralComplex) -> list[str]:
-    problems = []
     n = s.ambient_rank
     cells = s.maximal_cells
     if not cells:
         return ["complex has no cells"]
-    for c in cells:
-        if c.dim != n:
-            problems.append(f"maximal cell {_vertex_text(c)} has dimension {c.dim} != {n}")
-    for i, a in enumerate(cells):
-        for b in cells[i + 1 :]:
-            try:
-                meet, proper = _pair_meet(a.cone, b.cone)
-            except GeometryError as exc:
-                problems.append(f"cells fail to intersect properly: {exc}")
-                continue
-            # a meet with no vertex is empty: it lies at last coordinate 0
-            if not proper and any(g[n] for g in meet.generators):
-                problems.append(
-                    f"cells {_vertex_text(a)}+{a.tail.generators} and "
-                    f"{_vertex_text(b)}+{b.tail.generators} do not meet in a common face"
-                )
+    problems = [
+        f"maximal cell {_vertex_text(c)} has dimension {c.dim} != {n}" for c in cells if c.dim != n
+    ]
+    for i, j, exc in _improper_pairs([c.cone for c in cells], homogenized=True):
+        a, b = cells[i], cells[j]
+        if exc is not None:
+            problems.append(f"cells fail to intersect properly: {exc}")
+        else:
+            problems.append(
+                f"cells {_vertex_text(a)}+{a.tail.generators} and "
+                f"{_vertex_text(b)}+{b.tail.generators} do not meet in a common face"
+            )
     if problems:
         return problems
-    if n >= 1:
-        tally: dict[Polyhedron, int] = {}
-        for c in cells:
-            for f in poly_faces(c):
-                if f.dim == n - 1:
-                    tally[f] = tally.get(f, 0) + 1
-        for f, count in tally.items():
-            if count != 2:
-                problems.append(
-                    f"face {_vertex_text(f)}+{f.tail.generators} lies in {count} cells; "
-                    "the complex does not cover the whole space"
-                )
-    return problems
+    return [
+        f"face {_vertex_text(f)}+{f.tail.generators} lies in {count} cells; "
+        "the complex does not cover the whole space"
+        for f, count in _ridge_counts(cells, poly_faces).items()
+        if count != 2
+    ]
 
 
 def complex_validate(s: PolyhedralComplex) -> list[str]:
     """Violations of the complex axioms and of completeness.
 
-    Each pair of maximal cells is checked as :func:`fan_validate` checks a
-    pair of cones, on their homogenized cones; a meet with no vertex is
-    empty and proper.  Checked once per complex object; every call returns a
-    fresh list.
+    The routines that check a fan check the cells' homogenized cones, where a
+    meet or a facet at height 0 (no vertex) is allowed.  Checked once per
+    complex object; every call returns a fresh list.
     """
     return list(s._problems)
 

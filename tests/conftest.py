@@ -13,7 +13,15 @@ from unittest import mock
 
 import pytest
 
-from tchow.build import InconsistentFiltrationsError, KlyachkoBundle, RayFiltration, _cone_delta, bundle_labels
+from tchow.build import (
+    AUX_LABELS,
+    InconsistentFiltrationsError,
+    KlyachkoBundle,
+    RayFiltration,
+    _cone_delta,
+    _cone_lines,
+    bundle_labels,
+)
 from tchow.build import _p1p1_fan as p1p1_fan, _p2_fan as p2_fan  # noqa: F401  (for the tests)
 from tchow.chow import _cone_image_ray
 from tchow.exactlin import (
@@ -23,6 +31,7 @@ from tchow.exactlin import (
     dot,
     hnf_basis,
     identity_matrix,
+    integer_kernel,
     primitive,
     primitive_direction,
     project,
@@ -45,7 +54,11 @@ from tchow.polyhedra import (
     minkowski_sum,
     poly_faces,
     poly_intersect,
+    _cone_on_rays,
+    _extreme_rays,
+    _rays_in,
     _vertex_text,
+    from_homogenized,
 )
 
 
@@ -661,3 +674,100 @@ def fraction_s_sigma(x: MarkedFansyDivisor, sigma: Cone) -> int:
     for i, row in enumerate(basis):
         covolume *= row[i]
     return d**r // covolume
+
+
+# ---------------------------------------------------------------------------
+# H-input references for cells the library builds by cutting a cone
+
+
+def reference_h_to_generators(ineq_rows, eq_rows, n: int) -> list:
+    """Primitive extreme rays of ``{x : ineq . x >= 0, eq . x = 0}``; pointed only.
+
+    Without equations this is one double-description pass on the rows; with
+    them it is the same pass in a basis of the lattice they cut out.
+    """
+    int_ineqs = [primitive(a)[0] for a in ineq_rows]
+    if not eq_rows:
+        return _extreme_rays(int_ineqs, n)
+    return _rays_in(integer_kernel([primitive(e)[0] for e in eq_rows], n), int_ineqs)
+
+
+def reference_polyhedron_from_hrep(ineqs, eqs, ambient_rank: int) -> Polyhedron:
+    """The polyhedron ``{x : a.x >= b, c.x == d}`` from exact (vector, rhs) pairs."""
+    n = ambient_rank
+    ineq_rows = [tuple(u) + (-rhs,) for u, rhs in ineqs]
+    ineq_rows.append((0,) * n + (1,))
+    eq_rows = [tuple(u) + (-rhs,) for u, rhs in eqs]
+    return from_homogenized(_cone_on_rays(reference_h_to_generators(ineq_rows, eq_rows, n + 1), n + 1))
+
+
+def reference_slice_at_height(c: Cone, height: int) -> Polyhedron:
+    """``{x : (x, height) in c}`` from the H-data of ``c``."""
+    n = c.ambient_rank - 1
+    ineqs = [(a[:n], -height * a[n]) for a in c.normals]
+    eqs = [(e[:n], -height * e[n]) for e in c.span_eqs]
+    return reference_polyhedron_from_hrep(ineqs, eqs, n)
+
+
+def reference_downgrade(fan: Fan):
+    """Reference for ``build.downgrade`` on a complete fan: ``(cells at +1, cells at -1, marks)``.
+
+    The marks are the sections at height 0 of the cones whose generators
+    reach both open half-spaces, each read off its slice at height 1.
+    """
+    def crosses(c):
+        last = [g[-1] for g in c.generators]
+        return any(x > 0 for x in last) and any(x < 0 for x in last)
+
+    zero = [reference_slice_at_height(c, 1) for c in fan.maximal_cones]
+    inf = [reference_slice_at_height(c, -1) for c in fan.maximal_cones]
+    marks = {reference_slice_at_height(c, 1).tail for c in fan.all_cones() if crosses(c)}
+    return zero, inf, marks
+
+
+def reference_bundle_cells(b: KlyachkoBundle) -> dict:
+    """Reference for the cells of ``build.bundle_rank2``: each point's cells, by case.
+
+    Per maximal cone with no line, one line or two lines, the pieces are
+    cut from its H-data at levels -1, 0 and +1 of the character difference.
+    """
+    n = b.base_fan.ambient_rank
+    labels = bundle_labels(b)
+    aux = [a for a in AUX_LABELS if a not in labels]
+    while len(labels) < 2:
+        labels.append(aux.pop(0))
+    cells = {p: [] for p in labels}
+
+    def piece(c, delta, sign, level):
+        ineqs = [(a, 0) for a in c.normals]
+        ineqs.append((tuple(sign * d for d in delta), level))
+        eqs = [(e, 0) for e in c.span_eqs]
+        return reference_polyhedron_from_hrep(ineqs, eqs, n)
+
+    for c in b.base_fan.maximal_cones:
+        lines = _cone_lines(b, c)
+        delta = _cone_delta(b, c)
+        if not lines:
+            for p in labels:
+                cells[p].append(cone_as_polyhedron(c))
+        elif len(lines) == 1:
+            v1 = lines[0]
+            for p in labels:
+                if p == v1:
+                    cells[p].append(piece(c, delta, 1, 1))
+                    cells[p].append(piece(c, delta, -1, -1))
+                else:
+                    cells[p].append(cone_as_polyhedron(c))
+        else:
+            v1, v2 = lines
+            for p in labels:
+                if p == v1:
+                    cells[p].append(piece(c, delta, 1, 1))
+                    cells[p].append(piece(c, delta, -1, -1))
+                elif p == v2:
+                    cells[p].append(piece(c, delta, -1, 1))
+                    cells[p].append(piece(c, delta, 1, -1))
+                else:
+                    cells[p].append(piece(c, delta, 1, 0))
+                    cells[p].append(piece(c, delta, -1, 0))
+    return cells

@@ -11,6 +11,9 @@ from conftest import (
     predicted_counts,
     random_bundle,
     random_complete_fan,
+    reference_bundle_cells,
+    reference_downgrade,
+    reference_slice_at_height,
 )
 
 from tchow.build import (
@@ -20,6 +23,8 @@ from tchow.build import (
     KlyachkoBundle,
     NonSmoothBaseError,
     RayFiltration,
+    _cone_lines,
+    _slice,
     bundle_rank2,
     downgrade,
     fixture,
@@ -29,7 +34,8 @@ from tchow.build import (
 from tchow import chow, polyhedra
 from tchow.chow import presentation
 from tchow.fansy import enumerate_generators, validate
-from tchow.polyhedra import make_cone, make_fan
+from tchow.exactlin import mat_vec
+from tchow.polyhedra import make_complex, make_cone, make_fan
 
 F = Fraction
 
@@ -110,6 +116,54 @@ def test_downgrade_trichotomy_random():
         cones = fan.cones(n + 1 - k)
         counts = enumerate_generators(x, k).counts
         assert sum(counts) == len(cones)
+
+
+def random_unimodular(rng, n):
+    """A product of a few elementary integer matrices."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3):
+        a, b = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        m[a] = [x + k * y for x, y in zip(m[a], m[b])]
+    return tuple(tuple(row) for row in m)
+
+
+def test_downgrade_matches_hrep_reference():
+    # cells cut from each cone equal its slices from H-data, and the marks read
+    # off the tail fan equal the sections of the cones reaching both half-spaces
+    for s in range(10):
+        rng = random.Random(700 + s)
+        rank = 3 if s < 6 else 4
+        fan = random_complete_fan(rng, rank, 5 if rank == 3 else 3)
+        change = random_unimodular(rng, rank) if s % 2 else None
+        x = downgrade(DowngradeInput(fan, change))
+        if change is not None:
+            m = [list(r) for r in change]
+            fan = make_fan([make_cone([mat_vec(m, g) for g in c.generators], rank) for c in fan.maximal_cones], rank)
+        for height in (1, -1):
+            expected = [reference_slice_at_height(c, height) for c in fan.all_cones()]
+            assert [_slice(c, height) for c in fan.all_cones()] == expected
+        zero, inf, marks = reference_downgrade(fan)
+        assert x.complex_at("0") == make_complex(zero, rank - 1)
+        assert x.complex_at("inf") == make_complex(inf, rank - 1)
+        assert x.marked == frozenset(marks)
+
+
+def test_bundle_cells_match_hrep_reference():
+    # the pieces cut at each point's split level equal the three-case H-data pieces
+    hirzebruch = make_fan(
+        [make_cone(c, 2) for c in ([(1, 0), (0, 1)], [(0, 1), (-1, 1)], [(-1, 1), (0, -1)], [(0, -1), (1, 0)])], 2
+    )
+    bases = [p2_fan(), p1p1_fan(), hirzebruch]
+    two_line_cones = 0
+    for s in range(30):
+        b = random_bundle(random.Random(800 + s), bases[s % 3])
+        x = bundle_rank2(b)
+        cells = reference_bundle_cells(b)
+        assert x.points == tuple(cells)
+        assert x.complexes == tuple(make_complex(cells[p], 2) for p in x.points)
+        two_line_cones += sum(len(_cone_lines(b, c)) == 2 for c in b.base_fan.maximal_cones)
+    assert two_line_cones >= 20
 
 
 def test_bundle_p1p1_fixture_markings():

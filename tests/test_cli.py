@@ -162,6 +162,7 @@ def test_crosscheck_with_torsion(tmp_path, capsys, json_flag):
 
 
 P1_CELL = {"vertices": [["0"]], "rays": [[1]]}
+P1_CELL_DOWN = {"vertices": [["0"]], "rays": [[-1]]}
 P1P1_BASE = {
     "rank": 2,
     "maximal_cones": [[[1, 0], [0, 1]], [[0, 1], [-1, 0]], [[-1, 0], [0, -1]], [[0, -1], [1, 0]]],
@@ -304,6 +305,15 @@ BAD_DOCUMENTS = {
         {"rank": 1, "points": ["0"], "complexes": {"0": [P1_CELL], "1": [P1_CELL]}, "marked": []},
     ),
     "huge_unknown_key": ("oracle", {**P1P1_BASE, "x" * 100_000: 0}),
+    # a cell with no vertex is refused, not dropped from a valid line as empty
+    "cell_without_vertices": (
+        "validate",
+        {"rank": 1, "points": ["0"], "complexes": {"0": [P1_CELL, P1_CELL_DOWN, {"rays": [[1]]}]}, "marked": []},
+    ),
+    "cell_with_empty_vertices": (
+        "validate",
+        {"rank": 1, "points": ["0"], "complexes": {"0": [P1_CELL, P1_CELL_DOWN, {"vertices": []}]}, "marked": []},
+    ),
 }
 
 
@@ -330,6 +340,8 @@ def test_bad_document_is_parse_error(tmp_path, capsys, name):
         ("misspelt_filtration_line", "a filtration has unknown key 'lines'"),
         ("line_until_without_line", "line and line_until must be given together"),
         ("complexes_entry_not_a_point", "complexes (keyed by points) has unknown key '1'"),
+        ("cell_without_vertices", "a cell needs at least one vertex"),
+        ("cell_with_empty_vertices", "a cell needs at least one vertex"),
         ("huge_unknown_key", f"a fan document has unknown key '{'x' * 79}... (100002 characters)"),
     ],
 )

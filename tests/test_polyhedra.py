@@ -14,10 +14,12 @@ from conftest import (
     poly_contains,
     poly_is_face_of,
     polyhedron_hrep,
+    reference_h_to_generators,
+    reference_polyhedron_from_hrep,
     snf_transforms_reference,
 )
 
-from tchow import polyhedra
+from tchow import exactlin, polyhedra
 from tchow.build import FIXTURE_NAMES, fixture
 from tchow.exactlin import (
     dot,
@@ -37,6 +39,7 @@ from tchow.polyhedra import (
     cone_faces,
     cone_intersect,
     cone_is_face_of,
+    cut,
     empty_polyhedron,
     fan_is_complete,
     fan_validate,
@@ -47,9 +50,7 @@ from tchow.polyhedra import (
     minkowski_sum,
     poly_faces,
     poly_intersect,
-    polyhedron_from_hrep,
     _extreme_rays,
-    _h_to_generators,
 )
 
 F = Fraction
@@ -413,7 +414,7 @@ def test_h_to_generators_match_brute_force():
         eqs = [tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(neqs)]
         both_sides = rows + eqs + [tuple(-c for c in e) for e in eqs]
         expected = rays_or_error(brute_rays, both_sides, r)
-        got = rays_or_error(lambda rows, r: _h_to_generators(rows, eqs, r), rows, r)
+        got = rays_or_error(lambda rows, r: reference_h_to_generators(rows, eqs, r), rows, r)
         assert got == expected, (rows, eqs, r)
         tally[bool(eqs), expected != "not pointed"] += 1
     assert min(tally.values()) > 50, tally
@@ -633,11 +634,30 @@ def test_cone_intersect_matches_double_description():
         if not all(gens):
             continue
         a, b = (make_cone(g, n) for g in gens)
-        expected = _h_to_generators(a.normals + b.normals, a.span_eqs + b.span_eqs, n)
+        expected = reference_h_to_generators(a.normals + b.normals, a.span_eqs + b.span_eqs, n)
         meet = cone_intersect(a, b)
         assert meet.generators == tuple(sorted(expected)) == cone_intersect(b, a).generators, (a, b)
         tally[a.dim == n, b.dim == n] += 1
     assert min(tally.values()) > 40, tally
+
+
+def test_cut_matches_reference():
+    # a full-dimensional cone seeds the cut with its own rays, a lower-dimensional
+    # one is cut in a basis of its generators; both must give the cone one double
+    # description of its H-data and the rows gives
+    rng = random.Random(46)
+    tally = {True: 0, False: 0}
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        gens = random_full_gens(rng, n) if rng.random() < 0.4 else random_pointed_gens(rng, n)
+        if not gens:
+            continue
+        c = make_cone(gens, n)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+        expected = reference_h_to_generators(c.normals + tuple(rows), c.span_eqs, n)
+        assert cut(c, rows).generators == tuple(sorted(expected)), (c, rows)
+        tally[c.dim == n] += 1
+    assert min(tally.values()) > 150, tally
 
 
 def test_one_span_kernel_per_construction(monkeypatch):
@@ -681,8 +701,8 @@ def test_extreme_rays_take_no_kernel(monkeypatch):
     ]
     expected = [brute_rays(rows, r) for rows, r in cases]
     calls = []
-    real = polyhedra.integer_kernel
-    monkeypatch.setattr(polyhedra, "integer_kernel", lambda *a: calls.append(a) or real(*a))
+    real = exactlin.integer_kernel
+    monkeypatch.setattr(exactlin, "integer_kernel", lambda *a: calls.append(a) or real(*a))
     assert [_extreme_rays(rows, r) for rows, r in cases] == expected
     assert calls == []
 
@@ -807,7 +827,7 @@ def test_built_from_extreme_rays_matches_make():
             for _ in range(rng.randint(0, 3))
         ]
         flats = [(tuple(rng.randint(-1, 1) for _ in range(n)), F(rng.randint(-2, 2), 2))] if rng.random() < 0.3 else []
-        h = polyhedron_from_hrep(box + cuts, flats, n)
+        h = reference_polyhedron_from_hrep(box + cuts, flats, n)
         if not h.is_empty:
             assert_canonical_polyhedron(h)
             seen["hrep"] += 1

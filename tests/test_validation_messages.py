@@ -40,6 +40,8 @@ FANS = {
     # the four quadrants of the plane, one of them turned into a wider cone
     "quadrants": lambda: fan([(1, 0), (0, 1)], [(1, 1), (-1, 0)], [(-1, 0), (0, -1)], [(0, -1), (1, 0)]),
     "two_overlapping": lambda: fan([(1, 0), (0, 1)], [(1, 1), (1, -1)]),
+    # two quadrants widened, each over its neighbour: two bad pairs sharing no cone
+    "two_overlaps": lambda: fan([(1, 0), (0, 1)], [(1, 1), (-1, 0)], [(-1, 0), (0, -1)], [(-1, -1), (1, 0)]),
     # the positive octant widened across two of its walls
     "octants": lambda: fan(*octants([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 1, 1), (1, -1, 2)])),
 }
@@ -58,6 +60,12 @@ COMPLEXES = {
         2,
     ),
     "half_line": lambda: make_complex([cell([(F(1, 2),)], [(1,)])], 1),
+    # a square, a triangle and a wedge apart: every edge lies in one cell, listed
+    # cell by cell, each cell's edges in poly_faces order
+    "scattered_cells": lambda: make_complex(
+        [cell([(0, 0), (1, 0), (0, 1), (1, 1)], []), cell([(2, 0), (3, 0), (F(5, 2), 1)], []), cell([(0, 2)], [(0, 1), (-1, 1)])],
+        2,
+    ),
     "flat_cell": lambda: make_complex([cell([(0, 0), (F(1, 3), 0)], [])], 2),
     # two overlapping tetrahedra and an unbounded cell
     "tetrahedra": lambda: make_complex(
@@ -96,6 +104,10 @@ EXPECTED_FAN = {
     'two_overlapping': [
         'cones ((0, 1), (1, 0)) and ((1, -1), (1, 1)) do not meet in a common face',
     ],
+    'two_overlaps': [
+        'cones ((-1, -1), (1, 0)) and ((-1, 0), (0, -1)) do not meet in a common face',
+        'cones ((-1, 0), (1, 1)) and ((0, 1), (1, 0)) do not meet in a common face',
+    ],
     'octants': [
         'cones ((-1, 0, 0), (0, -1, 0), (0, 0, 1)) and ((-1, 1, 1), (0, 1, 0), (1, -1, 2), (1, 0, 0)) do not meet in a common face',
         'cones ((-1, 0, 0), (0, 0, 1), (0, 1, 0)) and ((-1, 1, 1), (0, 1, 0), (1, -1, 2), (1, 0, 0)) do not meet in a common face',
@@ -112,6 +124,17 @@ EXPECTED_COMPLEX = {
     ],
     'half_line': [
         'face ((1/2,),)+() lies in 1 cells; the complex does not cover the whole space',
+    ],
+    'scattered_cells': [
+        'face ((0, 2),)+((-1, 1),) lies in 1 cells; the complex does not cover the whole space',
+        'face ((0, 2),)+((0, 1),) lies in 1 cells; the complex does not cover the whole space',
+        'face ((2, 0), (5/2, 1))+() lies in 1 cells; the complex does not cover the whole space',
+        'face ((2, 0), (3, 0))+() lies in 1 cells; the complex does not cover the whole space',
+        'face ((5/2, 1), (3, 0))+() lies in 1 cells; the complex does not cover the whole space',
+        'face ((0, 0), (0, 1))+() lies in 1 cells; the complex does not cover the whole space',
+        'face ((0, 0), (1, 0))+() lies in 1 cells; the complex does not cover the whole space',
+        'face ((0, 1), (1, 1))+() lies in 1 cells; the complex does not cover the whole space',
+        'face ((1, 0), (1, 1))+() lies in 1 cells; the complex does not cover the whole space',
     ],
     'flat_cell': [
         'maximal cell ((0, 0), (1/3, 0)) has dimension 1 != 2',
