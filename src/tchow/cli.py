@@ -68,14 +68,17 @@ def _shown(value) -> str:
     return f"{text[:80]}... ({len(text)} characters)"
 
 
-def _rat(value) -> Fraction:
+def _rat(value) -> int | Fraction:
+    """An exact coordinate: an ``int``, or a ``Fraction`` where it is not integral."""
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"coordinates must be integers or 'a/b' strings, got {_shown(value)}")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
+        return int(value)
+    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", value) if isinstance(value, str) else None
+    if match:
         try:
-            return Fraction(value)
+            num, den = int(match[1]), int(match[2] or 1)
+            return num // den if num % den == 0 else Fraction(num, den)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational {_shown(value)}") from exc
     raise ParseError(f"bad rational {_shown(value)}")
@@ -84,10 +87,10 @@ def _rat(value) -> Fraction:
 def _int(value) -> int:
     if type(value) is int:  # a bool, a string or a float goes through _rat and its messages
         return value
-    f = _rat(value)
-    if f.denominator != 1:
+    x = _rat(value)
+    if type(x) is not int:
         raise ParseError(f"expected an integer, got {_shown(value)}")
-    return int(f)
+    return x
 
 
 def _rank(value) -> int:

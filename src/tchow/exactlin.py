@@ -11,7 +11,11 @@ integer vectors.  Matrices are plain lists of rows, vectors are tuples, so
 every value is hashable once frozen into a tuple.  A quotient by a span is
 one integer matrix, :func:`quotient_matrix`, whose columns are the basis
 characters: the coordinates of an image are its pairings with them, so no
-character is ever solved for.
+character is ever solved for.  Inner loops run in builtins where that is
+faster: a pairing is ``sum(map(mul, u, v))``, a Smith column step is one
+``zip`` comprehension per row, and a row operation skips the zeros of the
+row it subtracts.  The Smith form pivots on a ±1 where there is one, with no
+divisibility scan after it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 IVec = tuple[int, ...]
 
@@ -26,11 +31,11 @@ IVec = tuple[int, ...]
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError("dimension mismatch in dot product")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple:
@@ -74,9 +79,10 @@ def bareiss_inverse(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
 
 def _row_sub(m: list[list[int]], i: int, j: int, q: int) -> None:
     if q:
-        mi, mj = m[i], m[j]
-        for c in range(len(mi)):
-            mi[c] -= q * mj[c]
+        mi = m[i]
+        for c, b in enumerate(m[j]):
+            if b:
+                mi[c] -= q * b
 
 
 def hnf(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -129,7 +135,16 @@ def hnf_basis(rows: Sequence[Sequence[int]]) -> tuple[IVec, ...]:
     if not rows:
         return ()
     h, _ = hnf(rows)
-    return tuple(tuple(r) for r in h if any(x != 0 for x in r))
+    return tuple(tuple(r) for r in h if any(r))
+
+
+def _first_unit(d: list[list[int]], t: int) -> tuple[int, int] | None:
+    """``(i, j)`` of the first ±1 of ``d`` with ``i, j >= t``, in row-major order, or None."""
+    for i in range(t, len(d)):
+        seg = d[i][t:]
+        if 1 in seg or -1 in seg:
+            return i, t + next(j for j, x in enumerate(seg) if x == 1 or x == -1)
+    return None
 
 
 def snf_transforms(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -138,69 +153,57 @@ def snf_transforms(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[li
     ``u`` is unimodular and ``d`` is diagonal with nonnegative entries
     satisfying ``d[i] | d[i+1]``, and ``u@m@v == d`` for some unimodular
     ``v``, which is not built: column operations touch ``d`` alone.
+
+    Each step pivots on ``min((abs(d[i][j]), i, j))`` over the block still to
+    reduce.  Where the block holds a ±1 that entry is its first ±1 in
+    row-major order, which a scan stopping there finds (unit pivots first:
+    Dumas, Saunders & Villard 2001); a ±1 divides every entry, so no
+    divisibility scan follows it.  Rows above the block are zero on its columns.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
     d = [list(map(int, row)) for row in m]
     u = identity_matrix(nr)
-
-    def col_sub(j: int, t: int, q: int) -> None:
-        if q:
-            for r in range(nr):
-                d[r][j] -= q * d[r][t]
-
-    def col_swap(j: int, t: int) -> None:
-        for r in range(nr):
-            d[r][j], d[r][t] = d[r][t], d[r][j]
-
     t = 0
     while t < min(nr, nc):
-        entries = [
-            (abs(d[i][j]), i, j)
-            for i in range(t, nr)
-            for j in range(t, nc)
-            if d[i][j] != 0
-        ]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
+        pivot_at = _first_unit(d, t)
+        if pivot_at is None:
+            entries = [(abs(x), i, j) for i in range(t, nr) for j, x in enumerate(d[i][t:], t) if x]
+            if not entries:
+                break
+            pivot_at = min(entries)[1:]
+        pi, pj = pivot_at
         if pi != t:
             d[pi], d[t] = d[t], d[pi]
             u[pi], u[t] = u[t], u[pi]
         if pj != t:
-            col_swap(pj, t)
+            for row in d[t:]:
+                row[pj], row[t] = row[t], row[pj]
+        p = d[t][t]
         dirty = False
         for i in range(t + 1, nr):
-            if d[i][t] != 0:
-                q = d[i][t] // d[t][t]
+            if d[i][t]:
+                q = d[i][t] // p
                 _row_sub(d, i, t, q)
                 _row_sub(u, i, t, q)
-                if d[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, nc):
-            if d[t][j] != 0:
-                q = d[t][j] // d[t][t]
-                col_sub(j, t, q)
-                if d[t][j] != 0:
-                    dirty = True
-        if dirty:
+                dirty = dirty or d[i][t] != 0
+        # every column j > t loses q_j times column t, with q_j read off row t
+        top = d[t]
+        qs = [x // p for x in top[t + 1 :]]
+        if any(qs):
+            for row in d[t:]:
+                c = row[t]
+                if c:
+                    row[t + 1 :] = [x - c * q for x, q in zip(row[t + 1 :], qs)]
+        if dirty or any(top[t + 1 :]):
             continue
-        pivot = d[t][t]
-        off = next(
-            (
-                (i, j)
-                for i in range(t + 1, nr)
-                for j in range(t + 1, nc)
-                if d[i][j] % pivot != 0
-            ),
-            None,
-        )
-        if off is not None:
-            i, _ = off
-            _row_sub(d, t, i, -1)
-            _row_sub(u, t, i, -1)
-            continue
-        if pivot < 0:
+        if abs(p) != 1:
+            off = next((i for i in range(t + 1, nr) if any(x % p for x in d[i][t + 1 :])), None)
+            if off is not None:
+                _row_sub(d, t, off, -1)
+                _row_sub(u, t, off, -1)
+                continue
+        if p < 0:
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
         t += 1
@@ -225,21 +228,19 @@ def primitive(v: Sequence) -> tuple[IVec, int]:
 def primitive_direction(v: Sequence) -> IVec:
     """Primitive lattice vector on the ray through ``v`` (0 maps to 0)."""
     w, _ = primitive(v)
-    g = gcd(*(abs(x) for x in w)) if any(w) else 1
-    return tuple(x // (g or 1) for x in w)
+    g = gcd(*w)
+    return w if g < 2 else tuple(x // g for x in w)
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[IVec, ...]:
     """HNF basis of ``{x in Z^ncols : <x, r> = 0 for every row r}``.
 
-    The result is saturated: it is the full lattice of integer solutions.
+    Each row has ``ncols`` entries.  The result is saturated.
     """
     if not rows:
         return hnf_basis(identity_matrix(ncols))
-    at = [[row[i] for row in rows] for i in range(ncols)]
-    h, u = hnf(at)
-    kernel = [u[i] for i in range(ncols) if all(x == 0 for x in h[i])]
-    return hnf_basis(kernel)
+    h, u = hnf(list(zip(*rows)))
+    return hnf_basis([ui for ui, hi in zip(u, h) if not any(hi)])
 
 
 def perp_lattice(span_basis: Sequence[Sequence], ambient_rank: int) -> tuple[IVec, ...]:
@@ -266,5 +267,4 @@ def quotient_matrix(span_rows: Sequence[Sequence], ambient_rank: int) -> list[li
 
 def project(p_matrix: Sequence[Sequence[int]], x: Sequence) -> tuple:
     """Apply a quotient matrix: image of row vector ``x``."""
-    cols = len(p_matrix[0]) if p_matrix else 0
-    return tuple(sum(x[i] * p_matrix[i][j] for i in range(len(x))) for j in range(cols))
+    return tuple(sum(map(mul, x, col)) for col in zip(*p_matrix))

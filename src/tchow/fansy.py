@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from math import gcd, lcm
 
 from .exactlin import dot, hnf_basis, project, quotient_matrix
@@ -39,7 +39,7 @@ from .polyhedra import (
     minkowski_sum,
     poly_intersect,
 )
-from .value import Value, canonical
+from .value import Value, canonical, lazy
 
 AUX_LABELS = ("aux1", "aux2")
 
@@ -77,7 +77,7 @@ class MarkedFansyDivisor(Value):
     def point_index(self, p: str) -> int:
         return self.points.index(p)
 
-    @cached_property
+    @lazy
     def _report(self) -> ValidationReport:
         return ValidationReport(tuple(_violations(self)))
 

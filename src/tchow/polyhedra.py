@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 
 from .exactlin import (
@@ -71,7 +71,7 @@ from .exactlin import (
     primitive_direction,
     project,
 )
-from .value import Value, canonical
+from .value import Value, canonical, lazy
 
 
 class GeometryError(ValueError):
@@ -99,15 +99,17 @@ def _independent_rows(rows: Sequence[IVec], r: int) -> list[int]:
     pivots: list[tuple[int, list[int]]] = []
     chosen = []
     for i, a in enumerate(rows):
-        x = list(a)
+        x = a
         for c, p in pivots:
-            if x[c]:
-                x = [p[c] * xj - x[c] * pj for xj, pj in zip(x, p)]
-        col = next((c for c, xc in enumerate(x) if xc), None)
-        if col is None:
+            xc = x[c]
+            if xc:
+                pc = p[c]
+                x = [pc * xj - xc * pj for xj, pj in zip(x, p)]
+        lead = next(filter(None, x), 0)
+        if not lead:
             continue
         g = gcd(*x)
-        pivots.append((col, [xj // g for xj in x]))
+        pivots.append((x.index(lead), x if g == 1 else [xj // g for xj in x]))
         chosen.append(i)
         if len(chosen) == r:
             break
@@ -217,7 +219,7 @@ def _tight(normals: Sequence[IVec], y: Sequence) -> int:
 def _keep(obj, **derived):
     """Store derived data a constructor has already computed on ``obj``.
 
-    The names are those of the object's lazy properties, which then never run.
+    The names are those of the object's lazy attributes, which then never run.
     """
     obj.__dict__.update(derived)
     return obj
@@ -263,20 +265,20 @@ class Cone(Value):
     ambient_rank: int
     generators: tuple[IVec, ...]
 
-    @cached_property
+    @lazy
     def _h_data(self) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
         eqs, _, normals = _span_facets(self.generators, self.ambient_rank)
         return normals, eqs
 
-    @cached_property
+    @lazy
     def normals(self) -> tuple[IVec, ...]:
         return self._h_data[0]
 
-    @cached_property
+    @lazy
     def span_eqs(self) -> tuple[IVec, ...]:
         return self._h_data[1]
 
-    @cached_property
+    @lazy
     def dim(self) -> int:
         return len(_independent_rows(self.generators, self.ambient_rank))
 
@@ -450,14 +452,18 @@ class Polyhedron(Value):
     def ambient_rank(self) -> int:
         return self.cone.ambient_rank - 1
 
-    @cached_property
-    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The vertices as sorted ``Fraction`` tuples, for printing and ordering."""
+    @lazy
+    def vertices(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        """The vertices, sorted: ``int`` coordinates, or ``Fraction`` where not integral."""
         n = self.ambient_rank
-        verts = (tuple(Fraction(x, g[n]) for x in g[:n]) for g in self.cone.generators if g[n])
+        verts = (
+            tuple(x // g[n] if x % g[n] == 0 else Fraction(x, g[n]) for x in g[:n])
+            for g in self.cone.generators
+            if g[n]
+        )
         return tuple(sorted(verts))
 
-    @cached_property
+    @lazy
     def tail(self) -> Cone:
         n = self.ambient_rank
         return _cone_on_rays([g[:n] for g in self.cone.generators if not g[n]], n)
@@ -466,7 +472,7 @@ class Polyhedron(Value):
     def is_empty(self) -> bool:
         return self.cone.is_zero()
 
-    @cached_property
+    @lazy
     def dim(self) -> int:
         return self.cone.dim - 1
 
@@ -625,11 +631,11 @@ class Fan(Value):
     ambient_rank: int
     maximal_cones: tuple[Cone, ...]
 
-    @cached_property
+    @lazy
     def _problems(self) -> tuple[str, ...]:
         return tuple(_fan_problems(self))
 
-    @cached_property
+    @lazy
     def cofaces(self) -> dict[Cone, tuple[Cone, ...]]:
         """Each cone mapped to the cones one dimension up that contain it.
 
@@ -730,30 +736,30 @@ class PolyhedralComplex(Value):
     ambient_rank: int
     maximal_cells: tuple[Polyhedron, ...]
 
-    @cached_property
+    @lazy
     def _problems(self) -> tuple[str, ...]:
         return tuple(_complex_problems(self))
 
-    @cached_property
+    @lazy
     def tail_fan(self) -> Fan:
         return make_fan((c.tail for c in self.maximal_cells), self.ambient_rank)
 
-    @cached_property
+    @lazy
     def _faces(self) -> tuple[Polyhedron, ...]:
         faces = {f for c in self.maximal_cells for f in poly_faces(c)}
         return tuple(sorted(faces, key=Polyhedron.sort_key))
 
-    @cached_property
+    @lazy
     def by_dim(self) -> dict[int, tuple[Polyhedron, ...]]:
         """Its faces by dimension, each tuple sorted."""
         return _group(all_complex_faces(self), lambda f: f.dim)
 
-    @cached_property
+    @lazy
     def by_tail(self) -> dict[Cone, tuple[Polyhedron, ...]]:
         """Its faces by tail cone, each tuple sorted."""
         return _group(all_complex_faces(self), lambda f: f.tail)
 
-    @cached_property
+    @lazy
     def cofaces(self) -> dict[Polyhedron, tuple[Polyhedron, ...]]:
         """Each face mapped to the faces one dimension up that contain it.
 

@@ -6,8 +6,9 @@ constructor takes the fields by position, the base class's first, or by
 keyword, and sets them with ``object.__setattr__``.  Equality, hashing and
 ``repr`` read those fields alone, as a frozen dataclass does: objects of
 different classes are unequal, and the hash is that of the tuple of fields.
-Derived data kept on the instance ``__dict__`` (a ``cached_property``, the
-memoized hash) is outside the value.
+Derived data kept on the instance (a :class:`lazy` attribute, the memoized
+hash) is outside the value.  :class:`lazy` is ``functools.cached_property``
+as Python 3.12 has it, without the lock 3.11 takes on each first read.
 The ``make_*`` constructors return :func:`canonical` of what they build:
 one object per value for the life of the process, whose derived data serve
 every later build of that value.  ``make_cone``, ``make_polyhedron`` and
@@ -22,6 +23,27 @@ from functools import lru_cache
 from operator import attrgetter
 
 _set = object.__setattr__  # never self.__dict__, which would turn off inline attribute values
+
+
+class lazy:
+    """A derived attribute, computed on its first read and stored on the instance.
+
+    A non-data descriptor: every later read finds the stored value first.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        _set(obj, self.name, value)
+        return value
 
 
 class Value:

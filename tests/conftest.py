@@ -25,7 +25,6 @@ from tchow.build import (
 from tchow.build import _p1p1_fan as p1p1_fan, _p2_fan as p2_fan  # noqa: F401  (for the tests)
 from tchow.chow import _cone_image_ray
 from tchow.exactlin import (
-    _row_sub,
     bareiss_inverse,
     det,
     dot,
@@ -98,14 +97,90 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     return [[dot(row, col) for col in bt] for row in a]
 
 
-def snf_transforms_reference(
+# Reference copies of the exact kernels as they were before their inner
+# loops ran in builtins: index arithmetic, in-place row operations and, for
+# the Smith form, the pivot of least absolute value found by a full scan.
+
+
+def reference_row_sub(m: list[list[int]], i: int, j: int, q: int) -> None:
+    if q:
+        mi, mj = m[i], m[j]
+        for c in range(len(mi)):
+            mi[c] -= q * mj[c]
+
+
+def reference_project(p_matrix: Sequence[Sequence[int]], x: Sequence) -> tuple:
+    cols = len(p_matrix[0]) if p_matrix else 0
+    return tuple(sum(x[i] * p_matrix[i][j] for i in range(len(x))) for j in range(cols))
+
+
+def reference_hnf(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Row Hermite normal form ``(h, u)``, ``u @ m == h``, as ``exactlin.hnf`` returns it."""
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    h = [list(map(int, row)) for row in m]
+    u = identity_matrix(nr)
+    row = 0
+    for col in range(nc):
+        if row == nr:
+            break
+        while True:
+            nz = [i for i in range(row, nr) if h[i][col] != 0]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: abs(h[i][col]))
+            if piv != row:
+                h[row], h[piv] = h[piv], h[row]
+                u[row], u[piv] = u[piv], u[row]
+            clean = True
+            for i in range(row + 1, nr):
+                if h[i][col] != 0:
+                    q = h[i][col] // h[row][col]
+                    reference_row_sub(h, i, row, q)
+                    reference_row_sub(u, i, row, q)
+                    if h[i][col] != 0:
+                        clean = False
+            if clean:
+                break
+        if h[row][col] != 0:
+            if h[row][col] < 0:
+                h[row] = [-x for x in h[row]]
+                u[row] = [-x for x in u[row]]
+            for i in range(row):
+                q = h[i][col] // h[row][col]
+                reference_row_sub(h, i, row, q)
+                reference_row_sub(u, i, row, q)
+            row += 1
+    return h, u
+
+
+def reference_hnf_basis(rows: Sequence[Sequence[int]]) -> tuple:
+    if not rows:
+        return ()
+    h, _ = reference_hnf(rows)
+    return tuple(tuple(r) for r in h if any(x != 0 for x in r))
+
+
+def reference_integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple:
+    if not rows:
+        return reference_hnf_basis(identity_matrix(ncols))
+    at = [[row[i] for row in rows] for i in range(ncols)]
+    h, u = reference_hnf(at)
+    kernel = [u[i] for i in range(ncols) if all(x == 0 for x in h[i])]
+    return reference_hnf_basis(kernel)
+
+
+def reference_snf_transforms(
     m: Sequence[Sequence[int]],
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Smith normal form with transforms: returns ``(u, d, v)``, ``u@m@v == d``.
 
     ``u`` and ``v`` are unimodular and ``d`` is diagonal with nonnegative
-    entries satisfying ``d[i] | d[i+1]``.  Reference for
-    ``exactlin.snf_transforms``, which builds no ``v``.
+    entries satisfying ``d[i] | d[i+1]``.  Each step pivots on the entry
+    ``min((abs(d[i][j]), i, j))`` of the block still to reduce, found by a
+    full scan, and runs the divisibility scan after every pivot.  Reference
+    for ``exactlin.snf_transforms``, which builds no ``v``: ``(u, d)`` must be
+    the same.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
@@ -146,8 +221,8 @@ def snf_transforms_reference(
         for i in range(t + 1, nr):
             if d[i][t] != 0:
                 q = d[i][t] // d[t][t]
-                _row_sub(d, i, t, q)
-                _row_sub(u, i, t, q)
+                reference_row_sub(d, i, t, q)
+                reference_row_sub(u, i, t, q)
                 if d[i][t] != 0:
                     dirty = True
         for j in range(t + 1, nc):
@@ -170,8 +245,8 @@ def snf_transforms_reference(
         )
         if off is not None:
             i, _ = off
-            _row_sub(d, t, i, -1)
-            _row_sub(u, t, i, -1)
+            reference_row_sub(d, t, i, -1)
+            reference_row_sub(u, t, i, -1)
             continue
         if pivot < 0:
             d[t] = [-x for x in d[t]]
@@ -196,6 +271,12 @@ def assert_smith_certificate(m, u, d) -> None:
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0 if a else b == 0
     assert all(x == 0 for i, row in enumerate(d) for j, x in enumerate(row) if i != j)
+
+
+def reference_vertices(p: Polyhedron) -> tuple[tuple[Fraction, ...], ...]:
+    """``p.vertices`` as ``Fraction`` tuples only, sorted: the reference for its ``int`` entries."""
+    n = p.ambient_rank
+    return tuple(sorted(tuple(Fraction(x, g[n]) for x in g[:n]) for g in p.cone.generators if g[n]))
 
 
 def polyhedron_hrep(p: Polyhedron) -> tuple[tuple, tuple]:

@@ -9,6 +9,7 @@ from conftest import (
     p1p1_fan,
     poly_is_face_of,
     random_complete_fan,
+    reference_snf_transforms,
     with_extra_generic_point,
     with_point_order,
 )
@@ -62,8 +63,10 @@ def p2fan():
 def test_every_smith_form_is_certified(monkeypatch):
     """Each ``(u, d)`` the presentations and the oracle take from Smith is checked.
 
-    On the four fixtures and seeded rank-3 downgrades, every matrix reaching
-    ``snf_transforms`` gets the certificate of ``assert_smith_certificate``.
+    On the four fixtures and seeded rank-3 and rank-4 downgrades, every
+    matrix reaching ``snf_transforms`` gets the certificate of
+    ``assert_smith_certificate``, and its ``(u, d)`` is the one the
+    least-absolute-value pivot search of ``reference_snf_transforms`` gives.
     """
     taken = []
     real = chow.snf_transforms
@@ -75,12 +78,14 @@ def test_every_smith_form_is_certified(monkeypatch):
 
     monkeypatch.setattr(chow, "snf_transforms", spy)
     fans = [random_complete_fan(random.Random(500 + s), 3, 5) for s in range(4)]
+    fans += [random_complete_fan(random.Random(1000 + s), 4, 5) for s in (0, 1)]
     divisors = [fixture(name) for name in FIXTURE_NAMES] + [downgrade(DowngradeInput(f)) for f in fans]
     press = [presentation(x, k) for x in divisors for k in range(x.rank + 2)]
-    press += [toric_chow_presentation(f, k) for f in fans for k in range(4)]
+    press += [toric_chow_presentation(f, k) for f in fans for k in range(f.ambient_rank + 1)]
     assert len(taken) == sum(1 for p in press if p.relations) > len(press) / 2
     for m, u, d in taken:
         assert_smith_certificate(m, u, d)
+        assert (u, d) == reference_snf_transforms(m)[:2]
 
 
 def test_oracle_p2():

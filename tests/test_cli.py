@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -359,6 +360,56 @@ def test_unknown_key_is_named(tmp_path, capsys, name, message):
 )
 def test_rational_coordinates_in_documented_forms(text, value):
     assert cli._rat(text) == value
+
+
+def reference_rat(value) -> F:
+    """``cli._rat`` as it was when every coordinate was a ``Fraction``."""
+    if isinstance(value, bool) or isinstance(value, float):
+        raise cli.ParseError(f"coordinates must be integers or 'a/b' strings, got {cli._shown(value)}")
+    if isinstance(value, int):
+        return F(value)
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
+        try:
+            return F(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise cli.ParseError(f"bad rational {cli._shown(value)}") from exc
+    raise cli.ParseError(f"bad rational {cli._shown(value)}")
+
+
+def reference_int(value) -> int:
+    f = reference_rat(value)
+    if f.denominator != 1:
+        raise cli.ParseError(f"expected an integer, got {cli._shown(value)}")
+    return int(f)
+
+
+COORDINATES = [
+    *(True, False, 1.5, 2.0, None, [1], {"a": 1}, "", "x", "1e3", "0.5", " 1", "1_0", "3/-1"),
+    *("1/0", "-0/0", "1/" + "x" * 100, "1" * 5_000, "1/" + "1" * 5_000, "-" + "9" * 4_300),
+    *(0, 3, -12, 10**40, "+5", "-0", "0/5", "4/2", "-12/3", "3/2", "-7/4", "+4/6", "10/4"),
+]
+
+
+@pytest.mark.parametrize("read, reference", [(cli._rat, reference_rat), (cli._int, reference_int)])
+def test_coordinate_readers_match_fraction_reference(read, reference):
+    """Each coordinate reads as before, or fails with the same message.
+
+    A value is an ``int`` exactly when it is integral, and a ``Fraction``
+    otherwise, equal to the reference's and printed the same.
+    """
+    for value in COORDINATES:
+        try:
+            expected = reference(value)
+        except cli.ParseError as exc:
+            with pytest.raises(cli.ParseError) as got:
+                read(value)
+            assert str(got.value) == str(exc)
+            continue
+        x = read(value)
+        assert (x, str(x)) == (expected, str(expected))
+        assert type(x) is (int if F(expected).denominator == 1 else F)
+    assert [type(cli._rat(text)) for text in (3, "4/2", "-0")] == [int] * 3
+    assert (cli._rat("4/2"), cli._rat("-0")) == (2, 0)
 
 
 def test_rational_vertex_document(tmp_path, capsys):

@@ -11,7 +11,10 @@ from conftest import (
     lattice_index,
     mat_mul,
     minimal_lattice_multiple,
-    snf_transforms_reference,
+    reference_hnf,
+    reference_integer_kernel,
+    reference_project,
+    reference_snf_transforms,
     solve_left,
     vec,
 )
@@ -19,6 +22,7 @@ from conftest import (
 from tchow.exactlin import (
     bareiss_inverse,
     det,
+    dot,
     hnf,
     hnf_basis,
     identity_matrix,
@@ -87,7 +91,77 @@ def test_snf_examples():
 def test_snf_transforms_property(m):
     u, d = snf_transforms(m)
     assert_smith_certificate(m, u, d)
-    assert d == snf_transforms_reference(m)[1]
+    assert d == reference_snf_transforms(m)[1]
+
+
+def seeded_matrix(rng: random.Random) -> tuple[str, list[list[int]]]:
+    """An integer matrix of up to 12 x 12 and its kind.
+
+    ``units`` draws entries from -3..3, so most hold a ±1; ``no units`` from
+    multiples of 2 and 3, so the first pivots are not units; ``repeated`` is
+    a ``units`` matrix with some rows and columns copied or zeroed; and
+    ``rank-deficient`` is a sum of fewer rank-one products than it has rows
+    or columns.
+    """
+    nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+    kind = rng.choice(("units", "no units", "repeated", "rank-deficient"))
+    if kind == "rank-deficient":
+        r = rng.randrange(min(nr, nc))
+        a = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(nr)]
+        b = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(r)]
+        return kind, [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(nc)] for i in range(nr)]
+    entries = [-9, -6, -4, -3, -2, 0, 0, 2, 3, 4, 6, 9] if kind == "no units" else range(-3, 4)
+    m = [[rng.choice(entries) for _ in range(nc)] for _ in range(nr)]
+    if kind == "repeated":
+        for _ in range(rng.randint(1, 3)):
+            i, src = rng.randrange(nr), rng.randrange(nr)
+            m[i] = list(m[src]) if rng.random() < 0.5 else [0] * nc
+            j, src = rng.randrange(nc), rng.randrange(nc)
+            zero = rng.random() < 0.5
+            for row in m:
+                row[j] = 0 if zero else row[src]
+    return kind, m
+
+
+def test_unit_pivot_smith_matches_reference():
+    """``(u, d)`` equals the full-scan, always-divisibility-checked reference.
+
+    Over 1,200 seeded matrices of every kind of :func:`seeded_matrix`, with
+    the pivot rule's two cases counted: a ±1 present at the start, and none.
+    """
+    rng = random.Random(2001)
+    seen = dict.fromkeys(["units", "no units", "repeated", "rank-deficient", "has ±1", "no ±1", "12 x 12"], 0)
+    for _ in range(1200):
+        kind, m = seeded_matrix(rng)
+        u, d = snf_transforms(m)
+        ref_u, ref_d, _ = reference_snf_transforms(m)
+        assert (u, d) == (ref_u, ref_d), m
+        assert_smith_certificate(m, u, d)
+        seen[kind] += 1
+        seen["has ±1" if any(x in (1, -1) for row in m for x in row) else "no ±1"] += 1
+        seen["12 x 12"] += len(m) == len(m[0]) == 12
+    assert min(seen.values()) >= 5 and seen["no ±1"] > 250, seen
+
+
+def test_dot_refuses_unequal_lengths():
+    assert dot((1, -2, 3), (4, 5, 6)) == 12 and dot((), ()) == 0
+    for u, v in (((1, 2), (1, 2, 3)), ((), (1,)), ([1], [])):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            dot(u, v)
+
+
+def test_kernels_match_reference():
+    """``project``, ``hnf`` and ``integer_kernel`` equal their pre-builtin copies."""
+    assert project([[], [], []], (1, 2, 3)) == () and project([], ()) == ()
+    rng = random.Random(2002)
+    for _ in range(400):
+        nr, nc = rng.randint(0, 7), rng.randint(1, 7)
+        m = [[rng.choice((-4, -1, 0, 0, 1, 2, 5)) for _ in range(nc)] for _ in range(nr)]
+        assert hnf(m) == reference_hnf(m)
+        assert integer_kernel(m, nc) == reference_integer_kernel(m, nc)
+        x = [rng.randint(-5, 5) for _ in range(nr)]
+        assert project(m, x) == reference_project(m, x)
+        assert project([row[:0] for row in m], x) == ()
 
 
 def test_primitive():

@@ -16,7 +16,8 @@ from conftest import (
     polyhedron_hrep,
     reference_h_to_generators,
     reference_polyhedron_from_hrep,
-    snf_transforms_reference,
+    reference_snf_transforms,
+    reference_vertices,
 )
 
 from tchow import exactlin, polyhedra
@@ -469,7 +470,7 @@ def span_lattice(gens, n):
     """Saturated basis ``B`` of the span of ``gens`` and coordinates ``x @ Q`` on it."""
     sat = saturation([list(g) for g in gens], n)
     r = len(sat)
-    u, _, v = snf_transforms_reference([list(b) for b in sat])
+    u, _, v = reference_snf_transforms([list(b) for b in sat])
     return sat, mat_mul([[v[i][j] for j in range(r)] for i in range(n)], u)
 
 
@@ -552,6 +553,34 @@ def test_polyhedron_h_data_matches_reference():
         lower += p.dim < n
         fractional += any(x.denominator > 1 for v in p.vertices for x in v)
     assert lower > 60 and fractional > 150
+
+
+def test_vertices_are_ints_where_integral():
+    """``Polyhedron.vertices`` equals the ``Fraction``-only reference entry by entry.
+
+    Over the seeded polyhedra of ``test_polyhedron_h_data_matches_reference``
+    and all their faces: the same vertices in the same order, each entry with
+    the reference's ``str`` and hash, and an ``int`` exactly when its
+    denominator is 1.  The faces sort as by the reference vertices.
+    """
+    rng = random.Random(42)
+    seen = {int: 0, Fraction: 0}
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        p = make_polyhedron(*random_v_data(rng, n), n)
+        faces = poly_faces(p)
+        key = lambda f: (len(reference_vertices(f)), reference_vertices(f), f.tail.sort_key())
+        assert list(faces) == sorted(faces, key=key)
+        for f in faces:
+            expected = reference_vertices(f)
+            assert f.vertices == expected and len(f.vertices) == len(expected)
+            for v, w in zip(f.vertices, expected):
+                assert len(v) == len(w)
+                for x, y in zip(v, w):
+                    assert type(x) is (int if y.denominator == 1 else Fraction)
+                    assert (x, str(x), hash(x)) == (y, str(y), hash(y))
+                    seen[type(x)] += 1
+    assert min(seen.values()) > 500, seen
 
 
 def brute_cone(gens, n):

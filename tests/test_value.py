@@ -39,6 +39,7 @@ from tchow.fansy import (
     validate,
 )
 from tchow.polyhedra import Cone, Fan, PolyhedralComplex, Polyhedron
+from tchow.value import Value, lazy
 
 F = Fraction
 P2_CONES = (((0, 1), (1, 0)), ((-1, -1), (0, 1)), ((-1, -1), (1, 0)))
@@ -230,6 +231,41 @@ def test_defaults_and_filtration_checks():
         RayFiltration(1, "a", 1)
     with pytest.raises(ValueError, match="strictly decreasing"):
         RayFiltration(1, "a", 0)
+
+
+def test_lazy_attribute_runs_once_and_stays_outside_the_value(monkeypatch):
+    """A ``lazy`` attribute is computed on its first read, once per object, and kept off the fields."""
+    calls = []
+
+    class Thing(Value):
+        a: int
+
+        @lazy
+        def double(self) -> int:
+            """Twice ``a``."""
+            calls.append(self)
+            return 2 * self.a
+
+    assert isinstance(Thing.double, lazy) and Thing.double.__doc__ == "Twice ``a``."
+    x, y = Thing(3), Thing(3)
+    hash_y, repr_y = hash(y), repr(y)
+    assert x.double == x.double == 6 and calls == [x]
+    assert x == y and hash(x) == hash_y == hash((3,)) and repr(x) == repr_y == f"{Thing.__qualname__}(a=3)"
+    assert Thing._fields == ("a",) and "double" in vars(x)
+    assert y.double == 6 and len(calls) == 2 and calls[1] is y
+    for name in ("a", "double"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 4)
+    assert (x.a, x.double) == (3, 6)
+
+    # a library class: the H-data of a cone is derived once, on its first read
+    spans = []
+    real = polyhedra._span_facets
+    monkeypatch.setattr(polyhedra, "_span_facets", lambda *a: spans.append(a) or real(*a))
+    c, d = cone(), cone()
+    assert (c.normals, c.span_eqs, c.normals, c.span_eqs) and len(spans) == 1
+    assert c == d and hash(c) == hash(d) and repr(c) == repr(d) and len(spans) == 1
+    assert d.normals == c.normals and len(spans) == 2
 
 
 def bundle_stanza(b: KlyachkoBundle) -> dict:
