@@ -34,6 +34,7 @@ from .polyhedra import (
     GeometryError,
     IncompleteFanError,  # re-exported: raised by downgrade and bundle_rank2
     Polyhedron,
+    _cone_on_rays,
     cone_as_polyhedron,
     complex_tailfan,
     cut,
@@ -75,8 +76,8 @@ def _slice(c: Cone, height: int) -> Polyhedron:
     by ``height * t >= 0``, with the last coordinate ``t`` flipped for -1."""
     n = c.ambient_rank - 1
     side = cut(c, [(0,) * n + (height,)])
-    flipped = sorted(g[:n] + (height * g[n],) for g in side.generators)
-    return from_homogenized(Cone(n + 1, tuple(flipped)))
+    flipped = [g[:n] + (height * g[n],) for g in side.generators]
+    return from_homogenized(_cone_on_rays(flipped, n + 1))
 
 
 @lru_cache(maxsize=None)

@@ -8,12 +8,12 @@ multiplicities (:func:`~tchow.fansy.s_sigma`,
 :func:`~tchow.fansy.mu_of_face`).  A cycle's lattice is ``Z^(n+1)`` modulo a
 homogenized cone, and the coefficient of a coface in the divisor of the
 ``j``-th basis character is coordinate ``j`` of the coface's primitive image
-there (Fulton & Sturmfels, 1997).  Each k's presentation is built once per
-divisor value and kept in a value-keyed cache, so ``chow``, ``eff`` and
-``crosscheck`` share it.  An independent classical presentation for complete
-toric varieties (orbit closures modulo divisors of characters) serves as a
-cross-check through the downgrade construction; it is cached per fan value
-and k the same way.
+there (Fulton & Sturmfels, 1997).  A presentation is a table of a divisor
+and k, kept in a cache keyed by both: built once per divisor value and k,
+and shared by ``chow``, ``eff`` and ``crosscheck``.  An independent
+classical presentation for complete toric varieties (orbit closures modulo
+divisors of characters) serves as a cross-check through the downgrade
+construction; it is cached per fan value and k the same way.
 """
 
 from __future__ import annotations

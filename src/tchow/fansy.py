@@ -9,11 +9,12 @@ contraction morphism collapses.
 Everything the k-cycle presentations share is derived per value, once, on
 first use.  Each fiber's faces by dimension, by tail cone and by coface are
 kept on its complex (``PolyhedralComplex.by_dim``, ``by_tail``,
-``cofaces``); :func:`s_sigma`, :func:`mu_of_face` and
-:func:`enumerate_generators` keep their results in value-keyed caches, as
-:func:`tchow.chow.presentation` does.  :func:`make_divisor` returns one
-object per value (:func:`~tchow.value.canonical`), so an equal divisor built
-again through it shares its validation report and complexes.
+``cofaces``), the tailfan's cones by dimension on the fan (``Fan.by_dim``),
+and :func:`s_sigma` and :func:`enumerate_generators`, tables with a second
+argument, in value-keyed caches, as :func:`tchow.chow.presentation` is.
+:func:`make_divisor` returns one object per value
+(:func:`~tchow.value.canonical`), so an equal divisor built again through
+it shares its validation report and complexes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .polyhedra import (
     complex_tailfan,
     complex_validate,
     cone_as_polyhedron,
-    cone_faces,
     fan_is_complete,
     fan_validate,
     make_complex,
@@ -185,7 +185,6 @@ def unique_face_over(x: MarkedFansyDivisor, sigma: Cone, p: str) -> Polyhedron:
     return hits[0]
 
 
-@lru_cache(maxsize=None)
 def mu_of_face(face: Polyhedron) -> int:
     """Multiplicity of the image vertex of a fiber face.
 
@@ -413,7 +412,7 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
                 )
                 semiample = False
         meets_face = _degree_locus_meets(sigma, cells, semiample)
-        for tau in cone_faces(sigma):
+        for tau in sigma.faces:
             if tau == sigma:
                 continue
             meets = meets_face(tau)

@@ -26,20 +26,18 @@ Pfetsch 2002; a polyhedron's faces are its cone's faces that hold a vertex),
 cuts and meets (whose double description yields extreme rays), tails, and
 cones as polyhedra.
 
-Face queries are answered from hashed sets.  The faces of a cone or a
-polyhedron, and the set :func:`cone_is_face_of` tests membership in, are held
-in global caches keyed by value, so a rebuilt but equal object still hits
-them.  :func:`make_cone`, :func:`make_polyhedron`, :func:`make_fan` and
-:func:`make_complex` return one object per value
-(:func:`~tchow.value.canonical`), so an object built again is the object
-built first, with its H-data, validity, faces and coface map.  A cone is
-converted once per set of primitive generator directions, and a fan or a
-complex selects its maximal members once per set of members.  A complex
-lists the faces of all its cells once, on the object (see
-:func:`all_complex_faces`), and indexes them by dimension and by tail cone.
-The coface map of a fan or of a complex, from each face to the faces one
-dimension up that contain it, is read off ray inclusion
-(:func:`inclusion_cofaces`) and kept on the object (``cofaces``).
+Every cone is interned where it is made, by :func:`_cone_on_rays`, and every
+polyhedron by :func:`from_homogenized` (:func:`~tchow.value.canonical`); a
+fan or a complex by :func:`make_fan` or :func:`make_complex`.  An object
+built again is the object built first, with its H-data, faces (``faces``,
+and a cone's ``face_set`` that face queries look up), validity and coface
+map, each computed once per value.  A cone is converted once per set of
+primitive generator directions, and a fan or a complex selects its maximal
+members once per set of members.  A fan indexes its cones by dimension; a
+complex lists the faces of all its cells (:func:`all_complex_faces`) and
+indexes them by dimension and by tail cone.  The coface map of a fan or of
+a complex, from each face to the faces one dimension up that contain it, is
+read off ray inclusion (:func:`inclusion_cofaces`) and kept on the object.
 
 A fan is checked on its maximal cones and a complex on its cells'
 homogenized cones by one maximality scan, pair check and ridge count
@@ -66,7 +64,6 @@ from .exactlin import (
     IVec,
     bareiss_inverse,
     dot,
-    identity_matrix,
     perp_lattice,
     primitive_direction,
     project,
@@ -257,9 +254,9 @@ class Cone(Value):
 
     ``generators`` are the primitive extreme rays, sorted; the zero cone has
     no generators.  ``normals`` (the primitive facet normals that lie in the
-    cone's linear span, sorted) and ``span_eqs`` (the HNF basis of the
-    equations cutting out that span) are derived from the generators when
-    first read.
+    cone's linear span, sorted), ``span_eqs`` (the HNF basis of the
+    equations cutting out that span; the identity rows for the zero cone) and
+    the faces are derived from the generators when first read.
     """
 
     ambient_rank: int
@@ -282,6 +279,24 @@ class Cone(Value):
     def dim(self) -> int:
         return len(_independent_rows(self.generators, self.ambient_rank))
 
+    @lazy
+    def faces(self) -> tuple[Cone, ...]:
+        """All faces (itself and the zero cone among them), sorted, canonical."""
+        gens = self.generators
+        incidence = [
+            sum(1 << i for i, g in enumerate(gens) if dot(u, g) == 0) for u in self.normals
+        ]
+        full = (1 << len(gens)) - 1
+        faces = [
+            self if mask == full else _cone_on_rays(_masked(gens, mask), self.ambient_rank)
+            for mask in _face_masks(incidence, full)
+        ]
+        return tuple(sorted(faces, key=Cone.sort_key))
+
+    @lazy
+    def face_set(self) -> frozenset[Cone]:
+        return frozenset(self.faces)
+
     def is_zero(self) -> bool:
         return not self.generators
 
@@ -297,20 +312,14 @@ class Cone(Value):
         return (len(self.generators), self.generators)
 
 
-def zero_cone(ambient_rank: int) -> Cone:
-    eqs = tuple(tuple(r) for r in identity_matrix(ambient_rank))
-    return _keep(Cone(ambient_rank, ()), normals=(), span_eqs=eqs, dim=0)
-
-
 def _cone_on_rays(rays: Iterable[IVec], ambient_rank: int) -> Cone:
-    """The cone whose primitive extreme rays are exactly ``rays``, in any order.
+    """The canonical cone whose primitive extreme rays are exactly ``rays``, in any order.
 
     The precondition is not checked: callers already hold the extreme rays (a
     face's subset of its parent's generators, or a double-description
     output).  Nothing is computed here; the H-data is derived when first read.
     """
-    gens = tuple(sorted(rays))
-    return Cone(ambient_rank, gens) if gens else zero_cone(ambient_rank)
+    return canonical(Cone(ambient_rank, tuple(sorted(rays))))
 
 
 def make_cone(generators: Iterable[Sequence], ambient_rank: int) -> Cone:
@@ -328,8 +337,6 @@ def make_cone(generators: Iterable[Sequence], ambient_rank: int) -> Cone:
 
 @lru_cache(maxsize=None)
 def _make_cone(gens: tuple[IVec, ...], ambient_rank: int) -> Cone:
-    if not gens:
-        return zero_cone(ambient_rank)
     eqs, r, normals = _span_facets(gens, ambient_rank)
     if len(_independent_rows(normals, r)) < r:
         raise GeometryError("cone is not pointed")
@@ -339,31 +346,7 @@ def _make_cone(gens: tuple[IVec, ...], ambient_rank: int) -> Cone:
         for i, (g, m) in enumerate(zip(gens, masks))
         if not any(o & m == m for j, o in enumerate(masks) if j != i)
     )
-    return _keep(canonical(Cone(ambient_rank, rays)), normals=normals, span_eqs=eqs, dim=r)
-
-
-@lru_cache(maxsize=None)
-def cone_faces(c: Cone) -> tuple[Cone, ...]:
-    """All faces of ``c`` (including itself and the zero cone), canonical."""
-    gens = c.generators
-    incidence = [
-        sum(1 << i for i, g in enumerate(gens) if dot(u, g) == 0) for u in c.normals
-    ]
-    full = (1 << len(gens)) - 1
-    faces = [
-        c if mask == full else _cone_on_rays(_masked(gens, mask), c.ambient_rank)
-        for mask in _face_masks(incidence, full)
-    ]
-    return tuple(sorted(faces, key=Cone.sort_key))
-
-
-@lru_cache(maxsize=None)
-def _cone_face_set(c: Cone) -> frozenset[Cone]:
-    return frozenset(cone_faces(c))
-
-
-def cone_is_face_of(f: Cone, c: Cone) -> bool:
-    return f in _cone_face_set(c)
+    return _keep(_cone_on_rays(rays, ambient_rank), normals=normals, span_eqs=eqs, dim=r)
 
 
 def cut(c: Cone, rows: Sequence[IVec]) -> Cone:
@@ -416,7 +399,7 @@ def _certified_meet(a: Cone, b: Cone) -> Cone | None:
                     tight.append(g)
             else:
                 face = _cone_on_rays(tight, a.ambient_rank)
-                if face in _cone_face_set(x):
+                if face in x.face_set:
                     return face
     return None
 
@@ -431,7 +414,7 @@ def _pair_meet(a: Cone, b: Cone) -> tuple[Cone, bool]:
     if meet is not None:
         return meet, True
     meet = cone_intersect(a, b)
-    return meet, cone_is_face_of(meet, a) and cone_is_face_of(meet, b)
+    return meet, meet in a.face_set and meet in b.face_set
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +459,16 @@ class Polyhedron(Value):
     def dim(self) -> int:
         return self.cone.dim - 1
 
+    @lazy
+    def faces(self) -> tuple[Polyhedron, ...]:
+        """All nonempty faces (itself among them), sorted, canonical.
+
+        They are the faces of ``cone`` with a generator at last coordinate 1.
+        """
+        n = self.ambient_rank
+        faces = [from_homogenized(f) for f in self.cone.faces if any(g[n] for g in f.generators)]
+        return tuple(sorted(faces, key=Polyhedron.sort_key))
+
     def sort_key(self):
         return (len(self.vertices), self.vertices, self.tail.sort_key())
 
@@ -490,17 +483,17 @@ def _vertex_text(p: Polyhedron) -> str:
 
 
 def empty_polyhedron(ambient_rank: int) -> Polyhedron:
-    return Polyhedron(zero_cone(ambient_rank + 1))
+    return from_homogenized(_cone_on_rays((), ambient_rank + 1))
 
 
 def from_homogenized(c: Cone) -> Polyhedron:
-    """The polyhedron whose homogenized cone is ``c``; empty when ``c`` has no vertex."""
+    """The canonical polyhedron whose homogenized cone is ``c``; empty when ``c`` has no vertex."""
     n = c.ambient_rank - 1
     if any(g[n] < 0 for g in c.generators):
         raise AssertionError("negative homogenizing coordinate")
     if not any(g[n] for g in c.generators):
-        return empty_polyhedron(n)
-    return Polyhedron(c)
+        c = _cone_on_rays((), n + 1)
+    return canonical(Polyhedron(c))
 
 
 def make_polyhedron(
@@ -513,12 +506,12 @@ def make_polyhedron(
     homog = [tuple(v) + (1,) for v in vertices]
     if homog:
         homog += [tuple(r) + (0,) for r in rays]
-    return canonical(from_homogenized(make_cone(homog, ambient_rank + 1)))
+    return from_homogenized(make_cone(homog, ambient_rank + 1))
 
 
 def cone_as_polyhedron(c: Cone) -> Polyhedron:
     n = c.ambient_rank
-    return Polyhedron(_cone_on_rays([(0,) * n + (1,)] + [g + (0,) for g in c.generators], n + 1))
+    return from_homogenized(_cone_on_rays([(0,) * n + (1,)] + [g + (0,) for g in c.generators], n + 1))
 
 
 def minkowski_sum(a: Polyhedron, b: Polyhedron) -> Polyhedron:
@@ -545,15 +538,9 @@ def poly_intersect(a: Polyhedron, b: Polyhedron) -> Polyhedron:
     return from_homogenized(cone_intersect(a.cone, b.cone))
 
 
-@lru_cache(maxsize=None)
 def poly_faces(p: Polyhedron) -> tuple[Polyhedron, ...]:
-    """All nonempty faces of ``p`` (including itself), canonical.
-
-    They are the faces of ``p.cone`` with a generator at last coordinate 1.
-    """
-    n = p.ambient_rank
-    faces = [Polyhedron(f) for f in cone_faces(p.cone) if any(g[n] for g in f.generators)]
-    return tuple(sorted(faces, key=Polyhedron.sort_key))
+    """All nonempty faces of ``p`` (including itself): :attr:`Polyhedron.faces`."""
+    return p.faces
 
 
 # ---------------------------------------------------------------------------
@@ -606,15 +593,15 @@ def _improper_pairs(cones: Sequence[Cone], homogenized: bool = False):
                 yield i, j, None
 
 
-def _ridge_counts(members: Sequence, faces) -> dict:
+def _ridge_counts(members: Sequence) -> dict:
     """How many ``members`` hold each facet, in order of first appearance.
 
-    ``faces`` is :func:`cone_faces` for a fan's cones, or :func:`poly_faces` for
-    a complex's cells: their homogenized cones' faces off height 0.
+    The members are a fan's cones or a complex's cells, whose ``faces`` are
+    those of their homogenized cones off height 0.
     """
     tally: dict = {}
     for c in members:
-        for f in faces(c):
+        for f in c.faces:
             if f.dim == c.dim - 1:
                 tally[f] = tally.get(f, 0) + 1
     return tally
@@ -625,7 +612,7 @@ class Fan(Value):
 
     Its validity is computed on first use by :func:`fan_validate` and kept on
     the object, next to its fields but not among them, so equality and
-    hashing ignore it; so is its coface map.
+    hashing ignore it; so are its cones by dimension and its coface map.
     """
 
     ambient_rank: int
@@ -636,19 +623,25 @@ class Fan(Value):
         return tuple(_fan_problems(self))
 
     @lazy
+    def by_dim(self) -> dict[int, tuple[Cone, ...]]:
+        """Its cones by dimension, ascending, each tuple sorted."""
+        cones = sorted({f for c in self.maximal_cones for f in c.faces}, key=Cone.sort_key)
+        return dict(sorted(_group(cones, lambda c: c.dim).items()))
+
+    @lazy
     def cofaces(self) -> dict[Cone, tuple[Cone, ...]]:
         """Each cone mapped to the cones one dimension up that contain it.
 
         Read off ray inclusion by :func:`inclusion_cofaces`, with no H-data.
         """
-        rays = {d: [(c, frozenset(c.generators)) for c in cs] for d, cs in fan_cones(self).items()}
+        rays = {d: [(c, frozenset(c.generators)) for c in cs] for d, cs in self.by_dim.items()}
         return inclusion_cofaces(rays)
 
     def cones(self, d: int) -> tuple[Cone, ...]:
-        return fan_cones(self).get(d, ())
+        return self.by_dim.get(d, ())
 
     def all_cones(self) -> tuple[Cone, ...]:
-        return tuple(c for cs in fan_cones(self).values() for c in cs)
+        return tuple(c for cs in self.by_dim.values() for c in cs)
 
 
 def make_fan(cones: Iterable[Cone], ambient_rank: int) -> Fan:
@@ -663,18 +656,6 @@ def make_fan(cones: Iterable[Cone], ambient_rank: int) -> Fan:
 def _make_fan(cones: frozenset[Cone], ambient_rank: int) -> Fan:
     maximal = _maximal(sorted(cones, key=Cone.sort_key))
     return canonical(Fan(ambient_rank, tuple(maximal)))
-
-
-@lru_cache(maxsize=None)
-def fan_cones(fan: Fan) -> dict:
-    by_dim: dict[int, list[Cone]] = {}
-    seen = set()
-    for c in fan.maximal_cones:
-        for f in cone_faces(c):
-            if f not in seen:
-                seen.add(f)
-                by_dim.setdefault(f.dim, []).append(f)
-    return {d: tuple(sorted(cs, key=Cone.sort_key)) for d, cs in sorted(by_dim.items())}
 
 
 def _fan_problems(fan: Fan) -> list[str]:
@@ -707,7 +688,7 @@ def fan_is_complete(fan: Fan) -> bool:
         return False
     if any(c.dim != n for c in fan.maximal_cones):
         return False
-    return all(v == 2 for v in _ridge_counts(fan.maximal_cones, cone_faces).values())
+    return all(v == 2 for v in _ridge_counts(fan.maximal_cones).values())
 
 
 def require_complete(fan: Fan) -> None:
@@ -815,7 +796,7 @@ def _complex_problems(s: PolyhedralComplex) -> list[str]:
     return [
         f"face {_vertex_text(f)}+{f.tail.generators} lies in {count} cells; "
         "the complex does not cover the whole space"
-        for f, count in _ridge_counts(cells, poly_faces).items()
+        for f, count in _ridge_counts(cells).items()
         if count != 2
     ]
 

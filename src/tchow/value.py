@@ -9,12 +9,14 @@ different classes are unequal, and the hash is that of the tuple of fields.
 Derived data kept on the instance (a :class:`lazy` attribute, the memoized
 hash) is outside the value.  :class:`lazy` is ``functools.cached_property``
 as Python 3.12 has it, without the lock 3.11 takes on each first read.
-The ``make_*`` constructors return :func:`canonical` of what they build:
-one object per value for the life of the process, whose derived data serve
-every later build of that value.  ``make_cone``, ``make_polyhedron`` and
-``fixture`` are one object per value too, so a document parsed again costs
-a parse and lookups, with no double description.  A class constructor's
-object is not canonical.
+Every cone and polyhedron the library builds, and what a ``make_*``
+constructor returns, is :func:`canonical` (interned in
+``polyhedra._cone_on_rays`` and ``polyhedra.from_homogenized``): one object
+per value for the life of the process, so a lazy attribute runs once per
+value.  A class constructor's object is not canonical.  The memo rule: a
+table of one object is a :class:`lazy` attribute of it; an ``lru_cache`` is
+an input memo (work done before the object exists) or a table with a
+second argument.
 """
 
 from __future__ import annotations

@@ -46,7 +46,6 @@ from tchow.polyhedra import (
     Polyhedron,
     cone_as_polyhedron,
     cone_intersect,
-    cone_is_face_of,
     make_cone,
     make_fan,
     make_polyhedron,
@@ -313,7 +312,7 @@ def poly_contains(p: Polyhedron, x: Sequence) -> bool:
 
 def poly_is_face_of(f: Polyhedron, p: Polyhedron) -> bool:
     """Whether ``f`` is a nonempty face of ``p``: its homogenized cone is a face of ``p``'s."""
-    return not f.is_empty and cone_is_face_of(f.cone, p.cone)
+    return not f.is_empty and f.cone in p.cone.face_set
 
 
 def reference_fan_problems(fan: Fan) -> list[str]:
@@ -327,7 +326,7 @@ def reference_fan_problems(fan: Fan) -> list[str]:
             except GeometryError as exc:
                 problems.append(f"intersection failed for {a.generators} and {b.generators}: {exc}")
                 continue
-            if not (cone_is_face_of(meet, a) and cone_is_face_of(meet, b)):
+            if not (meet in a.face_set and meet in b.face_set):
                 problems.append(
                     f"cones {a.generators} and {b.generators} do not meet in a common face"
                 )

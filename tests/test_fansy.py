@@ -278,11 +278,11 @@ def test_deg_xi_gr24_contained_in_cone(gr24):
 
 def test_marking_biconditional_rederived(gr24, p1p1):
     # the stored marks match what the degree loci dictate
-    from tchow.polyhedra import cone_as_polyhedron, cone_faces, poly_intersect
+    from tchow.polyhedra import cone_as_polyhedron, poly_intersect
 
     for x in (gr24, p1p1):
         for sigma, deg in deg_xi(x):
-            for tau in cone_faces(sigma):
+            for tau in sigma.faces:
                 if tau == sigma or tau.is_zero():
                     continue
                 meets = not poly_intersect(deg, cone_as_polyhedron(tau)).is_empty

@@ -65,3 +65,38 @@ def unreferenced_definitions():
 def test_every_definition_is_used_or_exported():
     found = unreferenced_definitions()
     assert not found, "referenced nowhere in src/tchow and not exported:\n" + "\n".join(found)
+
+
+# A table of one object is a ``lazy`` attribute of that object.  An
+# ``lru_cache`` is an input memo (work done before the object exists) or a
+# table with a second argument, besides ``canonical`` itself.
+MEMOS = {
+    "value.canonical",
+    "polyhedra._make_cone",
+    "polyhedra._make_fan",
+    "polyhedra._make_complex",
+    "build.downgrade",
+    "build.bundle_rank2",
+    "build.fixture",
+    "fansy.s_sigma",
+    "fansy.enumerate_generators",
+    "chow.presentation",
+    "chow.toric_chow_presentation",
+}
+
+
+def memoized():
+    """``module.function`` of each function in ``src/tchow`` decorated with a functools cache."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for d in node.decorator_list:
+                    target = d.func if isinstance(d, ast.Call) else d
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                    if name in ("lru_cache", "cache", "cached_property"):
+                        yield f"{path.stem}.{node.name}"
+
+
+def test_lru_caches_are_input_memos_or_two_argument_tables():
+    found = list(memoized())
+    assert len(found) == len(set(found)) and set(found) == MEMOS, sorted(found)

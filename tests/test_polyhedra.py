@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -37,9 +37,7 @@ from tchow.polyhedra import (
     complex_tailfan,
     complex_validate,
     cone_as_polyhedron,
-    cone_faces,
     cone_intersect,
-    cone_is_face_of,
     cut,
     empty_polyhedron,
     fan_is_complete,
@@ -53,6 +51,7 @@ from tchow.polyhedra import (
     poly_intersect,
     _extreme_rays,
 )
+from tchow.value import canonical
 
 F = Fraction
 
@@ -68,7 +67,7 @@ def P(verts, rays, n=None):
 
 def faces_by_dim(c):
     by_dim = {}
-    for f in cone_faces(c):
+    for f in c.faces:
         by_dim.setdefault(f.dim, []).append(f)
     return by_dim
 
@@ -90,6 +89,18 @@ def test_cone_faces_zero_cone():
     zero = make_cone([], 2)
     assert zero.normals == ()
     assert faces_by_dim(zero) == {0: [zero]}
+
+
+def test_zero_cone_h_data_is_derived_when_read():
+    for n in range(5):
+        zero = Cone(n, ())
+        assert zero.span_eqs == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert (zero.normals, zero.dim, zero.faces) == ((), 0, (zero,))
+        empty = empty_polyhedron(n)
+        assert canonical(empty) is empty and empty.dim == -1
+        if n:
+            cube = lambda shift: P([(x + shift, *v) for x, *v in product((0, 1), repeat=n)], [], n)
+            assert poly_intersect(cube(0), cube(2)).cone is empty.cone
 
 
 def test_cone_canonicalization_drops_redundant():
@@ -225,7 +236,7 @@ def test_poly_intersect():
     assert disjoint.is_empty
     # parallel half-lines: their homogenized cones meet in a ray at last coordinate 0
     apart = poly_intersect(P([(0, 0)], [(0, 1)]), P([(1, 0)], [(0, 1)]))
-    assert apart == empty_polyhedron(2) and apart.cone == polyhedra.zero_cone(3)
+    assert apart == empty_polyhedron(2) and apart.cone == Cone(3, ())
     assert (*polyhedron_hrep(apart), apart.dim) == ((), (), -1)
     assert not poly_is_face_of(empty_polyhedron(2), a)
 
@@ -305,7 +316,7 @@ def test_cone_faces_count_cube_like():
     c = make_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3)
     # not a square cone; use the standard one instead
     sq = make_cone([(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)], 3)
-    faces = cone_faces(sq)
+    faces = sq.faces
     dims = {}
     for f in faces:
         dims[f.dim] = dims.get(f.dim, 0) + 1
@@ -755,9 +766,9 @@ def test_faces_are_built_without_kernels(monkeypatch):
 
     spy("perp_lattice")
     spy("_extreme_rays")
-    faces = [poly_faces.__wrapped__(c) for c in cells] + [cone_faces.__wrapped__(c) for c in cones]
+    faces = [polyhedra.Polyhedron.faces.func(c) for c in cells] + [Cone.faces.func(c) for c in cones]
     assert calls == []
-    assert faces == [poly_faces(c) for c in cells] + [cone_faces(c) for c in cones]
+    assert faces == [poly_faces(c) for c in cells] + [c.faces for c in cones]
     assert sum(map(len, faces)) > 100
 
 
@@ -780,10 +791,10 @@ def test_face_queries_match_linear_scan():
                     outcomes.add(("poly", found))
         cones = x.tailfan.all_cones()
         for c in cones:
-            scan = cone_faces(c)
+            scan = c.faces
             for f in cones:
                 found = any(f == g for g in scan)
-                assert cone_is_face_of(f, c) == found
+                assert (f in c.face_set) == found
                 outcomes.add(("cone", found))
     assert len(outcomes) == 4  # faces and non-faces of both kinds
 
@@ -829,7 +840,7 @@ def test_built_from_extreme_rays_matches_make():
         gens_a, gens_b = random_pointed_gens(rng, n), random_pointed_gens(rng, n)
         if gens_a and gens_b:
             a, b = make_cone(gens_a, n), make_cone(gens_b, n)
-            for f in cone_faces(a):
+            for f in a.faces:
                 assert_canonical_cone(f)
                 seen["cone face"] += 1
             try:
@@ -872,5 +883,5 @@ def test_fixture_faces_match_make():
                 for f in poly_faces(cell):
                     assert_canonical_polyhedron(f)
         for c in x.tailfan.maximal_cones:
-            for f in cone_faces(c):
+            for f in c.faces:
                 assert_canonical_cone(f)

@@ -10,11 +10,20 @@ and converts no cone again.
 """
 
 import copy
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import fan_document, forget_values, polyhedron_hrep
+from conftest import (
+    fan_document,
+    forget_values,
+    p1p1_fan,
+    p2_fan,
+    polyhedron_hrep,
+    random_bundle,
+    random_complete_fan,
+)
 from test_golden import GOLDEN, output_digest
 
 from tchow import chow, fansy, polyhedra
@@ -348,3 +357,45 @@ def test_revisited_input_builds_nothing(monkeypatch, tmp_path):
         calls.clear()
         assert fixture(name) is x
         assert not calls, name
+
+
+def test_every_lazy_attribute_runs_once_per_value(monkeypatch):
+    """The library builds one cone, polyhedron, fan and complex per value.
+
+    Two passes over input documents, through library entry points alone:
+    the fixtures read back from their documents, downgrade stanzas of seeded
+    rank-3 and rank-4 fans with those fans' toric oracles, and bundle stanzas
+    of seeded filtrations, each with its presentation at every k.  Every
+    ``lazy`` attribute of those four classes runs at most once per value.
+    """
+    rng = random.Random(22)
+    fans = [random_complete_fan(rng, rank) for rank in (3, 3, 4)]
+    docs = [divisor_document(fixture(name)) for name in FIXTURE_NAMES]
+    docs += [{"downgrade": {"fan": fan_document(f)}} for f in fans]
+    docs += [bundle_stanza(random_bundle(rng, base)) for base in (p2_fan(), p1p1_fan()) * 2]
+    fan_docs = [fan_document(f) for f in fans]
+    forget_values()  # as in a new process: nothing is built yet
+
+    runs = Counter()
+    attributes = set()
+    for cls in (Cone, Polyhedron, Fan, PolyhedralComplex):
+        for name, attr in vars(cls).items():
+            if isinstance(attr, lazy):
+                key = f"{cls.__name__}.{name}"
+                attributes.add(key)
+                spy = lambda obj, real=attr.func, key=key: runs.update([(key, obj)]) or real(obj)
+                monkeypatch.setattr(attr, "func", spy)
+
+    for _ in range(2):
+        for doc in docs:
+            x = parse_input(doc)
+            assert validate(x).ok
+            for k in range(x.rank + 2):
+                presentation(x, k)
+        for doc in fan_docs:
+            fan = parse_fan(doc)
+            for k in range(fan.ambient_rank + 1):
+                toric_chow_presentation(fan, k)
+    assert {key for key, _ in runs} == attributes
+    repeated = Counter(key for (key, _), count in runs.items() if count > 1)
+    assert not repeated, repeated
