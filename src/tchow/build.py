@@ -3,9 +3,10 @@
 Three sources: restricting the torus action of a complete toric variety to a
 corank-one subtorus (``downgrade``), projectivizing a rank-two equivariant
 vector bundle given by its ray filtrations (``bundle_rank2``), and the
-hard-coded worked fixtures.  ``downgrade``, ``bundle_rank2`` and ``fixture``
-run once per input value and process: a later call with an equal input
-returns the divisor built first, with its validity and presentations.
+hard-coded worked fixtures.  ``downgrade`` and ``bundle_rank2`` run once
+per input value and process: a later call with an equal input returns the
+divisor built first, with its validity and presentations.  ``fixture``
+rebuilds from them and the ``make_*`` memos, so returns that divisor too.
 Each cell is a homogenized cone already held, cut by one more row
 (:func:`~tchow.polyhedra.cut`), and the marks are read off the tail fan.
 """
@@ -403,9 +404,8 @@ def p2_projectivized_fan(which: str) -> Fan:
 FIXTURE_NAMES = ("gr24", "p1p1_bundle", "p2_E", "p2_F")
 
 
-@lru_cache(maxsize=None)
 def fixture(name: str) -> MarkedFansyDivisor:
-    """One of the validated worked examples, by name; built once per name."""
+    """One of the validated worked examples, by name; one object per name."""
     if name == "gr24":
         return gr24_divisor()
     if name == "p1p1_bundle":

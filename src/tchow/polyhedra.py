@@ -32,21 +32,23 @@ fan or a complex by :func:`make_fan` or :func:`make_complex`.  An object
 built again is the object built first, with its H-data, faces (``faces``,
 and a cone's ``face_set`` that face queries look up), validity and coface
 map, each computed once per value.  A cone is converted once per set of
-primitive generator directions, and a fan or a complex selects its maximal
-members once per set of members.  A fan indexes its cones by dimension; a
-complex lists the faces of all its cells (:func:`all_complex_faces`) and
-indexes them by dimension and by tail cone.  The coface map of a fan or of
-a complex, from each face to the faces one dimension up that contain it, is
-read off ray inclusion (:func:`inclusion_cofaces`) and kept on the object.
+primitive generator directions.  A fan selects its maximal cones once per
+set of cones, by one containment scan (:func:`_make_fan`), and a complex its
+maximal cells through the same scan and memo, as the fan of their
+homogenized cones.  A fan indexes its cones by dimension; a complex lists
+the faces of all its cells (:func:`all_complex_faces`) and indexes them by
+dimension and by tail cone.  The coface map of a fan or of a complex, from
+each face to the faces one dimension up that contain it, is read off ray
+inclusion (:func:`inclusion_cofaces`) and kept on the object.
 
 A fan is checked on its maximal cones and a complex on its cells'
-homogenized cones by one maximality scan, pair check and ridge count
-(:func:`_maximal`, :func:`_improper_pairs`, :func:`_ridge_counts`), where for
-a complex a meet or a facet at height 0 is allowed.  Most pairs are proved
-proper without a meet (:func:`_certified_meet`): a facet normal ``u`` of one
-side that is nonpositive on the other side's generators confines the meet to
-the other side's face on the ``u``-tight generators, and when that face is in
-the first side's face set it is the meet.  Only the pairs with no such
+homogenized cones by one pair check and ridge count (:func:`_improper_pairs`,
+:func:`_ridge_counts`), where for a complex a meet or a facet at height 0 is
+allowed.  Most pairs are proved proper without a meet
+(:func:`_certified_meet`): a facet normal ``u`` of one side that is
+nonpositive on the other side's generators confines the meet to the other
+side's face on the ``u``-tight generators, and when that face is in the
+first side's face set it is the meet.  Only the pairs with no such
 certificate are met by double description.
 
 Cones and polyhedra with lineality (a contained line) are rejected at
@@ -571,11 +573,6 @@ def inclusion_cofaces(by_dim: dict[int, Sequence[tuple[object, frozenset]]]) -> 
     return {f: tuple(gs) for f, gs in up.items()}
 
 
-def _maximal(cones: Sequence[Cone]) -> list[Cone]:
-    """The cones that no other one of the distinct ``cones`` contains, in order."""
-    return [c for c in cones if not any(o is not c and o.contains_cone(c) for o in cones)]
-
-
 def _improper_pairs(cones: Sequence[Cone], homogenized: bool = False):
     """Each pair ``(i, j, error)``, ``i < j``, of ``cones`` that do not meet in a common face.
 
@@ -654,7 +651,9 @@ def make_fan(cones: Iterable[Cone], ambient_rank: int) -> Fan:
 
 @lru_cache(maxsize=None)
 def _make_fan(cones: frozenset[Cone], ambient_rank: int) -> Fan:
-    maximal = _maximal(sorted(cones, key=Cone.sort_key))
+    """The fan on the cones that no other one of ``cones`` contains, sorted."""
+    ordered = sorted(cones, key=Cone.sort_key)
+    maximal = [c for c in ordered if not any(o is not c and o.contains_cone(c) for o in ordered)]
     return canonical(Fan(ambient_rank, tuple(maximal)))
 
 
@@ -760,18 +759,15 @@ def _group(items: Iterable, key) -> dict:
 
 
 def make_complex(cells: Iterable[Polyhedron], ambient_rank: int) -> PolyhedralComplex:
-    """Dedupe cells and drop any cell contained in another; one object per value.
+    """Dedupe cells, drop the empty ones and any cell contained in another; one object per value.
 
-    The maximal cells are selected once per set of cells.
+    One nonempty cell lies in another exactly when its homogenized cone does,
+    so the maximal cells are those of :func:`make_fan` on the homogenized
+    cones, selected once per set of cones.
     """
-    return _make_complex(frozenset(cells), ambient_rank)
-
-
-@lru_cache(maxsize=None)
-def _make_complex(cells: frozenset[Polyhedron], ambient_rank: int) -> PolyhedralComplex:
-    by_cone = {c.cone: c for c in sorted(cells, key=Polyhedron.sort_key) if not c.is_empty}
-    maximal = tuple(by_cone[k] for k in _maximal(list(by_cone)))
-    return canonical(PolyhedralComplex(ambient_rank, maximal))
+    cones = make_fan((c.cone for c in cells if not c.is_empty), ambient_rank + 1).maximal_cones
+    maximal = sorted(map(from_homogenized, cones), key=Polyhedron.sort_key)
+    return canonical(PolyhedralComplex(ambient_rank, tuple(maximal)))
 
 
 def _complex_problems(s: PolyhedralComplex) -> list[str]:

@@ -15,8 +15,10 @@ constructor returns, is :func:`canonical` (interned in
 per value for the life of the process, so a lazy attribute runs once per
 value.  A class constructor's object is not canonical.  The memo rule: a
 table of one object is a :class:`lazy` attribute of it; an ``lru_cache`` is
-an input memo (work done before the object exists) or a table with a
-second argument.
+an input memo (work done before the object exists: ``_make_cone``,
+``_make_fan``, ``downgrade``, ``bundle_rank2``) or a table with a second
+argument (``s_sigma``, ``enumerate_generators``, ``presentation``,
+``toric_chow_presentation``).
 """
 
 from __future__ import annotations

@@ -315,6 +315,18 @@ def poly_is_face_of(f: Polyhedron, p: Polyhedron) -> bool:
     return not f.is_empty and f.cone in p.cone.face_set
 
 
+def reference_make_complex(cells: Sequence[Polyhedron], ambient_rank: int) -> PolyhedralComplex:
+    """Reference for ``make_complex``: a pairwise scan of the cells' homogenized cones.
+
+    Deduped by homogenized cone, the empty cells dropped, in ``Polyhedron.sort_key``
+    order; a cell is kept unless another cell's homogenized cone contains its own.
+    """
+    by_cone = {c.cone: c for c in sorted(cells, key=Polyhedron.sort_key) if not c.is_empty}
+    cones = list(by_cone)
+    maximal = [by_cone[k] for k in cones if not any(o is not k and o.contains_cone(k) for o in cones)]
+    return PolyhedralComplex(ambient_rank, tuple(maximal))
+
+
 def reference_fan_problems(fan: Fan) -> list[str]:
     """Reference for ``fan_validate``: every pair of maximal cones met by ``cone_intersect``."""
     problems = []

@@ -74,10 +74,8 @@ MEMOS = {
     "value.canonical",
     "polyhedra._make_cone",
     "polyhedra._make_fan",
-    "polyhedra._make_complex",
     "build.downgrade",
     "build.bundle_rank2",
-    "build.fixture",
     "fansy.s_sigma",
     "fansy.enumerate_generators",
     "chow.presentation",

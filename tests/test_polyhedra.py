@@ -15,6 +15,7 @@ from conftest import (
     poly_is_face_of,
     polyhedron_hrep,
     reference_h_to_generators,
+    reference_make_complex,
     reference_polyhedron_from_hrep,
     reference_snf_transforms,
     reference_vertices,
@@ -40,6 +41,7 @@ from tchow.polyhedra import (
     cone_intersect,
     cut,
     empty_polyhedron,
+    from_homogenized,
     fan_is_complete,
     fan_validate,
     make_complex,
@@ -885,3 +887,52 @@ def test_fixture_faces_match_make():
         for c in x.tailfan.maximal_cones:
             for f in c.faces:
                 assert_canonical_cone(f)
+
+
+# ---------------------------------------------------------------------------
+# make_complex against the pairwise scan of homogenized cones
+
+
+def junk_around(rng, cells, n):
+    """``cells`` with duplicates, empty polyhedra, faces and inner pieces added, shuffled.
+
+    An inner piece is a cell cut by a random affine row: inside the cell,
+    and a face of it only by chance.  Also returns how many pieces are not faces.
+    """
+    out = list(cells) + [rng.choice(cells) for _ in range(rng.randint(1, 3))]
+    out += [empty_polyhedron(n)] * rng.randint(1, 2)
+    inner = 0
+    for c in cells:
+        out.append(rng.choice(c.faces))
+        row = tuple(rng.randint(-2, 2) for _ in range(n)) + (rng.randint(-3, 3),)
+        piece = from_homogenized(cut(c.cone, [row]))
+        out.append(piece)
+        inner += not piece.is_empty and piece != c and piece not in c.faces
+    rng.shuffle(out)
+    return out, inner
+
+
+def test_make_complex_matches_pairwise_reference():
+    rng = random.Random(67)
+    inner = kept = 0
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        cells, pieces = junk_around(rng, [random_polyhedron(rng, n) for _ in range(rng.randint(1, 4))], n)
+        inner += pieces
+        s, expected = make_complex(cells, n), reference_make_complex(cells, n)
+        assert s == expected and s.maximal_cells == expected.maximal_cells
+        assert s is canonical(s) and make_complex(reversed(cells), n) is s
+        kept += len(s.maximal_cells)
+    assert inner > 40 and kept > 100, (inner, kept)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_make_complex_of_a_fiber_is_the_fiber(name):
+    rng = random.Random(name)
+    x = fixture(name)
+    for s in x.complexes:
+        n = s.ambient_rank
+        assert make_complex(s.maximal_cells, n) is s
+        cells, _ = junk_around(rng, list(s.maximal_cells), n)
+        assert make_complex(cells, n) is s
+        assert reference_make_complex(cells, n).maximal_cells == s.maximal_cells
