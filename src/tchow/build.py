@@ -13,7 +13,6 @@ Each cell is a homogenized cone already held, cut by one more row
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import lru_cache
 
 from .exactlin import (
@@ -43,7 +42,6 @@ from .polyhedra import (
     make_complex,
     make_cone,
     make_fan,
-    make_polyhedron,
     require_complete,
 )
 from .value import Value
@@ -334,18 +332,18 @@ def projectivized_split_fan(base: Fan, twist: dict[IVec, int]) -> Fan:
     return make_fan(cones, n + 1)
 
 
-def _insert_edge(fan: Fan, a: Sequence, b: Sequence) -> "list[Polyhedron]":
-    """Subdivision cells obtained by replacing the origin with a lattice edge."""
-    n = fan.ambient_rank
+def _insert_edge(fan: Fan, a: IVec, b: IVec) -> "list[Polyhedron]":
+    """Subdivision cells obtained by replacing the origin with a lattice edge.
+
+    The cell on ``c`` is ``b + c`` if ``c`` holds ``d = b - a``, ``a + c`` if it holds ``-d``,
+    else ``[a, b] + c``: its vertices and ``c``'s generators are its extreme rays.
+    """
     d = tuple(x - y for x, y in zip(b, a))
     cells = []
     for c in fan.maximal_cones:
-        if c.contains(d):
-            cells.append(make_polyhedron([b], c.generators, n))
-        elif c.contains([-x for x in d]):
-            cells.append(make_polyhedron([a], c.generators, n))
-        else:
-            cells.append(make_polyhedron([a, b], c.generators, n))
+        ends = [b] if c.contains(d) else [a] if c.contains([-x for x in d]) else [a, b]
+        rays = [(*v, 1) for v in ends] + [g + (0,) for g in c.generators]
+        cells.append(from_homogenized(_cone_on_rays(rays, fan.ambient_rank + 1)))
     return cells
 
 

@@ -1,31 +1,29 @@
-"""Command-line surface: JSON input/output and human-readable tables.
+"""usage: tchow COMMAND [FILE | NAME] [--json] [--out PATH] [--k N]
 
-Commands
---------
-``validate``   check a marked fansy divisor against every defining condition
-``chow``       k-cycle class group presentations (one k or all)
-``eff``        effective-cone generator classes for one k
-``counts``     generator counts (r, v, t) for every k
-``oracle``     toric presentation of a complete fan (the independent check)
-``fixture``    emit a named worked example as an input document
-``crosscheck`` downgrade pipeline vs toric oracle for every k
+commands:
+  validate    check a marked fansy divisor against every defining condition
+  chow        k-cycle class group presentations (one k, or all)
+  eff         effective-cone generator classes for one k (--k is required)
+  counts      generator counts (r, v, t) for every k
+  oracle      toric presentation of a complete fan (the independent check)
+  fixture     emit a worked example (gr24, p1p1_bundle, p2_E, p2_F) as a document
+  crosscheck  downgrade pipeline vs toric oracle for every k
 
-Inputs are JSON documents with exact rational coordinates: integers, or
-strings like ``"-3/2"`` (optional sign, digits, optional ``/digits``).
-Floating point, decimal and exponent strings are never read or written.  Every
-rank (of a fan or of an explicit document) is at most ``MAX_RANK`` = 4.  Exit
-codes: 0 success, 1 validation failure or crosscheck mismatch, 2 parse error
+FILE is a JSON document (a fan for oracle and crosscheck), stdin if "-" or
+absent; --out=PATH and --k=N work too.  Coordinates are integers or strings
+like "-3/2" (optional sign, digits, optional "/digits"), never floats,
+decimal or exponent strings; ranks are at most MAX_RANK = 4.  Exit codes: 0
+success, 1 validation failure or crosscheck mismatch, 2 usage or parse error
 (malformed or out-of-range input, or a key the schema does not name), 3
 internal error (a fault in this program).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
-from fractions import Fraction
+from types import SimpleNamespace
 
 from .build import (
     FIXTURE_NAMES,
@@ -38,6 +36,7 @@ from .build import (
 )
 from .chow import presentation, toric_chow_presentation
 from .effcone import eff_generators
+from .exactlin import ratio
 from .fansy import (
     MarkedFansyDivisor,
     enumerate_generators,
@@ -68,7 +67,7 @@ def _shown(value) -> str:
     return f"{text[:80]}... ({len(text)} characters)"
 
 
-def _rat(value) -> int | Fraction:
+def _rat(value):
     """An exact coordinate: an ``int``, or a ``Fraction`` where it is not integral."""
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"coordinates must be integers or 'a/b' strings, got {_shown(value)}")
@@ -77,8 +76,7 @@ def _rat(value) -> int | Fraction:
     match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", value) if isinstance(value, str) else None
     if match:
         try:
-            num, den = int(match[1]), int(match[2] or 1)
-            return num // den if num % den == 0 else Fraction(num, den)
+            return ratio(int(match[1]), int(match[2] or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational {_shown(value)}") from exc
     raise ParseError(f"bad rational {_shown(value)}")
@@ -265,28 +263,22 @@ def _presentation_document(pres) -> dict:
     }
 
 
-def _counts_entry(x, k) -> dict:
-    r, v, t = enumerate_generators(x, k).counts
-    return {"k": k, "r": r, "v": v, "t": t}
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 
 
-def _emit(args, doc: dict, text: str) -> None:
-    payload = (
-        json.dumps(doc, sort_keys=True, indent=2) + "\n" if args.json else text
-    )
+def _emit(args, doc: dict, text: str | None = None) -> None:
+    if args.json or text is None:
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
         try:
             fh = open(args.out, "w", encoding="utf-8")
         except OSError as exc:
             raise ParseError(f"cannot write {args.out}: {exc.strerror}") from exc
         with fh:
-            fh.write(payload)
+            fh.write(text)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(text)
 
 
 def _read_json(path: str):
@@ -304,12 +296,8 @@ def _read_json(path: str):
         raise ParseError("invalid JSON: nested too deeply") from exc
 
 
-def _load_divisor(path: str) -> MarkedFansyDivisor:
-    return parse_input(_read_json(path))
-
-
 def cmd_validate(args) -> int:
-    x = _load_divisor(args.file)
+    x = parse_input(_read_json(args.file))
     report = validate(x)
     doc = {
         "command": "validate",
@@ -359,7 +347,7 @@ def _smith_table(results: list[dict]) -> str:
 
 
 def cmd_chow(args) -> int:
-    x = _load_divisor(args.file)
+    x = parse_input(_read_json(args.file))
     ks = _levels(args.k, x.dim_x)
     _require_valid(x)
     results = [_presentation_document(presentation(x, k)) for k in ks]
@@ -369,7 +357,7 @@ def cmd_chow(args) -> int:
 
 
 def cmd_eff(args) -> int:
-    x = _load_divisor(args.file)
+    x = parse_input(_read_json(args.file))
     [k] = _levels(args.k, x.dim_x)
     _require_valid(x)
     report = eff_generators(x, k)
@@ -396,9 +384,12 @@ def cmd_eff(args) -> int:
 
 
 def cmd_counts(args) -> int:
-    x = _load_divisor(args.file)
+    x = parse_input(_read_json(args.file))
     _require_valid(x)
-    entries = [_counts_entry(x, k) for k in range(x.rank + 2)]
+    entries = []
+    for k in range(x.rank + 2):
+        r, v, t = enumerate_generators(x, k).counts
+        entries.append({"k": k, "r": r, "v": v, "t": t})
     doc = {"command": "counts", "results": entries}
     lines = ["  k    r    v    t  total"]
     for e in entries:
@@ -419,9 +410,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_fixture(args) -> int:
-    x = fixture(args.name)
-    doc = divisor_document(x)
-    _emit(args, doc, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _emit(args, divisor_document(fixture(args.name)))
     return 0
 
 
@@ -456,61 +445,68 @@ def cmd_crosscheck(args) -> int:
     return 0 if all_match else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tchow",
-        description="Chow presentations of complete rational complexity-one torus varieties",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (handler, positional, --k: None refuses it, False allows it, True requires it)
+COMMANDS = {
+    "validate": (cmd_validate, "file", None),
+    "chow": (cmd_chow, "file", False),
+    "eff": (cmd_eff, "file", True),
+    "counts": (cmd_counts, "file", None),
+    "oracle": (cmd_oracle, "fanfile", False),
+    "fixture": (cmd_fixture, "name", None),
+    "crosscheck": (cmd_crosscheck, "fanfile", None),
+}
 
-    def add_common(p):
-        p.add_argument("--json", action="store_true", help="emit the JSON document")
-        p.add_argument("--out", help="write the output to this path")
 
-    p = sub.add_parser("validate", help="validate an input document")
-    p.add_argument("file", nargs="?", default="-")
-    add_common(p)
-    p.set_defaults(func=cmd_validate)
+class UsageError(ValueError):
+    pass
 
-    p = sub.add_parser("chow", help="class-group presentations")
-    p.add_argument("file", nargs="?", default="-")
-    p.add_argument("--k", type=int, default=None)
-    add_common(p)
-    p.set_defaults(func=cmd_chow)
 
-    p = sub.add_parser("eff", help="effective-cone generator classes")
-    p.add_argument("file", nargs="?", default="-")
-    p.add_argument("--k", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_eff)
-
-    p = sub.add_parser("counts", help="generator counts per k")
-    p.add_argument("file", nargs="?", default="-")
-    add_common(p)
-    p.set_defaults(func=cmd_counts)
-
-    p = sub.add_parser("oracle", help="toric presentation of a complete fan")
-    p.add_argument("fanfile", nargs="?", default="-")
-    p.add_argument("--k", type=int, default=None)
-    add_common(p)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("fixture", help="emit a worked example as an input document")
-    p.add_argument("name", choices=FIXTURE_NAMES)
-    add_common(p)
-    p.set_defaults(func=cmd_fixture)
-
-    p = sub.add_parser("crosscheck", help="downgrade pipeline vs toric oracle")
-    p.add_argument("fanfile", nargs="?", default="-")
-    add_common(p)
-    p.set_defaults(func=cmd_crosscheck)
-    return parser
+def _parse_args(argv: list[str]):
+    """``(handler, args)`` for a command line; a UsageError names what is wrong."""
+    if not argv or argv[0] not in COMMANDS:
+        raise UsageError(f"unknown command {_shown(argv[0])}" if argv else "missing command")
+    handler, positional, k_mode = COMMANDS[argv[0]]
+    opts = {"json": False, "out": None, "k": None, positional: None}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if token == "-" or not token.startswith("-"):
+            if opts[positional] is not None:
+                raise UsageError(f"unexpected second argument {_shown(token)}")
+            opts[positional] = token
+        elif token == "--json":
+            opts["json"] = True
+        elif flag == "--out" or (flag == "--k" and k_mode is not None):
+            opts[flag[2:]] = value if eq else next(tokens, None)
+            if opts[flag[2:]] is None:
+                raise UsageError(f"{flag} needs a value")
+        else:
+            raise UsageError(f"unknown flag {_shown(token)}")
+    if opts["k"] is not None:
+        try:
+            opts["k"] = int(opts["k"])
+        except ValueError:
+            raise UsageError(f"--k needs an integer, got {_shown(opts['k'])}") from None
+    elif k_mode:
+        raise UsageError("--k is required")
+    if positional == "name" and opts["name"] not in FIXTURE_NAMES:
+        raise UsageError(f"NAME must be one of {FIXTURE_NAMES}, got {_shown(opts['name'])}")
+    if opts[positional] is None:
+        opts[positional] = "-"
+    return handler, SimpleNamespace(**opts)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(__doc__)
+        return 0
     try:
-        return args.func(args)
+        handler, args = _parse_args(argv)
+        return handler(args)
+    except UsageError as exc:
+        print(f"{__doc__.splitlines()[0]}\ntchow: error: {exc}", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -4,24 +4,23 @@ All arithmetic is done with arbitrary-precision ints; nothing here ever
 rounds.  Every elimination is fraction-free: Hermite and Smith forms by
 integer row and column operations, determinants and inverses by Bareiss
 elimination.  The Smith form serves the Chow presentation alone and keeps
-only its row transform, which gives the class map.  ``fractions.Fraction``
-appears only where :func:`primitive` clears the denominators of a rational
-vector.  A lattice is given by its canonical row-HNF basis, a tuple of
-integer vectors.  Matrices are plain lists of rows, vectors are tuples, so
-every value is hashable once frozen into a tuple.  A quotient by a span is
-one integer matrix, :func:`quotient_matrix`, whose columns are the basis
-characters: the coordinates of an image are its pairings with them, so no
-character is ever solved for.  Inner loops run in builtins where that is
-faster: a pairing is ``sum(map(mul, u, v))``, a Smith column step is one
-``zip`` comprehension per row, and a row operation skips the zeros of the
-row it subtracts.  The Smith form pivots on a ±1 where there is one, with no
-divisibility scan after it.
+only its row transform, which gives the class map.  ``fractions`` is
+imported only for a proper fraction: :func:`ratio` makes one, and
+:func:`primitive` reads it back.  A lattice is given by its canonical
+row-HNF basis, a tuple of integer vectors.  Matrices are lists of rows and
+vectors are tuples, so a value is hashable once frozen into a tuple.  A
+quotient by a span is one integer matrix, :func:`quotient_matrix`, whose
+columns are the basis characters: an image's coordinates are its pairings
+with them, so no character is ever solved for.  Inner loops run in
+builtins where faster: a pairing is ``sum(map(mul, u, v))``, a Smith column
+step is one ``zip`` comprehension per row, and a row operation skips the
+zeros of the row it subtracts.  The Smith form pivots on a ±1 where there
+is one, with no divisibility scan after it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
@@ -210,19 +209,32 @@ def snf_transforms(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[li
     return u, d
 
 
+def ratio(num: int, den: int):
+    """``num / den``: an ``int`` if ``den`` divides ``num``, else a Fraction (imported then)."""
+    q, r = divmod(num, den)
+    if not r:
+        return q
+    from fractions import Fraction
+
+    return Fraction(num, den)
+
+
 def primitive(v: Sequence) -> tuple[IVec, int]:
     """Clear denominators: ``(w, mu)`` with ``w = mu*v`` and ``mu`` minimal.
 
     For ``v = 0`` returns ``(0, 1)``.  ``mu`` is the multiplicity of ``v`` as
     a rational point: the smallest positive integer making it a lattice point.
-    An integer vector is returned as it is, without going through Fractions.
+    Entries are read by ``.numerator`` and ``.denominator``, an ``"a/b"`` string as a Fraction.
     """
     v = tuple(v)
     if all(type(x) is int for x in v):
         return v, 1
-    fv = [Fraction(x) for x in v]
-    mu = lcm(*(f.denominator for f in fv))
-    return tuple(f.numerator * (mu // f.denominator) for f in fv), mu
+    if not all(hasattr(x, "denominator") for x in v):
+        from fractions import Fraction
+
+        v = tuple(map(Fraction, v))
+    mu = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (mu // x.denominator) for x in v), mu
 
 
 def primitive_direction(v: Sequence) -> IVec:

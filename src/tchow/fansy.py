@@ -20,11 +20,10 @@ it shares its validation report and complexes.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
 
-from .exactlin import dot, hnf_basis, project, quotient_matrix
+from .exactlin import dot, hnf_basis, project, quotient_matrix, ratio
 from .polyhedra import (
     Cone,
     Fan,
@@ -264,15 +263,16 @@ def enumerate_generators(x: MarkedFansyDivisor, k: int) -> GeneratorSets:
     )
 
 
-def _poly_min(face: Polyhedron, u: Sequence) -> Fraction | None:
-    """Exact minimum of ``<u, .>`` on a polyhedron; None when unbounded below.
+def _poly_min(face: Polyhedron, u: Sequence):
+    """Exact minimum of ``<u, .>`` on a polyhedron (int or Fraction); None when unbounded below.
 
-    It is the least ``u . w / h`` over the generators ``(w, h)``, ``h > 0``.
+    The least ``u . w / h`` over the generators ``(w, h)``, ``h > 0``, compared over their lcm.
     """
     n = len(u)
     if any(dot(u, g[:n]) < 0 for g in face.cone.generators if not g[n]):
         return None
-    return min(Fraction(dot(u, g[:n]), g[n]) for g in face.cone.generators if g[n])
+    m = lcm(*(g[n] for g in face.cone.generators if g[n]))
+    return ratio(min(dot(u, g[:n]) * (m // g[n]) for g in face.cone.generators if g[n]), m)
 
 
 def _degree_locus_meets(sigma: Cone, cells: Sequence[Polyhedron], semiample: bool):

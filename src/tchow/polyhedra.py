@@ -58,7 +58,6 @@ construction; every object in a fan or complete complex is pointed.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -69,6 +68,7 @@ from .exactlin import (
     perp_lattice,
     primitive_direction,
     project,
+    ratio,
 )
 from .value import Value, canonical, lazy
 
@@ -438,14 +438,10 @@ class Polyhedron(Value):
         return self.cone.ambient_rank - 1
 
     @lazy
-    def vertices(self) -> tuple[tuple[int | Fraction, ...], ...]:
+    def vertices(self) -> tuple[tuple, ...]:
         """The vertices, sorted: ``int`` coordinates, or ``Fraction`` where not integral."""
         n = self.ambient_rank
-        verts = (
-            tuple(x // g[n] if x % g[n] == 0 else Fraction(x, g[n]) for x in g[:n])
-            for g in self.cone.generators
-            if g[n]
-        )
+        verts = (tuple(ratio(x, g[n]) for x in g[:n]) for g in self.cone.generators if g[n])
         return tuple(sorted(verts))
 
     @lazy

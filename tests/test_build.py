@@ -24,6 +24,7 @@ from tchow.build import (
     NonSmoothBaseError,
     RayFiltration,
     _cone_lines,
+    _insert_edge,
     _slice,
     bundle_rank2,
     downgrade,
@@ -35,7 +36,7 @@ from tchow import chow, polyhedra
 from tchow.chow import presentation
 from tchow.fansy import enumerate_generators, validate
 from tchow.exactlin import mat_vec
-from tchow.polyhedra import make_complex, make_cone, make_fan
+from tchow.polyhedra import make_complex, make_cone, make_fan, make_polyhedron
 
 F = Fraction
 
@@ -339,6 +340,31 @@ def test_gr24_fixture_fan_shape():
     assert len(x.tailfan.cones(2)) == 12
     assert len(x.tailfan.cones(1)) == 8
     assert validate(x).ok
+
+
+def test_insert_edge_cells_are_the_make_polyhedron_objects():
+    """A cell built from its extreme rays is the object ``make_polyhedron`` returns.
+
+    On gr24's fibers, and on random lattice edges in random complete rank-3
+    fans, each cell on a cone ``c`` is the one the V-data conversion gives for
+    ``b + c``, ``a + c`` or ``[a, b] + c``, whichever holds ``b - a``.
+    """
+    x = fixture("gr24")
+    for p in x.points:
+        for cell in x.complex_at(p).maximal_cells:
+            assert make_polyhedron(cell.vertices, cell.tail.generators, 3) is cell
+    rng = random.Random(337)
+    seen = Counter()
+    for _ in range(40):
+        fan = random_complete_fan(rng, 3, 4)
+        a, b = (tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(2))
+        d = tuple(y - x for x, y in zip(a, b))
+        cells = _insert_edge(fan, a, b)
+        for c, cell in zip(fan.maximal_cones, cells, strict=True):
+            ends = [b] if c.contains(d) else [a] if c.contains([-t for t in d]) else [a, b]
+            seen[len(ends), ends[0] == a] += 1
+            assert make_polyhedron(ends, c.generators, 3) is cell
+    assert seen[2, True] and seen[1, True] and seen[1, False]
 
 
 def test_p2_E_single_special_fiber():

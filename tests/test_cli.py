@@ -46,12 +46,17 @@ def run_cli(args, stdin=None):
     return proc
 
 
+# loaded by no tchow start-up: argparse with gettext and locale, and fractions
+# with decimal and numbers (fractions only once a proper fraction is read)
+START_UP_FREE = {"argparse", "gettext", "locale", "fractions", "decimal", "numbers"}
+
+
 def test_cli_import_loads_no_heavy_module():
     # every tchow call pays for its imports; dataclasses alone pulls in
     # inspect, ast, dis and tokenize, tens of milliseconds per process.
     # Without site (-S), whose .pth hooks may load typing anyway, the
     # package must not load typing either.
-    heavy = "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+    heavy = f"{{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}} | {START_UP_FREE}"
     for flags, modules in (((), heavy), (("-S",), heavy + " | {'typing'}")):
         code = f"import sys, tchow.cli; print(sorted(({modules}) & set(sys.modules)))"
         proc = subprocess.run(
@@ -613,3 +618,133 @@ def test_out_of_range_k_is_caught_before_validation(tmp_path, capsys):
 def test_library_keeps_value_error_for_k():
     with pytest.raises(ValueError, match=r"k must lie in \[0, 3\]"):
         tchow.presentation(fixture("p2_E"), 9)
+
+
+def imported_modules(stderr: str) -> set[str]:
+    """The module names of a ``python -X importtime`` report."""
+    lines = [line for line in stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+def test_chow_of_an_integral_document_loads_no_fraction_module():
+    doc = json.dumps(divisor_document(fixture("p2_E")))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "tchow.cli", "chow", "--json"],
+        input=doc, capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["results"]) == 4
+    loaded = imported_modules(proc.stderr)
+    assert "tchow.polyhedra" in loaded  # the report lists the run's imports
+    assert not loaded & START_UP_FREE, sorted(loaded & START_UP_FREE)
+
+
+HALF_VERTEX = {
+    "rank": 1,
+    "points": ["0", "inf"],
+    "complexes": {
+        "0": [{"vertices": [["1/2"]], "rays": [[1]]}, {"vertices": [["1/2"]], "rays": [[-1]]}],
+        "inf": [{"vertices": [[0]], "rays": [[1]]}, {"vertices": [[0]], "rays": [[-1]]}],
+    },
+    "marked": [],
+}
+
+
+def test_half_vertex_document_loads_fractions_when_read():
+    """The CI's ``"1/2"`` vertex document validates in a fresh process, and
+    its divisor document prints ``"1/2"``: ``fractions`` comes in on demand."""
+    res = run_cli(["validate", "--json"], stdin=json.dumps(HALF_VERTEX))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["valid"]
+    code = (
+        "import json, sys; from tchow.cli import divisor_document, parse_input; "
+        "before = 'fractions' in sys.modules; x = parse_input(json.loads(sys.stdin.read())); "
+        "print(json.dumps([before, 'fractions' in sys.modules, divisor_document(x)['complexes']]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=json.dumps(HALF_VERTEX),
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after, complexes = json.loads(proc.stdout)
+    assert (before, after) == (False, True)
+    assert [cell["vertices"] for cell in complexes["0"]] == [[["1/2"]], [["1/2"]]]
+
+
+USAGE_ERRORS = {
+    "missing command": [],
+    "unknown command": ["chwo"],
+    "unknown flag": ["chow", "--jsn"],
+    "abbreviated flag": ["chow", "--js"],
+    "flag with a value it does not take": ["chow", "--json=yes"],
+    "second positional": ["chow", "a.json", "b.json"],
+    "non-integer k": ["chow", "--k", "two"],
+    "non-integer k, joined": ["oracle", "--k=1.5"],
+    "k with no value": ["chow", "--k"],
+    "k on a command without one": ["validate", "--k", "1"],
+    "missing k on eff": ["eff", "--json"],
+    "missing fixture name": ["fixture", "--json"],
+    "unknown fixture name": ["fixture", "p3"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_exits_two_with_usage_line(capsys, argv):
+    """Each usage error exits 2 with a ``usage:`` line and no traceback,
+    through ``main`` and through a fresh ``python -m tchow.cli``; no input is read."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: tchow") and "tchow: error: " in err
+    proc = run_cli(argv, stdin='{"rank": 2}')
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+    assert "Traceback" not in proc.stderr
+
+
+def test_help_lists_every_command(capsys):
+    for flag in ("--help", "-h"):
+        assert main([flag]) == 0
+        assert main(["eff", flag]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: tchow COMMAND")
+    proc = run_cli(["--help"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == out[: len(proc.stdout)] == cli.__doc__
+    for command in cli.COMMANDS:
+        assert f"\n  {command} " in out
+
+
+def test_joined_options_match_spaced_ones(tmp_path, capsys):
+    """``--k=N`` and ``--out=PATH`` give the bytes of ``--k N`` and ``--out PATH``,
+    before or after the file."""
+    path = tmp_path / "p2_E.json"
+    path.write_text(json.dumps(divisor_document(fixture("p2_E"))))
+    outputs = []
+    for i, argv in enumerate(
+        [
+            ["eff", str(path), "--k", "1", "--json", "--out", str(tmp_path / "0.out")],
+            ["eff", "--k=1", "--out=" + str(tmp_path / "1.out"), "--json", str(path)],
+            ["eff", "--json", "--out", str(tmp_path / "2.out"), "--k=1", str(path)],
+        ]
+    ):
+        assert main(argv) == 0
+        outputs.append((tmp_path / f"{i}.out").read_bytes())
+    assert capsys.readouterr().out == ""
+    assert outputs[0] == outputs[1] == outputs[2] and json.loads(outputs[0])["k"] == 1
+    for argv in (["chow", "--k", "2", str(path)], ["chow", str(path), "--k=2"]):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[3] == outputs[4] and outputs[3].count("\n") == 2
+    spaced = run_cli(["oracle", "--json", "--k", "1"], stdin=json.dumps(P2E_FAN))
+    joined = run_cli(["oracle", "--k=1", "--json", "-"], stdin=json.dumps(P2E_FAN))
+    assert spaced.returncode == joined.returncode == 0
+    assert spaced.stdout == joined.stdout
+
+
+def test_fixture_json_is_serialized_once(monkeypatch, capsys):
+    dumps, calls = json.dumps, []
+    monkeypatch.setattr(cli.json, "dumps", lambda *a, **k: calls.append(1) or dumps(*a, **k))
+    for flags in ([], ["--json"]):
+        assert main(["fixture", "p2_E", *flags]) == 0
+    assert len(calls) == 2
+    once = json.dumps(divisor_document(fixture("p2_E")), sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == 2 * once
