@@ -408,8 +408,6 @@ def fixture(name: str) -> MarkedFansyDivisor:
         return gr24_divisor()
     if name == "p1p1_bundle":
         return bundle_rank2(p1p1_bundle())
-    if name == "p2_E":
-        return downgrade(DowngradeInput(p2_projectivized_fan("E")))
-    if name == "p2_F":
-        return downgrade(DowngradeInput(p2_projectivized_fan("F")))
+    if name in ("p2_E", "p2_F"):
+        return downgrade(DowngradeInput(p2_projectivized_fan(name[-1])))
     raise ValueError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")

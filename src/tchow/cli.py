@@ -14,13 +14,14 @@ absent; --out=PATH and --k=N work too.  Coordinates are integers or strings
 like "-3/2" (optional sign, digits, optional "/digits"), never floats,
 decimal or exponent strings; ranks are at most MAX_RANK = 4.  Exit codes: 0
 success, 1 validation failure or crosscheck mismatch, 2 usage or parse error
-(malformed or out-of-range input, or a key the schema does not name), 3
-internal error (a fault in this program).
+(malformed or out-of-range input, a key the schema does not name, or stdout
+or --out that cannot be written), 3 internal error (a fault in this program).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -267,23 +268,34 @@ def _presentation_document(pres) -> dict:
 # command implementations
 
 
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout and flush it; a failure is a ParseError."""
+    try:
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        elif sys.stdout is None:  # the process was started with stdout closed
+            raise ParseError("cannot write stdout: it is closed")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise ParseError(f"cannot write {path or 'stdout'}: {exc.strerror}") from exc
+
+
 def _emit(args, doc: dict, text: str | None = None) -> None:
     if args.json or text is None:
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        try:
-            fh = open(args.out, "w", encoding="utf-8")
-        except OSError as exc:
-            raise ParseError(f"cannot write {args.out}: {exc.strerror}") from exc
-        with fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, text)
 
 
 def _read_json(path: str):
     try:
-        data = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+        if path == "-":
+            data = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -498,10 +510,10 @@ def _parse_args(argv: list[str]):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if "-h" in argv or "--help" in argv:
-        sys.stdout.write(__doc__)
-        return 0
     try:
+        if "-h" in argv or "--help" in argv:
+            _write(None, __doc__)
+            return 0
         handler, args = _parse_args(argv)
         return handler(args)
     except UsageError as exc:
@@ -521,5 +533,12 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """The ``tchow`` program: ``main()``, flush stderr, then ``os._exit``: no teardown, no atexit."""
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -224,15 +224,11 @@ def primitive(v: Sequence) -> tuple[IVec, int]:
 
     For ``v = 0`` returns ``(0, 1)``.  ``mu`` is the multiplicity of ``v`` as
     a rational point: the smallest positive integer making it a lattice point.
-    Entries are read by ``.numerator`` and ``.denominator``, an ``"a/b"`` string as a Fraction.
+    Entries are ints or Fractions, read by ``.numerator`` and ``.denominator``.
     """
     v = tuple(v)
     if all(type(x) is int for x in v):
         return v, 1
-    if not all(hasattr(x, "denominator") for x in v):
-        from fractions import Fraction
-
-        v = tuple(map(Fraction, v))
     mu = lcm(*(x.denominator for x in v))
     return tuple(x.numerator * (mu // x.denominator) for x in v), mu
 

@@ -73,9 +73,6 @@ class MarkedFansyDivisor(Value):
     def is_marked(self, c: Cone) -> bool:
         return c in self.marked
 
-    def point_index(self, p: str) -> int:
-        return self.points.index(p)
-
     @lazy
     def _report(self) -> ValidationReport:
         return ValidationReport(tuple(_violations(self)))
@@ -102,13 +99,6 @@ class CycleGenerator(Value):
             "(" + ",".join(str(c) for c in r) + ")" for r in self.cone.generators
         )
         return f"{self.kind}[{rays}]"
-
-
-def generator_sort_key(x: MarkedFansyDivisor, g: CycleGenerator):
-    kind_order = {"V": 0, "R": 1, "T": 2}
-    if g.kind == "V":
-        return (kind_order[g.kind], x.point_index(g.point), g.face.sort_key())
-    return (kind_order[g.kind], 0, g.cone.sort_key())
 
 
 class GeneratorSets(Value):
@@ -236,31 +226,25 @@ def enumerate_generators(x: MarkedFansyDivisor, k: int) -> GeneratorSets:
 
     R: unmarked tailfan cones of dimension ``n+1-k``; V: fiber faces of
     dimension ``n-k`` with unmarked tail, over every special point; T: marked
-    cones of dimension ``n-k``.  Enumerated once per divisor value and level.
+    cones of dimension ``n-k``.  Each family keeps the sorted ``by_dim`` order
+    (V point by point).  Enumerated once per divisor value and level.
     """
     n = x.rank
     if not 0 <= k <= n + 1:
         raise ValueError(f"k must lie in [0, {n + 1}]")
-    r_gens = [
-        CycleGenerator("R", cone=c)
-        for c in x.tailfan.cones(n + 1 - k)
-        if not x.is_marked(c)
-    ]
-    v_gens = [
+    r_gens = tuple(
+        CycleGenerator("R", cone=c) for c in x.tailfan.cones(n + 1 - k) if not x.is_marked(c)
+    )
+    v_gens = tuple(
         CycleGenerator("V", point=p, face=f)
         for p in x.points
         for f in x.complex_at(p).by_dim.get(n - k, ())
         if not x.is_marked(f.tail)
-    ]
-    t_gens = [
-        CycleGenerator("T", cone=c) for c in x.tailfan.cones(n - k) if x.is_marked(c)
-    ]
-    key = lambda g: generator_sort_key(x, g)
-    return GeneratorSets(
-        tuple(sorted(r_gens, key=key)),
-        tuple(sorted(v_gens, key=key)),
-        tuple(sorted(t_gens, key=key)),
     )
+    t_gens = tuple(
+        CycleGenerator("T", cone=c) for c in x.tailfan.cones(n - k) if x.is_marked(c)
+    )
+    return GeneratorSets(r_gens, v_gens, t_gens)
 
 
 def _poly_min(face: Polyhedron, u: Sequence):

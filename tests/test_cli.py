@@ -1,8 +1,11 @@
+import gc
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -748,3 +751,148 @@ def test_fixture_json_is_serialized_once(monkeypatch, capsys):
     assert len(calls) == 2
     once = json.dumps(divisor_document(fixture("p2_E")), sort_keys=True, indent=2) + "\n"
     assert capsys.readouterr().out == 2 * once
+
+
+# ---------------------------------------------------------------------------
+# the program ends with os._exit once its output is flushed
+
+R4_FAN = Path(__file__).resolve().parent.parent / "bench" / "data" / "r4_defect_fan.json"
+
+
+def in_process(argv, capsys, monkeypatch, stdin=""):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def program_inputs(tmp_path) -> dict:
+    """Input files for every command: a valid, an invalid and a malformed document, and fans."""
+    p2e = divisor_document(fixture("p2_E"))
+    broken = divisor_document(fixture("p1p1_bundle"))
+    broken["marked"] = [m for m in broken["marked"] if len(m) == 1]  # breaks closure
+    docs = {"p2_E": p2e, "broken": broken, "p2_fan": P2E_FAN, "torsion_fan": WEIGHTED_PLANE_FAN}
+    texts = {name: json.dumps(doc) for name, doc in docs.items()} | {"malformed": "{not json"}
+    for name, text in texts.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    return {name: str(tmp_path / f"{name}.json") for name in texts}
+
+
+PROGRAM_RUNS = {
+    "validate": (["validate", "{p2_E}"], 0),
+    "validate invalid": (["validate", "--json", "{broken}"], 1),
+    "chow": (["chow", "{p2_E}"], 0),
+    "chow json one k": (["chow", "--json", "--k", "1", "{p2_E}"], 0),
+    "chow invalid": (["chow", "{broken}"], 1),
+    "chow from stdin": (["chow", "--json", "-"], 0),
+    "eff": (["eff", "--k", "2", "{p2_E}"], 0),
+    "counts": (["counts", "--json", "{p2_E}"], 0),
+    "oracle": (["oracle", "{torsion_fan}"], 0),
+    "fixture": (["fixture", "gr24"], 0),
+    "crosscheck": (["crosscheck", "--json", "{p2_fan}"], 0),
+    "parse error": (["validate", "{malformed}"], 2),
+    "out of range k": (["chow", "--k", "9", "{p2_E}"], 2),
+    "usage error": (["chow", "--jsn"], 2),
+    "help": (["--help"], 0),
+}
+
+
+@pytest.mark.parametrize("name", PROGRAM_RUNS)
+def test_program_matches_main(tmp_path, capsys, monkeypatch, name):
+    """``python -m tchow.cli`` gives the stdout, stderr and exit code of ``main()``."""
+    argv, code = PROGRAM_RUNS[name]
+    argv = [a.format(**program_inputs(tmp_path)) for a in argv]
+    stdin = json.dumps(divisor_document(fixture("p2_E")))
+    proc = run_cli(argv, stdin=stdin)
+    assert (proc.returncode, proc.stdout, proc.stderr) == in_process(argv, capsys, monkeypatch, stdin)
+    assert proc.returncode == code and "Traceback" not in proc.stderr
+
+
+def test_program_out_matches_main(tmp_path, capsys, monkeypatch):
+    path = program_inputs(tmp_path)["p2_E"]
+    child, parent = tmp_path / "child.out", tmp_path / "main.out"
+    proc = run_cli(["chow", "--json", "--out", str(child), path])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert in_process(["chow", "--json", "--out", str(parent), path], capsys, monkeypatch) == (0, "", "")
+    assert child.read_bytes() == parent.read_bytes()
+
+
+def broken_fixture(name):
+    raise KeyError("invariant broken")
+
+
+def test_program_internal_fault_matches_main(capsys, monkeypatch):
+    """An internal fault exits 3 through the ``__main__`` block as through ``main()``."""
+    code = (
+        "import runpy, sys, tchow.build\n"
+        "def broken_fixture(name):\n"
+        "    raise KeyError('invariant broken')\n"
+        "tchow.build.fixture = broken_fixture\n"
+        "sys.argv = ['tchow', 'fixture', 'gr24']\n"
+        "runpy.run_module('tchow.cli', run_name='__main__')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+    monkeypatch.setattr(cli, "fixture", broken_fixture)
+    expected = in_process(["fixture", "gr24"], capsys, monkeypatch)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    assert expected == (3, "", "internal error: KeyError: 'invariant broken'\n")
+
+
+def test_large_output_arrives_whole_through_a_pipe(capsys, monkeypatch):
+    proc = run_cli(["oracle", "--json", str(R4_FAN)])
+    expected = in_process(["oracle", "--json", str(R4_FAN)], capsys, monkeypatch)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    assert len(proc.stdout) > 50_000 and json.loads(proc.stdout)["command"] == "oracle"
+
+
+def test_program_skips_interpreter_teardown():
+    """The ``__main__`` block ends with ``os._exit``: an ``atexit`` handler never runs.
+
+    The same handler does run after ``main()`` called from the library.
+    """
+    setup = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write('atexit ran\\n'))\n"
+        "sys.argv = ['tchow', 'fixture', 'p2_E']\n"
+    )
+    calls = {"runpy.run_module('tchow.cli', run_name='__main__')": False, "import tchow.cli; tchow.cli.main()": True}
+    for call, ran in calls.items():
+        proc = subprocess.run([sys.executable, "-c", setup + call], capture_output=True, text=True, env=CHILD_ENV)
+        assert proc.returncode == 0 and json.loads(proc.stdout)["points"] == ["0", "inf"]
+        assert proc.stderr == ("atexit ran\n" if ran else ""), call
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["validate", "{p2_E}"], "stdout"),  # 6 bytes: fails at the flush
+        (["fixture", "gr24"], "stdout"),  # 12 KB: fails at the write
+        (["--help"], "stdout"),
+        (["chow", "--json", "--out", "/dev/full", "{p2_E}"], "/dev/full"),
+    ],
+)
+def test_unwritable_output_is_parse_error(tmp_path, argv, target):
+    argv = [a.format(**program_inputs(tmp_path)) for a in argv]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tchow.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=CHILD_ENV,
+        )
+    assert (proc.returncode, proc.stderr) == (2, f"parse error: cannot write {target}: No space left on device\n")
+
+
+def test_closed_stdout_is_parse_error():
+    argv = ["sh", "-c", '"$0" -m tchow.cli fixture gr24 >&-', sys.executable]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=CHILD_ENV)
+    assert (proc.returncode, proc.stderr) == (2, "parse error: cannot write stdout: it is closed\n")
+
+
+def test_input_file_is_closed(tmp_path, capsys):
+    path = program_inputs(tmp_path)["p2_E"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", path]) == 0
+        gc.collect()
+    assert capsys.readouterr().out == "valid\n"
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
