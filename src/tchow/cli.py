@@ -279,8 +279,9 @@ def _write(path: str | None, text: str) -> None:
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
-    except OSError as exc:
-        raise ParseError(f"cannot write {path or 'stdout'}: {exc.strerror}") from exc
+    except (OSError, UnicodeEncodeError) as exc:  # the encoding cannot hold a label
+        reason = getattr(exc, "strerror", exc)
+        raise ParseError(f"cannot write {path or 'stdout'}: {reason}") from exc
 
 
 def _emit(args, doc: dict, text: str | None = None) -> None:
@@ -292,6 +293,8 @@ def _emit(args, doc: dict, text: str | None = None) -> None:
 def _read_json(path: str):
     try:
         if path == "-":
+            if sys.stdin is None:  # the process was started with stdin closed
+                raise ParseError("cannot read stdin: it is closed")
             data = sys.stdin.read()
         else:
             with open(path, encoding="utf-8") as fh:
@@ -517,26 +520,32 @@ def main(argv=None) -> int:
         handler, args = _parse_args(argv)
         return handler(args)
     except UsageError as exc:
-        print(f"{__doc__.splitlines()[0]}\ntchow: error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"{__doc__.splitlines()[0]}\ntchow: error: {exc}"
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"parse error: {exc}"
     except InvalidDivisor as exc:
-        print(f"validation failure:\n{exc}", file=sys.stderr)
-        return 1
+        code, message = 1, f"validation failure:\n{exc}"
     except GeometryError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, f"validation failure: {exc}"
     except Exception as exc:  # a fault in this program, not in the input
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, f"internal error: {type(exc).__name__}: {exc}"
+    _to_stderr(message + "\n")
+    return code
+
+
+def _to_stderr(text: str) -> None:
+    """Write ``text`` to stderr and flush it; it is lost if stderr is closed or unwritable."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # sys.stderr is None when the process started without one
+        pass
 
 
 def run() -> None:
     """The ``tchow`` program: ``main()``, flush stderr, then ``os._exit``: no teardown, no atexit."""
     code = main()
-    sys.stderr.flush()
+    _to_stderr("")
     os._exit(code)
 
 

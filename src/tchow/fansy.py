@@ -134,9 +134,7 @@ class ValidationReport(Value):
 
 def sigma_as_complex(fan: Fan) -> PolyhedralComplex:
     """The trivial subdivision: the fan itself, viewed as a complex."""
-    return make_complex(
-        [cone_as_polyhedron(c) for c in fan.maximal_cones], fan.ambient_rank
-    )
+    return make_complex(map(cone_as_polyhedron, fan.maximal_cones), fan.ambient_rank)
 
 
 def make_divisor(
@@ -309,9 +307,10 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
     if not x.points:  # no fiber, so no degree to check the marks against
         return out
 
-    for problem in fan_validate(x.tailfan):
+    tailfan_problems, tailfan_complete = fan_validate(x.tailfan), fan_is_complete(x.tailfan)
+    for problem in tailfan_problems:
         add("BAD_TAILFAN", problem)
-    if not fan_is_complete(x.tailfan):
+    if not tailfan_complete:
         add("INCOMPLETE_TAILFAN", "the tailfan does not cover the whole space")
 
     complexes_ok = True
@@ -331,9 +330,8 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
         if tf != x.tailfan:
             add("TAILFAN_MISMATCH", f"fiber over {p} has a different tailfan")
             complexes_ok = False
-    # past this point the tailfan is a valid complete fan (with a point, its
-    # validity was checked as each fiber's tail fan)
-    if not complexes_ok or fan_validate(x.tailfan) or not fan_is_complete(x.tailfan):
+    # past this point the tailfan is a valid complete fan
+    if not complexes_ok or tailfan_problems or not tailfan_complete:
         return out
 
     fan_all = set(x.tailfan.all_cones())

@@ -33,13 +33,13 @@ built again is the object built first, with its H-data, faces (``faces``,
 and a cone's ``face_set`` that face queries look up), validity and coface
 map, each computed once per value.  A cone is converted once per set of
 primitive generator directions.  A fan selects its maximal cones once per
-set of cones, by one containment scan (:func:`_make_fan`), and a complex its
-maximal cells through the same scan and memo, as the fan of their
-homogenized cones.  A fan indexes its cones by dimension; a complex lists
-the faces of all its cells (:func:`all_complex_faces`) and indexes them by
-dimension and by tail cone.  The coface map of a fan or of a complex, from
-each face to the faces one dimension up that contain it, is read off ray
-inclusion (:func:`inclusion_cofaces`) and kept on the object.
+set of cones, by one containment scan (:func:`_make_fan`).  A complex is
+stored as the fan of its cells' homogenized cones one rank up, as a
+polyhedron is as its homogenized cone: built through the same scan and
+memo, with its cells read off that fan's maximal cones.  A fan indexes its
+cones by dimension; a complex lists the faces of all its cells
+(:func:`all_complex_faces`) and indexes them by dimension and by tail cone.
+A fan's coface map is read off ray inclusion, and a complex's off its fan's.
 
 A fan is checked on its maximal cones and a complex on its cells'
 homogenized cones by one pair check and ridge count (:func:`_improper_pairs`,
@@ -545,30 +545,6 @@ def poly_faces(p: Polyhedron) -> tuple[Polyhedron, ...]:
 # fans
 
 
-def inclusion_cofaces(by_dim: dict[int, Sequence[tuple[object, frozenset]]]) -> dict:
-    """Map each face to the faces one dimension up that contain it.
-
-    ``by_dim`` lists the faces of each dimension, each face with the set of
-    its rays: a cone's generators, or those of a polyhedron's homogenized
-    cone.  In a fan or a polyhedral complex one face lies in another exactly
-    when its set is a subset of the other's, so the map needs no H-data.
-    Each face's cofaces keep the order of their dimension's list.
-    """
-    up: dict = {}
-    for d, smaller in by_dim.items():
-        # each face is indexed under one of its elements, or None when it has none
-        by_element: dict = {}
-        for f, elements in smaller:
-            up[f] = []
-            by_element.setdefault(next(iter(elements), None), []).append((f, elements))
-        for g, g_elements in by_dim.get(d + 1, ()):
-            for e in (None, *g_elements):
-                for f, elements in by_element.get(e, ()):
-                    if elements <= g_elements:
-                        up[f].append(g)
-    return {f: tuple(gs) for f, gs in up.items()}
-
-
 def _improper_pairs(cones: Sequence[Cone], homogenized: bool = False):
     """Each pair ``(i, j, error)``, ``i < j``, of ``cones`` that do not meet in a common face.
 
@@ -623,12 +599,22 @@ class Fan(Value):
 
     @lazy
     def cofaces(self) -> dict[Cone, tuple[Cone, ...]]:
-        """Each cone mapped to the cones one dimension up that contain it.
+        """Each cone mapped to the cones one dimension up that contain it, in ``by_dim`` order.
 
-        Read off ray inclusion by :func:`inclusion_cofaces`, with no H-data.
+        In a fan a cone lies in another exactly when its rays are among the
+        other's, so the map is read off ray inclusion, with no H-data.
         """
-        rays = {d: [(c, frozenset(c.generators)) for c in cs] for d, cs in self.by_dim.items()}
-        return inclusion_cofaces(rays)
+        up = {}
+        for d, cones in self.by_dim.items():
+            by_ray: dict = {}  # the cones one dimension up with their rays, under None and each ray
+            for g in self.cones(d + 1):
+                rays = frozenset(g.generators)
+                for r in (None, *rays):
+                    by_ray.setdefault(r, []).append((g, rays))
+            for f in cones:  # looked up under its first ray, the zero cone under None
+                above = by_ray.get(next(iter(f.generators), None), ())
+                up[f] = tuple(g for g, rays in above if rays.issuperset(f.generators))
+        return up
 
     def cones(self, d: int) -> tuple[Cone, ...]:
         return self.by_dim.get(d, ())
@@ -700,17 +686,25 @@ def require_complete(fan: Fan) -> None:
 
 
 class PolyhedralComplex(Value):
-    """A polyhedral complex given by its maximal cells.
+    """A polyhedral complex, stored as the fan of its cells' homogenized cones in rank n+1.
 
-    Like :class:`Fan`, it keeps what :func:`complex_validate` finds, the fan
-    its cells' tail cones generate (``tail_fan``, not validated; see
-    :func:`complex_tailfan`), the faces :func:`all_complex_faces` lists and
-    their indexes (``by_dim``, ``by_tail``, ``cofaces``), each computed on
-    first use.
+    Each maximal cone ``c`` of ``fan`` is a maximal cell, ``from_homogenized(c)``.
+    Like :class:`Fan`, it keeps what :func:`complex_validate` finds, its
+    maximal cells, the fan its cells' tail cones generate (``tail_fan``, not
+    validated; see :func:`complex_tailfan`), and its faces with their indexes
+    (``by_dim``, ``by_tail``, ``cofaces``), each computed on first use.
     """
 
-    ambient_rank: int
-    maximal_cells: tuple[Polyhedron, ...]
+    fan: Fan
+
+    @property
+    def ambient_rank(self) -> int:
+        return self.fan.ambient_rank - 1
+
+    @lazy
+    def maximal_cells(self) -> tuple[Polyhedron, ...]:
+        """The cells of the fan's maximal cones, sorted."""
+        return tuple(sorted(map(from_homogenized, self.fan.maximal_cones), key=Polyhedron.sort_key))
 
     @lazy
     def _problems(self) -> tuple[str, ...]:
@@ -737,13 +731,11 @@ class PolyhedralComplex(Value):
 
     @lazy
     def cofaces(self) -> dict[Polyhedron, tuple[Polyhedron, ...]]:
-        """Each face mapped to the faces one dimension up that contain it.
-
-        Read off the rays of their homogenized cones by
-        :func:`inclusion_cofaces`, as :attr:`Fan.cofaces` is.
-        """
-        rays = {d: [(f, frozenset(f.cone.generators)) for f in fs] for d, fs in self.by_dim.items()}
-        return inclusion_cofaces(rays)
+        """Each face mapped to the cells of its homogenized cone's cofaces in ``fan``, sorted."""
+        faces = self._faces  # sorted: a face's cofaces in the order of their indexes are sorted
+        index = {f.cone: i for i, f in enumerate(faces)}
+        above = lambda f: sorted(index[c] for c in self.fan.cofaces[f.cone])
+        return {f: tuple(faces[i] for i in above(f)) for f in faces}
 
 
 def _group(items: Iterable, key) -> dict:
@@ -758,12 +750,11 @@ def make_complex(cells: Iterable[Polyhedron], ambient_rank: int) -> PolyhedralCo
     """Dedupe cells, drop the empty ones and any cell contained in another; one object per value.
 
     One nonempty cell lies in another exactly when its homogenized cone does,
-    so the maximal cells are those of :func:`make_fan` on the homogenized
-    cones, selected once per set of cones.
+    so the complex is the :func:`make_fan` of the homogenized cones, whose
+    maximal cones are selected once per set of cones.
     """
-    cones = make_fan((c.cone for c in cells if not c.is_empty), ambient_rank + 1).maximal_cones
-    maximal = sorted(map(from_homogenized, cones), key=Polyhedron.sort_key)
-    return canonical(PolyhedralComplex(ambient_rank, tuple(maximal)))
+    cones = (c.cone for c in cells if not c.is_empty)
+    return canonical(PolyhedralComplex(make_fan(cones, ambient_rank + 1)))
 
 
 def _complex_problems(s: PolyhedralComplex) -> list[str]:

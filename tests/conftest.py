@@ -318,13 +318,13 @@ def poly_is_face_of(f: Polyhedron, p: Polyhedron) -> bool:
 def reference_make_complex(cells: Sequence[Polyhedron], ambient_rank: int) -> PolyhedralComplex:
     """Reference for ``make_complex``: a pairwise scan of the cells' homogenized cones.
 
-    Deduped by homogenized cone, the empty cells dropped, in ``Polyhedron.sort_key``
-    order; a cell is kept unless another cell's homogenized cone contains its own.
+    The empty cells dropped and the cones deduped, a cone is kept unless
+    another one contains it; the complex is the fan of the kept cones, in
+    ``Cone.sort_key`` order, one rank up.
     """
-    by_cone = {c.cone: c for c in sorted(cells, key=Polyhedron.sort_key) if not c.is_empty}
-    cones = list(by_cone)
-    maximal = [by_cone[k] for k in cones if not any(o is not k and o.contains_cone(k) for o in cones)]
-    return PolyhedralComplex(ambient_rank, tuple(maximal))
+    cones = {c.cone for c in cells if not c.is_empty}
+    maximal = [k for k in cones if not any(o is not k and o.contains_cone(k) for o in cones)]
+    return PolyhedralComplex(Fan(ambient_rank + 1, tuple(sorted(maximal, key=Cone.sort_key))))
 
 
 def reference_fan_problems(fan: Fan) -> list[str]:

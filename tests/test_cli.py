@@ -821,17 +821,20 @@ def broken_fixture(name):
     raise KeyError("invariant broken")
 
 
+# ``tchow fixture gr24`` with a fault planted, run as ``python -m tchow.cli`` runs it
+INTERNAL_FAULT = (
+    "import runpy, sys, tchow.build\n"
+    "def broken_fixture(name):\n"
+    "    raise KeyError('invariant broken')\n"
+    "tchow.build.fixture = broken_fixture\n"
+    "sys.argv = ['tchow', 'fixture', 'gr24']\n"
+    "runpy.run_module('tchow.cli', run_name='__main__')\n"
+)
+
+
 def test_program_internal_fault_matches_main(capsys, monkeypatch):
     """An internal fault exits 3 through the ``__main__`` block as through ``main()``."""
-    code = (
-        "import runpy, sys, tchow.build\n"
-        "def broken_fixture(name):\n"
-        "    raise KeyError('invariant broken')\n"
-        "tchow.build.fixture = broken_fixture\n"
-        "sys.argv = ['tchow', 'fixture', 'gr24']\n"
-        "runpy.run_module('tchow.cli', run_name='__main__')\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+    proc = subprocess.run([sys.executable, "-c", INTERNAL_FAULT], capture_output=True, text=True, env=CHILD_ENV)
     monkeypatch.setattr(cli, "fixture", broken_fixture)
     expected = in_process(["fixture", "gr24"], capsys, monkeypatch)
     assert (proc.returncode, proc.stdout, proc.stderr) == expected
@@ -896,3 +899,69 @@ def test_input_file_is_closed(tmp_path, capsys):
         gc.collect()
     assert capsys.readouterr().out == "valid\n"
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_closed_stdin_is_parse_error():
+    argv = ["sh", "-c", '"$0" -m tchow.cli validate <&-', sys.executable]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=CHILD_ENV)
+    assert (proc.returncode, proc.stderr) == (2, "parse error: cannot read stdin: it is closed\n")
+
+
+def relabeled_p2_E(tmp_path, label: str) -> str:
+    """A p2_E document whose point ``0`` is called ``label``, as a file."""
+    doc = divisor_document(fixture("p2_E"))
+    doc["points"] = [label if p == "0" else p for p in doc["points"]]
+    doc["complexes"][label] = doc["complexes"].pop("0")
+    path = tmp_path / "relabeled.json"
+    path.write_text(json.dumps(doc))  # ASCII: json.dumps escapes the label
+    return str(path)
+
+
+def test_out_that_cannot_encode_a_label_is_parse_error(tmp_path, capsys):
+    """A lone surrogate, which ``json.loads`` accepts, cannot be written as UTF-8: exit 2."""
+    out = tmp_path / "eff.txt"
+    assert main(["eff", "--k", "1", "--out", str(out), relabeled_p2_E(tmp_path, "\ud800")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: cannot write {out}: 'utf-8' codec can't encode character '\\ud800'")
+
+
+# the exit-code matrix: how each kind of stdout and stderr is given to the program
+STDOUTS = {"writable": "", "full": ">/dev/full", "closed": ">&-", "ascii": ""}
+STDERRS = {"writable": "", "full": "2>/dev/full", "closed": "2>&-"}
+MESSAGES = {0: "", 1: "validation failure", 2: "parse error: ", 3: "internal error: "}
+
+
+@pytest.mark.parametrize("stderr", STDERRS)
+@pytest.mark.parametrize("stdout", STDOUTS)
+@pytest.mark.parametrize("outcome", [0, 1, 2, 3])
+def test_exit_code_matrix(tmp_path, outcome, stdout, stderr):
+    """Each outcome gives its documented exit code with any stdout and stderr, and no traceback.
+
+    The outcomes: ``eff`` on p2_E with its point ``0`` called ``é`` (0), ``chow`` on
+    an invalid divisor (1), ``validate`` on malformed JSON (2) and a planted fault
+    (3).  Output that stdout cannot take (full, closed, or ASCII-only for the label
+    ``é``) is an output failure, exit 2.  A full or closed stderr loses the message
+    and keeps the code.
+    """
+    redirects = f"{STDOUTS[stdout]} {STDERRS[stderr]}"
+    if "/dev/full" in redirects and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    inputs = program_inputs(tmp_path)
+    args = {
+        0: ["-m", "tchow.cli", "eff", "--k", "1", relabeled_p2_E(tmp_path, "é")],
+        1: ["-m", "tchow.cli", "chow", inputs["broken"]],
+        2: ["-m", "tchow.cli", "validate", inputs["malformed"]],
+        3: ["-c", INTERNAL_FAULT],
+    }[outcome]
+    env = CHILD_ENV | ({"PYTHONIOENCODING": "ascii"} if stdout == "ascii" else {})
+    argv = ["sh", "-c", f'exec "$0" "$@" {redirects}', sys.executable, *args]
+    proc = subprocess.run(argv, capture_output=True, env=env)
+    out, err = proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+    code = 2 if outcome == 0 and stdout != "writable" else outcome
+    assert proc.returncode == code, (proc.returncode, err)
+    assert "Traceback" not in out + err
+    if stderr == "writable":
+        assert err.startswith(MESSAGES[code]) and bool(err) == bool(code), err
+        if code != outcome:
+            assert err.startswith("parse error: cannot write stdout: ")
+    assert ("V[é; verts" in out) == (code == 0), out

@@ -936,3 +936,28 @@ def test_make_complex_of_a_fiber_is_the_fiber(name):
         cells, _ = junk_around(rng, list(s.maximal_cells), n)
         assert make_complex(cells, n) is s
         assert reference_make_complex(cells, n).maximal_cells == s.maximal_cells
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_complex_is_the_fan_of_its_cells(name):
+    """A complex's one field is the fan of its cells' homogenized cones, one rank up."""
+    for s in fixture(name).complexes:
+        n = s.ambient_rank
+        assert s.fan is make_fan((c.cone for c in s.maximal_cells), n + 1)
+        assert s.fan.ambient_rank == n + 1 and s._fields == ("fan",)
+        assert [from_homogenized(c) for c in s.fan.maximal_cones] == sorted(
+            s.maximal_cells, key=lambda c: c.cone.sort_key()
+        )
+
+
+def test_make_complex_revisit_builds_no_polyhedron(monkeypatch):
+    """A revisit looks the complex up by its fan: no cell is rebuilt from its cone."""
+    fibers = [(s, list(s.maximal_cells)) for name in FIXTURE_NAMES for s in fixture(name).complexes]
+    for s, cells in fibers:
+        assert make_complex(cells, s.ambient_rank) is s
+    calls = []
+    real = polyhedra.from_homogenized
+    monkeypatch.setattr(polyhedra, "from_homogenized", lambda c: calls.append(c) or real(c))
+    for s, cells in fibers:
+        assert make_complex(cells, s.ambient_rank) is s
+    assert calls == [] and sum(len(cells) for _, cells in fibers) > 20

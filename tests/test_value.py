@@ -94,8 +94,8 @@ CASES = [
     (polyhedron, ("cone",), polyhedron_hrep),
     (fan, ("ambient_rank", "maximal_cones"), lambda f: f.cofaces),
     (
-        lambda: PolyhedralComplex(2, (polyhedron(),)),
-        ("ambient_rank", "maximal_cells"),
+        lambda: PolyhedralComplex(Fan(3, (polyhedron().cone,))),
+        ("fan",),
         lambda s: s.tail_fan,
     ),
     (
