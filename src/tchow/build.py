@@ -36,7 +36,6 @@ from .polyhedra import (
     Polyhedron,
     _cone_on_rays,
     cone_as_polyhedron,
-    complex_tailfan,
     cut,
     from_homogenized,
     make_complex,
@@ -113,10 +112,10 @@ def downgrade(inp: DowngradeInput) -> MarkedFansyDivisor:
     lifts = set(fan.all_cones())
     marked = [
         tau
-        for tau in complex_tailfan(zero).all_cones()
+        for tau in zero.tail_fan.all_cones()
         if Cone(n + 1, tuple(g + (0,) for g in tau.generators)) not in lifts
     ]
-    result = make_divisor(n, [("0", zero), ("inf", inf)], marked)
+    result = make_divisor([("0", zero), ("inf", inf)], marked)
     report = validate(result)
     if not report.ok:
         raise GeometryError(f"downgrade produced an invalid divisor: {report}")
@@ -271,17 +270,16 @@ def bundle_rank2(b: KlyachkoBundle) -> MarkedFansyDivisor:
             cells[p] += [from_homogenized(cut(whole.cone, [row])) for row in (above, below)]
 
     complexes = [(p, make_complex(cells[p], n)) for p in labels]
-    tailfan = complex_tailfan(complexes[0][1])
     base_cones = set(b.base_fan.all_cones())
     marked = set()
-    for c in tailfan.all_cones():
+    for c in complexes[0][1].tail_fan.all_cones():
         if c.is_zero():
             continue
         if c not in base_cones:
             marked.add(c)
         elif any(b.filtration(g).line is not None for g in c.generators):
             marked.add(c)
-    result = make_divisor(n, complexes, marked)
+    result = make_divisor(complexes, marked)
     report = validate(result)
     if not report.ok:
         raise InconsistentFiltrationsError(
@@ -372,7 +370,7 @@ def gr24_divisor() -> MarkedFansyDivisor:
         (p, make_complex(_insert_edge(fan, a, b), 3)) for p, (a, b) in edges.items()
     ]
     marked = [c for c in fan.all_cones() if not c.is_zero()]
-    return make_divisor(3, complexes, marked)
+    return make_divisor(complexes, marked)
 
 
 def p1p1_bundle() -> KlyachkoBundle:

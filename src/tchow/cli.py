@@ -225,7 +225,7 @@ def parse_input(doc) -> MarkedFansyDivisor:
             )
         labeled.append((p, make_complex(cells, rank)))
     marked = [_cone(c, rank) for c in marked_doc]
-    return make_divisor(rank, labeled, marked)
+    return make_divisor(labeled, marked)
 
 
 def divisor_document(x: MarkedFansyDivisor) -> dict:

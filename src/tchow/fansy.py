@@ -1,10 +1,10 @@
 """Marked fansy divisors and their cycle-generator combinatorics.
 
 A marked fansy divisor is the combinatorial datum of a complete rational
-complexity-one torus variety: a complete fan (the tailfan of the general
-fiber), one complete polyhedral subdivision per special point of the base
-line, and a marked set of tailfan cones recording which invariant cycles the
-contraction morphism collapses.
+complexity-one torus variety: one complete polyhedral subdivision per
+special point of the base line, and a marked set of tailfan cones recording
+which invariant cycles the contraction morphism collapses.  The tailfan,
+the common fan of the fibers' tail cones, and the rank are the first fiber's.
 
 Everything the k-cycle presentations share is derived per value, once, on
 first use.  Each fiber's faces by dimension, by tail cone and by coface are
@@ -29,10 +29,8 @@ from .polyhedra import (
     Fan,
     PolyhedralComplex,
     Polyhedron,
-    complex_tailfan,
     complex_validate,
     cone_as_polyhedron,
-    fan_is_complete,
     fan_validate,
     make_complex,
     minkowski_sum,
@@ -48,20 +46,27 @@ class NonUniqueFaceError(ValueError):
 
 
 class MarkedFansyDivisor(Value):
-    """Tailfan, per-point subdivisions and marked cones; dim X = rank + 1.
+    """Per-point subdivisions and marked cones; dim X = rank + 1.
 
     ``points`` is ordered; the last label plays the role of the basepoint at
-    infinity in all relation blocks.  The report of :func:`validate` is
-    computed on first use and kept on the object, next to its fields but not
-    among them, so equality and hashing ignore it.  The fiber indexes live on
-    its complexes, and the tables of every k in value-keyed caches.
+    infinity in all relation blocks.  The rank and the tailfan are the first
+    fiber's.  The tailfan and the report of :func:`validate` are computed on
+    first use and kept on the object, outside its fields, so equality and
+    hashing ignore them.  The fiber indexes live on its complexes, and the
+    tables of every k in value-keyed caches.
     """
 
-    rank: int
     points: tuple[str, ...]
     complexes: tuple[PolyhedralComplex, ...]
-    tailfan: Fan
     marked: frozenset[Cone]
+
+    @property
+    def rank(self) -> int:
+        return self.complexes[0].ambient_rank
+
+    @lazy
+    def tailfan(self) -> Fan:
+        return self.complexes[0].tail_fan
 
     @property
     def dim_x(self) -> int:
@@ -138,26 +143,23 @@ def sigma_as_complex(fan: Fan) -> PolyhedralComplex:
 
 
 def make_divisor(
-    rank: int,
-    labeled_complexes: Sequence[tuple[str, PolyhedralComplex]],
-    marked: Iterable[Cone],
+    labeled_complexes: Sequence[tuple[str, PolyhedralComplex]], marked: Iterable[Cone]
 ) -> MarkedFansyDivisor:
     """Assemble a marked fansy divisor, padding to at least two points.
 
-    Fewer than two supplied points get generic fibers (the tailfan itself)
-    appended under the labels ``aux1``/``aux2`` not already in use; the final
-    point is the basepoint.  Returns the first divisor built with the same
-    value, if any.
+    Fewer than two supplied points get generic fibers (the first fiber's tail
+    fan itself) appended under the labels ``aux1``/``aux2`` not already in
+    use; the final point is the basepoint.  Checked only by :func:`validate`.
+    Returns the first divisor built with the same value, if any.
     """
     if not labeled_complexes:
         raise ValueError("at least one fiber subdivision is required")
-    tailfan = complex_tailfan(labeled_complexes[0][1])
     pairs = list(labeled_complexes)
     aux = [a for a in AUX_LABELS if all(a != p for p, _ in pairs)]
     while len(pairs) < 2:
-        pairs.append((aux.pop(0), sigma_as_complex(tailfan)))
+        pairs.append((aux.pop(0), sigma_as_complex(pairs[0][1].tail_fan)))
     points, complexes = tuple(p for p, _ in pairs), tuple(s for _, s in pairs)
-    return canonical(MarkedFansyDivisor(rank, points, complexes, tailfan, frozenset(marked)))
+    return canonical(MarkedFansyDivisor(points, complexes, frozenset(marked)))
 
 
 def unique_face_over(x: MarkedFansyDivisor, sigma: Cone, p: str) -> Polyhedron:
@@ -246,13 +248,13 @@ def enumerate_generators(x: MarkedFansyDivisor, k: int) -> GeneratorSets:
 
 
 def _poly_min(face: Polyhedron, u: Sequence):
-    """Exact minimum of ``<u, .>`` on a polyhedron (int or Fraction); None when unbounded below.
+    """Exact minimum of ``<u, .>`` on a polyhedron (int or Fraction).
 
-    The least ``u . w / h`` over the generators ``(w, h)``, ``h > 0``, compared over their lcm.
+    ``u`` must be nonnegative on the tail, as a sum of its facet normals is:
+    the minimum is then the least ``u . w / h`` over the generators ``(w, h)``,
+    ``h > 0``, compared over their lcm.
     """
     n = len(u)
-    if any(dot(u, g[:n]) < 0 for g in face.cone.generators if not g[n]):
-        return None
     m = lcm(*(g[n] for g in face.cone.generators if g[n]))
     return ratio(min(dot(u, g[:n]) * (m // g[n]) for g in face.cone.generators if g[n]), m)
 
@@ -307,12 +309,6 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
     if not x.points:  # no fiber, so no degree to check the marks against
         return out
 
-    tailfan_problems, tailfan_complete = fan_validate(x.tailfan), fan_is_complete(x.tailfan)
-    for problem in tailfan_problems:
-        add("BAD_TAILFAN", problem)
-    if not tailfan_complete:
-        add("INCOMPLETE_TAILFAN", "the tailfan does not cover the whole space")
-
     complexes_ok = True
     for p, s in zip(x.points, x.complexes):
         problems = complex_validate(s)
@@ -330,8 +326,9 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
         if tf != x.tailfan:
             add("TAILFAN_MISMATCH", f"fiber over {p} has a different tailfan")
             complexes_ok = False
-    # past this point the tailfan is a valid complete fan
-    if not complexes_ok or tailfan_problems or not tailfan_complete:
+    # past this point the tailfan is a valid complete fan: the tails of the
+    # first fiber, a complete complex, cover the whole space and form a fan
+    if not complexes_ok:
         return out
 
     fan_all = set(x.tailfan.all_cones())
@@ -379,14 +376,7 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
         cells = [unique_face_over(x, sigma, p) for p in x.points]
         semiample = True
         for u in sigma.normals:
-            mins = [_poly_min(cell, u) for cell in cells]
-            if any(m is None for m in mins):
-                add(
-                    "EVALUATION_UNBOUNDED",
-                    f"cell with tail {sigma.generators} sticks out of its dual constraint {u}",
-                )
-                semiample = False
-            elif sum(m for m in mins) < 0:
+            if sum(_poly_min(cell, u) for cell in cells) < 0:
                 add(
                     "NOT_SEMIAMPLE",
                     f"marked cone {sigma.generators}: evaluation against {u} "

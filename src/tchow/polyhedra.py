@@ -39,7 +39,7 @@ polyhedron is as its homogenized cone: built through the same scan and
 memo, with its cells read off that fan's maximal cones.  A fan indexes its
 cones by dimension; a complex lists the faces of all its cells
 (:func:`all_complex_faces`) and indexes them by dimension and by tail cone.
-A fan's coface map is read off ray inclusion, and a complex's off its fan's.
+Both read their coface maps off ray inclusion (:func:`_cofaces`).
 
 A fan is checked on its maximal cones and a complex on its cells'
 homogenized cones by one pair check and ridge count (:func:`_improper_pairs`,
@@ -75,10 +75,6 @@ from .value import Value, canonical, lazy
 
 class GeometryError(ValueError):
     """Raised for inputs outside the supported geometry (e.g. lineality)."""
-
-
-class NonFanTailsError(GeometryError):
-    """Tailcones of a complex fail to form a fan."""
 
 
 class IncompleteFanError(GeometryError):
@@ -599,28 +595,35 @@ class Fan(Value):
 
     @lazy
     def cofaces(self) -> dict[Cone, tuple[Cone, ...]]:
-        """Each cone mapped to the cones one dimension up that contain it, in ``by_dim`` order.
-
-        In a fan a cone lies in another exactly when its rays are among the
-        other's, so the map is read off ray inclusion, with no H-data.
-        """
-        up = {}
-        for d, cones in self.by_dim.items():
-            by_ray: dict = {}  # the cones one dimension up with their rays, under None and each ray
-            for g in self.cones(d + 1):
-                rays = frozenset(g.generators)
-                for r in (None, *rays):
-                    by_ray.setdefault(r, []).append((g, rays))
-            for f in cones:  # looked up under its first ray, the zero cone under None
-                above = by_ray.get(next(iter(f.generators), None), ())
-                up[f] = tuple(g for g, rays in above if rays.issuperset(f.generators))
-        return up
+        """Each cone mapped to the cones one dimension up that contain it, in ``by_dim`` order."""
+        return _cofaces(self.by_dim, lambda c: c.generators)
 
     def cones(self, d: int) -> tuple[Cone, ...]:
         return self.by_dim.get(d, ())
 
     def all_cones(self) -> tuple[Cone, ...]:
         return tuple(c for cs in self.by_dim.values() for c in cs)
+
+
+def _cofaces(by_dim: dict, rays_of) -> dict:
+    """Each member of ``by_dim`` mapped to the members one dimension up that contain it.
+
+    The members are the cones of a fan, or the faces of a complex's cells
+    with ``rays_of`` their homogenized cones' rays.  In a fan a cone lies in
+    another exactly when its rays are among the other's, so the map is read
+    off ray inclusion, with no H-data; each coface tuple keeps ``by_dim`` order.
+    """
+    up = {}
+    for d, members in by_dim.items():
+        by_ray: dict = {}  # the members one dimension up with their rays, under None and each ray
+        for g in by_dim.get(d + 1, ()):
+            rays = frozenset(rays_of(g))
+            for r in (None, *rays):
+                by_ray.setdefault(r, []).append((g, rays))
+        for f in members:  # looked up under its first ray, the zero cone under None
+            above = by_ray.get(next(iter(rays_of(f)), None), ())
+            up[f] = tuple(g for g, rays in above if rays.issuperset(rays_of(f)))
+    return up
 
 
 def make_fan(cones: Iterable[Cone], ambient_rank: int) -> Fan:
@@ -690,8 +693,8 @@ class PolyhedralComplex(Value):
 
     Each maximal cone ``c`` of ``fan`` is a maximal cell, ``from_homogenized(c)``.
     Like :class:`Fan`, it keeps what :func:`complex_validate` finds, its
-    maximal cells, the fan its cells' tail cones generate (``tail_fan``, not
-    validated; see :func:`complex_tailfan`), and its faces with their indexes
+    maximal cells, the fan its cells' tail cones generate (``tail_fan``,
+    which :func:`fan_validate` checks), and its faces with their indexes
     (``by_dim``, ``by_tail``, ``cofaces``), each computed on first use.
     """
 
@@ -731,11 +734,8 @@ class PolyhedralComplex(Value):
 
     @lazy
     def cofaces(self) -> dict[Polyhedron, tuple[Polyhedron, ...]]:
-        """Each face mapped to the cells of its homogenized cone's cofaces in ``fan``, sorted."""
-        faces = self._faces  # sorted: a face's cofaces in the order of their indexes are sorted
-        index = {f.cone: i for i, f in enumerate(faces)}
-        above = lambda f: sorted(index[c] for c in self.fan.cofaces[f.cone])
-        return {f: tuple(faces[i] for i in above(f)) for f in faces}
+        """Each face mapped to the faces one dimension up that contain it, sorted."""
+        return _cofaces(self.by_dim, lambda f: f.cone.generators)
 
 
 def _group(items: Iterable, key) -> dict:
@@ -800,15 +800,3 @@ def all_complex_faces(s: PolyhedralComplex) -> list[Polyhedron]:
     Listed once per complex object; every call returns a fresh list.
     """
     return list(s._faces)
-
-
-def complex_tailfan(s: PolyhedralComplex) -> Fan:
-    """Fan of tailcones of all cells; raises NonFanTails if it is not a fan.
-
-    Built once per complex object, so its own validity is checked once too.
-    """
-    fan = s.tail_fan
-    problems = fan_validate(fan)
-    if problems:
-        raise NonFanTailsError("; ".join(problems))
-    return fan

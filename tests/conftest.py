@@ -692,11 +692,7 @@ def face_pair_sides(small, big):
 def with_extra_generic_point(x: MarkedFansyDivisor, label: str) -> MarkedFansyDivisor:
     """The same variety presented with one more generic fiber marked special."""
     return MarkedFansyDivisor(
-        x.rank,
-        x.points + (label,),
-        x.complexes + (sigma_as_complex(x.tailfan),),
-        x.tailfan,
-        x.marked,
+        x.points + (label,), x.complexes + (sigma_as_complex(x.tailfan),), x.marked
     )
 
 
@@ -704,13 +700,7 @@ def with_point_order(x: MarkedFansyDivisor, order) -> MarkedFansyDivisor:
     """Reorder the special points (changing which one is the basepoint)."""
     if sorted(order) != sorted(x.points):
         raise ValueError("order must be a permutation of the points")
-    return MarkedFansyDivisor(
-        x.rank,
-        tuple(order),
-        tuple(x.complex_at(p) for p in order),
-        x.tailfan,
-        x.marked,
-    )
+    return MarkedFansyDivisor(tuple(order), tuple(x.complex_at(p) for p in order), x.marked)
 
 
 # ---------------------------------------------------------------------------
@@ -730,8 +720,6 @@ def fraction_minkowski_sum(a: Polyhedron, b: Polyhedron) -> Polyhedron:
 
 def fraction_poly_min(face: Polyhedron, u: Sequence):
     """Reference for ``fansy._poly_min``: ``u`` dotted with the Fraction vertices."""
-    if any(dot(u, r) < 0 for r in face.tail.generators):
-        return None
     return min(dot(u, v) for v in face.vertices)
 
 

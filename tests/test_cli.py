@@ -113,6 +113,17 @@ def test_validate_corrupted_document_exit_one():
     assert any("UPWARD" in v["code"] for v in report["violations"])
 
 
+def test_incomplete_first_fiber_is_reported_over_the_fiber():
+    # p2_E without the first cell of fiber 0: that fiber does not cover the
+    # plane, and the tailfan, its tail fan, is not the fiber over inf's
+    doc = divisor_document(fixture("p2_E"))
+    del doc["complexes"]["0"][0]
+    res = run_cli(["validate", "-", "--json"], stdin=json.dumps(doc))
+    assert res.returncode == 1
+    codes = [v["code"] for v in json.loads(res.stdout)["violations"]]
+    assert codes == ["BAD_COMPLEX", "BAD_COMPLEX", "TAILFAN_MISMATCH"]
+
+
 def test_parse_error_exit_two():
     res = run_cli(["chow", "-"], stdin="{not json")
     assert res.returncode == 2

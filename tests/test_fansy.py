@@ -27,6 +27,7 @@ from tchow.build import (
     fixture,
     p2_projectivized_fan,
 )
+from tchow.exactlin import dot
 from tchow.fansy import (
     MarkedFansyDivisor,
     NonUniqueFaceError,
@@ -41,7 +42,6 @@ from tchow.fansy import (
 )
 from tchow.polyhedra import (
     all_complex_faces,
-    complex_tailfan,
     make_complex,
     make_cone,
     make_fan,
@@ -70,9 +70,7 @@ def test_gr24_missing_maximal_mark_violates_closure(gr24):
     smaller = frozenset(
         c for c in gr24.marked if c.dim < 3 or c != max(gr24.marked, key=lambda c: c.sort_key())
     )
-    broken = MarkedFansyDivisor(
-        gr24.rank, gr24.points, gr24.complexes, gr24.tailfan, smaller
-    )
+    broken = MarkedFansyDivisor(gr24.points, gr24.complexes, smaller)
     report = validate(broken)
     assert any(v.code == "MARKS_NOT_UPWARD_CLOSED" for v in report.violations)
     assert_report_is_stable(broken, report)
@@ -90,7 +88,7 @@ def test_dangling_cell_breaks_completeness():
     )
     cells = list(sigma_as_complex(fan).maximal_cells)[:2]
     broken_complex = make_complex(cells, 2)
-    x = make_divisor(2, [("0", sigma_as_complex(fan)), ("1", broken_complex)], [])
+    x = make_divisor([("0", sigma_as_complex(fan)), ("1", broken_complex)], [])
     report = validate(x)
     assert any(v.code == "BAD_COMPLEX" for v in report.violations)
     assert_report_is_stable(x, report)
@@ -99,7 +97,7 @@ def test_dangling_cell_breaks_completeness():
 def assert_report_is_stable(x, report):
     """A second validate, and one of an equal fresh divisor, find the same violations."""
     assert validate(x).violations == report.violations
-    fresh = MarkedFansyDivisor(x.rank, x.points, x.complexes, x.tailfan, x.marked)
+    fresh = MarkedFansyDivisor(x.points, x.complexes, x.marked)
     assert fresh == x and fresh is not x
     assert validate(fresh).violations == report.violations
     with pytest.raises(AttributeError):
@@ -190,9 +188,7 @@ def test_unique_face_over_counts_the_faces():
     # p2_E has three faces over 0, and the ray (1, 1) is in no fiber at all
     x = fixture("p2_E")
     several, none = make_cone([(0, 1)], 2), make_cone([(1, 1)], 2)
-    y = MarkedFansyDivisor(
-        x.rank, x.points, x.complexes, x.tailfan, x.marked | {several, none}
-    )
+    y = MarkedFansyDivisor(x.points, x.complexes, x.marked | {several, none})
     with pytest.raises(NonUniqueFaceError, match="over 0, found 3"):
         unique_face_over(y, several, "0")
     with pytest.raises(NonUniqueFaceError, match="over 0, found 0"):
@@ -233,7 +229,6 @@ def test_s_sigma_half_vertices():
     q1 = make_cone([(1, 0), (0, 1)], 2)
     q4 = make_cone([(0, -1), (1, 0)], 2)
     x = make_divisor(
-        2,
         [("0", quad_complex(F(1, 2))), ("inf", quad_complex(F(-1, 2)))],
         [ray, q1, q4],
     )
@@ -261,9 +256,7 @@ def test_deg_xi_trivial_coefficients():
         2,
     )
     sigma = make_cone([(1, 0), (0, 1)], 2)
-    x = make_divisor(
-        2, [("0", sigma_as_complex(fan)), ("inf", sigma_as_complex(fan))], [sigma]
-    )
+    x = make_divisor([("0", sigma_as_complex(fan)), ("inf", sigma_as_complex(fan))], [sigma])
     degs = dict(deg_xi(x))
     assert degs[sigma].vertices == ((F(0), F(0)),)
     assert degs[sigma].tail == sigma
@@ -291,7 +284,7 @@ def test_marking_biconditional_rederived(gr24, p1p1):
 
 def test_aux_point_padding():
     fan = make_fan([make_cone([(1,)], 1), make_cone([(-1,)], 1)], 1)
-    x = make_divisor(1, [("0", sigma_as_complex(fan))], [])
+    x = make_divisor([("0", sigma_as_complex(fan))], [])
     assert x.points == ("0", "aux1")
     assert validate(x).ok
     y = with_extra_generic_point(x, "aux2")
@@ -299,7 +292,7 @@ def test_aux_point_padding():
     assert validate(y).ok
     # the padding takes the labels not already in use
     for label, other in (("aux1", "aux2"), ("aux2", "aux1")):
-        x = make_divisor(1, [(label, sigma_as_complex(fan))], [])
+        x = make_divisor([(label, sigma_as_complex(fan))], [])
         assert x.points == (label, other)
         assert validate(x).ok
 
@@ -358,45 +351,73 @@ def test_fiber_tail_fans_reuse_the_tailfan_check(monkeypatch):
     spy = lambda fan: calls.append(fan) or real(fan)
     monkeypatch.setattr(polyhedra, "_fan_problems", spy)
     fan = p2_fan()
-    x = make_divisor(2, [("0", sigma_as_complex(fan)), ("inf", sigma_as_complex(fan))], [])
+    x = make_divisor([("0", sigma_as_complex(fan)), ("inf", sigma_as_complex(fan))], [])
     assert validate(x).ok
     assert calls == [x.tailfan]  # both fibers' tail fans equal it
 
 
-@pytest.mark.parametrize("own, bad", [(True, True), (False, True), (False, False)])
-def test_shared_tail_fan_messages(monkeypatch, own, bad):
-    # two fibers share one tail fan: the divisor's own tailfan or another
-    # complete fan, reported as not being a fan or not
-    fibers = [sigma_as_complex(p2_fan() if own else p1p1_fan()) for _ in range(2)]
-    tailfan = fibers[0].tail_fan if own else p2_fan()
-    problem = "cones ((0, 1),) and ((1, 0),) do not meet in a common face"
+NON_FAN = "cones ((0, 1),) and ((1, 0),) do not meet in a common face"
+
+
+def report_non_fan(monkeypatch, fiber, calls=None):
+    """Have fan validation report the tail fan of ``fiber`` as not being a fan."""
     real = polyhedra._fan_problems
-    calls = []
 
     def problems(fan):
-        calls.append(fan)
-        return [problem] if bad and fan == fibers[0].tail_fan else real(fan)
+        if calls is not None:
+            calls.append(fan)
+        return [NON_FAN] if fan == fiber.tail_fan else real(fan)
 
     monkeypatch.setattr(polyhedra, "_fan_problems", problems)
-    x = MarkedFansyDivisor(2, ("0", "inf"), tuple(fibers), tailfan, frozenset())
+
+
+@pytest.mark.parametrize("own, bad", [(True, True), (False, True), (False, False)])
+def test_shared_tail_fan_messages(monkeypatch, own, bad):
+    # the first fiber's tail fan is the tailfan, reported as not being a fan
+    # or not; the second fiber's is that tailfan (own) or another complete fan
+    fibers = (sigma_as_complex(p2_fan()), sigma_as_complex(p2_fan() if own else p1p1_fan()))
+    calls = []
+    if bad:
+        report_non_fan(monkeypatch, fibers[0], calls)
+    x = MarkedFansyDivisor(("0", "inf"), fibers, frozenset())
+    assert x.tailfan is fibers[0].tail_fan
     found = [(v.code, v.message) for v in validate(x).violations]
-    if not bad:
-        message = "fiber over {} has a different tailfan"
-        expected = [("TAILFAN_MISMATCH", message.format(p)) for p in x.points]
-    else:
-        expected = [("NON_FAN_TAILS", f"fiber over {p}: {problem}") for p in x.points]
-        if own:
-            expected.insert(0, ("BAD_TAILFAN", problem))
-    assert found == expected
+    expected = [("NON_FAN_TAILS", f"fiber over 0: {NON_FAN}")] if bad else []
     if own:
-        assert calls == [tailfan]
+        expected.append(("NON_FAN_TAILS", f"fiber over inf: {NON_FAN}"))
+        assert calls == [x.tailfan]  # one check for the fan both fibers share
+    else:
+        expected.append(("TAILFAN_MISMATCH", "fiber over inf has a different tailfan"))
+    assert found == expected
+
+
+def test_divisor_is_its_fibers_and_marks():
+    # the rank and the tailfan are the first fiber's, not fields of their own
+    assert MarkedFansyDivisor._fields == ("points", "complexes", "marked")
+    x = fixture("p2_E")
+    with pytest.raises(TypeError):
+        MarkedFansyDivisor(3, x.points, x.complexes, x.tailfan, x.marked)
+    for y in seeded_divisors():
+        assert y.rank == y.complexes[0].ambient_rank
+        assert y.tailfan is y.complexes[0].tail_fan
+
+
+def test_non_fan_tails_of_a_sole_fiber_are_reported_by_validate(monkeypatch):
+    # make_divisor checks nothing: the padding fiber is the first fiber's
+    # tail fan as a complex, so both fibers' tails are reported
+    fiber = sigma_as_complex(p2_fan())
+    report_non_fan(monkeypatch, fiber)
+    x = make_divisor([("0", fiber)], [])
+    assert x.points == ("0", "aux1")
+    found = [(v.code, v.message) for v in validate(x).violations]
+    assert found == [("NON_FAN_TAILS", f"fiber over {p}: {NON_FAN}") for p in x.points]
 
 
 def test_divisor_without_points_reports_too_few_points():
-    # no fiber means no degree locus: the marks cannot be checked against one
+    # no fiber means no degree locus, nor a rank or a tailfan to read
     fan = p2_fan()
     marked = frozenset(c for c in fan.all_cones() if not c.is_zero())
-    x = MarkedFansyDivisor(2, (), (), fan, marked)
+    x = MarkedFansyDivisor((), (), marked)
     assert [v.code for v in validate(x).violations] == ["TOO_FEW_POINTS"]
 
 
@@ -421,7 +442,7 @@ def outcome(f, *args):
 def test_integer_generator_reads_match_fraction_references():
     """``mu_of_face``, ``s_sigma``, ``_poly_min`` and ``minkowski_sum`` read
     integer homogenized generators; each equals its ``Fraction`` reference."""
-    seen = dict.fromkeys(["mu > 1", "s > 1", "fractional min", "unbounded", "sum"], 0)
+    seen = dict.fromkeys(["mu > 1", "s > 1", "fractional min", "sum"], 0)
     for x in reference_divisors():
         normals = {u for c in x.tailfan.maximal_cones for u in c.normals}
         normals |= {tuple(-a for a in u) for u in normals}
@@ -432,10 +453,11 @@ def test_integer_generator_reads_match_fraction_references():
                 assert mu == fraction_mu_of_face(f), (p, f)
                 seen["mu > 1"] += mu > 1
                 for u in sorted(normals):
+                    if any(dot(u, r) < 0 for r in f.tail.generators):
+                        continue  # _poly_min needs u nonnegative on the tail
                     m = _poly_min(f, u)
                     assert m == fraction_poly_min(f, u), (f, u)
-                    seen["unbounded"] += m is None
-                    seen["fractional min"] += m is not None and m.denominator > 1
+                    seen["fractional min"] += m.denominator > 1
         for sigma in x.marked:
             s = s_sigma(x, sigma)
             assert s == fraction_s_sigma(x, sigma), sigma

@@ -70,7 +70,7 @@ def test_principal_shifts_keep_the_smith_data():
                 (r, translated(s, v) if r == p else translated(s, minus) if r == q else s)
                 for r, s in zip(x.points, x.complexes)
             ]
-            y = make_divisor(x.rank, fibers, x.marked)
+            y = make_divisor(fibers, x.marked)
             assert y != x and validate(y).ok, (name, p, q, v)
             assert smith_data(y) == base, (name, p, q, v)
             shifts += 1

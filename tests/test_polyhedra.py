@@ -34,8 +34,6 @@ from tchow.polyhedra import (
     Cone,
     all_complex_faces,
     GeometryError,
-    NonFanTailsError,
-    complex_tailfan,
     complex_validate,
     cone_as_polyhedron,
     cone_intersect,
@@ -268,7 +266,7 @@ def test_complex_faces_p1():
 
 def test_complex_tailfan_translation_invariance():
     cells = [P([(5,)], [(-1,)], 1), P([(5,)], [(1,)], 1)]
-    fan = complex_tailfan(make_complex(cells, 1))
+    fan = make_complex(cells, 1).tail_fan
     assert fan == make_fan([C((1,)), C((-1,))], 1)
 
 

@@ -86,14 +86,12 @@ def divisors():
     top = max(gr24.marked, key=lambda c: c.sort_key())
     ray = make_cone([(1, 0)], 2)
     return {
-        "overlapping_fiber": make_divisor(2, [("0", sigma_as_complex(p2)), ("1", COMPLEXES["p2_shifted"]())], []),
+        "overlapping_fiber": make_divisor([("0", sigma_as_complex(p2)), ("1", COMPLEXES["p2_shifted"]())], []),
         "overlapping_tailfan": MarkedFansyDivisor(
-            2, ("0", "inf"), (sigma_as_complex(quadrants),) * 2, quadrants, frozenset()
+            ("0", "inf"), (sigma_as_complex(quadrants),) * 2, frozenset()
         ),
-        "gr24_top_unmarked": MarkedFansyDivisor(
-            gr24.rank, gr24.points, gr24.complexes, gr24.tailfan, gr24.marked - {top}
-        ),
-        "ray_marked_alone": make_divisor(2, [("0", sigma_as_complex(p2))], [ray]),
+        "gr24_top_unmarked": MarkedFansyDivisor(gr24.points, gr24.complexes, gr24.marked - {top}),
+        "ray_marked_alone": make_divisor([("0", sigma_as_complex(p2))], [ray]),
     }
 
 
@@ -149,8 +147,6 @@ EXPECTED_VALIDATE = {
         ('BAD_COMPLEX', 'fiber over 1: cells ((0, 0),)+((-1, -1), (1, 0)) and ((1/2, -1/2),)+((0, 1), (1, 0)) do not meet in a common face'),
     ],
     'overlapping_tailfan': [
-        ('BAD_TAILFAN', 'cones ((-1, 0), (1, 1)) and ((0, 1), (1, 0)) do not meet in a common face'),
-        ('INCOMPLETE_TAILFAN', 'the tailfan does not cover the whole space'),
         ('BAD_COMPLEX', 'fiber over 0: cells ((0, 0),)+((-1, 0), (1, 1)) and ((0, 0),)+((0, 1), (1, 0)) do not meet in a common face'),
         ('BAD_COMPLEX', 'fiber over inf: cells ((0, 0),)+((-1, 0), (1, 1)) and ((0, 0),)+((0, 1), (1, 0)) do not meet in a common face'),
     ],

@@ -82,15 +82,15 @@ def translate(p: Polyhedron, t) -> Polyhedron:
 def mutations(x):
     """Each divisor with one mark dropped, one cone marked or fiber "0" moved."""
     for m in sorted(x.marked, key=Cone.sort_key):
-        yield MarkedFansyDivisor(x.rank, x.points, x.complexes, x.tailfan, x.marked - {m})
+        yield MarkedFansyDivisor(x.points, x.complexes, x.marked - {m})
     for c in x.tailfan.all_cones():
         if c not in x.marked:
-            yield MarkedFansyDivisor(x.rank, x.points, x.complexes, x.tailfan, x.marked | {c})
+            yield MarkedFansyDivisor(x.points, x.complexes, x.marked | {c})
     i = x.points.index("0")
     for t in ((1, 0), (0, -1), (-2, 1)):
         moved = make_complex([translate(c, t) for c in x.complexes[i].maximal_cells], x.rank)
         complexes = x.complexes[:i] + (moved,) + x.complexes[i + 1 :]
-        yield MarkedFansyDivisor(x.rank, x.points, complexes, x.tailfan, x.marked)
+        yield MarkedFansyDivisor(x.points, complexes, x.marked)
 
 
 def test_mutated_downgrades_match_reference():

@@ -84,6 +84,7 @@ def rebuilt(obj):
 
 
 def read_indexes_and_report(x):
+    x.tailfan
     for s in x.complexes:
         s.by_dim, s.by_tail, s.cofaces
     validate(x)
@@ -100,7 +101,7 @@ CASES = [
     ),
     (
         lambda: rebuilt(fixture("p2_E")),  # fixture() returns one object per value
-        ("rank", "points", "complexes", "tailfan", "marked"),
+        ("points", "complexes", "marked"),
         read_indexes_and_report,
     ),
     (generator, ("kind", "point", "face", "cone"), CycleGenerator.label),
