@@ -247,10 +247,7 @@ def bundle_rank2(b: KlyachkoBundle) -> MarkedFansyDivisor:
     """
     _check_base(b)
     n = b.base_fan.ambient_rank
-    labels = bundle_labels(b)
-    aux = [a for a in AUX_LABELS if a not in labels]
-    while len(labels) < 2:
-        labels.append(aux.pop(0))
+    labels = bundle_labels(b) or AUX_LABELS[:1]  # make_divisor pads to two points
     cells: dict[str, list[Polyhedron]] = {p: [] for p in labels}
 
     for c in b.base_fan.maximal_cones:

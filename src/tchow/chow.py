@@ -7,26 +7,21 @@ by tail and coface (kept on its complex) and the stabilizer orders and
 multiplicities (:func:`~tchow.fansy.s_sigma`,
 :func:`~tchow.fansy.mu_of_face`).  A cycle's lattice is ``Z^(n+1)`` modulo a
 homogenized cone, and the coefficient of a coface in the divisor of the
-``j``-th basis character is coordinate ``j`` of the coface's primitive image
-there (Fulton & Sturmfels, 1997).  A presentation is a table of a divisor
-and k, kept in a cache keyed by both: built once per divisor value and k,
-and shared by ``chow``, ``eff`` and ``crosscheck``.  An independent
-classical presentation for complete toric varieties (orbit closures modulo
-divisors of characters) serves as a cross-check through the downgrade
-construction; it is cached per fan value and k the same way.
+``j``-th basis character, row ``j`` of that cone's ``span_eqs``, is
+coordinate ``j`` of the coface's primitive image there (Fulton & Sturmfels,
+1997).  A presentation is a table of a divisor and k, kept in a cache keyed
+by both: built once per divisor value and k, and shared by ``chow``, ``eff``
+and ``crosscheck``.  An independent classical presentation for complete
+toric varieties (orbit closures modulo divisors of characters) serves as a
+cross-check through the downgrade construction; it is cached per fan value
+and k the same way.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactlin import (
-    IVec,
-    primitive_direction,
-    project,
-    quotient_matrix,
-    snf_transforms,
-)
+from .exactlin import IVec, mat_vec, primitive_direction, snf_transforms
 from .fansy import (
     CycleGenerator,
     MarkedFansyDivisor,
@@ -76,9 +71,12 @@ class ChowPresentation(Value):
         return (self.free_rank, self.torsion)
 
 
-def _cone_image_ray(proj, gens) -> IVec:
-    """Primitive generator of the image of a cone (given by ``gens``) that projects to a ray."""
-    images = {primitive_direction(im) for im in (project(proj, g) for g in gens) if any(im)}
+def _cone_image_ray(chars, gens) -> IVec:
+    """Primitive generator of the image of a cone (given by ``gens``) that projects to a ray.
+
+    The quotient's coordinates are the pairings with the basis characters ``chars``.
+    """
+    images = {primitive_direction(im) for im in (mat_vec(chars, g) for g in gens) if any(im)}
     if not images:
         raise AssertionError("cone projects to zero")
     if len(images) > 1:
@@ -114,15 +112,15 @@ def relation_block_v(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationB
 
     The cycle's lattice is ``Z^(n+1)`` modulo the span of the face's
     homogenized cone; one row per coordinate of that quotient, i.e. per basis
-    character of the face's (possibly finite-index) character lattice.  Each
+    character of the face's (possibly finite-index) character lattice, a
+    row of that cone's ``span_eqs``.  Each
     coefficient is a coordinate of a coface's primitive image: on the
     dimension-(n-k) fiber faces above the source, with faces whose tails are
     marked redirected onto the contracted generator with the
     stabilizer-to-multiplicity ratio as multiplier.
     """
-    n = x.rank
     p, face = source.point, source.face
-    proj = quotient_matrix(face.cone.generators, n + 1)
+    chars = face.cone.span_eqs
     # each coface as the generator it lands on, the multiplier and its image
     targets = []
     for g in x.complex_at(p).cofaces[face]:
@@ -136,8 +134,8 @@ def relation_block_v(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationB
                     f"stabilizer order {s} is not divisible by multiplicity {mu}"
                 )
             gen, factor = CycleGenerator("T", cone=g.tail), s // mu
-        targets.append((gen, factor, _cone_image_ray(proj, g.cone.generators)))
-    return RelationBlock(source, _image_rows(targets, range(len(proj[0]))))
+        targets.append((gen, factor, _cone_image_ray(chars, g.cone.generators)))
+    return RelationBlock(source, _image_rows(targets, range(len(chars))))
 
 
 def relation_block_r(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationBlock:
@@ -155,11 +153,11 @@ def relation_block_r(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationB
     """
     n = x.rank
     tau = source.cone
-    proj = quotient_matrix(_lift(tau), n + 1)
-    q = len(proj[0]) - 1
+    q = len(tau.span_eqs)
+    chars = [e + (0,) for e in tau.span_eqs] + [(0,) * n + (1,)]
     per_point = {
         p: [
-            (CycleGenerator("V", point=p, face=f), 1, _cone_image_ray(proj, f.cone.generators))
+            (CycleGenerator("V", point=p, face=f), 1, _cone_image_ray(chars, f.cone.generators))
             for f in x.complex_at(p).by_tail.get(tau, ())
             if f.dim == tau.dim
         ]
@@ -171,7 +169,7 @@ def relation_block_r(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationB
     for p in x.points[:-1]:
         rows.extend(_image_rows(per_point[p] + negated, [q]))
     horizontal = [
-        (CycleGenerator("R", cone=sigma), 1, _cone_image_ray(proj, _lift(sigma)))
+        (CycleGenerator("R", cone=sigma), 1, _cone_image_ray(chars, _lift(sigma)))
         for sigma in x.tailfan.cofaces[tau]
         if not x.is_marked(sigma)
     ]
@@ -196,17 +194,16 @@ def relation_block_t(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationB
     a cone ``c`` with ``span(c) = span(tau) + Q*(v, 1)``, so ``N / span(c)``
     is this lattice and these are its orbit-closure relations.)
     """
-    n = x.rank
     tau = source.cone
-    proj = quotient_matrix(unique_face_over(x, tau, x.points[0]).cone.generators, n + 1)
+    chars = unique_face_over(x, tau, x.points[0]).cone.span_eqs
     targets = []
     for sigma in x.tailfan.cofaces[tau]:
         if not x.is_marked(sigma):
             raise AssertionError(
                 "marks are not upward closed; validate the divisor first"
             )
-        targets.append((CycleGenerator("T", cone=sigma), 1, _cone_image_ray(proj, _lift(sigma))))
-    return RelationBlock(source, _image_rows(targets, range(len(proj[0]))))
+        targets.append((CycleGenerator("T", cone=sigma), 1, _cone_image_ray(chars, _lift(sigma))))
+    return RelationBlock(source, _image_rows(targets, range(len(chars))))
 
 
 def relation_blocks(x: MarkedFansyDivisor, k: int) -> list[RelationBlock]:
@@ -235,12 +232,8 @@ def _smith_presentation(k, generators, rows) -> ChowPresentation:
         matrix.append(tuple(v))
     # cokernel of the transpose: generators are the columns of the relations
     mt = [[matrix[r][i] for r in range(len(matrix))] for i in range(g)]
-    if matrix:
-        u, d = snf_transforms(mt)
-        diag = [d[i][i] for i in range(min(g, len(matrix)))]
-    else:
-        u = [[1 if i == j else 0 for j in range(g)] for i in range(g)]
-        diag = []
+    u, d = snf_transforms(mt)
+    diag = [d[i][i] for i in range(min(g, len(matrix)))]
     nonzero = [x for x in diag if x != 0]
     rank = len(nonzero)
     torsion = tuple(x for x in nonzero if x > 1)
@@ -296,10 +289,9 @@ def toric_chow_presentation(fan: Fan, k: int) -> ChowPresentation:
     gens = [CycleGenerator("R", cone=c) for c in fan.cones(n - k)]
     rows = []
     for tau in fan.cones(n - k - 1):
-        proj = quotient_matrix(tau.generators, n)
         above = [
-            (CycleGenerator("R", cone=sigma), 1, _cone_image_ray(proj, sigma.generators))
+            (CycleGenerator("R", cone=sigma), 1, _cone_image_ray(tau.span_eqs, sigma.generators))
             for sigma in fan.cofaces[tau]
         ]
-        rows.extend(_image_rows(above, range(len(proj[0]))))
+        rows.extend(_image_rows(above, range(len(tau.span_eqs))))
     return _smith_presentation(k, gens, rows)

@@ -4,18 +4,20 @@ All arithmetic is done with arbitrary-precision ints; nothing here ever
 rounds.  Every elimination is fraction-free: Hermite and Smith forms by
 integer row and column operations, determinants and inverses by Bareiss
 elimination.  The Smith form serves the Chow presentation alone and keeps
-only its row transform, which gives the class map.  ``fractions`` is
-imported only for a proper fraction: :func:`ratio` makes one, and
-:func:`primitive` reads it back.  A lattice is given by its canonical
-row-HNF basis, a tuple of integer vectors.  Matrices are lists of rows and
-vectors are tuples, so a value is hashable once frozen into a tuple.  A
-quotient by a span is one integer matrix, :func:`quotient_matrix`, whose
-columns are the basis characters: an image's coordinates are its pairings
-with them, so no character is ever solved for.  Inner loops run in
-builtins where faster: a pairing is ``sum(map(mul, u, v))``, a Smith column
-step is one ``zip`` comprehension per row, and a row operation skips the
-zeros of the row it subtracts.  The Smith form pivots on a ±1 where there
-is one, with no divisibility scan after it.
+only its row transform, which gives the class map; the Hermite form keeps
+none, and a kernel is read off the Hermite form of ``[rows^T | I]``.
+``fractions`` is imported only for a proper fraction: :func:`ratio` makes
+one, and :func:`primitive` reads it back.  A lattice is given by its
+canonical row-HNF basis, a tuple of integer vectors.  Matrices are lists of
+rows and vectors are tuples, so a value is hashable once frozen into a
+tuple.  The quotient of ``Z^n`` by a cone's span is read through the basis
+characters of one :func:`integer_kernel`, the cone's span equations: an
+image's coordinates are its pairings with them (:func:`mat_vec`), so no
+character is ever solved for.  Inner loops run in builtins where faster: a
+pairing is ``sum(map(mul, u, v))``, a Smith column step is one ``zip``
+comprehension per row, and a row operation skips the zeros of the row it
+subtracts.  The Smith form pivots on a ±1 where there is one, with no
+divisibility scan after it.
 """
 
 from __future__ import annotations
@@ -84,17 +86,15 @@ def _row_sub(m: list[list[int]], i: int, j: int, q: int) -> None:
                 mi[c] -= q * b
 
 
-def hnf(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Row Hermite normal form.
+def hnf(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Row Hermite normal form of ``m``, with the same row lattice.
 
-    Returns ``(h, u)`` with ``u`` unimodular and ``u @ m == h``.  ``h`` is in
-    row echelon form with positive pivots; entries above a pivot are reduced
-    into ``[0, pivot)``.
+    In row echelon form with positive pivots; entries above a pivot are
+    reduced into ``[0, pivot)``.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
     h = [list(map(int, row)) for row in m]
-    u = identity_matrix(nr)
     row = 0
     for col in range(nc):
         if row == nr:
@@ -106,13 +106,10 @@ def hnf(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
             piv = min(nz, key=lambda i: abs(h[i][col]))
             if piv != row:
                 h[row], h[piv] = h[piv], h[row]
-                u[row], u[piv] = u[piv], u[row]
             clean = True
             for i in range(row + 1, nr):
                 if h[i][col] != 0:
-                    q = h[i][col] // h[row][col]
-                    _row_sub(h, i, row, q)
-                    _row_sub(u, i, row, q)
+                    _row_sub(h, i, row, h[i][col] // h[row][col])
                     if h[i][col] != 0:
                         clean = False
             if clean:
@@ -120,21 +117,17 @@ def hnf(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
         if h[row][col] != 0:
             if h[row][col] < 0:
                 h[row] = [-x for x in h[row]]
-                u[row] = [-x for x in u[row]]
             for i in range(row):
-                q = h[i][col] // h[row][col]
-                _row_sub(h, i, row, q)
-                _row_sub(u, i, row, q)
+                _row_sub(h, i, row, h[i][col] // h[row][col])
             row += 1
-    return h, u
+    return h
 
 
 def hnf_basis(rows: Sequence[Sequence[int]]) -> tuple[IVec, ...]:
     """Canonical HNF basis of the integer row span (zero rows dropped)."""
     if not rows:
         return ()
-    h, _ = hnf(rows)
-    return tuple(tuple(r) for r in h if any(r))
+    return tuple(tuple(r) for r in hnf(rows) if any(r))
 
 
 def _first_unit(d: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -243,36 +236,15 @@ def primitive_direction(v: Sequence) -> IVec:
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[IVec, ...]:
     """HNF basis of ``{x in Z^ncols : <x, r> = 0 for every row r}``.
 
-    Each row has ``ncols`` entries.  The result is saturated.
+    Each row has ``ncols`` entries.  The result is saturated.  It is read off
+    one Hermite form of ``[rows^T | I]``: the rows whose left part is zero
+    hold a basis of the kernel on the right, already in Hermite form.
     """
-    if not rows:
-        return hnf_basis(identity_matrix(ncols))
-    h, u = hnf(list(zip(*rows)))
-    return hnf_basis([ui for ui, hi in zip(u, h) if not any(hi)])
-
-
-def perp_lattice(span_basis: Sequence[Sequence], ambient_rank: int) -> tuple[IVec, ...]:
-    """The saturated lattice ``{m in Z^n : <m, v> = 0 for all spanning v}``, as an HNF basis."""
-    int_rows = []
-    for v in span_basis:
-        w, _ = primitive(v)
-        if any(w):
-            int_rows.append(list(w))
-    return integer_kernel(int_rows, ambient_rank)
-
-
-def quotient_matrix(span_rows: Sequence[Sequence], ambient_rank: int) -> list[list[int]]:
-    """Integer matrix ``P`` (n x q) realizing the projection ``N -> N/span``.
-
-    Its columns are the HNF basis of :func:`perp_lattice` of ``span_rows``,
-    one lattice kernel.  That lattice is saturated, so ``x -> x @ P`` sends
-    ``Z^n`` onto ``Z^q`` with kernel exactly the rational span of
-    ``span_rows``; ``q = n - dim(span)``.
-    """
-    basis = perp_lattice(span_rows, ambient_rank)
-    return [[b[i] for b in basis] for i in range(ambient_rank)]
+    m = len(rows)
+    h = hnf([[r[i] for r in rows] + e for i, e in enumerate(identity_matrix(ncols))])
+    return tuple(tuple(hi[m:]) for hi in h if not any(hi[:m]))
 
 
 def project(p_matrix: Sequence[Sequence[int]], x: Sequence) -> tuple:
-    """Apply a quotient matrix: image of row vector ``x``."""
+    """The row vector ``x`` times the matrix ``p_matrix``."""
     return tuple(sum(map(mul, x, col)) for col in zip(*p_matrix))

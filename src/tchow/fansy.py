@@ -12,9 +12,13 @@ kept on its complex (``PolyhedralComplex.by_dim``, ``by_tail``,
 ``cofaces``), the tailfan's cones by dimension on the fan (``Fan.by_dim``),
 and :func:`s_sigma` and :func:`enumerate_generators`, tables with a second
 argument, in value-keyed caches, as :func:`tchow.chow.presentation` is.
+Multiplicities and stabilizer orders read their quotients off the
+``span_eqs`` of a tail cone or of ``sigma``, computed once per cone.
 :func:`make_divisor` returns one object per value
 (:func:`~tchow.value.canonical`), so an equal divisor built again through
-it shares its validation report and complexes.
+it shares its validation report and complexes.  The fiber it pads a sole
+fiber with is the first fiber's tail fan, so its faults are that fiber's:
+once an earlier fiber is faulty, validation skips it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache, reduce
 from math import gcd, lcm
 
-from .exactlin import dot, hnf_basis, project, quotient_matrix, ratio
+from .exactlin import dot, hnf_basis, mat_vec, ratio
 from .polyhedra import (
     Cone,
     Fan,
@@ -177,15 +181,16 @@ def unique_face_over(x: MarkedFansyDivisor, sigma: Cone, p: str) -> Polyhedron:
 def mu_of_face(face: Polyhedron) -> int:
     """Multiplicity of the image vertex of a fiber face.
 
-    The face is projected modulo the span of its tailcone; the result is the
-    lcm of the multiplicities of the image polytope's vertices.  A vertex
-    generator ``(w, h)`` has image ``y / h`` of multiplicity ``h / gcd(h, y)``.
+    The face is projected modulo the span of its tailcone, through the
+    tail's ``span_eqs``; the result is the lcm of the multiplicities of the
+    image polytope's vertices.  A vertex generator ``(w, h)`` has image
+    ``y / h`` of multiplicity ``h / gcd(h, y)``.
     """
     n = face.ambient_rank
-    q = quotient_matrix(face.tail.generators, n)
-    if not q or not q[0]:
+    chars = face.tail.span_eqs
+    if not chars:
         return 1
-    return lcm(*(g[n] // gcd(g[n], *project(q, g[:n])) for g in face.cone.generators if g[n]))
+    return lcm(*(g[n] // gcd(g[n], *mat_vec(chars, g[:n])) for g in face.cone.generators if g[n]))
 
 
 @lru_cache(maxsize=None)
@@ -193,21 +198,22 @@ def s_sigma(x: MarkedFansyDivisor, sigma: Cone) -> int:
     """Order of the vertex-class group of a marked cone.
 
     The images of the per-point unique-face vertices generate a finite
-    subgroup of ``N(sigma)_Q / N(sigma)``; this returns its order.  The
-    multiplicity of every tail-``sigma`` face divides it.  Any vertex
-    generator ``(w, h)`` of a face of ``sigma``'s dimension gives its image.
+    subgroup of ``N(sigma)_Q / N(sigma)``, read through ``sigma``'s
+    ``span_eqs``; this returns its order.  The multiplicity of every
+    tail-``sigma`` face divides it.  Any vertex generator ``(w, h)`` of a face
+    of ``sigma``'s dimension gives its image.
     """
     if not x.is_marked(sigma):
         raise ValueError("s_sigma is defined for marked cones only")
     n = x.rank
-    q = quotient_matrix(sigma.generators, n)
-    r = len(q[0]) if q else 0
+    chars = sigma.span_eqs
+    r = len(chars)
     if r == 0:
         return 1
     vbars = []
     for p in x.points:
         g = next(g for g in unique_face_over(x, sigma, p).cone.generators if g[n])
-        vbars.append((project(q, g[:n]), g[n]))
+        vbars.append((mat_vec(chars, g[:n]), g[n]))
     d = lcm(*(h for _, h in vbars))
     if d == 1:
         return 1
@@ -311,6 +317,8 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
 
     complexes_ok = True
     for p, s in zip(x.points, x.complexes):
+        if not complexes_ok and p in AUX_LABELS and s is sigma_as_complex(x.tailfan):
+            continue  # the padding fiber: its faults are the first fiber's
         problems = complex_validate(s)
         for problem in problems:
             add("BAD_COMPLEX", f"fiber over {p}: {problem}")

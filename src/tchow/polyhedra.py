@@ -4,27 +4,29 @@ A cone stores its V-representation only: its primitive extreme rays,
 sorted, which equality, hashing and ``repr`` use.  A polyhedron ``P`` is
 its homogenized cone alone, the cone over ``P x {1}`` plus ``tail x {0}``
 (``Polyhedron.cone``): its H-data, faces, meets, dimension, vertices and
-tail are read off that cone's integer generators.  A cone's
-H-representation (facet normals and span equations) is derived from its
+tail are read off that cone's integer generators.  A cone's facet normals
+and its span equations are two lazy attributes, each derived from its
 V-data when first read, once per object, and kept on it.  Conversion is one
 exact integer double description, :func:`_extreme_rays` (which starts from a
 simplicial cone and adds rows with :func:`_add_rows`): facets of a cone are
-the extreme rays of its dual.  A full-dimensional cone is converted as it
-is, with no lattice kernel.  A lower-dimensional one takes one, its span
-equations, and is converted in a basis of its own independent generators
-(:func:`_rays_in`): its facet normals are the primitive ones that lie in its
-span.  No constructor takes inequalities: a meet, a slice or a piece of a
-cone is a cone already held cut by more rows (:func:`cut`), from its own rays.
+the extreme rays of its dual.  It takes no lattice kernel: a full-dimensional
+cone is converted as it is, a lower-dimensional one in a basis of its own
+independent generators (:func:`_rays_in`), its facet normals being the
+primitive ones that lie in its span.  The span equations are one
+:func:`~tchow.exactlin.integer_kernel` of the generators, and every quotient
+of the pipeline by a cone's span reads them.  No constructor takes
+inequalities: a meet, a slice or a piece of a cone is a cone already held
+cut by more rows (:func:`cut`), from its own rays.
 
 :func:`make_cone` and :func:`make_polyhedron` canonicalize arbitrary input and
-keep the H-data they computed on the way: one double description finds the
-facets, and the extreme rays are the generators whose facet incidences no
-other generator's contain.  Everything whose extreme rays are already known
-is built from them directly, with no kernel: faces (from the ray-facet
-incidences of the cone, closed under intersection, in the spirit of Kaibel &
-Pfetsch 2002; a polyhedron's faces are its cone's faces that hold a vertex),
-cuts and meets (whose double description yields extreme rays), tails, and
-cones as polyhedra.
+keep the facet normals they computed on the way: one double description finds
+the facets, and the extreme rays are the generators whose facet incidences no
+other generator's contain.  Everything whose extreme rays are already known is
+built from them directly, with no kernel: faces (from the ray-facet incidences
+of the cone, closed under intersection, in the spirit of Kaibel & Pfetsch
+2002; a polyhedron's faces are its cone's faces that hold a vertex), cuts and
+meets (whose double description yields extreme rays), tails, and cones as
+polyhedra.
 
 Every cone is interned where it is made, by :func:`_cone_on_rays`, and every
 polyhedron by :func:`from_homogenized` (:func:`~tchow.value.canonical`); a
@@ -65,7 +67,7 @@ from .exactlin import (
     IVec,
     bareiss_inverse,
     dot,
-    perp_lattice,
+    integer_kernel,
     primitive_direction,
     project,
     ratio,
@@ -191,19 +193,18 @@ def _rays_in(basis: Sequence[IVec], rows: Sequence[IVec]) -> list[IVec]:
 
 
 def _span_facets(gens: Sequence[IVec], n: int):
-    """Span equations, dimension and facet normals of the cone on ``gens``.
+    """Dimension and facet normals of the cone on ``gens``.
 
     ``gens`` are nonzero integer vectors.  When ``n`` of them are independent
-    the span is Q^n: there are no equations, and the facets come from the
-    generators as they are, with no lattice kernel.  Otherwise one kernel
-    gives the span equations (its HNF basis), and the facets are read in a
-    basis of independent generators: each normal is the primitive one that
-    lies in the span.  The normals are returned sorted.
+    the facets come from the generators as they are.  Otherwise they are
+    read in a basis of independent generators: each normal is the primitive
+    one that lies in the span.  No lattice kernel is taken.  The normals are
+    returned sorted.
     """
     basis = [gens[i] for i in _independent_rows(gens, n)]
     if len(basis) == n:
-        return (), n, tuple(_extreme_rays(gens, n))
-    return perp_lattice(gens, n), len(basis), tuple(sorted(_rays_in(basis, gens)))
+        return n, tuple(_extreme_rays(gens, n))
+    return len(basis), tuple(sorted(_rays_in(basis, gens)))
 
 
 def _tight(normals: Sequence[IVec], y: Sequence) -> int:
@@ -261,17 +262,20 @@ class Cone(Value):
     generators: tuple[IVec, ...]
 
     @lazy
-    def _h_data(self) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
-        eqs, _, normals = _span_facets(self.generators, self.ambient_rank)
-        return normals, eqs
-
-    @lazy
     def normals(self) -> tuple[IVec, ...]:
-        return self._h_data[0]
+        return _span_facets(self.generators, self.ambient_rank)[1]
 
     @lazy
     def span_eqs(self) -> tuple[IVec, ...]:
-        return self._h_data[1]
+        """The basis characters of the quotient by the span: one row each.
+
+        A vector's image in ``Z^n / span`` has the coordinates
+        ``mat_vec(span_eqs, v)``, and that map is onto, the lattice being
+        saturated.
+        """
+        if self.dim == self.ambient_rank:
+            return ()
+        return integer_kernel(self.generators, self.ambient_rank)
 
     @lazy
     def dim(self) -> int:
@@ -335,7 +339,7 @@ def make_cone(generators: Iterable[Sequence], ambient_rank: int) -> Cone:
 
 @lru_cache(maxsize=None)
 def _make_cone(gens: tuple[IVec, ...], ambient_rank: int) -> Cone:
-    eqs, r, normals = _span_facets(gens, ambient_rank)
+    r, normals = _span_facets(gens, ambient_rank)
     if len(_independent_rows(normals, r)) < r:
         raise GeometryError("cone is not pointed")
     masks = [_tight(normals, g) for g in gens]
@@ -344,7 +348,7 @@ def _make_cone(gens: tuple[IVec, ...], ambient_rank: int) -> Cone:
         for i, (g, m) in enumerate(zip(gens, masks))
         if not any(o & m == m for j, o in enumerate(masks) if j != i)
     )
-    return _keep(_cone_on_rays(rays, ambient_rank), normals=normals, span_eqs=eqs, dim=r)
+    return _keep(_cone_on_rays(rays, ambient_rank), normals=normals, dim=r)
 
 
 def cut(c: Cone, rows: Sequence[IVec]) -> Cone:
@@ -354,7 +358,7 @@ def cut(c: Cone, rows: Sequence[IVec]) -> Cone:
     a lower-dimensional one is cut in a basis of its generators (:func:`_rays_in`).
     """
     n = c.ambient_rank
-    if c.span_eqs:
+    if c.dim < n:
         basis = [c.generators[i] for i in _independent_rows(c.generators, n)]
         return _cone_on_rays(_rays_in(basis, c.normals + tuple(rows)), n)
     seed = [(g, _tight(c.normals, g)) for g in c.generators]
@@ -369,7 +373,7 @@ def cone_intersect(a: Cone, b: Cone) -> Cone:
     """
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient rank mismatch")
-    if a.span_eqs and not b.span_eqs:
+    if a.dim < a.ambient_rank == b.dim:
         a, b = b, a
     return cut(a, b.normals + b.span_eqs + tuple(tuple(-x for x in e) for e in b.span_eqs))
 

@@ -23,7 +23,6 @@ from tchow.build import (
     bundle_labels,
 )
 from tchow.build import _p1p1_fan as p1p1_fan, _p2_fan as p2_fan  # noqa: F401  (for the tests)
-from tchow.chow import _cone_image_ray
 from tchow.exactlin import (
     bareiss_inverse,
     det,
@@ -33,8 +32,6 @@ from tchow.exactlin import (
     integer_kernel,
     primitive,
     primitive_direction,
-    project,
-    quotient_matrix,
 )
 from tchow import fansy
 from tchow.fansy import MarkedFansyDivisor, mu_of_face, sigma_as_complex, unique_face_over
@@ -114,7 +111,7 @@ def reference_project(p_matrix: Sequence[Sequence[int]], x: Sequence) -> tuple:
 
 
 def reference_hnf(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Row Hermite normal form ``(h, u)``, ``u @ m == h``, as ``exactlin.hnf`` returns it."""
+    """Row Hermite normal form ``(h, u)``, ``u @ m == h``; ``exactlin.hnf`` returns ``h`` alone."""
     nr = len(m)
     nc = len(m[0]) if nr else 0
     h = [list(map(int, row)) for row in m]
@@ -167,6 +164,31 @@ def reference_integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple
     h, u = reference_hnf(at)
     kernel = [u[i] for i in range(ncols) if all(x == 0 for x in h[i])]
     return reference_hnf_basis(kernel)
+
+
+def reference_perp_lattice(span: Sequence[Sequence], n: int) -> tuple:
+    """HNF basis of the saturated lattice of characters that vanish on rational vectors ``span``.
+
+    The test-side reference for ``Cone.span_eqs``, with which it shares no code.
+    """
+    rows = [w for w in (fraction_primitive(v)[0] for v in span) if any(w)]
+    return reference_integer_kernel(rows, n)
+
+
+def reference_quotient_matrix(span: Sequence[Sequence], n: int) -> list[list[int]]:
+    """Test-side ``Z^n -> Z^n / span``: an n x q matrix whose columns are the perp lattice's basis.
+
+    The image of ``x`` is ``reference_project(P, x)``, its pairings with them.
+    """
+    basis = reference_perp_lattice(span, n)
+    return [[b[i] for b in basis] for i in range(n)]
+
+
+def reference_image_ray(proj, gens) -> tuple:
+    """Primitive generator of the one ray that a cone on ``gens`` projects to under ``proj``."""
+    images = {primitive_direction(im) for im in (reference_project(proj, g) for g in gens) if any(im)}
+    assert len(images) == 1, images
+    return images.pop()
 
 
 def reference_snf_transforms(
@@ -647,7 +669,7 @@ def _quotient_lattice_inverse(proj, vertex) -> tuple[int, list[list[int]]]:
     integer HNF basis ``M`` of ``mu*Z^q + Z*w``; one fraction-free inverse of
     ``M`` serves every face step of a relation block.
     """
-    w, mu = primitive(project(proj, vertex))
+    w, mu = primitive(reference_project(proj, vertex))
     q = len(w)
     rows = [[mu if i == j else 0 for j in range(q)] for i in range(q)] + [list(w)]
     s, adj = bareiss_inverse(hnf_basis(rows))
@@ -662,7 +684,7 @@ def _step_image(proj, lattice_inverse, big_face: Polyhedron, base):
     of ``big_face``.
     """
     for d in _face_directions(big_face, base):
-        image = project(proj, d)
+        image = reference_project(proj, d)
         if any(image):
             return minimal_lattice_multiple(image, lattice_inverse)
     raise AssertionError("face does not step out of the projected span")
@@ -678,12 +700,12 @@ def face_pair_sides(small, big):
     """
     base = small.vertices[0]
     span = _face_directions(small, base)
-    proj = quotient_matrix(span, small.ambient_rank)
+    proj = reference_quotient_matrix(span, small.ambient_rank)
     lattice = _quotient_lattice_inverse(proj, base)
     step = _step_image(proj, lattice, big, base)
     mu_small = mu_of_face(small)
     lhs = tuple(mu_small * c for c in vec(step))
-    sigma_image = _cone_image_ray(proj, big.tail.generators)
+    sigma_image = reference_image_ray(proj, big.tail.generators)
     mu_big = mu_of_face(big)
     rhs = tuple(Fraction(mu_big * c) for c in sigma_image)
     return lhs, rhs
@@ -725,10 +747,10 @@ def fraction_poly_min(face: Polyhedron, u: Sequence):
 
 def fraction_mu_of_face(face: Polyhedron) -> int:
     """Reference for ``fansy.mu_of_face``: the Fraction vertices' images, made primitive."""
-    q = quotient_matrix(face.tail.generators, face.ambient_rank)
+    q = reference_quotient_matrix(face.tail.generators, face.ambient_rank)
     if not q or not q[0]:
         return 1
-    images = {project(q, v) for v in face.vertices}
+    images = {reference_project(q, v) for v in face.vertices}
     return lcm(*(primitive(im)[1] for im in images))
 
 
@@ -736,14 +758,14 @@ def fraction_s_sigma(x: MarkedFansyDivisor, sigma: Cone) -> int:
     """Reference for ``fansy.s_sigma``: denominators of the first Fraction vertex's image."""
     if not x.is_marked(sigma):
         raise ValueError("s_sigma is defined for marked cones only")
-    q = quotient_matrix(sigma.generators, x.rank)
+    q = reference_quotient_matrix(sigma.generators, x.rank)
     r = len(q[0]) if q else 0
     if r == 0:
         return 1
     vbars = []
     for p in x.points:
         face = unique_face_over(x, sigma, p)
-        vbars.append(vec(project(q, face.vertices[0])))
+        vbars.append(vec(reference_project(q, face.vertices[0])))
     d = lcm(*(f.denominator for vb in vbars for f in vb)) if vbars else 1
     if d == 1:
         return 1

@@ -373,3 +373,26 @@ def test_p2_E_single_special_fiber():
 
     assert x.complex_at("inf") == sigma_as_complex(x.tailfan)
     assert x.complex_at("0") != sigma_as_complex(x.tailfan)
+
+
+def test_bundles_with_fewer_than_two_lines_are_padded_by_make_divisor():
+    """With no line or one, ``bundle_rank2`` leaves the second point to ``make_divisor``.
+
+    On P1xP1 and P2, the divisor of the first fiber alone, padded there, is
+    the very object ``bundle_rank2`` returns.
+    """
+    from tchow.fansy import make_divisor
+
+    seen = Counter()
+    for base in (p1p1_fan(), p2_fan()):
+        rays = sorted(r.generators[0] for r in base.cones(1))
+        for lines in ({}, {rays[0]: "0"}, {rays[0]: "L", rays[1]: "L"}, {rays[1]: "aux1"}):
+            filtrations = tuple(
+                (r, RayFiltration(0, lines[r], 2) if r in lines else RayFiltration(1)) for r in rays
+            )
+            x = bundle_rank2(KlyachkoBundle(base, filtrations))
+            labels = sorted(set(lines.values()))
+            assert x.points == tuple(labels + [a for a in ("aux1", "aux2") if a not in labels])[:2]
+            assert make_divisor([(x.points[0], x.complexes[0])], x.marked) is x
+            seen[len(labels), x.complexes[0] is x.complexes[1]] += 1
+    assert seen == {(0, True): 2, (1, False): 6}

@@ -82,10 +82,42 @@ def test_every_smith_form_is_certified(monkeypatch):
     divisors = [fixture(name) for name in FIXTURE_NAMES] + [downgrade(DowngradeInput(f)) for f in fans]
     press = [presentation(x, k) for x in divisors for k in range(x.rank + 2)]
     press += [toric_chow_presentation(f, k) for f in fans for k in range(f.ambient_rank + 1)]
-    assert len(taken) == sum(1 for p in press if p.relations) > len(press) / 2
+    # one Smith form per presentation, a matrix with no relation columns among them
+    assert len(taken) == len(press) and sum(1 for p in press if p.relations) > len(press) / 2
     for m, u, d in taken:
         assert_smith_certificate(m, u, d)
         assert (u, d) == reference_snf_transforms(m)[:2]
+
+
+def test_each_span_kernel_is_taken_once(monkeypatch):
+    """Every quotient reads a cone's ``span_eqs``, one kernel per cone value.
+
+    Cold presentations at every k and the oracle, on the fixtures and seeded
+    rank-3 downgrades, never take the same kernel twice; revisiting them, or
+    rebuilding every presentation from the same cones, takes none.
+    """
+    from tchow import exactlin, fansy
+
+    calls = []
+    real = exactlin.integer_kernel
+    spy = lambda rows, n: calls.append((tuple(map(tuple, rows)), n)) or real(rows, n)
+    for module in (exactlin, polyhedra, fansy, chow):  # wherever the name is bound
+        if hasattr(module, "integer_kernel"):
+            monkeypatch.setattr(module, "integer_kernel", spy)
+    fans = [random_complete_fan(random.Random(500 + s), 3, 5) for s in range(4)]
+
+    def everything():
+        divisors = [fixture(name) for name in FIXTURE_NAMES] + [downgrade(DowngradeInput(f)) for f in fans]
+        press = [presentation(x, k) for x in divisors for k in range(x.rank + 2)]
+        return press + [toric_chow_presentation(f, k) for f in fans for k in range(4)]
+
+    cold = everything()
+    assert len(calls) == len(set(calls)) > 100
+    calls.clear()
+    assert everything() == cold and calls == []
+    for table in (presentation, toric_chow_presentation, fansy.s_sigma, fansy.enumerate_generators):
+        table.cache_clear()
+    assert everything() == cold and calls == []
 
 
 def test_oracle_p2():

@@ -14,6 +14,7 @@ from conftest import (
     reference_hnf,
     reference_integer_kernel,
     reference_project,
+    reference_quotient_matrix,
     reference_snf_transforms,
     solve_left,
     vec,
@@ -27,14 +28,11 @@ from tchow.exactlin import (
     hnf_basis,
     identity_matrix,
     integer_kernel,
-    perp_lattice,
     primitive,
     primitive_direction,
     project,
-    quotient_matrix,
     snf_transforms,
 )
-from tchow import exactlin
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda rows: st.integers(1, 4).flatmap(
@@ -48,26 +46,21 @@ small_matrices = st.integers(1, 4).flatmap(
 
 
 def test_hnf_example():
-    h, u = hnf([[2, 4], [6, 8]])
-    assert h == [[2, 0], [0, 4]]
-    assert mat_mul(u, [[2, 4], [6, 8]]) == h
-    assert abs(det(u)) == 1
+    assert hnf([[2, 4], [6, 8]]) == [[2, 0], [0, 4]]
 
 
 def test_hnf_identity_and_zero():
-    h, u = hnf([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert h == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert u == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    h, u = hnf([[0, 0], [0, 0]])
-    assert h == [[0, 0], [0, 0]]
-    assert u == [[1, 0], [0, 1]]
+    assert hnf([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert hnf([[0, 0], [0, 0]]) == [[0, 0], [0, 0]]
 
 
 @settings(max_examples=150)
 @given(small_matrices)
 def test_hnf_transform_property(m):
-    h, u = hnf(m)
-    assert mat_mul(u, m) == h
+    """``hnf`` keeps no transform; the reference's unimodular one takes ``m`` to it."""
+    h = hnf(m)
+    ref_h, u = reference_hnf(m)
+    assert h == ref_h and mat_mul(u, m) == h
     assert abs(det(u)) == 1
     # echelon shape: pivot columns strictly increase
     pivots = [next((j for j, x in enumerate(row) if x != 0), None) for row in h]
@@ -157,7 +150,7 @@ def test_kernels_match_reference():
     for _ in range(400):
         nr, nc = rng.randint(0, 7), rng.randint(1, 7)
         m = [[rng.choice((-4, -1, 0, 0, 1, 2, 5)) for _ in range(nc)] for _ in range(nr)]
-        assert hnf(m) == reference_hnf(m)
+        assert hnf(m) == reference_hnf(m)[0]
         assert integer_kernel(m, nc) == reference_integer_kernel(m, nc)
         x = [rng.randint(-5, 5) for _ in range(nr)]
         assert project(m, x) == reference_project(m, x)
@@ -202,10 +195,11 @@ def full_lattice(n):
 
 
 def test_perp_lattice():
-    assert perp_lattice([vec([1, 1, 0])], 3) == ((1, -1, 0), (0, 0, 1))
-    assert perp_lattice([vec([Fraction(1, 2), 0, Fraction(1, 3)])], 3) == ((2, 0, -3), (0, 1, 0))
-    assert perp_lattice([], 3) == full_lattice(3)
-    assert perp_lattice([vec([1, 0]), vec([0, 1])], 2) == ()
+    """The characters vanishing on integer vectors: one kernel, saturated, in HNF."""
+    assert integer_kernel([(1, 1, 0)], 3) == ((1, -1, 0), (0, 0, 1))
+    assert integer_kernel([(3, 0, 2)], 3) == ((2, 0, -3), (0, 1, 0))
+    assert integer_kernel([], 3) == full_lattice(3)
+    assert integer_kernel([(1, 0), (0, 1)], 2) == ()
 
 
 def test_lattice_index():
@@ -244,7 +238,7 @@ def face_character_lattice(span, vertex, n):
     """Characters integral on ``vertex + span``: the first n coordinates of the
     quotient columns of the homogenized point plus span."""
     gens = [tuple(v) + (0,) for v in span] + [tuple(vertex) + (1,)]
-    return tuple(col[:n] for col in zip(*quotient_matrix(gens, n + 1)))
+    return tuple(col[:n] for col in zip(*reference_quotient_matrix(gens, n + 1)))
 
 
 def test_face_character_lattice():
@@ -255,7 +249,7 @@ def test_face_character_lattice():
         [vec([0, 0, 1])], vec([Fraction(1, 2), 0, 0]), 3
     )
     assert lat == ((2, 0, 0), (0, 1, 0))
-    m0 = perp_lattice([vec([0, 0, 1])], 3)
+    m0 = integer_kernel([(0, 0, 1)], 3)
     assert lattice_index(lat, m0) == 2
 
 
@@ -332,51 +326,6 @@ def test_bareiss_inverse_matches_fraction_reference():
         swaps += m[0][0] == 0
         big += abs(s) > 1
     assert swaps > 20 and big > 100 and singular > 20
-
-
-def test_quotient_matrix_and_pairing():
-    p = quotient_matrix([vec([1, 1, 0])], 3)
-    assert project(p, (1, 1, 0)) == (0, 0)
-    assert project(p, (2, 2, 0)) == (0, 0)
-    # the projection hits all of Z^2
-    img = hnf_basis([list(project(p, e)) for e in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
-    assert img == full_lattice(2)
-    # the image coordinates are the pairings with the perp lattice's basis
-    chars = perp_lattice([vec([1, 1, 0])], 3)
-    assert (1, -1, 0) in chars  # kills (1,1,0)
-    assert project(p, (1, 0, 0)) == tuple(dot_check(m, (1, 0, 0)) for m in chars)
-    rng = random.Random(5)
-    for _ in range(150):
-        n = rng.randint(1, 5)
-        span = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))]
-        span = [vec(Fraction(x, rng.randint(1, 3)) for x in row) for row in span]
-        p = quotient_matrix(span, n)
-        q = len(p[0])
-        dim = len(hnf_basis([primitive(v)[0] for v in span])) if span else 0
-        assert len(p) == n and q == n - dim
-        assert all(project(p, v) == (0,) * q for v in span)
-        if q:  # onto Z^q: every Smith invariant of P is 1
-            _, d = snf_transforms(p)
-            assert [d[i][i] for i in range(q)] == [1] * q
-        x = [rng.randint(-4, 4) for _ in range(n)]
-        assert project(p, x) == tuple(dot_check(m, x) for m in perp_lattice(span, n))
-
-
-def test_quotient_matrix_takes_one_kernel(monkeypatch):
-    calls = []
-    for name in ("integer_kernel", "snf_transforms"):
-        real = getattr(exactlin, name)
-        monkeypatch.setattr(
-            exactlin, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
-        )
-    for span, n in (([vec([1, 1, 0])], 3), ([], 2), ([vec([1, 2]), vec([0, 1])], 2)):
-        calls.clear()
-        quotient_matrix(span, n)
-        assert calls == ["integer_kernel"]
-
-
-def dot_check(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 def rational_lattice_inverse(rows):

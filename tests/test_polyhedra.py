@@ -16,7 +16,10 @@ from conftest import (
     polyhedron_hrep,
     reference_h_to_generators,
     reference_make_complex,
+    reference_perp_lattice,
     reference_polyhedron_from_hrep,
+    reference_project,
+    reference_quotient_matrix,
     reference_snf_transforms,
     reference_vertices,
 )
@@ -26,7 +29,7 @@ from tchow.build import FIXTURE_NAMES, fixture
 from tchow.exactlin import (
     dot,
     integer_kernel,
-    perp_lattice,
+    mat_vec,
     primitive,
     primitive_direction,
 )
@@ -474,7 +477,7 @@ def fraction_direction(v):
 
 def saturation(rows, n):
     """Saturated lattice ``span_Q(rows) ∩ Z^n`` via a double perp."""
-    return perp_lattice(perp_lattice(rows, n), n)
+    return reference_perp_lattice(reference_perp_lattice(rows, n), n)
 
 
 def span_lattice(gens, n):
@@ -490,7 +493,7 @@ def reference_h_data(gens, n):
     sat, q = span_lattice(gens, n)
     coords = [tuple(dot(g, col) for col in zip(*q)) for g in gens]
     normals = [tuple(dot(w, row) for row in q) for w in _extreme_rays(coords, len(sat))]
-    return sorted(normals), list(perp_lattice([list(g) for g in gens], n))
+    return sorted(normals), list(reference_perp_lattice(gens, n))
 
 
 def reference_cone_h(gens, n):
@@ -607,7 +610,7 @@ def brute_cone(gens, n):
     facets = brute_facets([tuple(dot(g, col) for col in zip(*q)) for g in prims], r)
     rays = [tuple(dot(y, col) for col in zip(*sat)) for y in brute_rays(facets, r)]
     normals = [tuple(dot(w, row) for row in q) for w in facets]
-    return tuple(sorted(rays)), tuple(sorted(normals)), perp_lattice(prims, n)
+    return tuple(sorted(rays)), tuple(sorted(normals)), reference_perp_lattice(prims, n)
 
 
 def cone_or_error(gens, n):
@@ -701,21 +704,26 @@ def test_cut_matches_reference():
 
 
 def test_one_span_kernel_per_construction(monkeypatch):
+    """Construction takes no lattice kernel; a cone's ``span_eqs`` take one, on their first read."""
     calls = []
-    for name in ("perp_lattice", "_extreme_rays"):
+    for name in ("integer_kernel", "_extreme_rays"):
         real = getattr(polyhedra, name)
         spy = lambda rows, n, name=name, real=real: calls.append((name, n)) or real(rows, n)
         monkeypatch.setattr(polyhedra, name, spy)
-    make_cone([(1, 0, 0), (1, 2, 0)], 3)
-    # a lower-dimensional span: its equations, then facets in a basis of 2 generators
-    assert calls == [("perp_lattice", 3), ("_extreme_rays", 2)]
+    c = make_cone([(1, 0, 0), (1, 2, 0)], 3)
+    # a lower-dimensional span: facets in a basis of 2 generators, no equations yet
+    assert calls == [("_extreme_rays", 2)]
+    calls.clear()
+    assert c.span_eqs == c.span_eqs == ((0, 0, 1),) and calls == [("integer_kernel", 3)]
     calls.clear()
     make_cone([(1, 0, 0), (1, 2, 0), (0, 0, 1), (1, 1, 0)], 3)
     assert calls == [("_extreme_rays", 3)]  # a full-dimensional span: no kernel
     calls.clear()
-    make_polyhedron([(F(1, 2), 0, 0), (0, 1, 0), (0, 0, 1)], [], 3)
+    p = make_polyhedron([(F(1, 2), 0, 0), (0, 1, 0), (0, 0, 1)], [], 3)
     # a polytope's tail is the zero cone, built without a kernel
-    assert calls == [("perp_lattice", 4), ("_extreme_rays", 3)]
+    assert calls == [("_extreme_rays", 3)]
+    calls.clear()
+    assert p.cone.span_eqs == ((2, 1, 1, -1),) and calls == [("integer_kernel", 4)]
     calls.clear()
     p = make_polyhedron([(0, 0)], [(1, 0), (1, 1)], 2)
     assert calls == [("_extreme_rays", 3)]  # the tail is built from the polyhedron's extreme rays
@@ -725,6 +733,49 @@ def test_one_span_kernel_per_construction(monkeypatch):
     calls.clear()
     assert (p.tail.span_eqs, p.tail.normals, polyhedron_hrep(p)) == (p.tail.span_eqs, p.tail.normals, polyhedron_hrep(p))
     assert calls == []
+
+
+def test_span_eqs_take_one_kernel(monkeypatch):
+    """A lower-dimensional cone's ``span_eqs`` are one kernel, read once; a full one's are ``()``."""
+    calls = []
+    real = polyhedra.integer_kernel
+    monkeypatch.setattr(polyhedra, "integer_kernel", lambda *a: calls.append(a) or real(*a))
+    for gens, n, eqs in (
+        (((1, 1, 0),), 3, ((1, -1, 0), (0, 0, 1))),
+        ((), 2, ((1, 0), (0, 1))),
+        (((0, 1), (1, 2)), 2, ()),
+    ):
+        c = Cone(n, gens)  # a fresh object: nothing derived yet
+        calls.clear()
+        assert c.span_eqs == c.span_eqs == eqs
+        assert calls == ([(gens, n)] if eqs else [])
+
+
+def test_span_eqs_quotient_and_pairing():
+    """``mat_vec(span_eqs, .)`` maps ``Z^n`` onto ``Z^(n - dim)`` with kernel the span."""
+    c = make_cone([(1, 1, 0)], 3)
+    assert c.span_eqs == reference_perp_lattice([(1, 1, 0)], 3) and (1, -1, 0) in c.span_eqs
+    assert mat_vec(c.span_eqs, (2, 2, 0)) == (0, 0)
+    images = [list(mat_vec(c.span_eqs, e)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    assert exactlin.hnf_basis(images) == ((1, 0), (0, 1))  # onto Z^2
+    rng = random.Random(5)
+    dims = set()
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        order = rng.sample(range(n), n)
+        # a positive first coordinate keeps the cone pointed; permuted, it lies anywhere
+        raw = [[rng.randint(1, 3)] + [rng.randint(-3, 3) for _ in range(n - 1)] for _ in range(rng.randint(0, n))]
+        c = make_cone([tuple(g[order[i]] for i in range(n)) for g in raw], n)
+        q = len(c.span_eqs)
+        assert q == n - c.dim and all(mat_vec(c.span_eqs, g) == (0,) * q for g in c.generators)
+        if q:  # onto Z^q: every Smith invariant is 1
+            d = reference_snf_transforms([list(e) for e in c.span_eqs])[1]
+            assert [d[i][i] for i in range(q)] == [1] * q
+        x = [rng.randint(-4, 4) for _ in range(n)]
+        proj = reference_quotient_matrix(c.generators, n)
+        assert mat_vec(c.span_eqs, x) == reference_project(proj, x)
+        dims.add((c.dim, n))
+    assert len(dims) > 12, dims
 
 
 def test_lower_dimensional_normals_lie_in_the_span():
@@ -764,7 +815,7 @@ def test_faces_are_built_without_kernels(monkeypatch):
 
         monkeypatch.setattr(polyhedra, name, wrapped)
 
-    spy("perp_lattice")
+    spy("integer_kernel")
     spy("_extreme_rays")
     faces = [polyhedra.Polyhedron.faces.func(c) for c in cells] + [Cone.faces.func(c) for c in cones]
     assert calls == []

@@ -268,14 +268,18 @@ def test_lazy_attribute_runs_once_and_stays_outside_the_value(monkeypatch):
             setattr(x, name, 4)
     assert (x.a, x.double) == (3, 6)
 
-    # a library class: the H-data of a cone is derived once, on its first read
+    # a library class: a cone's normals and span equations are each derived once, on their first read
     spans = []
-    real = polyhedra._span_facets
-    monkeypatch.setattr(polyhedra, "_span_facets", lambda *a: spans.append(a) or real(*a))
+    for name in ("_span_facets", "integer_kernel"):
+        real = getattr(polyhedra, name)
+        monkeypatch.setattr(polyhedra, name, lambda *a, name=name, real=real: spans.append(name) or real(*a))
     c, d = cone(), cone()
-    assert (c.normals, c.span_eqs, c.normals, c.span_eqs) and len(spans) == 1
+    assert (c.normals, c.normals) and spans == ["_span_facets"]
+    assert c.span_eqs == c.span_eqs == () and spans == ["_span_facets"]  # full-dimensional: no kernel
     assert c == d and hash(c) == hash(d) and repr(c) == repr(d) and len(spans) == 1
-    assert d.normals == c.normals and len(spans) == 2
+    assert d.normals == c.normals and spans == ["_span_facets"] * 2
+    ray = Cone(2, ((1, 0),))
+    assert ray.span_eqs == ray.span_eqs == ((0, 1),) and spans[2:] == ["integer_kernel"]
 
 
 def bundle_stanza(b: KlyachkoBundle) -> dict:
