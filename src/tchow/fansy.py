@@ -18,7 +18,8 @@ Multiplicities and stabilizer orders read their quotients off the
 (:func:`~tchow.value.canonical`), so an equal divisor built again through
 it shares its validation report and complexes.  The fiber it pads a sole
 fiber with is the first fiber's tail fan, so its faults are that fiber's:
-once an earlier fiber is faulty, validation skips it.
+once an earlier fiber is faulty, validation skips it.  A marked cone's lone
+face over a point is its translate: validation checks uniqueness alone.
 """
 
 from __future__ import annotations
@@ -167,7 +168,11 @@ def make_divisor(
 
 
 def unique_face_over(x: MarkedFansyDivisor, sigma: Cone, p: str) -> Polyhedron:
-    """The unique face of the fiber over ``p`` whose tailcone is ``sigma``."""
+    """The unique face of the fiber over ``p`` whose tailcone is ``sigma``.
+
+    It is a translate of ``sigma``: a wider one would have a second face with
+    tail ``sigma``, where some character vanishing on ``sigma`` is least.
+    """
     if not x.is_marked(sigma):
         raise NonUniqueFaceError("cone is not marked; its fiber face need not be unique")
     hits = x.complex_at(p).by_tail.get(sigma, ())
@@ -359,24 +364,15 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
                     f"{sigma.generators} is not",
                 )
 
-    unique_ok = True
-    for sigma in sorted(x.marked, key=Cone.sort_key):
-        for p in x.points:
-            hits = x.complex_at(p).by_tail.get(sigma, ())
-            if len(hits) != 1:
-                add(
-                    "NON_UNIQUE_MARKED_FACE",
-                    f"marked cone {sigma.generators} has {len(hits)} faces over {p}",
-                )
-                unique_ok = False
-            elif hits[0].dim != sigma.dim:
-                add(
-                    "MARKED_FACE_DIM",
-                    f"the face over {p} with tail {sigma.generators} is not a translate",
-                )
-                unique_ok = False
-    if not unique_ok:
-        return out
+    # a lone face with tail sigma is a translate: a wider one has a proper face with tail sigma
+    non_unique = [
+        Violation("NON_UNIQUE_MARKED_FACE", f"marked cone {sigma.generators} has {k} faces over {p}")
+        for sigma in sorted(x.marked, key=Cone.sort_key)
+        for p in x.points
+        if (k := len(x.complex_at(p).by_tail.get(sigma, ()))) != 1
+    ]
+    if non_unique:
+        return out + non_unique
 
     for sigma in x.tailfan.cones(x.rank):
         if not x.is_marked(sigma):

@@ -1,32 +1,33 @@
 """Exact rational cones, polyhedra, fans, and complete polyhedral complexes.
 
-A cone stores its V-representation only: its primitive extreme rays,
-sorted, which equality, hashing and ``repr`` use.  A polyhedron ``P`` is
-its homogenized cone alone, the cone over ``P x {1}`` plus ``tail x {0}``
-(``Polyhedron.cone``): its H-data, faces, meets, dimension, vertices and
-tail are read off that cone's integer generators.  A cone's facet normals
-and its span equations are two lazy attributes, each derived from its
-V-data when first read, once per object, and kept on it.  Conversion is one
-exact integer double description, :func:`_extreme_rays` (which starts from a
-simplicial cone and adds rows with :func:`_add_rows`): facets of a cone are
-the extreme rays of its dual.  It takes no lattice kernel: a full-dimensional
-cone is converted as it is, a lower-dimensional one in a basis of its own
-independent generators (:func:`_rays_in`), its facet normals being the
-primitive ones that lie in its span.  The span equations are one
+A cone stores its V-representation only: its primitive extreme rays, sorted,
+which equality, hashing and ``repr`` use.  A polyhedron ``P`` is its
+homogenized cone alone, the cone over ``P x {1}`` plus ``tail x {0}``
+(``Polyhedron.cone``): its H-data, faces, meets, dimension, vertices and tail
+are read off that cone's integer generators.  A cone's basis (the indices of
+independent generators, taken greedily), facet normals and span equations are
+lazy attributes, each derived when first read, once per object, and kept on
+it; its dimension and its normals read the one basis.  Conversion is one exact
+integer double description, :func:`_extreme_rays`, which starts from the
+simplicial cone on independent rows its caller found and adds the others with
+:func:`_add_rows`: facets of a cone are the extreme rays of its dual.  It takes
+no lattice kernel: a full-dimensional cone is converted as it is, a
+lower-dimensional one in its basis (:func:`_rays_in`), its facet normals being
+the primitive ones that lie in its span.  The span equations are one
 :func:`~tchow.exactlin.integer_kernel` of the generators, and every quotient
 of the pipeline by a cone's span reads them.  No constructor takes
-inequalities: a meet, a slice or a piece of a cone is a cone already held
-cut by more rows (:func:`cut`), from its own rays.
+inequalities: a meet, a slice or a piece of a cone is a cone already held cut
+by more rows (:func:`cut`), from its own rays.
 
 :func:`make_cone` and :func:`make_polyhedron` canonicalize arbitrary input and
-keep the facet normals they computed on the way: one double description finds
-the facets, and the extreme rays are the generators whose facet incidences no
-other generator's contain.  Everything whose extreme rays are already known is
-built from them directly, with no kernel: faces (from the ray-facet incidences
-of the cone, closed under intersection, in the spirit of Kaibel & Pfetsch
-2002; a polyhedron's faces are its cone's faces that hold a vertex), cuts and
-meets (whose double description yields extreme rays), tails, and cones as
-polyhedra.
+keep the facet normals and dimension they computed on the way
+(:func:`~tchow.value.keep`): one double description finds the facets, and the
+extreme rays are the generators whose facet incidences no other generator's
+contain.  Everything whose extreme rays are already known is built from them
+directly, with no kernel: faces (from the ray-facet incidences of the cone,
+closed under intersection, in the spirit of Kaibel & Pfetsch 2002; a
+polyhedron's faces are its cone's faces that hold a vertex), cuts and meets
+(whose double description yields extreme rays), tails, and cones as polyhedra.
 
 Every cone is interned where it is made, by :func:`_cone_on_rays`, and every
 polyhedron by :func:`from_homogenized` (:func:`~tchow.value.canonical`); a
@@ -51,10 +52,9 @@ allowed.  Most pairs are proved proper without a meet
 nonpositive on the other side's generators confines the meet to the other
 side's face on the ``u``-tight generators, and when that face is in the
 first side's face set it is the meet.  Only the pairs with no such
-certificate are met by double description.
-
-Cones and polyhedra with lineality (a contained line) are rejected at
-construction; every object in a fan or complete complex is pointed.
+certificate are met by double description.  Cones and polyhedra with
+lineality (a contained line) are rejected at construction, so every member
+of a fan or complex is pointed and every meet is defined.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from .exactlin import (
     project,
     ratio,
 )
-from .value import Value, canonical, lazy
+from .value import Value, canonical, keep, lazy
 
 
 class GeometryError(ValueError):
@@ -113,25 +113,21 @@ def _independent_rows(rows: Sequence[IVec], r: int) -> list[int]:
     return chosen
 
 
-def _extreme_rays(rows: Sequence[IVec], r: int) -> list[IVec]:
+def _extreme_rays(rows: Sequence[IVec], basis: Sequence[int]) -> list[IVec]:
     """Primitive extreme rays, sorted, of the cone ``{y in Q^r : a . y >= 0}``.
 
-    The rows are integer vectors and must span Q^r, that is, the cone must be
-    pointed; otherwise GeometryError.  The same call gives facets: the facet
-    normals of the full-dimensional cone spanned by generators ``g`` in Z^r
-    are the extreme rays of its dual ``{u : u . g >= 0}``, so
-    ``_extreme_rays(gens, r)`` returns them provided the generators span Q^r.
+    ``basis`` indexes ``r`` independent integer rows, which the caller found:
+    the rows span Q^r, so the cone is pointed.  The same call gives facets:
+    the facet normals of the full-dimensional cone on generators ``g`` in Z^r
+    are the extreme rays of its dual ``{u : u . g >= 0}``.
 
     Double description (Motzkin et al. 1953): start from the simplicial cone
-    of ``r`` independent rows, whose rays are the columns of the adjugate of
+    of the ``basis`` rows, whose rays are the columns of the adjugate of
     those rows (one fraction-free inverse) made primitive, and add the other
     rows in input order with :func:`_add_rows`.
     """
-    if r == 0:
+    if not basis:
         return []
-    basis = _independent_rows(rows, r)
-    if len(basis) < r:
-        raise GeometryError("cone is not pointed")
     basis_mask = sum(1 << i for i in basis)
     _, adj = bareiss_inverse([rows[i] for i in basis])
     rays = []
@@ -141,7 +137,7 @@ def _extreme_rays(rows: Sequence[IVec], r: int) -> list[IVec]:
         if dot(rows[i], y) < 0:
             y = tuple(-x for x in y)
         rays.append((y, basis_mask & ~(1 << i)))
-    return _add_rows(rays, [(i, a) for i, a in enumerate(rows) if not basis_mask >> i & 1], r)
+    return _add_rows(rays, [(i, a) for i, a in enumerate(rows) if not basis_mask >> i & 1], len(basis))
 
 
 def _add_rows(
@@ -184,41 +180,34 @@ def _add_rows(
 def _rays_in(basis: Sequence[IVec], rows: Sequence[IVec]) -> list[IVec]:
     """Primitive extreme rays of ``{y in span(basis) : a . y >= 0}``, ``a`` in ``rows``.
 
-    ``basis`` holds independent integer vectors and the cone must be pointed.
-    Written as ``y = c @ basis``, it is ``{c in Q^r : (b . a for b in basis) . c
-    >= 0}``: one double description in Q^r, each ray lifted back to Z^n.
+    ``basis`` holds ``r`` independent integer vectors.  Written as ``y = c @
+    basis``, the cone is ``{c in Q^r : (b . a for b in basis) . c >= 0}``: one
+    double description in Q^r, each ray lifted back to Z^n.  GeometryError
+    unless the restricted rows span Q^r, that is, unless the cone is pointed.
     """
     restricted = [tuple(dot(b, a) for b in basis) for a in rows]
-    return [primitive_direction(project(basis, c)) for c in _extreme_rays(restricted, len(basis))]
+    independent = _independent_rows(restricted, len(basis))
+    if len(independent) < len(basis):
+        raise GeometryError("cone is not pointed")
+    return [primitive_direction(project(basis, c)) for c in _extreme_rays(restricted, independent)]
 
 
-def _span_facets(gens: Sequence[IVec], n: int):
-    """Dimension and facet normals of the cone on ``gens``.
+def _span_facets(gens: Sequence[IVec], basis: Sequence[int], n: int) -> tuple[IVec, ...]:
+    """Facet normals, sorted, of the cone on ``gens``, ``basis`` the indices of independent ones.
 
     ``gens`` are nonzero integer vectors.  When ``n`` of them are independent
     the facets come from the generators as they are.  Otherwise they are
-    read in a basis of independent generators: each normal is the primitive
-    one that lies in the span.  No lattice kernel is taken.  The normals are
-    returned sorted.
+    read in the basis: each normal is the primitive one that lies in the
+    span.  No lattice kernel is taken.
     """
-    basis = [gens[i] for i in _independent_rows(gens, n)]
     if len(basis) == n:
-        return n, tuple(_extreme_rays(gens, n))
-    return len(basis), tuple(sorted(_rays_in(basis, gens)))
+        return tuple(_extreme_rays(gens, basis))
+    return tuple(sorted(_rays_in([gens[i] for i in basis], gens)))
 
 
 def _tight(normals: Sequence[IVec], y: Sequence) -> int:
     """Bitmask of the normals that vanish on ``y``."""
     return sum(1 << j for j, u in enumerate(normals) if dot(u, y) == 0)
-
-
-def _keep(obj, **derived):
-    """Store derived data a constructor has already computed on ``obj``.
-
-    The names are those of the object's lazy attributes, which then never run.
-    """
-    obj.__dict__.update(derived)
-    return obj
 
 
 def _face_masks(incidence: Sequence[int], full: int) -> set[int]:
@@ -262,8 +251,13 @@ class Cone(Value):
     generators: tuple[IVec, ...]
 
     @lazy
+    def basis(self) -> tuple[int, ...]:
+        """Indices of independent generators, taken greedily: a basis of the span."""
+        return tuple(_independent_rows(self.generators, self.ambient_rank))
+
+    @lazy
     def normals(self) -> tuple[IVec, ...]:
-        return _span_facets(self.generators, self.ambient_rank)[1]
+        return _span_facets(self.generators, self.basis, self.ambient_rank)
 
     @lazy
     def span_eqs(self) -> tuple[IVec, ...]:
@@ -279,7 +273,7 @@ class Cone(Value):
 
     @lazy
     def dim(self) -> int:
-        return len(_independent_rows(self.generators, self.ambient_rank))
+        return len(self.basis)
 
     @lazy
     def faces(self) -> tuple[Cone, ...]:
@@ -339,7 +333,8 @@ def make_cone(generators: Iterable[Sequence], ambient_rank: int) -> Cone:
 
 @lru_cache(maxsize=None)
 def _make_cone(gens: tuple[IVec, ...], ambient_rank: int) -> Cone:
-    r, normals = _span_facets(gens, ambient_rank)
+    basis = _independent_rows(gens, ambient_rank)
+    r, normals = len(basis), _span_facets(gens, basis, ambient_rank)
     if len(_independent_rows(normals, r)) < r:
         raise GeometryError("cone is not pointed")
     masks = [_tight(normals, g) for g in gens]
@@ -348,7 +343,7 @@ def _make_cone(gens: tuple[IVec, ...], ambient_rank: int) -> Cone:
         for i, (g, m) in enumerate(zip(gens, masks))
         if not any(o & m == m for j, o in enumerate(masks) if j != i)
     )
-    return _keep(_cone_on_rays(rays, ambient_rank), normals=normals, dim=r)
+    return keep(_cone_on_rays(rays, ambient_rank), normals=normals, dim=r)
 
 
 def cut(c: Cone, rows: Sequence[IVec]) -> Cone:
@@ -359,7 +354,7 @@ def cut(c: Cone, rows: Sequence[IVec]) -> Cone:
     """
     n = c.ambient_rank
     if c.dim < n:
-        basis = [c.generators[i] for i in _independent_rows(c.generators, n)]
+        basis = [c.generators[i] for i in c.basis]
         return _cone_on_rays(_rays_in(basis, c.normals + tuple(rows)), n)
     seed = [(g, _tight(c.normals, g)) for g in c.generators]
     return _cone_on_rays(_add_rows(seed, enumerate(rows, len(c.normals)), n), n)
@@ -546,20 +541,16 @@ def poly_faces(p: Polyhedron) -> tuple[Polyhedron, ...]:
 
 
 def _improper_pairs(cones: Sequence[Cone], homogenized: bool = False):
-    """Each pair ``(i, j, error)``, ``i < j``, of ``cones`` that do not meet in a common face.
+    """Each pair ``(i, j)``, ``i < j``, of ``cones`` that do not meet in a common face.
 
-    ``error`` is the GeometryError their meet raised, or None.  Of cells'
-    ``homogenized`` cones, a meet at height 0 is allowed: the cells do not meet.
+    Of cells' ``homogenized`` cones, a meet at height 0 is allowed: the cells
+    do not meet.  The cones are pointed, so every meet is defined.
     """
     for i, a in enumerate(cones):
         for j in range(i + 1, len(cones)):
-            try:
-                meet, proper = _pair_meet(a, cones[j])
-            except GeometryError as exc:
-                yield i, j, exc
-                continue
+            meet, proper = _pair_meet(a, cones[j])
             if not proper and (not homogenized or any(g[-1] for g in meet.generators)):
-                yield i, j, None
+                yield i, j
 
 
 def _ridge_counts(members: Sequence) -> dict:
@@ -647,15 +638,11 @@ def _make_fan(cones: frozenset[Cone], ambient_rank: int) -> Fan:
 
 
 def _fan_problems(fan: Fan) -> list[str]:
-    problems = []
     cones = fan.maximal_cones
-    for i, j, exc in _improper_pairs(cones):
-        a, b = cones[i].generators, cones[j].generators
-        if exc is not None:
-            problems.append(f"intersection failed for {a} and {b}: {exc}")
-        else:
-            problems.append(f"cones {a} and {b} do not meet in a common face")
-    return problems
+    return [
+        f"cones {cones[i].generators} and {cones[j].generators} do not meet in a common face"
+        for i, j in _improper_pairs(cones)
+    ]
 
 
 def fan_validate(fan: Fan) -> list[str]:
@@ -769,15 +756,12 @@ def _complex_problems(s: PolyhedralComplex) -> list[str]:
     problems = [
         f"maximal cell {_vertex_text(c)} has dimension {c.dim} != {n}" for c in cells if c.dim != n
     ]
-    for i, j, exc in _improper_pairs([c.cone for c in cells], homogenized=True):
+    for i, j in _improper_pairs([c.cone for c in cells], homogenized=True):
         a, b = cells[i], cells[j]
-        if exc is not None:
-            problems.append(f"cells fail to intersect properly: {exc}")
-        else:
-            problems.append(
-                f"cells {_vertex_text(a)}+{a.tail.generators} and "
-                f"{_vertex_text(b)}+{b.tail.generators} do not meet in a common face"
-            )
+        problems.append(
+            f"cells {_vertex_text(a)}+{a.tail.generators} and "
+            f"{_vertex_text(b)}+{b.tail.generators} do not meet in a common face"
+        )
     if problems:
         return problems
     return [

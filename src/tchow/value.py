@@ -5,20 +5,20 @@ as a class-body value (``point: str | None = None``), as in a dataclass.  The
 constructor takes the fields by position, the base class's first, or by
 keyword, and sets them with ``object.__setattr__``.  Equality, hashing and
 ``repr`` read those fields alone, as a frozen dataclass does: objects of
-different classes are unequal, and the hash is that of the tuple of fields.
-Derived data kept on the instance (a :class:`lazy` attribute, the memoized
-hash) is outside the value.  :class:`lazy` is ``functools.cached_property``
-as Python 3.12 has it, without the lock 3.11 takes on each first read.
-Every cone and polyhedron the library builds, and what a ``make_*``
-constructor returns, is :func:`canonical` (interned in
-``polyhedra._cone_on_rays`` and ``polyhedra.from_homogenized``): one object
-per value for the life of the process, so a lazy attribute runs once per
-value.  A class constructor's object is not canonical.  The memo rule: a
-table of one object is a :class:`lazy` attribute of it; an ``lru_cache`` is
-an input memo (work done before the object exists: ``_make_cone``,
-``_make_fan``, ``downgrade``, ``bundle_rank2``) or a table with a second
-argument (``s_sigma``, ``enumerate_generators``, ``presentation``,
-``toric_chow_presentation``).
+different classes are unequal, and the hash is that of the tuple of
+fields.  Derived data kept on the instance (a :class:`lazy` attribute, data a
+constructor stored with :func:`keep`, the memoized hash) is outside the
+value.  :class:`lazy` is ``functools.cached_property`` as Python 3.12 has it,
+without the lock 3.11 takes on each first read.  Every cone and polyhedron the
+library builds, and what a ``make_*`` constructor returns, is
+:func:`canonical` (interned in ``polyhedra._cone_on_rays`` and
+``polyhedra.from_homogenized``): one object per value for the life of the
+process, so a lazy attribute runs once per value.  A class constructor's
+object is not canonical.  The memo rule: a table of one object is a
+:class:`lazy` attribute of it; an ``lru_cache`` is an input memo (work done
+before the object exists: ``_make_cone``, ``_make_fan``, ``downgrade``,
+``bundle_rank2``) or a table with a second argument (``s_sigma``,
+``enumerate_generators``, ``presentation``, ``toric_chow_presentation``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import attrgetter
 
-_set = object.__setattr__  # never self.__dict__, which would turn off inline attribute values
+_set = object.__setattr__  # never the instance dict: reading it turns off inline attribute values
 
 
 class lazy:
@@ -107,6 +107,13 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def keep(obj, **derived):
+    """Store on ``obj`` what a constructor derived, under names of its :class:`lazy` attributes."""
+    for name, value in derived.items():
+        _set(obj, name, value)
+    return obj
 
 
 @lru_cache(maxsize=None)

@@ -51,6 +51,7 @@ from tchow.polyhedra import (
     poly_intersect,
     _cone_on_rays,
     _extreme_rays,
+    _independent_rows,
     _rays_in,
     _vertex_text,
     from_homogenized,
@@ -355,11 +356,7 @@ def reference_fan_problems(fan: Fan) -> list[str]:
     cones = fan.maximal_cones
     for i, a in enumerate(cones):
         for b in cones[i + 1 :]:
-            try:
-                meet = cone_intersect(a, b)
-            except GeometryError as exc:
-                problems.append(f"intersection failed for {a.generators} and {b.generators}: {exc}")
-                continue
+            meet = cone_intersect(a, b)
             if not (meet in a.face_set and meet in b.face_set):
                 problems.append(
                     f"cones {a.generators} and {b.generators} do not meet in a common face"
@@ -379,11 +376,7 @@ def reference_complex_problems(s: PolyhedralComplex) -> list[str]:
             problems.append(f"maximal cell {_vertex_text(c)} has dimension {c.dim} != {n}")
     for i, a in enumerate(cells):
         for b in cells[i + 1 :]:
-            try:
-                meet = poly_intersect(a, b)
-            except GeometryError as exc:
-                problems.append(f"cells fail to intersect properly: {exc}")
-                continue
+            meet = poly_intersect(a, b)
             if meet.is_empty:
                 continue
             if not (poly_is_face_of(meet, a) and poly_is_face_of(meet, b)):
@@ -782,6 +775,17 @@ def fraction_s_sigma(x: MarkedFansyDivisor, sigma: Cone) -> int:
 # H-input references for cells the library builds by cutting a cone
 
 
+def extreme_rays(rows, r: int) -> list:
+    """``polyhedra._extreme_rays`` of integer rows in Q^r, their independent rows found here.
+
+    GeometryError unless the rows span Q^r, that is, unless the cone is pointed.
+    """
+    basis = _independent_rows(rows, r)
+    if len(basis) < r:
+        raise GeometryError("cone is not pointed")
+    return _extreme_rays(rows, basis)
+
+
 def reference_h_to_generators(ineq_rows, eq_rows, n: int) -> list:
     """Primitive extreme rays of ``{x : ineq . x >= 0, eq . x = 0}``; pointed only.
 
@@ -790,7 +794,7 @@ def reference_h_to_generators(ineq_rows, eq_rows, n: int) -> list:
     """
     int_ineqs = [primitive(a)[0] for a in ineq_rows]
     if not eq_rows:
-        return _extreme_rays(int_ineqs, n)
+        return extreme_rays(int_ineqs, n)
     return _rays_in(integer_kernel([primitive(e)[0] for e in eq_rows], n), int_ineqs)
 
 

@@ -98,3 +98,18 @@ def memoized():
 def test_lru_caches_are_input_memos_or_two_argument_tables():
     found = list(memoized())
     assert len(found) == len(set(found)) and set(found) == MEMOS, sorted(found)
+
+
+def test_no_module_reads_an_instance_dict():
+    """Derived data goes on an object through ``object.__setattr__`` (``value.lazy``, ``value.keep``).
+
+    Reading an instance's ``__dict__`` materializes it, and CPython then stops
+    keeping that object's attributes inline, which slows every later read.
+    """
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+    ]
+    assert not found, "reads __dict__: " + ", ".join(found)

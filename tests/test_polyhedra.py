@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     assert_same_facets,
     complex_faces,
+    extreme_rays,
     fraction_primitive,
     mat_mul,
     poly_contains,
@@ -52,7 +53,6 @@ from tchow.polyhedra import (
     minkowski_sum,
     poly_faces,
     poly_intersect,
-    _extreme_rays,
 )
 from tchow.value import canonical
 
@@ -399,7 +399,7 @@ def test_extreme_rays_match_brute_force():
         r = rng.randint(1, 5)
         rows = random_rows(rng, r)
         expected = rays_or_error(brute_rays, rows, r)
-        assert rays_or_error(_extreme_rays, rows, r) == expected, (rows, r)
+        assert rays_or_error(extreme_rays, rows, r) == expected, (rows, r)
         pointed += expected != "not pointed"
     assert 300 < pointed < 1100  # both outcomes are well represented
 
@@ -413,7 +413,7 @@ def test_facets_match_brute_force():
         if not gens or integer_kernel(gens, r):  # not spanning: no dual to enumerate
             continue
         spanning += 1
-        assert _extreme_rays(gens, r) == brute_facets(gens, r), (gens, r)
+        assert extreme_rays(gens, r) == brute_facets(gens, r), (gens, r)
     assert spanning > 300
 
 
@@ -436,14 +436,14 @@ def test_h_to_generators_match_brute_force():
 
 
 def test_extreme_rays_zero_cone():
-    assert _extreme_rays([(1, 0), (0, 1), (-1, -1)], 2) == []
-    assert _extreme_rays([(1, 0), (-1, 0), (0, 1), (0, -1)], 2) == []
+    assert extreme_rays([(1, 0), (0, 1), (-1, -1)], 2) == []
+    assert extreme_rays([(1, 0), (-1, 0), (0, 1), (0, -1)], 2) == []
     meet = cone_intersect(C((1, 0), (0, 1)), C((-1, 0), (0, -1)))
     assert meet.is_zero() and meet.dim == 0
 
 
 def test_extreme_rays_lower_dimensional_cut():
-    assert _extreme_rays([(1, 0), (0, 1), (-1, 0)], 2) == [(0, 1)]
+    assert extreme_rays([(1, 0), (0, 1), (-1, 0)], 2) == [(0, 1)]
     meet = cone_intersect(C((1, 0), (0, 1)), C((1, 0), (0, -1)))
     assert meet == C((1, 0)) and meet.dim == 1
     wall = cone_intersect(C((1, 0, 0), (0, 1, 0), (0, 0, 1)), C((1, 0, 0), (0, -1, 0), (0, 0, 1)))
@@ -451,12 +451,12 @@ def test_extreme_rays_lower_dimensional_cut():
 
 
 def test_extreme_rays_rank_one_and_zero():
-    assert _extreme_rays([(2,)], 1) == [(1,)]
-    assert _extreme_rays([(-3,), (-1,)], 1) == [(-1,)]
-    assert _extreme_rays([(1,), (-1,)], 1) == []
+    assert extreme_rays([(2,)], 1) == [(1,)]
+    assert extreme_rays([(-3,), (-1,)], 1) == [(-1,)]
+    assert extreme_rays([(1,), (-1,)], 1) == []
     with pytest.raises(GeometryError):
-        _extreme_rays([(0,)], 1)
-    assert _extreme_rays([], 0) == []
+        extreme_rays([(0,)], 1)
+    assert extreme_rays([], 0) == []
     assert make_cone([(3,)], 1).generators == ((1,),)
     assert make_cone([(3,)], 1).normals == ((1,),)
 
@@ -492,7 +492,7 @@ def reference_h_data(gens, n):
     """Sorted relative facet normals and span equations of the cone on ``gens``."""
     sat, q = span_lattice(gens, n)
     coords = [tuple(dot(g, col) for col in zip(*q)) for g in gens]
-    normals = [tuple(dot(w, row) for row in q) for w in _extreme_rays(coords, len(sat))]
+    normals = [tuple(dot(w, row) for row in q) for w in extreme_rays(coords, len(sat))]
     return sorted(normals), list(reference_perp_lattice(gens, n))
 
 
@@ -708,7 +708,9 @@ def test_one_span_kernel_per_construction(monkeypatch):
     calls = []
     for name in ("integer_kernel", "_extreme_rays"):
         real = getattr(polyhedra, name)
-        spy = lambda rows, n, name=name, real=real: calls.append((name, n)) or real(rows, n)
+        # each call with its rank: the kernel's ambient rank, the size of the rays' basis
+        rank = len if name == "_extreme_rays" else int
+        spy = lambda rows, n, name=name, real=real, rank=rank: calls.append((name, rank(n))) or real(rows, n)
         monkeypatch.setattr(polyhedra, name, spy)
     c = make_cone([(1, 0, 0), (1, 2, 0)], 3)
     # a lower-dimensional span: facets in a basis of 2 generators, no equations yet
@@ -733,6 +735,26 @@ def test_one_span_kernel_per_construction(monkeypatch):
     calls.clear()
     assert (p.tail.span_eqs, p.tail.normals, polyhedron_hrep(p)) == (p.tail.span_eqs, p.tail.normals, polyhedron_hrep(p))
     assert calls == []
+
+
+def test_one_basis_per_cone(monkeypatch):
+    """A cold cone eliminates its own generators once, across ``dim``, ``normals`` and a cut."""
+    calls = []
+    real = polyhedra._independent_rows
+    monkeypatch.setattr(polyhedra, "_independent_rows", lambda rows, r: calls.append(tuple(rows)) or real(rows, r))
+    cones = [
+        (((1, 0, 0), (1, 2, 0)), 3, [(1, -1, 0)]),  # a lower-dimensional cut reads the basis
+        (((0, 0, 1, 0), (1, 0, 1, 0), (1, 1, 1, 0)), 4, [(0, 1, -1, 0), (-1, 0, 1, 0)]),
+        (((0, 1), (1, 2)), 2, [(1, -1)]),  # full-dimensional: the cut adds rows to the rays
+    ]
+    for gens, n, rows in cones:
+        for order in ("dim", "normals", "cut"), ("cut", "normals", "dim"):
+            c = Cone(n, gens)  # a fresh object: nothing derived yet
+            calls.clear()
+            read = {"dim": lambda: c.dim, "normals": lambda: c.normals, "cut": lambda: cut(c, rows)}
+            for name in order:
+                read[name]()
+            assert calls.count(gens) == 1, (gens, order)
 
 
 def test_span_eqs_take_one_kernel(monkeypatch):
@@ -794,7 +816,7 @@ def test_extreme_rays_take_no_kernel(monkeypatch):
     calls = []
     real = exactlin.integer_kernel
     monkeypatch.setattr(exactlin, "integer_kernel", lambda *a: calls.append(a) or real(*a))
-    assert [_extreme_rays(rows, r) for rows, r in cases] == expected
+    assert [extreme_rays(rows, r) for rows, r in cases] == expected
     assert calls == []
 
 

@@ -1,4 +1,5 @@
-"""Pinned messages for invalid inputs whose full-dimensional cones or cells overlap.
+"""Pinned messages for invalid inputs whose full-dimensional cones or cells overlap,
+and for divisors that break each point or mark condition of ``validate``.
 
 The expected lists were recorded before fan and complex validation started
 to take meets from one side's extreme rays, so they pin both the findings
@@ -85,6 +86,12 @@ def divisors():
     gr24 = fixture("gr24")
     top = max(gr24.marked, key=lambda c: c.sort_key())
     ray = make_cone([(1, 0)], 2)
+    sigma = sigma_as_complex(p2)
+    p2_e = fixture("p2_E")
+
+    def p2_e_marking(*gens):
+        return MarkedFansyDivisor(p2_e.points, p2_e.complexes, p2_e.marked | {make_cone(gens, 2)})
+
     return {
         "overlapping_fiber": make_divisor([("0", sigma_as_complex(p2)), ("1", COMPLEXES["p2_shifted"]())], []),
         "overlapping_tailfan": MarkedFansyDivisor(
@@ -92,6 +99,11 @@ def divisors():
         ),
         "gr24_top_unmarked": MarkedFansyDivisor(gr24.points, gr24.complexes, gr24.marked - {top}),
         "ray_marked_alone": make_divisor([("0", sigma_as_complex(p2))], [ray]),
+        "duplicate_points": make_divisor([("0", sigma), ("0", sigma)], []),
+        "one_complex_for_two_points": MarkedFansyDivisor(("0", "inf"), (sigma,), frozenset()),
+        "p2_E_marking_a_ray_off_the_fan": p2_e_marking((1, 1)),
+        "p2_E_marking_the_zero_cone": p2_e_marking(),
+        "p2_E_marking_a_ray_alone": p2_e_marking((0, 1)),
     }
 
 
@@ -163,6 +175,26 @@ EXPECTED_VALIDATE = {
     'ray_marked_alone': [
         ('MARKS_NOT_UPWARD_CLOSED', '((1, 0),) is marked but the containing cone ((0, 1), (1, 0)) is not'),
         ('MARKS_NOT_UPWARD_CLOSED', '((1, 0),) is marked but the containing cone ((-1, -1), (1, 0)) is not'),
+    ],
+    'duplicate_points': [
+        ('DUPLICATE_POINTS', 'point labels must be distinct'),
+    ],
+    'one_complex_for_two_points': [
+        ('POINTS_COMPLEXES_MISMATCH', 'one subdivision per point is required'),
+    ],
+    'p2_E_marking_a_ray_off_the_fan': [
+        ('MARK_NOT_IN_FAN', 'marked cone ((1, 1),) is not in the tailfan'),
+    ],
+    'p2_E_marking_the_zero_cone': [
+        ('MARKED_ZERO_CONE', 'the zero cone must not be marked'),
+        ('MARKS_NOT_UPWARD_CLOSED', '() is marked but the containing cone ((-1, -1), (0, 1)) is not'),
+        ('MARKS_NOT_UPWARD_CLOSED', '() is marked but the containing cone ((0, 1),) is not'),
+        ('MARKS_NOT_UPWARD_CLOSED', '() is marked but the containing cone ((-1, -1),) is not'),
+        ('NON_UNIQUE_MARKED_FACE', 'marked cone () has 3 faces over 0'),
+    ],
+    'p2_E_marking_a_ray_alone': [
+        ('MARKS_NOT_UPWARD_CLOSED', '((0, 1),) is marked but the containing cone ((-1, -1), (0, 1)) is not'),
+        ('NON_UNIQUE_MARKED_FACE', 'marked cone ((0, 1),) has 3 faces over 0'),
     ],
 }
 
