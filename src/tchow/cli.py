@@ -24,6 +24,7 @@ import json
 import os
 import re
 import sys
+from functools import lru_cache
 from types import SimpleNamespace
 
 from .build import (
@@ -99,8 +100,17 @@ def _rank(value) -> int:
     return rank
 
 
+_INT = {int}
+
+
 def _vector(value, rank: int, entry=_int) -> tuple:
-    """A coordinate vector with exactly ``rank`` entries read by ``entry``."""
+    """A coordinate vector with exactly ``rank`` entries read by ``entry``.
+
+    A list of ``rank`` plain ints, what JSON gives for an integer vector, is
+    returned as it is; anything else is read entry by entry, with its messages.
+    """
+    if type(value) is list and len(value) == rank and _INT.issuperset(map(type, value)):
+        return tuple(value)
     if not isinstance(value, list) or len(value) != rank:
         got = f"length {len(value)}: " if isinstance(value, list) else ""
         raise ParseError(f"expected a vector of length {rank}, got {got}{_shown(value)}")
@@ -142,8 +152,23 @@ def _list(value, what: str) -> list:
 # documents
 
 
+# Input memos: a cone or a cell read again is one lookup, with no
+# normalization.  Their keys are _vector output alone, ints and the Fractions
+# of _rat, so equal keys are equal inputs of the same types.
+
+
+@lru_cache(maxsize=None)
+def _cone_of(gens: tuple, rank: int):
+    return make_cone(gens, rank)
+
+
+@lru_cache(maxsize=None)
+def _cell_of(vertices: tuple, rays: tuple, rank: int):
+    return make_polyhedron(vertices, rays, rank)
+
+
 def _cone(value, rank: int):
-    return make_cone([_vector(g, rank) for g in _list(value, "a cone")], rank)
+    return _cone_of(tuple([_vector(g, rank) for g in _list(value, "a cone")]), rank)
 
 
 def parse_fan(doc) -> Fan:
@@ -217,9 +242,9 @@ def parse_input(doc) -> MarkedFansyDivisor:
                 raise ParseError("a cell needs at least one vertex")
             rays = _list(_field(cell, "rays", "a cell", []), "rays")
             cells.append(
-                make_polyhedron(
-                    [_vector(v, rank, _rat) for v in verts],
-                    [_vector(r, rank) for r in rays],
+                _cell_of(
+                    tuple([_vector(v, rank, _rat) for v in verts]),
+                    tuple([_vector(r, rank) for r in rays]),
                     rank,
                 )
             )

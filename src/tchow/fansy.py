@@ -320,23 +320,25 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
     if not x.points:  # no fiber, so no degree to check the marks against
         return out
 
-    complexes_ok = True
-    for p, s in zip(x.points, x.complexes):
-        if not complexes_ok and p in AUX_LABELS and s is sigma_as_complex(x.tailfan):
-            continue  # the padding fiber: its faults are the first fiber's
+    def fiber_ok(p: str, s: PolyhedralComplex) -> bool:
+        """Add the faults of the fiber ``s`` over ``p`` on its own; whether it has none."""
         problems = complex_validate(s)
         for problem in problems:
             add("BAD_COMPLEX", f"fiber over {p}: {problem}")
-        if problems:
-            complexes_ok = False
-            continue
-        tf = s.tail_fan
-        tail_problems = fan_validate(tf)
+        tail_problems = [] if problems else fan_validate(s.tail_fan)
         if tail_problems:
             add("NON_FAN_TAILS", f"fiber over {p}: " + "; ".join(tail_problems))
+        return not (problems or tail_problems)
+
+    # the tailfan is the first fiber's tail fan: a later fiber is compared with
+    # it only when the first fiber is valid, as a faulty one's tails mean nothing
+    first_ok = complexes_ok = fiber_ok(x.points[0], x.complexes[0])
+    for p, s in zip(x.points[1:], x.complexes[1:]):
+        if not complexes_ok and p in AUX_LABELS and s is sigma_as_complex(x.tailfan):
+            continue  # the padding fiber: its faults are the first fiber's
+        if not fiber_ok(p, s):
             complexes_ok = False
-            continue
-        if tf != x.tailfan:
+        elif first_ok and s.tail_fan != x.tailfan:
             add("TAILFAN_MISMATCH", f"fiber over {p} has a different tailfan")
             complexes_ok = False
     # past this point the tailfan is a valid complete fan: the tails of the

@@ -29,16 +29,17 @@ closed under intersection, in the spirit of Kaibel & Pfetsch 2002; a
 polyhedron's faces are its cone's faces that hold a vertex), cuts and meets
 (whose double description yields extreme rays), tails, and cones as polyhedra.
 
-Every cone is interned where it is made, by :func:`_cone_on_rays`, and every
-polyhedron by :func:`from_homogenized` (:func:`~tchow.value.canonical`); a
-fan or a complex by :func:`make_fan` or :func:`make_complex`.  An object
-built again is the object built first, with its H-data, faces (``faces``,
-and a cone's ``face_set`` that face queries look up), validity and coface
-map, each computed once per value.  A cone is converted once per set of
-primitive generator directions.  A fan selects its maximal cones once per
-set of cones, by one containment scan (:func:`_make_fan`).  A complex is
-stored as the fan of its cells' homogenized cones one rank up, as a
-polyhedron is as its homogenized cone: built through the same scan and
+Every cone is interned where it is made, by :func:`_cone_on_rays`, which
+looks up its sorted rays and rank before it builds one, and every polyhedron
+by :func:`from_homogenized`, keyed by its canonical cone; a fan or a complex
+by :func:`make_fan` or :func:`make_complex` (:func:`~tchow.value.canonical`).
+An object built again is the object built first, with its H-data, faces
+(``faces``, and a cone's ``face_set`` that face queries look up), validity
+and coface map, each computed once per value.  A cone is converted once
+per set of primitive generator directions.  A fan selects its maximal cones
+once per set of cones, by one containment scan (:func:`_make_fan`).  A
+complex is stored as the fan of its cells' homogenized cones one rank up,
+as a polyhedron is as its homogenized cone: built through the same scan and
 memo, with its cells read off that fan's maximal cones.  A fan indexes its
 cones by dimension; a complex lists the faces of all its cells
 (:func:`all_complex_faces`) and indexes them by dimension and by tail cone.
@@ -315,7 +316,13 @@ def _cone_on_rays(rays: Iterable[IVec], ambient_rank: int) -> Cone:
     face's subset of its parent's generators, or a double-description
     output).  Nothing is computed here; the H-data is derived when first read.
     """
-    return canonical(Cone(ambient_rank, tuple(sorted(rays))))
+    return _interned_cone(tuple(sorted(rays)), ambient_rank)
+
+
+@lru_cache(maxsize=None)
+def _interned_cone(rays: tuple[IVec, ...], ambient_rank: int) -> Cone:
+    """The one cone on the sorted ``rays``: looked up by its key, built on a miss alone."""
+    return Cone(ambient_rank, rays)
 
 
 def make_cone(generators: Iterable[Sequence], ambient_rank: int) -> Cone:
@@ -343,7 +350,10 @@ def _make_cone(gens: tuple[IVec, ...], ambient_rank: int) -> Cone:
         for i, (g, m) in enumerate(zip(gens, masks))
         if not any(o & m == m for j, o in enumerate(masks) if j != i)
     )
-    return keep(_cone_on_rays(rays, ambient_rank), normals=normals, dim=r)
+    cone = _cone_on_rays(rays, ambient_rank)
+    if rays == gens:  # no generator is redundant: the basis found above is the cone's
+        keep(cone, basis=tuple(basis))
+    return keep(cone, normals=normals, dim=r)
 
 
 def cut(c: Cone, rows: Sequence[IVec]) -> Cone:
@@ -479,14 +489,18 @@ def empty_polyhedron(ambient_rank: int) -> Polyhedron:
     return from_homogenized(_cone_on_rays((), ambient_rank + 1))
 
 
+@lru_cache(maxsize=None)
 def from_homogenized(c: Cone) -> Polyhedron:
-    """The canonical polyhedron whose homogenized cone is ``c``; empty when ``c`` has no vertex."""
+    """The canonical polyhedron whose homogenized cone is ``c``; empty when ``c`` has no vertex.
+
+    Looked up by the cone, canonical itself, so a polyhedron is built once per value.
+    """
     n = c.ambient_rank - 1
     if any(g[n] < 0 for g in c.generators):
         raise AssertionError("negative homogenizing coordinate")
-    if not any(g[n] for g in c.generators):
-        c = _cone_on_rays((), n + 1)
-    return canonical(Polyhedron(c))
+    if c.generators and not any(g[n] for g in c.generators):
+        return from_homogenized(_cone_on_rays((), n + 1))
+    return Polyhedron(c)
 
 
 def make_polyhedron(

@@ -10,14 +10,17 @@ fields.  Derived data kept on the instance (a :class:`lazy` attribute, data a
 constructor stored with :func:`keep`, the memoized hash) is outside the
 value.  :class:`lazy` is ``functools.cached_property`` as Python 3.12 has it,
 without the lock 3.11 takes on each first read.  Every cone and polyhedron the
-library builds, and what a ``make_*`` constructor returns, is
-:func:`canonical` (interned in ``polyhedra._cone_on_rays`` and
-``polyhedra.from_homogenized``): one object per value for the life of the
-process, so a lazy attribute runs once per value.  A class constructor's
-object is not canonical.  The memo rule: a table of one object is a
-:class:`lazy` attribute of it; an ``lru_cache`` is an input memo (work done
+library builds, and what a ``make_*`` constructor returns, is canonical: one
+object per value for the life of the process, so a lazy attribute runs once
+per value.  A cone is interned by its key, its sorted rays and rank
+(``polyhedra._interned_cone``), a polyhedron by its canonical cone
+(``polyhedra.from_homogenized``), and a fan, complex or divisor by
+:func:`canonical`.  A class constructor's object is not canonical.  The memo
+rule: a table of one object is a :class:`lazy` attribute of it; an
+``lru_cache`` is an interning table (those three), an input memo (work done
 before the object exists: ``_make_cone``, ``_make_fan``, ``downgrade``,
-``bundle_rank2``) or a table with a second argument (``s_sigma``,
+``bundle_rank2``, and the command line's ``_cone_of`` and ``_cell_of`` on
+validated coordinates) or a table with a second argument (``s_sigma``,
 ``enumerate_generators``, ``presentation``, ``toric_chow_presentation``).
 """
 

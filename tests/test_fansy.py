@@ -374,7 +374,8 @@ def report_non_fan(monkeypatch, fiber, calls=None):
 @pytest.mark.parametrize("own, bad", [(True, True), (False, True), (False, False)])
 def test_shared_tail_fan_messages(monkeypatch, own, bad):
     # the first fiber's tail fan is the tailfan, reported as not being a fan
-    # or not; the second fiber's is that tailfan (own) or another complete fan
+    # or not; the second fiber's is that tailfan (own) or another complete fan,
+    # compared with the tailfan only when the first fiber is valid
     fibers = (sigma_as_complex(p2_fan()), sigma_as_complex(p2_fan() if own else p1p1_fan()))
     calls = []
     if bad:
@@ -386,7 +387,7 @@ def test_shared_tail_fan_messages(monkeypatch, own, bad):
     if own:
         expected.append(("NON_FAN_TAILS", f"fiber over inf: {NON_FAN}"))
         assert calls == [x.tailfan]  # one check for the fan both fibers share
-    else:
+    elif not bad:
         expected.append(("TAILFAN_MISMATCH", "fiber over inf has a different tailfan"))
     assert found == expected
 

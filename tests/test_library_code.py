@@ -68,10 +68,15 @@ def test_every_definition_is_used_or_exported():
 
 
 # A table of one object is a ``lazy`` attribute of that object.  An
-# ``lru_cache`` is an input memo (work done before the object exists) or a
-# table with a second argument, besides ``canonical`` itself.
+# ``lru_cache`` is an interning table (``canonical``, the cone table keyed by
+# sorted rays and rank, the polyhedron table keyed by its cone), an input memo
+# (work done before the object exists) or a table with a second argument.
 MEMOS = {
     "value.canonical",
+    "polyhedra._interned_cone",
+    "polyhedra.from_homogenized",
+    "cli._cone_of",
+    "cli._cell_of",
     "polyhedra._make_cone",
     "polyhedra._make_fan",
     "build.downgrade",

@@ -364,6 +364,34 @@ def test_revisited_input_builds_nothing(monkeypatch, tmp_path):
         assert not calls, name
 
 
+def test_a_document_parsed_again_is_a_lookup(monkeypatch):
+    # a downgrade stanza, a bundle stanza, a bare fan and explicit
+    # documents, each parsed once; a second parse of a copy normalizes no
+    # generator and converts no cone: it returns the object of the first
+    fan_doc = fan_document(p2_projectivized_fan("E"))
+    docs = [
+        (parse_input, {"downgrade": {"fan": fan_doc}}),
+        (parse_input, bundle_stanza(p1p1_bundle())),
+        (parse_fan, fan_document(p2_projectivized_fan("F"))),
+        (parse_input, divisor_document(fixture("gr24"))),
+        (parse_input, divisor_document(fixture("p2_E"))),
+    ]
+    forget_values()  # as in a new process: nothing is built yet
+    first = [parse(doc) for parse, doc in docs]
+    calls = Counter()
+    spy = lambda name, real: lambda *a: calls.update([name]) or real(*a)
+    monkeypatch.setattr(polyhedra, "primitive_direction", spy("primitive_direction", polyhedra.primitive_direction))
+    monkeypatch.setattr(polyhedra, "_extreme_rays", spy("_extreme_rays", polyhedra._extreme_rays))
+    for (parse, doc), x in zip(docs, first):
+        assert parse(copy.deepcopy(doc)) is x
+    assert not calls, calls
+    # the spies do see a new input: the fan with one generator scaled
+    moved = copy.deepcopy(fan_doc)
+    moved["maximal_cones"][0][0] = [2 * c for c in moved["maximal_cones"][0][0]]
+    assert parse_fan(moved) is parse_fan(fan_doc)
+    assert calls["primitive_direction"] == 3 and not calls["_extreme_rays"]
+
+
 def test_every_lazy_attribute_runs_once_per_value(monkeypatch):
     """The library builds one cone, polyhedron, fan and complex per value.
 
