@@ -76,7 +76,6 @@ MEMOS = {
     "polyhedra._interned_cone",
     "polyhedra.from_homogenized",
     "cli._cone_of",
-    "cli._cell_of",
     "polyhedra._make_cone",
     "polyhedra._make_fan",
     "build.downgrade",

@@ -366,18 +366,20 @@ def test_revisited_input_builds_nothing(monkeypatch, tmp_path):
 
 def test_a_document_parsed_again_is_a_lookup(monkeypatch):
     # a downgrade stanza, a bundle stanza, a bare fan and explicit
-    # documents, each parsed once; a second parse of a copy normalizes no
-    # generator and converts no cone: it returns the object of the first
+    # documents, each parsed once; a second parse of a copy returns the
+    # object of the first, and for stanzas and fans normalizes no generator
+    # and converts no cone
     fan_doc = fan_document(p2_projectivized_fan("E"))
     docs = [
         (parse_input, {"downgrade": {"fan": fan_doc}}),
         (parse_input, bundle_stanza(p1p1_bundle())),
         (parse_fan, fan_document(p2_projectivized_fan("F"))),
-        (parse_input, divisor_document(fixture("gr24"))),
-        (parse_input, divisor_document(fixture("p2_E"))),
     ]
+    explicit = [divisor_document(fixture("gr24")), divisor_document(fixture("p2_E"))]
     forget_values()  # as in a new process: nothing is built yet
     first = [parse(doc) for parse, doc in docs]
+    for doc in explicit:
+        assert parse_input(copy.deepcopy(doc)) is parse_input(doc)
     calls = Counter()
     spy = lambda name, real: lambda *a: calls.update([name]) or real(*a)
     monkeypatch.setattr(polyhedra, "primitive_direction", spy("primitive_direction", polyhedra.primitive_direction))
