@@ -262,8 +262,8 @@ def presentation(x: MarkedFansyDivisor, k: int) -> ChowPresentation:
     """The full k-cycle class group presentation of the divisor's variety.
 
     Built once per divisor value and k: every later call with an equal
-    divisor, such as :func:`tchow.effcone.eff_generators`, returns the same
-    presentation.
+    divisor returns the same presentation.  :func:`tchow.effcone.eff_generators`
+    reads it and is a table of a divisor and k the same way.
     """
     n = x.rank
     if not 0 <= k <= n + 1:

@@ -9,6 +9,8 @@ since numerical equivalence is out of scope.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .chow import ChowPresentation, presentation
 from .fansy import CycleGenerator, MarkedFansyDivisor
 from .value import Value
@@ -25,11 +27,14 @@ class EffConeReport(Value):
         return len(self.entries)
 
 
+@lru_cache(maxsize=None)
 def eff_generators(x: MarkedFansyDivisor, k: int) -> EffConeReport:
     """Effective k-cycle generators with their classes, deduplicated.
 
     Each distinct class vector is listed once together with every generator
-    mapping to it, so coincidences among the generators stay visible.
+    mapping to it, so coincidences among the generators stay visible.  A
+    table of a divisor and k, as :func:`~tchow.chow.presentation` is: every
+    later call with an equal divisor and k returns the same report.
     """
     pres = presentation(x, k)
     entries = tuple(zip(pres.generators, pres.class_map))

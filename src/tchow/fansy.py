@@ -96,7 +96,9 @@ class CycleGenerator(Value):
     face: Polyhedron | None = None
     cone: Cone | None = None
 
+    @lazy
     def label(self) -> str:
+        """The generator as the command line prints it, formatted once per object."""
         if self.kind == "V":
             verts = ",".join(
                 "(" + ",".join(str(c) for c in v) + ")" for v in self.face.vertices

@@ -21,7 +21,8 @@ rule: a table of one object is a :class:`lazy` attribute of it; an
 before the object exists: ``_make_cone``, ``_make_fan``, ``downgrade``,
 ``bundle_rank2``, and the command line's ``_cone_of`` on validated
 coordinates) or a table with a second argument (``s_sigma``,
-``enumerate_generators``, ``presentation``, ``toric_chow_presentation``).
+``enumerate_generators``, ``presentation``, ``eff_generators``,
+``toric_chow_presentation``).
 """
 
 from __future__ import annotations

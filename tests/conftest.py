@@ -452,6 +452,31 @@ def random_complete_fan(rng: random.Random, rank: int = 3, max_extra: int = 6) -
     return make_fan(cones, rank)
 
 
+# integer matrices of determinant 2 or 3 for sublattice_fan
+SUBLATTICE_MATRICES = (
+    ((2, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((1, 1, 0), (0, 2, 0), (0, 0, 1)),
+    ((2, 1, 0), (1, 2, 0), (0, 0, 1)),
+    ((1, 0, 1), (0, 1, 1), (0, 0, 3)),
+)
+
+
+def sublattice_fan(fan: Fan, matrix: Sequence[Sequence[int]]) -> Fan:
+    """The image of ``fan`` under ``matrix`` (determinant ±2 or ±3), its rays made primitive.
+
+    A complete fan again, read in a lattice that contains the image of the
+    old one with index ``|det matrix|``, so its class group may gain torsion.
+    """
+    n = fan.ambient_rank
+
+    def image(g):
+        w = [sum(a * b for a, b in zip(row, g)) for row in matrix]
+        d = gcd(*w)
+        return tuple(c // d for c in w)
+
+    return make_fan([make_cone([image(g) for g in c.generators], n) for c in fan.maximal_cones], n)
+
+
 def random_bundle(rng: random.Random, base: Fan) -> KlyachkoBundle:
     """Arbitrary rank-two filtration data on a smooth complete surface fan."""
     labels = ["0", "1", "inf"]

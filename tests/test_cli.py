@@ -761,6 +761,9 @@ USAGE_ERRORS = {
     "second positional": ["chow", "a.json", "b.json"],
     "non-integer k": ["chow", "--k", "two"],
     "non-integer k, joined": ["oracle", "--k=1.5"],
+    "non-ASCII digit k": ["eff", "--k", "\u0661"],
+    "k with a leading space": ["eff", "--k", " 1"],
+    "k with an underscore": ["eff", "--k=0_1"],
     "k with no value": ["chow", "--k"],
     "k on a command without one": ["validate", "--k", "1"],
     "missing k on eff": ["eff", "--json"],
@@ -779,6 +782,15 @@ def test_usage_error_exits_two_with_usage_line(capsys, argv):
     proc = run_cli(argv, stdin='{"rank": 2}')
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
     assert "Traceback" not in proc.stderr
+
+
+def test_k_on_a_command_without_one_names_the_command(capsys):
+    refusing = [name for name, (_, _, k_mode) in cli.COMMANDS.items() if k_mode is None]
+    assert refusing == ["validate", "counts", "fixture", "crosscheck"]
+    for name in refusing:
+        for argv in ([name, "--k", "1"], [name, "--k=1"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.endswith(f"tchow: error: {name} takes no --k\n")
 
 
 def test_help_lists_every_command(capsys):

@@ -83,6 +83,7 @@ MEMOS = {
     "fansy.s_sigma",
     "fansy.enumerate_generators",
     "chow.presentation",
+    "effcone.eff_generators",
     "chow.toric_chow_presentation",
 }
 

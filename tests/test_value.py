@@ -104,7 +104,7 @@ CASES = [
         ("points", "complexes", "marked"),
         read_indexes_and_report,
     ),
-    (generator, ("kind", "point", "face", "cone"), CycleGenerator.label),
+    (generator, ("kind", "point", "face", "cone"), lambda g: g.label),
     (lambda: GeneratorSets((generator(),), (), ()), ("r", "v", "t"), None),
     (violation, ("code", "message"), None),
     (lambda: ValidationReport((violation(),)), ("violations",), None),
@@ -119,7 +119,7 @@ CASES = [
         None,
     ),
     (
-        lambda: eff_generators(fixture("p2_E"), 1),
+        lambda: rebuilt(eff_generators(fixture("p2_E"), 1)),  # one report per divisor and k
         ("k", "presentation", "entries", "distinct_classes"),
         None,
     ),
@@ -317,33 +317,41 @@ def test_revisited_input_builds_nothing(monkeypatch, tmp_path):
     monkeypatch.setattr(
         Cone, "contains_cone", lambda *a: calls.update(["contains_cone"]) or real_contains_cone(*a)
     )
+    # a generator's text, formatted on the first read of its lazy label
+    real_label = CycleGenerator.label.func
+    monkeypatch.setattr(CycleGenerator.label, "func", lambda g: calls.update(["label"]) or real_label(g))
 
     def use(x):
         assert validate(x).ok
-        for k in range(x.rank + 2):
-            eff_generators(x, k)
-        return [presentation(x, k) for k in range(x.rank + 2)]
+        reports = [eff_generators(x, k) for k in range(x.rank + 2)]
+        return [presentation(x, k) for k in range(x.rank + 2)], reports
 
     for name, doc in docs.items():
         x = parse_input(doc)
-        first = use(x)
+        first, reports = use(x)
         chow_digest = output_digest(tmp_path, "chow", doc)
+        eff_digest = output_digest(tmp_path, "eff 1", doc)
         assert calls["relation_blocks"] and calls["_violations"] and calls["_extreme_rays"], name
+        assert calls["label"], name
         calls.clear()
         again = parse_input(copy.deepcopy(doc))
         assert again is x, name
-        assert use(again) == first
+        presentations, reports_again = use(again)
+        assert presentations == first
+        assert all(a is b for a, b in zip(reports_again, reports, strict=True)), name
         assert output_digest(tmp_path, "chow", doc) == chow_digest == GOLDEN[f"{name} chow"]
+        assert output_digest(tmp_path, "eff 1", doc) == eff_digest == GOLDEN[f"{name} eff 1"]
         assert not calls, (name, calls)
 
     fan = parse_fan(fan_doc)
     first = [toric_chow_presentation(fan, k) for k in range(fan.ambient_rank + 1)]
     assert calls["_smith_presentation"] == len(first) and calls["contains_cone"]
+    oracle_digest = output_digest(tmp_path, "oracle", fan_doc)
     calls.clear()
     again = parse_fan(copy.deepcopy(fan_doc))
     assert again is fan
     assert [toric_chow_presentation(again, k) for k in range(fan.ambient_rank + 1)] == first
-    assert output_digest(tmp_path, "oracle", fan_doc) == GOLDEN["p2_F_fan oracle"]
+    assert output_digest(tmp_path, "oracle", fan_doc) == oracle_digest == GOLDEN["p2_F_fan oracle"]
     assert not calls
 
     # the same fan, its cones reordered and each cone's generators reversed and scaled
