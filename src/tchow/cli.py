@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from functools import lru_cache
 from types import SimpleNamespace
@@ -69,19 +68,25 @@ def _shown(value) -> str:
     return f"{text[:80]}... ({len(text)} characters)"
 
 
+def _decimal(text: str, signed: bool = True) -> int:
+    """A sign (if ``signed``) and ASCII digits as an int; ValueError for " 1", "0_1" or "١"."""
+    digits = text[1:] if signed and text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):  # no regex: compiling one costs ~0.2 ms
+        raise ValueError(text)
+    return int(text)  # refuses more digits than sys.get_int_max_str_digits()
+
+
 def _rat(value):
     """An exact coordinate: an ``int``, or a ``Fraction`` where it is not integral."""
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"coordinates must be integers or 'a/b' strings, got {_shown(value)}")
     if isinstance(value, int):
         return int(value)
-    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", value) if isinstance(value, str) else None
-    if match:
-        try:
-            return ratio(int(match[1]), int(match[2] or 1))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {_shown(value)}") from exc
-    raise ParseError(f"bad rational {_shown(value)}")
+    num, slash, den = value.partition("/") if isinstance(value, str) else ("", "", "")
+    try:
+        return ratio(_decimal(num), _decimal(den, signed=False) if slash else 1)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {_shown(value)}") from exc
 
 
 def _int(value) -> int:
@@ -513,6 +518,8 @@ def _parse_args(argv: list[str]):
         elif flag == "--k" and k_mode is None:
             raise UsageError(f"{argv[0]} takes no --k")
         elif flag in ("--out", "--k"):
+            if opts[flag[2:]] is not None:
+                raise UsageError(f"{flag} given twice")
             opts[flag[2:]] = value if eq else next(tokens, None)
             if opts[flag[2:]] is None:
                 raise UsageError(f"{flag} needs a value")
@@ -520,13 +527,8 @@ def _parse_args(argv: list[str]):
             raise UsageError(f"unknown flag {_shown(token)}")
     k = opts["k"]
     if k is not None:
-        # ASCII digits and a sign, as in a document: int() also takes " 1", "0_1" and "١".
-        # Not a regex: compiling one costs a fresh process about 0.2 ms.
-        digits = k[1:] if k[:1] in ("+", "-") else k
         try:
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError
-            opts["k"] = int(k)  # refuses more digits than sys.get_int_max_str_digits()
+            opts["k"] = _decimal(k)  # as an integer in a document is written
         except ValueError:
             raise UsageError(f"--k needs an integer, got {_shown(k)}") from None
     elif k_mode:

@@ -38,7 +38,7 @@ from .polyhedra import (
     cone_as_polyhedron,
     fan_validate,
     make_complex,
-    minkowski_sum,
+    make_polyhedron,
     poly_intersect,
 )
 from .value import Value, canonical, lazy
@@ -279,10 +279,16 @@ def _degree_locus_meets(sigma: Cone, cells: Sequence[Polyhedron], semiample: boo
     built: the sum ``w`` of ``sigma``'s facet normals through ``tau`` is
     nonnegative on ``sigma`` and vanishes there exactly on ``tau``, so the
     meet is nonempty iff the minimum of ``w`` on ``deg sigma``, the sum of
-    the cells' minima at a vertex, is 0.  Otherwise the sum is built.
+    the cells' minima at a vertex, is 0.  Otherwise the sum is built: every
+    cell has tail ``sigma``, so each partial sum is the polyhedron on the
+    pairwise sums of vertices, with tail ``sigma``.
     """
     if not semiample:
-        deg = reduce(minkowski_sum, cells)
+        def add(a: Polyhedron, b: Polyhedron) -> Polyhedron:
+            sums = [[x + y for x, y in zip(v, w)] for v in a.vertices for w in b.vertices]
+            return make_polyhedron(sums, sigma.generators, sigma.ambient_rank)
+
+        deg = reduce(add, cells)
         return lambda tau: not poly_intersect(deg, cone_as_polyhedron(tau)).is_empty
 
     def meets(tau: Cone) -> bool:

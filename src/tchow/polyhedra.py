@@ -17,7 +17,7 @@ the primitive ones that lie in its span.  The span equations are one
 :func:`~tchow.exactlin.integer_kernel` of the generators, and every quotient
 of the pipeline by a cone's span reads them.  No constructor takes
 inequalities: a meet, a slice or a piece of a cone is a cone already held cut
-by more rows (:func:`cut`), from its own rays.
+by more rows (:func:`cut`), from its own rays at any dimension.
 
 :func:`make_cone` and :func:`make_polyhedron` canonicalize arbitrary input and
 keep the facet normals and dimension they computed on the way
@@ -359,27 +359,21 @@ def _make_cone(gens: tuple[IVec, ...], ambient_rank: int) -> Cone:
 def cut(c: Cone, rows: Sequence[IVec]) -> Cone:
     """The cone ``{y in c : a . y >= 0 for a in rows}``, canonical.
 
-    A full-dimensional ``c`` seeds the double description with its own rays;
-    a lower-dimensional one is cut in a basis of its generators (:func:`_rays_in`).
+    The double description starts from ``c``'s own rays, tight on its facets,
+    at any dimension: the rays span ``c``'s span, in which ``c`` is a pointed
+    cone of dimension ``c.dim``, so every 2-face has ``c.dim - 2`` tight rows.
     """
-    n = c.ambient_rank
-    if c.dim < n:
-        basis = [c.generators[i] for i in c.basis]
-        return _cone_on_rays(_rays_in(basis, c.normals + tuple(rows)), n)
     seed = [(g, _tight(c.normals, g)) for g in c.generators]
-    return _cone_on_rays(_add_rows(seed, enumerate(rows, len(c.normals)), n), n)
+    return _cone_on_rays(_add_rows(seed, enumerate(rows, len(c.normals)), c.dim), c.ambient_rank)
 
 
 def cone_intersect(a: Cone, b: Cone) -> Cone:
     """The meet of two cones, canonical: ``a`` cut by ``b``'s facets and span equations.
 
-    Each equation is a pair of opposite rows, and a full-dimensional side is
-    the one cut, so the double description starts from its rays.
+    Each equation is a pair of opposite rows.
     """
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient rank mismatch")
-    if a.dim < a.ambient_rank == b.dim:
-        a, b = b, a
     return cut(a, b.normals + b.span_eqs + tuple(tuple(-x for x in e) for e in b.span_eqs))
 
 
@@ -485,10 +479,6 @@ def _vertex_text(p: Polyhedron) -> str:
     return display([display([str(c) for c in v]) for v in p.vertices])
 
 
-def empty_polyhedron(ambient_rank: int) -> Polyhedron:
-    return from_homogenized(_cone_on_rays((), ambient_rank + 1))
-
-
 @lru_cache(maxsize=None)
 def from_homogenized(c: Cone) -> Polyhedron:
     """The canonical polyhedron whose homogenized cone is ``c``; empty when ``c`` has no vertex.
@@ -519,26 +509,6 @@ def make_polyhedron(
 def cone_as_polyhedron(c: Cone) -> Polyhedron:
     n = c.ambient_rank
     return from_homogenized(_cone_on_rays([(0,) * n + (1,)] + [g + (0,) for g in c.generators], n + 1))
-
-
-def minkowski_sum(a: Polyhedron, b: Polyhedron) -> Polyhedron:
-    """Minkowski sum; the empty polyhedron is absorbing.
-
-    Vertex generators ``(v, h)`` and ``(w, k)`` sum to ``(k v + h w, h k)``,
-    and the tail rays of both are kept.
-    """
-    if a.ambient_rank != b.ambient_rank:
-        raise ValueError("ambient rank mismatch")
-    n = a.ambient_rank
-    if a.is_empty or b.is_empty:
-        return empty_polyhedron(n)
-    gens = [g for g in a.cone.generators + b.cone.generators if not g[n]]
-    gens += [
-        tuple(g[n] * x + f[n] * y for x, y in zip(f[:n], g[:n])) + (f[n] * g[n],)
-        for f in a.cone.generators if f[n]
-        for g in b.cone.generators if g[n]
-    ]
-    return from_homogenized(make_cone(gens, n + 1))
 
 
 def poly_intersect(a: Polyhedron, b: Polyhedron) -> Polyhedron:

@@ -46,7 +46,6 @@ from tchow.polyhedra import (
     make_cone,
     make_fan,
     make_polyhedron,
-    minkowski_sum,
     poly_faces,
     poly_intersect,
     _cone_on_rays,
@@ -645,7 +644,7 @@ def deg_xi(x: MarkedFansyDivisor):
         total = None
         for p in x.points:
             cell = unique_face_over(x, sigma, p)
-            total = cell if total is None else minkowski_sum(total, cell)
+            total = cell if total is None else fraction_minkowski_sum(total, cell)
         out.append((sigma, total))
     return out
 
@@ -748,7 +747,7 @@ def with_point_order(x: MarkedFansyDivisor, order) -> MarkedFansyDivisor:
 
 
 def fraction_minkowski_sum(a: Polyhedron, b: Polyhedron) -> Polyhedron:
-    """Reference for ``polyhedra.minkowski_sum``: pairwise sums of Fraction vertices."""
+    """The Minkowski sum, from pairwise sums of Fraction vertices and both tails' rays."""
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient rank mismatch")
     if a.is_empty or b.is_empty:

@@ -382,6 +382,29 @@ def test_rational_coordinates_in_documented_forms(text, value):
     assert cli._rat(text) == value
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("+3/4", F(3, 4)),
+        ("-0", 0),
+        *((text, None) for text in ("3/-4", "3/+4", " 3", "3\n", "\u0663", "1_0", "", "/", "3/", "1/0")),
+        ("1" * 5_000 + "/3", None),
+    ],
+    ids=["+3/4", "-0", "3/-4", "3/+4", "space", "newline", "arabic-indic", "underscore", "empty"]
+    + ["slash", "no denominator", "zero denominator", "5000 digits"],
+)
+def test_rational_reads_a_sign_and_ascii_digits(text, value):
+    """A numerator is a sign and ASCII digits, a denominator ASCII digits, as ``--k`` is read;
+    anything else is a bad rational, with the message it always had."""
+    if value is None:
+        for read in (cli._rat, reference_rat):  # the reference reads by regex
+            with pytest.raises(cli.ParseError) as got:
+                read(text)
+            assert str(got.value) == f"bad rational {cli._shown(text)}"
+    else:
+        assert cli._rat(text) == reference_rat(text) == value
+
+
 def reference_rat(value) -> F:
     """``cli._rat`` as it was when every coordinate was a ``Fraction``."""
     if isinstance(value, bool) or isinstance(value, float):
@@ -765,6 +788,8 @@ USAGE_ERRORS = {
     "k with a leading space": ["eff", "--k", " 1"],
     "k with an underscore": ["eff", "--k=0_1"],
     "k with no value": ["chow", "--k"],
+    "repeated k": ["chow", "--k", "1", "--k", "2"],
+    "repeated out": ["fixture", "p2_E", "--out", "o1", "--out", "o2"],
     "k on a command without one": ["validate", "--k", "1"],
     "missing k on eff": ["eff", "--json"],
     "missing fixture name": ["fixture", "--json"],
@@ -791,6 +816,18 @@ def test_k_on_a_command_without_one_names_the_command(capsys):
         for argv in ([name, "--k", "1"], [name, "--k=1"]):
             assert main(argv) == 2
             assert capsys.readouterr().err.endswith(f"tchow: error: {name} takes no --k\n")
+
+
+def test_repeated_option_is_refused_by_name(tmp_path, capsys):
+    """A second ``--k`` or ``--out``, spaced or joined, is refused as a second file is: nothing is written."""
+    outs = [f"--out={tmp_path / 'o1'}", "--out", str(tmp_path / "o2")]
+    for argv, flag in (
+        (["chow", "--k", "1", "p2_E.json", "--k=2"], "--k"),
+        (["fixture", "p2_E", *outs], "--out"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith(f"tchow: error: {flag} given twice\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_lists_every_command(capsys):

@@ -67,6 +67,31 @@ def test_every_definition_is_used_or_exported():
     assert not found, "referenced nowhere in src/tchow and not exported:\n" + "\n".join(found)
 
 
+BENCH_SPANS = SRC.parent.parent / "bench" / "spans.py"
+
+
+def span_boundaries() -> dict:
+    """``BOUNDARIES`` of the benchmark's span tracer, read from its source: nothing is installed."""
+    for node in ast.parse(BENCH_SPANS.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "BOUNDARIES" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no BOUNDARIES in {BENCH_SPANS}")
+
+
+def test_every_benchmark_span_is_a_library_function():
+    # the tracer looks each boundary up by name in its module, so a deleted or
+    # renamed one fails the traced benchmark pass; this catches it in the tests
+    boundaries = span_boundaries()
+    missing = []
+    for module, names in boundaries.items():
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+        missing += [f"{module}.{name}" for name in names if name not in defined]
+    assert sum(map(len, boundaries.values())) > 20 and not missing, missing
+
+
 # A table of one object is a ``lazy`` attribute of that object.  An
 # ``lru_cache`` is an interning table (``canonical``, the cone table keyed by
 # sorted rays and rank, the polyhedron table keyed by its cone), an input memo

@@ -38,11 +38,12 @@ from tchow.polyhedra import (
     Cone,
     all_complex_faces,
     GeometryError,
+    IncompleteFanError,
+    _ridge_counts,
     complex_validate,
     cone_as_polyhedron,
     cone_intersect,
     cut,
-    empty_polyhedron,
     from_homogenized,
     fan_is_complete,
     fan_validate,
@@ -50,9 +51,9 @@ from tchow.polyhedra import (
     make_cone,
     make_fan,
     make_polyhedron,
-    minkowski_sum,
     poly_faces,
     poly_intersect,
+    require_complete,
 )
 from tchow.value import canonical
 
@@ -99,7 +100,7 @@ def test_zero_cone_h_data_is_derived_when_read():
         zero = Cone(n, ())
         assert zero.span_eqs == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         assert (zero.normals, zero.dim, zero.faces) == ((), 0, (zero,))
-        empty = empty_polyhedron(n)
+        empty = make_polyhedron([], [], n)
         assert canonical(empty) is empty and empty.dim == -1
         if n:
             cube = lambda shift: P([(x + shift, *v) for x, *v in product((0, 1), repeat=n)], [], n)
@@ -143,7 +144,7 @@ def test_polyhedron_tail_examples():
     assert seg.tail.is_zero()
     quad = cone_as_polyhedron(C((1, 0), (0, 1)))
     assert quad.tail == C((1, 0), (0, 1))
-    assert empty_polyhedron(2).tail.is_zero()
+    assert make_polyhedron([], [], 2).tail.is_zero()
 
 
 def test_polyhedron_canonical_vertices():
@@ -152,51 +153,6 @@ def test_polyhedron_canonical_vertices():
     assert p.vertices == ((F(0), F(0)), (F(2), F(0)))
     p2 = P([(0, 0), (1, 1)], [(1, 1)])
     assert p2.vertices == ((F(0), F(0)),)
-
-
-def test_minkowski_strip():
-    seg = P([(0, 0), (1, 0)], [])
-    ray = P([(0, 0)], [(0, 1)])
-    s = minkowski_sum(seg, ray)
-    assert s.vertices == ((F(0), F(0)), (F(1), F(0)))
-    assert s.tail == C((0, 1))
-
-
-def test_minkowski_identity_and_empty():
-    delta = P([(0, 0), (1, 2)], [(1, 0)])
-    origin = P([(0, 0)], [])
-    assert minkowski_sum(delta, origin) == delta
-    assert minkowski_sum(delta, empty_polyhedron(2)).is_empty
-
-
-def test_minkowski_three_segments_parallelepiped():
-    f23 = P([(0, 0, 0), (-1, -1, 0)], [])
-    f12 = P([(0, 0, 0), (-1, 0, -1)], [])
-    f13 = P([(1, 1, 1), (1, 0, 0)], [])
-    s = minkowski_sum(minkowski_sum(f23, f12), f13)
-    assert s.tail.is_zero()
-    assert len(s.vertices) == 8
-    expected = {
-        (1, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, -1),
-        (0, 0, 1), (0, -1, 0), (-1, 0, 0), (-1, -1, -1),
-    }
-    assert {tuple(int(x) for x in v) for v in s.vertices} == expected
-
-
-segments2 = st.tuples(
-    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-)
-
-
-@settings(max_examples=60)
-@given(segments2, segments2, segments2)
-def test_minkowski_commutative_associative(sa, sb, sc):
-    a, b, c = (P(list(s), []) for s in (sa, sb, sc))
-    assert minkowski_sum(a, b) == minkowski_sum(b, a)
-    assert minkowski_sum(minkowski_sum(a, b), c) == minkowski_sum(
-        a, minkowski_sum(b, c)
-    )
 
 
 rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
@@ -222,13 +178,6 @@ def test_vertices_and_tail_rebuild_the_polyhedron(data):
     assert p.tail == make_cone(rays, n) and not p.is_empty
 
 
-def test_tail_of_sum_is_join():
-    a = P([(0, 0)], [(1, 0)])
-    b = P([(3, 1)], [(0, 1)])
-    s = minkowski_sum(a, b)
-    assert s.tail == C((0, 1), (1, 0))
-
-
 def test_poly_intersect():
     a = P([(0, 0), (2, 0)], [(0, 1)])
     b = P([(1, -1)], [(0, 1), (1, 1)])
@@ -239,9 +188,9 @@ def test_poly_intersect():
     assert disjoint.is_empty
     # parallel half-lines: their homogenized cones meet in a ray at last coordinate 0
     apart = poly_intersect(P([(0, 0)], [(0, 1)]), P([(1, 0)], [(0, 1)]))
-    assert apart == empty_polyhedron(2) and apart.cone == Cone(3, ())
+    assert apart == make_polyhedron([], [], 2) and apart.cone == Cone(3, ())
     assert (*polyhedron_hrep(apart), apart.dim) == ((), (), -1)
-    assert not poly_is_face_of(empty_polyhedron(2), a)
+    assert not poly_is_face_of(make_polyhedron([], [], 2), a)
 
 
 def test_poly_faces_closed_under_faces():
@@ -297,6 +246,25 @@ def test_fan_completeness_and_euler():
     assert len(fan.cones(1)) == len(fan.cones(2))
     incomplete = make_fan([C((1, 0), (0, 1))], 2)
     assert not fan_is_complete(incomplete)
+
+
+@pytest.mark.parametrize("name", ["no cones", "two opposite rays"])
+def test_require_complete_refuses(name):
+    # the fan of (1, 0) and (-1, 0) is valid and each of its ridges, the zero
+    # cone, lies in 2 cones: only its cones' dimension shows it is not complete
+    fan = make_fan([] if name == "no cones" else [C((1, 0)), C((-1, 0))], 2)
+    assert fan_validate(fan) == []
+    assert all(v == 2 for v in _ridge_counts(fan.maximal_cones).values())
+    assert not fan_is_complete(fan)
+    with pytest.raises(IncompleteFanError, match="^fan is not complete$"):
+        require_complete(fan)
+
+
+def test_complex_validate_refuses_a_complex_with_no_cells():
+    for n in (1, 2, 3):
+        empty = make_complex([make_polyhedron([], [], n)], n)  # an empty cell is dropped
+        assert empty is make_complex([], n) and empty.maximal_cells == ()
+        assert complex_validate(empty) == ["complex has no cells"]
 
 
 def test_fan_validate_bad_pair():
@@ -666,8 +634,8 @@ def random_full_gens(rng, n):
 
 
 def test_cone_intersect_matches_double_description():
-    # a full-dimensional side seeds the meet with its own rays; the meet must
-    # be the cone one double description of both sides' H-data gives
+    # the meet cuts one side from its own rays, of either dimension, in either
+    # order; it must be the cone one double description of both sides' H-data gives
     rng = random.Random(45)
     tally = dict.fromkeys([(True, True), (True, False), (False, True), (False, False)], 0)
     for _ in range(600):
@@ -685,8 +653,8 @@ def test_cone_intersect_matches_double_description():
 
 
 def test_cut_matches_reference():
-    # a full-dimensional cone seeds the cut with its own rays, a lower-dimensional
-    # one is cut in a basis of its generators; both must give the cone one double
+    # the cut starts from the cone's own rays at every dimension, in its span;
+    # full- and lower-dimensional cones must both give the cone one double
     # description of its H-data and the rows gives
     rng = random.Random(46)
     tally = {True: 0, False: 0}
@@ -971,7 +939,7 @@ def junk_around(rng, cells, n):
     and a face of it only by chance.  Also returns how many pieces are not faces.
     """
     out = list(cells) + [rng.choice(cells) for _ in range(rng.randint(1, 3))]
-    out += [empty_polyhedron(n)] * rng.randint(1, 2)
+    out += [make_polyhedron([], [], n)] * rng.randint(1, 2)
     inner = 0
     for c in cells:
         out.append(rng.choice(c.faces))
