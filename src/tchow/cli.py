@@ -295,7 +295,7 @@ def _presentation_document(pres) -> dict:
 def _write(path: str | None, text: str) -> None:
     """Write ``text`` to the file ``path``, or to stdout and flush it; a failure is a ParseError."""
     try:
-        if path:
+        if path is not None:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         elif sys.stdout is None:  # the process was started with stdout closed
@@ -305,7 +305,7 @@ def _write(path: str | None, text: str) -> None:
             sys.stdout.flush()
     except (OSError, UnicodeEncodeError) as exc:  # the encoding cannot hold a label
         reason = getattr(exc, "strerror", exc)
-        raise ParseError(f"cannot write {path or 'stdout'}: {reason}") from exc
+        raise ParseError(f"cannot write {'stdout' if path is None else path}: {reason}") from exc
 
 
 def _emit(args, doc: dict, text: str | None = None) -> None:
@@ -521,7 +521,7 @@ def _parse_args(argv: list[str]):
             if opts[flag[2:]] is not None:
                 raise UsageError(f"{flag} given twice")
             opts[flag[2:]] = value if eq else next(tokens, None)
-            if opts[flag[2:]] is None:
+            if not opts[flag[2:]]:  # absent or empty
                 raise UsageError(f"{flag} needs a value")
         else:
             raise UsageError(f"unknown flag {_shown(token)}")

@@ -37,11 +37,12 @@ An object built again is the object built first, with its H-data, faces
 (``faces``, and a cone's ``face_set`` that face queries look up), validity
 and coface map, each computed once per value.  A cone is converted once
 per set of primitive generator directions.  A fan selects its maximal cones
-once per set of cones, by one containment scan (:func:`_make_fan`).  A
-complex is stored as the fan of its cells' homogenized cones one rank up,
-as a polyhedron is as its homogenized cone: built through the same scan and
-memo, with its cells read off that fan's maximal cones.  A fan indexes its
-cones by dimension; a complex lists the faces of all its cells
+once per set of cones, with no H-data: in a fan a cone in another is a face
+of it, so a cone is dropped when its rays are among another's
+(:func:`_make_fan`).  A complex is stored as the fan of its cells'
+homogenized cones one rank up, as a polyhedron is as its homogenized cone,
+its cells read off that fan's maximal cones.  A fan indexes its cones by
+dimension; a complex lists the faces of all its cells
 (:func:`all_complex_faces`) and indexes them by dimension and by tail cone.
 Both read their coface maps off ray inclusion (:func:`_cofaces`).
 
@@ -301,9 +302,6 @@ class Cone(Value):
         return all(dot(e, x) == 0 for e in self.span_eqs) and all(
             dot(u, x) >= 0 for u in self.normals
         )
-
-    def contains_cone(self, other: "Cone") -> bool:
-        return all(self.contains(g) for g in other.generators)
 
     def sort_key(self):
         return (len(self.generators), self.generators)
@@ -606,18 +604,19 @@ def _cofaces(by_dim: dict, rays_of) -> dict:
 
 
 def make_fan(cones: Iterable[Cone], ambient_rank: int) -> Fan:
-    """Normalize a generating list of cones: dedupe and drop non-maximal ones; one object per value.
-
-    The maximal cones are selected once per set of cones.
-    """
+    """Dedupe cones and drop faces of others, once per set of cones; one object per value."""
     return _make_fan(frozenset(cones), ambient_rank)
 
 
 @lru_cache(maxsize=None)
 def _make_fan(cones: frozenset[Cone], ambient_rank: int) -> Fan:
-    """The fan on the cones that no other one of ``cones`` contains, sorted."""
+    """The fan on the cones whose rays are not among another one's, sorted.
+
+    A cone in another but not a face of it is kept: validation reports the pair.
+    """
     ordered = sorted(cones, key=Cone.sort_key)
-    maximal = [c for c in ordered if not any(o is not c and o.contains_cone(c) for o in ordered)]
+    rays = [frozenset(c.generators) for c in ordered]
+    maximal = [c for c, r in zip(ordered, rays) if not any(r < o for o in rays)]
     return canonical(Fan(ambient_rank, tuple(maximal)))
 
 
@@ -722,11 +721,11 @@ def _group(items: Iterable, key) -> dict:
 
 
 def make_complex(cells: Iterable[Polyhedron], ambient_rank: int) -> PolyhedralComplex:
-    """Dedupe cells, drop the empty ones and any cell contained in another; one object per value.
+    """Dedupe cells, drop the empty ones and any face of another cell; one object per value.
 
-    One nonempty cell lies in another exactly when its homogenized cone does,
-    so the complex is the :func:`make_fan` of the homogenized cones, whose
-    maximal cones are selected once per set of cones.
+    One nonempty cell is a face of another exactly when its homogenized cone
+    is, so the complex is the :func:`make_fan` of the homogenized cones, whose
+    maximal cones are selected by ray inclusion once per set of cones.
     """
     cones = (c.cone for c in cells if not c.is_empty)
     return canonical(PolyhedralComplex(make_fan(cones, ambient_rank + 1)))

@@ -327,6 +327,11 @@ def assert_same_facets(normals, expected, generators, span_eqs):
         assert gcd(*u) == 1 and all(dot(e, u) == 0 for e in span_eqs), (u, span_eqs)
 
 
+def cone_contains(big: Cone, small: Cone) -> bool:
+    """Whether ``small`` lies in ``big``: each of its generators does."""
+    return all(big.contains(g) for g in small.generators)
+
+
 def poly_contains(p: Polyhedron, x: Sequence) -> bool:
     """Whether the point ``x`` lies in ``p``: ``(x, 1)`` lies in its homogenized cone."""
     return not p.is_empty and p.cone.contains(tuple(x) + (1,))
@@ -340,12 +345,12 @@ def poly_is_face_of(f: Polyhedron, p: Polyhedron) -> bool:
 def reference_make_complex(cells: Sequence[Polyhedron], ambient_rank: int) -> PolyhedralComplex:
     """Reference for ``make_complex``: a pairwise scan of the cells' homogenized cones.
 
-    The empty cells dropped and the cones deduped, a cone is kept unless
-    another one contains it; the complex is the fan of the kept cones, in
-    ``Cone.sort_key`` order, one rank up.
+    The empty cells dropped and the cones deduped, a cone is kept unless its
+    rays are a proper subset of another one's; the complex is the fan of the
+    kept cones, in ``Cone.sort_key`` order, one rank up.
     """
     cones = {c.cone for c in cells if not c.is_empty}
-    maximal = [k for k in cones if not any(o is not k and o.contains_cone(k) for o in cones)]
+    maximal = [k for k in cones if not any(set(k.generators) < set(o.generators) for o in cones)]
     return PolyhedralComplex(Fan(ambient_rank + 1, tuple(sorted(maximal, key=Cone.sort_key))))
 
 
@@ -521,7 +526,7 @@ def classify_hij(b: KlyachkoBundle, c: Cone) -> str:
     """
     classes = set()
     for top in b.base_fan.maximal_cones:
-        if top.contains_cone(c):
+        if cone_contains(top, c):
             delta = _cone_delta(b, top)
             vals = [dot(delta, g) for g in c.generators]
             if all(v == 0 for v in vals):

@@ -10,6 +10,7 @@ import time
 
 import pytest
 from conftest import (
+    cone_contains,
     face_pair_sides,
     p1p1_fan,
     p2_fan,
@@ -182,7 +183,7 @@ def test_criterion_7_multiplicity_step_identities():
                     if (
                         big.dim == small.dim + 1
                         and poly_is_face_of(small, big)
-                        and big.tail.contains_cone(small.tail)
+                        and cone_contains(big.tail, small.tail)
                     ):
                         lhs, rhs = face_pair_sides(small, big)
                         assert lhs == rhs, (name, p)

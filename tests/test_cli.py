@@ -125,6 +125,21 @@ def test_incomplete_first_fiber_is_reported_over_the_fiber():
     assert codes == ["BAD_COMPLEX", "BAD_COMPLEX"]
 
 
+def test_cell_inside_another_is_reported_not_dropped():
+    # p2_E with a cell added to fiber 0 inside its cell (0, 0) + cone((-1,-1), (0,1)),
+    # with the same tail: not a face of it, so the fiber is not a complex
+    doc = divisor_document(fixture("p2_E"))
+    doc["complexes"]["0"].append({"vertices": [["-1", "0"]], "rays": [[-1, -1], [0, 1]]})
+    res = run_cli(["validate", "-", "--json"], stdin=json.dumps(doc))
+    assert res.returncode == 1
+    (violation,) = json.loads(res.stdout)["violations"]
+    assert violation["code"] == "BAD_COMPLEX"
+    assert violation["message"] == (
+        "fiber over 0: cells ((-1, 0),)+((-1, -1), (0, 1)) and ((0, 0),)+((-1, -1), (0, 1)) "
+        "do not meet in a common face"
+    )
+
+
 def test_parse_error_exit_two():
     res = run_cli(["chow", "-"], stdin="{not json")
     assert res.returncode == 2
@@ -570,6 +585,14 @@ def test_singular_basis_change_is_validation_failure(tmp_path, capsys):
     assert capsys.readouterr().err == "validation failure: basis change must be unimodular\n"
 
 
+# the fan of the four quadrants with cone((1,0),(1,1)) listed too: inside the
+# first quadrant but not a face of it, so not dropped as one
+SUB_CONE_FAN = {
+    "rank": 2,
+    "maximal_cones": [[[1, 0], [0, 1]], [[1, 0], [1, 1]], [[0, 1], [-1, 0]], [[-1, 0], [0, -1]], [[0, -1], [1, 0]]],
+}
+SUB_CONE_FAULT = "cones ((0, 1), (1, 0)) and ((1, 0), (1, 1)) do not meet in a common face"
+
 # input that parses but describes no variety: a validation failure (exit 1) naming the fault
 GEOMETRY_FAILURES = {
     "repeated_filtration_ray": (
@@ -592,6 +615,8 @@ GEOMETRY_FAILURES = {
         {"rank": 0, "maximal_cones": [[]]},
         "a downgrade needs a fan of rank at least 1",
     ),
+    "sub_cone_oracle": ("oracle", SUB_CONE_FAN, SUB_CONE_FAULT),
+    "sub_cone_crosscheck": ("crosscheck", SUB_CONE_FAN, SUB_CONE_FAULT),
 }
 
 
@@ -790,6 +815,7 @@ USAGE_ERRORS = {
     "k with no value": ["chow", "--k"],
     "repeated k": ["chow", "--k", "1", "--k", "2"],
     "repeated out": ["fixture", "p2_E", "--out", "o1", "--out", "o2"],
+    "empty out": ["fixture", "p2_E", "--out="],
     "k on a command without one": ["validate", "--k", "1"],
     "missing k on eff": ["eff", "--json"],
     "missing fixture name": ["fixture", "--json"],

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from conftest import (
     complex_faces,
+    cone_contains,
     deg_xi,
     fraction_mu_of_face,
     fraction_poly_min,
@@ -317,7 +318,7 @@ def assert_fan_cofaces_match_scan(fan):
     assert fan.cofaces[fan.cones(0)[0]] == fan.cones(1)  # the zero cone's
     for tau in fan.all_cones():
         assert list(fan.cofaces[tau]) == [
-            sigma for sigma in fan.cones(tau.dim + 1) if sigma.contains_cone(tau)
+            sigma for sigma in fan.cones(tau.dim + 1) if cone_contains(sigma, tau)
         ], tau
 
 

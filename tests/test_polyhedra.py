@@ -10,11 +10,13 @@ from conftest import (
     assert_same_facets,
     complex_faces,
     extreme_rays,
+    forget_values,
     fraction_primitive,
     mat_mul,
     poly_contains,
     poly_is_face_of,
     polyhedron_hrep,
+    random_complete_fan,
     reference_h_to_generators,
     reference_make_complex,
     reference_perp_lattice,
@@ -26,7 +28,7 @@ from conftest import (
 )
 
 from tchow import exactlin, polyhedra
-from tchow.build import FIXTURE_NAMES, fixture
+from tchow.build import FIXTURE_NAMES, _slice, fixture
 from tchow.exactlin import (
     dot,
     integer_kernel,
@@ -936,31 +938,48 @@ def junk_around(rng, cells, n):
     """``cells`` with duplicates, empty polyhedra, faces and inner pieces added, shuffled.
 
     An inner piece is a cell cut by a random affine row: inside the cell,
-    and a face of it only by chance.  Also returns how many pieces are not faces.
+    and a face of it only by chance.  Also returns the pieces that are not
+    faces and whose homogenized cones have a ray the cell's has not: a
+    piece on the cell's rays alone is dropped as the face it would be in a
+    complex.
     """
     out = list(cells) + [rng.choice(cells) for _ in range(rng.randint(1, 3))]
     out += [make_polyhedron([], [], n)] * rng.randint(1, 2)
-    inner = 0
+    inner = []
     for c in cells:
         out.append(rng.choice(c.faces))
         row = tuple(rng.randint(-2, 2) for _ in range(n)) + (rng.randint(-3, 3),)
         piece = from_homogenized(cut(c.cone, [row]))
         out.append(piece)
-        inner += not piece.is_empty and piece != c and piece not in c.faces
+        new_ray = not set(piece.cone.generators) <= set(c.cone.generators)
+        if not piece.is_empty and piece not in c.faces and new_ray:
+            inner.append(piece)
     rng.shuffle(out)
     return out, inner
 
 
+def assert_pieces_reported(s, pieces):
+    """Each inner piece is a maximal cell of ``s`` that validation names in an improper pair."""
+    problems = [p for p in complex_validate(s) if "do not meet in a common face" in p]
+    for piece in pieces:
+        assert piece in s.maximal_cells, piece
+        text = f"{polyhedra._vertex_text(piece)}+{piece.tail.generators}"
+        assert any(text in p for p in problems), (text, problems)
+
+
 def test_make_complex_matches_pairwise_reference():
+    # a piece inside a cell that is not a face of it is not a complex's
+    # cell: it is kept, for validation to report, not silently dropped
     rng = random.Random(67)
     inner = kept = 0
     for _ in range(80):
         n = rng.randint(1, 3)
         cells, pieces = junk_around(rng, [random_polyhedron(rng, n) for _ in range(rng.randint(1, 4))], n)
-        inner += pieces
+        inner += len(pieces)
         s, expected = make_complex(cells, n), reference_make_complex(cells, n)
         assert s == expected and s.maximal_cells == expected.maximal_cells
         assert s is canonical(s) and make_complex(reversed(cells), n) is s
+        assert_pieces_reported(s, pieces)
         kept += len(s.maximal_cells)
     assert inner > 40 and kept > 100, (inner, kept)
 
@@ -972,9 +991,34 @@ def test_make_complex_of_a_fiber_is_the_fiber(name):
     for s in x.complexes:
         n = s.ambient_rank
         assert make_complex(s.maximal_cells, n) is s
-        cells, _ = junk_around(rng, list(s.maximal_cells), n)
-        assert make_complex(cells, n) is s
-        assert reference_make_complex(cells, n).maximal_cells == s.maximal_cells
+        cells, pieces = junk_around(rng, list(s.maximal_cells), n)
+        junk = make_complex(cells, n)
+        assert set(junk.maximal_cells) == set(s.maximal_cells) | set(pieces)
+        assert reference_make_complex(cells, n) == junk
+        assert_pieces_reported(junk, pieces)
+        assert (junk is s) == (not pieces)
+        faces_only = [c for c in cells if c not in pieces]
+        assert make_complex(faces_only, n) is s
+
+
+def test_maximal_members_are_selected_without_h_data(monkeypatch):
+    """Fresh cones and cells, with no H-data read yet, are selected by their rays alone."""
+    rng = random.Random(34)
+    fans = [random_complete_fan(rng, rank) for rank in (2, 3, 3, 4)]
+    gens = [[c.generators for c in fan.maximal_cones] for fan in fans]
+    forget_values()  # as in a new process: no cone has H-data yet
+    calls = []
+    real = polyhedra._extreme_rays
+    slices = [
+        ([_slice(c, h) for c in fan.maximal_cones], fan.ambient_rank - 1) for fan in fans for h in (1, -1)
+    ]
+    cones = [[polyhedra._cone_on_rays(g, fan.ambient_rank) for g in gs] for fan, gs in zip(fans, gens)]
+    monkeypatch.setattr(polyhedra, "_extreme_rays", lambda *a: calls.append(a) or real(*a))
+    complexes = [make_complex(cells, n) for cells, n in slices]
+    new_fans = [make_fan(cs, fan.ambient_rank) for cs, fan in zip(cones, fans)]
+    assert calls == []
+    assert new_fans == fans
+    assert complexes == [reference_make_complex(cells, n) for cells, n in slices]
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -309,14 +309,12 @@ def test_revisited_input_builds_nothing(monkeypatch, tmp_path):
         real = getattr(module, name)
         spy = lambda *a, real=real, name=name: calls.update([name]) or real(*a)
         monkeypatch.setattr(module, name, spy)
-    # the double description and the maximality scan of make_fan/make_complex
-    real_extreme_rays, real_contains_cone = polyhedra._extreme_rays, Cone.contains_cone
+    # the double description, and the maximality selection of make_fan/make_complex
+    real_extreme_rays = polyhedra._extreme_rays
     monkeypatch.setattr(
         polyhedra, "_extreme_rays", lambda *a: calls.update(["_extreme_rays"]) or real_extreme_rays(*a)
     )
-    monkeypatch.setattr(
-        Cone, "contains_cone", lambda *a: calls.update(["contains_cone"]) or real_contains_cone(*a)
-    )
+    fans_selected = lambda: polyhedra._make_fan.cache_info().misses
     # a generator's text, formatted on the first read of its lazy label
     real_label = CycleGenerator.label.func
     monkeypatch.setattr(CycleGenerator.label, "func", lambda g: calls.update(["label"]) or real_label(g))
@@ -327,13 +325,15 @@ def test_revisited_input_builds_nothing(monkeypatch, tmp_path):
         return [presentation(x, k) for k in range(x.rank + 2)], reports
 
     for name, doc in docs.items():
+        selected = fans_selected()
         x = parse_input(doc)
         first, reports = use(x)
         chow_digest = output_digest(tmp_path, "chow", doc)
         eff_digest = output_digest(tmp_path, "eff 1", doc)
         assert calls["relation_blocks"] and calls["_violations"] and calls["_extreme_rays"], name
-        assert calls["label"], name
+        assert calls["label"] and fans_selected() > selected, name
         calls.clear()
+        selected = fans_selected()
         again = parse_input(copy.deepcopy(doc))
         assert again is x, name
         presentations, reports_again = use(again)
@@ -341,18 +341,19 @@ def test_revisited_input_builds_nothing(monkeypatch, tmp_path):
         assert all(a is b for a, b in zip(reports_again, reports, strict=True)), name
         assert output_digest(tmp_path, "chow", doc) == chow_digest == GOLDEN[f"{name} chow"]
         assert output_digest(tmp_path, "eff 1", doc) == eff_digest == GOLDEN[f"{name} eff 1"]
-        assert not calls, (name, calls)
+        assert not calls and fans_selected() == selected, (name, calls)
 
     fan = parse_fan(fan_doc)
     first = [toric_chow_presentation(fan, k) for k in range(fan.ambient_rank + 1)]
-    assert calls["_smith_presentation"] == len(first) and calls["contains_cone"]
+    assert calls["_smith_presentation"] == len(first) and fans_selected() > selected
     oracle_digest = output_digest(tmp_path, "oracle", fan_doc)
     calls.clear()
+    selected = fans_selected()
     again = parse_fan(copy.deepcopy(fan_doc))
     assert again is fan
     assert [toric_chow_presentation(again, k) for k in range(fan.ambient_rank + 1)] == first
     assert output_digest(tmp_path, "oracle", fan_doc) == oracle_digest == GOLDEN["p2_F_fan oracle"]
-    assert not calls
+    assert not calls and fans_selected() == selected
 
     # the same fan, its cones reordered and each cone's generators reversed and scaled
     moved = {
@@ -363,13 +364,14 @@ def test_revisited_input_builds_nothing(monkeypatch, tmp_path):
         ],
     }
     assert moved != fan_doc and parse_fan(moved) is fan
-    assert not calls
+    assert not calls and fans_selected() == selected
 
     for name in FIXTURE_NAMES:
         x = fixture(name)
         calls.clear()
+        selected = fans_selected()
         assert fixture(name) is x
-        assert not calls, name
+        assert not calls and fans_selected() == selected, name
 
 
 def test_a_document_parsed_again_is_a_lookup(monkeypatch):
