@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from itertools import chain, islice
 from types import SimpleNamespace
 
 from .build import (
@@ -106,6 +107,7 @@ def _rank(value) -> int:
 
 
 _INT = {int}  # issuperset(map(type, v)) makes a warm parse_fan ~15% faster than all(...)
+_LIST = {list}
 
 
 def _vector(value, rank: int, entry=_int) -> tuple:
@@ -157,13 +159,25 @@ def _list(value, what: str) -> list:
 # documents
 
 
-# An input memo: a cone read again is one lookup, with no normalization.  Its
-# keys are _vector output alone, plain ints, so equal keys are equal inputs.
+# Input memos: a fan or a cone read again is one lookup, with no
+# normalization.  parse_fan checks a maximal_cones block of lists of ``rank``
+# plain ints in one pass of C-level scans and keys _fan_of by its cone sizes
+# and flat coordinates (cheaper to build, hash and compare than nested
+# tuples); any other block is read cone by cone, with its messages, each cone
+# keyed by _vector output (_cone_of).  Keys hold plain ints alone, so equal
+# keys are equal inputs: true or 1.0 never aliases 1.
 
 
 @lru_cache(maxsize=None)
 def _cone_of(gens: tuple, rank: int):
     return make_cone(gens, rank)
+
+
+@lru_cache(maxsize=None)
+def _fan_of(sizes: tuple, coords: tuple, rank: int) -> Fan:
+    it = iter(coords)
+    cones = [tuple([tuple(islice(it, rank)) for _ in range(n)]) for n in sizes]
+    return make_fan([_cone_of(c, rank) for c in cones], rank)
 
 
 def _cone(value, rank: int):
@@ -174,6 +188,12 @@ def parse_fan(doc) -> Fan:
     _only(doc, ("rank", "maximal_cones"), "a fan document")
     rank = _rank(_field(doc, "rank", "a fan document"))
     cones = _list(_field(doc, "maximal_cones", "a fan document"), "maximal_cones")
+    if _LIST.issuperset(map(type, cones)):
+        vectors = list(chain.from_iterable(cones))
+        if _LIST.issuperset(map(type, vectors)) and {rank}.issuperset(map(len, vectors)):
+            coords = tuple(chain.from_iterable(vectors))
+            if _INT.issuperset(map(type, coords)):
+                return _fan_of(tuple(map(len, cones)), coords, rank)
     return make_fan([_cone(c, rank) for c in cones], rank)
 
 

@@ -37,11 +37,11 @@ An object built again is the object built first, with its H-data, faces
 (``faces``, and a cone's ``face_set`` that face queries look up), validity
 and coface map, each computed once per value.  A cone is converted once
 per set of primitive generator directions.  A fan selects its maximal cones
-once per set of cones, with no H-data: in a fan a cone in another is a face
-of it, so a cone is dropped when its rays are among another's
-(:func:`_make_fan`).  A complex is stored as the fan of its cells'
-homogenized cones one rank up, as a polyhedron is as its homogenized cone,
-its cells read off that fan's maximal cones.  A fan indexes its cones by
+once per set of cones (:func:`_make_fan`): a cone is dropped when it is a
+face of another, and only a cone whose rays are among another's is tested,
+so a fan with no such pair reads no H-data.  A complex is stored as the fan
+of its cells' homogenized cones one rank up, as a polyhedron is as its
+homogenized cone, its cells read off that fan's maximal cones.  A fan indexes its cones by
 dimension; a complex lists the faces of all its cells
 (:func:`all_complex_faces`) and indexes them by dimension and by tail cone.
 Both read their coface maps off ray inclusion (:func:`_cofaces`).
@@ -610,13 +610,20 @@ def make_fan(cones: Iterable[Cone], ambient_rank: int) -> Fan:
 
 @lru_cache(maxsize=None)
 def _make_fan(cones: frozenset[Cone], ambient_rank: int) -> Fan:
-    """The fan on the cones whose rays are not among another one's, sorted.
+    """The fan on the cones that are not a face of another one, sorted.
 
-    A cone in another but not a face of it is kept: validation reports the pair.
+    A face's rays are among its parent's, so only a cone whose rays are among
+    another's is looked up in that one's faces, which reads H-data; the zero
+    cone is a face of every cone.  A cone in another but not a face of it is
+    kept: validation reports the pair.
     """
     ordered = sorted(cones, key=Cone.sort_key)
     rays = [frozenset(c.generators) for c in ordered]
-    maximal = [c for c, r in zip(ordered, rays) if not any(r < o for o in rays)]
+    maximal = [
+        c
+        for c, r in zip(ordered, rays)
+        if not any(r < s and (not r or c in o.face_set) for o, s in zip(ordered, rays))
+    ]
     return canonical(Fan(ambient_rank, tuple(maximal)))
 
 
@@ -725,7 +732,7 @@ def make_complex(cells: Iterable[Polyhedron], ambient_rank: int) -> PolyhedralCo
 
     One nonempty cell is a face of another exactly when its homogenized cone
     is, so the complex is the :func:`make_fan` of the homogenized cones, whose
-    maximal cones are selected by ray inclusion once per set of cones.
+    maximal cones are selected once per set of cones.
     """
     cones = (c.cone for c in cells if not c.is_empty)
     return canonical(PolyhedralComplex(make_fan(cones, ambient_rank + 1)))

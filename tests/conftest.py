@@ -345,12 +345,12 @@ def poly_is_face_of(f: Polyhedron, p: Polyhedron) -> bool:
 def reference_make_complex(cells: Sequence[Polyhedron], ambient_rank: int) -> PolyhedralComplex:
     """Reference for ``make_complex``: a pairwise scan of the cells' homogenized cones.
 
-    The empty cells dropped and the cones deduped, a cone is kept unless its
-    rays are a proper subset of another one's; the complex is the fan of the
-    kept cones, in ``Cone.sort_key`` order, one rank up.
+    The empty cells dropped and the cones deduped, a cone is kept unless it
+    is a face of another one; the complex is the fan of the kept cones, in
+    ``Cone.sort_key`` order, one rank up.
     """
     cones = {c.cone for c in cells if not c.is_empty}
-    maximal = [k for k in cones if not any(set(k.generators) < set(o.generators) for o in cones)]
+    maximal = [k for k in cones if not any(k != o and k in o.face_set for o in cones)]
     return PolyhedralComplex(Fan(ambient_rank + 1, tuple(sorted(maximal, key=Cone.sort_key))))
 
 

@@ -1,15 +1,19 @@
+import copy
 import gc
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import warnings
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
+from conftest import fan_document, forget_values, random_complete_fan
 
 import tchow
 from tchow import cli
@@ -536,6 +540,106 @@ def test_a_parse_never_depends_on_earlier_parses():
     assert [outcome(floats), outcome(bools)] == before
 
 
+def entry_wise(doc):
+    """``parse_fan``'s reader for a block that fails its bulk check: cone by cone."""
+    rank = doc["rank"]
+    return cli.make_fan([cli._cone(c, rank) for c in doc["maximal_cones"]], rank)
+
+
+def shuffled_fan_document(rng, fan):
+    """``fan``'s document with its cones and each cone's generators in a random order."""
+    doc = fan_document(fan)
+    for cone in doc["maximal_cones"]:
+        rng.shuffle(cone)
+    rng.shuffle(doc["maximal_cones"])
+    return doc
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_bulk_read_fan_is_the_entry_wise_one(rank):
+    # a block of plain-int lists is keyed by its coordinates (cli._fan_of);
+    # the fan is the object the cone-by-cone reader builds, whichever runs first
+    rng = random.Random(35 + rank)
+    for _ in range(4):
+        doc = shuffled_fan_document(rng, random_complete_fan(rng, rank, 4))
+        forget_values()
+        fan = cli.parse_fan(doc)
+        assert entry_wise(doc) is fan and cli.parse_fan(copy.deepcopy(doc)) is fan
+        forget_values()
+        fan = entry_wise(doc)
+        assert cli.parse_fan(doc) is fan
+        # a coordinate spelt "3" fails the bulk check: read entry-wise, it keys no fan
+        strings = copy.deepcopy(doc)
+        strings["maximal_cones"][-1][-1] = [str(c) for c in strings["maximal_cones"][-1][-1]]
+        assert cli.parse_fan(strings) is fan and cli._fan_of.cache_info().currsize == 1
+
+
+def malformed_twins(doc):
+    """Copies of a rank-3 fan document, each with one fault, and the message each is refused with."""
+    last = doc["maximal_cones"][-1][-1]
+
+    def twin(change):
+        bad = copy.deepcopy(doc)
+        change(bad["maximal_cones"])
+        return bad
+
+    def at_last(value):
+        return lambda cones: cones[-1].__setitem__(-1, value)
+
+    return {
+        "true": (
+            twin(at_last([True, *last[1:]])),
+            "coordinates must be integers or 'a/b' strings, got True",
+        ),
+        "float": (
+            twin(at_last([float(last[0]), *last[1:]])),
+            f"coordinates must be integers or 'a/b' strings, got {float(last[0])!r}",
+        ),
+        "long": (twin(at_last([*last, 0])), f"expected a vector of length 3, got length 4: {[*last, 0]}"),
+        "short": (twin(at_last(last[:2])), f"expected a vector of length 3, got length 2: {last[:2]}"),
+        "tuple": (twin(at_last(tuple(last))), f"expected a vector of length 3, got {tuple(last)}"),
+        "dict cone": (
+            twin(lambda cones: cones.append({"rays": last})),
+            f"a cone must be a list, got {{'rays': {last}}}",
+        ),
+        "dict block": (
+            {"rank": 3, "maximal_cones": {"0": doc["maximal_cones"][0]}},
+            f"maximal_cones must be a list, got {{'0': {doc['maximal_cones'][0]}}}",
+        ),
+    }
+
+
+def test_malformed_fan_is_refused_as_before():
+    # each twin fails the bulk check and reaches the entry-wise reader, with
+    # its message, on fresh tables and right after the valid twin was read
+    doc = P2E_FAN
+    for name, (bad, message) in malformed_twins(doc).items():
+        for warm in (False, True):
+            forget_values()
+            if warm:
+                cli.parse_fan(doc)
+            with pytest.raises(cli.ParseError) as caught:
+                cli.parse_fan(bad)
+            assert str(caught.value) == message, (name, warm)
+
+
+def test_revisited_fan_is_one_lookup(monkeypatch):
+    # a copy of a parsed fan document builds no cone and selects no fan
+    doc = P2E_FAN
+    fan = cli.parse_fan(doc)
+    calls = []
+    for name in ("_cone_of", "make_fan"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    assert cli.parse_fan(copy.deepcopy(doc)) is fan
+    assert calls == []
+    # the spies see a block read entry-wise
+    strings = copy.deepcopy(doc)
+    strings["maximal_cones"][0][0] = [str(c) for c in strings["maximal_cones"][0][0]]
+    assert cli.parse_fan(strings) is fan
+    assert calls.count("_cone_of") == len(doc["maximal_cones"]) and calls.count("make_fan") == 1
+
+
 def test_rational_vertex_document(tmp_path, capsys):
     """An explicit document with a ``"1/2"`` vertex is read and validated."""
     cells = lambda v: [{"vertices": [[v]], "rays": [[1]]}, {"vertices": [[v]], "rays": [[-1]]}]
@@ -593,6 +697,18 @@ SUB_CONE_FAN = {
 }
 SUB_CONE_FAULT = "cones ((0, 1), (1, 0)) and ((1, 0), (1, 1)) do not meet in a common face"
 
+# the face fan of the cube [-1,1]^3 with the cone on three rays of its facet
+# x = 1 listed too: its rays are among that facet cone's, but it is no face of it
+CUBE_SUB_CONE_FAN = {
+    "rank": 3,
+    "maximal_cones": [[list(v) for v in product((-1, 1), repeat=3) if v[i] == s] for i in range(3) for s in (1, -1)]
+    + [[[1, 1, 1], [1, -1, 1], [1, -1, -1]]],
+}
+CUBE_SUB_CONE_FAULT = (
+    "cones ((1, -1, -1), (1, -1, 1), (1, 1, 1)) and ((1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 1, 1))"
+    " do not meet in a common face"
+)
+
 # input that parses but describes no variety: a validation failure (exit 1) naming the fault
 GEOMETRY_FAILURES = {
     "repeated_filtration_ray": (
@@ -617,6 +733,8 @@ GEOMETRY_FAILURES = {
     ),
     "sub_cone_oracle": ("oracle", SUB_CONE_FAN, SUB_CONE_FAULT),
     "sub_cone_crosscheck": ("crosscheck", SUB_CONE_FAN, SUB_CONE_FAULT),
+    "cube_sub_cone_oracle": ("oracle", CUBE_SUB_CONE_FAN, CUBE_SUB_CONE_FAULT),
+    "cube_sub_cone_crosscheck": ("crosscheck", CUBE_SUB_CONE_FAN, CUBE_SUB_CONE_FAULT),
 }
 
 

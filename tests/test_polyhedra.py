@@ -938,10 +938,9 @@ def junk_around(rng, cells, n):
     """``cells`` with duplicates, empty polyhedra, faces and inner pieces added, shuffled.
 
     An inner piece is a cell cut by a random affine row: inside the cell,
-    and a face of it only by chance.  Also returns the pieces that are not
-    faces and whose homogenized cones have a ray the cell's has not: a
-    piece on the cell's rays alone is dropped as the face it would be in a
-    complex.
+    and a face of it only by chance.  Also returns the nonempty pieces that
+    are not faces, on the cell's rays alone or not: a complex keeps each one
+    for validation to report.
     """
     out = list(cells) + [rng.choice(cells) for _ in range(rng.randint(1, 3))]
     out += [make_polyhedron([], [], n)] * rng.randint(1, 2)
@@ -951,8 +950,7 @@ def junk_around(rng, cells, n):
         row = tuple(rng.randint(-2, 2) for _ in range(n)) + (rng.randint(-3, 3),)
         piece = from_homogenized(cut(c.cone, [row]))
         out.append(piece)
-        new_ray = not set(piece.cone.generators) <= set(c.cone.generators)
-        if not piece.is_empty and piece not in c.faces and new_ray:
+        if not piece.is_empty and piece not in c.faces:
             inner.append(piece)
     rng.shuffle(out)
     return out, inner
