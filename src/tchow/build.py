@@ -117,8 +117,8 @@ def downgrade(inp: DowngradeInput) -> MarkedFansyDivisor:
     ]
     result = make_divisor([("0", zero), ("inf", inf)], marked)
     report = validate(result)
-    if not report.ok:
-        raise GeometryError(f"downgrade produced an invalid divisor: {report}")
+    if not report.ok:  # the fan passed require_complete: a fault of this program
+        raise AssertionError(f"downgrade produced an invalid divisor: {report}")
     return result
 
 

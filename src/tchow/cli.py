@@ -159,29 +159,23 @@ def _list(value, what: str) -> list:
 # documents
 
 
-# Input memos: a fan or a cone read again is one lookup, with no
-# normalization.  parse_fan checks a maximal_cones block of lists of ``rank``
-# plain ints in one pass of C-level scans and keys _fan_of by its cone sizes
-# and flat coordinates (cheaper to build, hash and compare than nested
-# tuples); any other block is read cone by cone, with its messages, each cone
-# keyed by _vector output (_cone_of).  Keys hold plain ints alone, so equal
-# keys are equal inputs: true or 1.0 never aliases 1.
-
-
-@lru_cache(maxsize=None)
-def _cone_of(gens: tuple, rank: int):
-    return make_cone(gens, rank)
+# The input memo: a fan read again is one lookup, with no normalization.
+# parse_fan checks a maximal_cones block of lists of ``rank`` plain ints in one
+# pass of C-level scans and keys _fan_of by its cone sizes and flat coordinates
+# (cheaper to build, hash and compare than nested tuples), which hold plain
+# ints alone, so equal keys are equal inputs: true or 1.0 never aliases 1.  Any
+# other block is read cone by cone, with its messages.
 
 
 @lru_cache(maxsize=None)
 def _fan_of(sizes: tuple, coords: tuple, rank: int) -> Fan:
     it = iter(coords)
-    cones = [tuple([tuple(islice(it, rank)) for _ in range(n)]) for n in sizes]
-    return make_fan([_cone_of(c, rank) for c in cones], rank)
+    cones = [[tuple(islice(it, rank)) for _ in range(n)] for n in sizes]
+    return make_fan([make_cone(c, rank) for c in cones], rank)
 
 
 def _cone(value, rank: int):
-    return _cone_of(tuple([_vector(g, rank) for g in _list(value, "a cone")]), rank)
+    return make_cone([_vector(g, rank) for g in _list(value, "a cone")], rank)
 
 
 def parse_fan(doc) -> Fan:

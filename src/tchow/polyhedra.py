@@ -47,22 +47,22 @@ dimension; a complex lists the faces of all its cells
 Both read their coface maps off ray inclusion (:func:`_cofaces`).
 
 A fan is checked on its maximal cones and a complex on its cells'
-homogenized cones by one pair check and ridge count (:func:`_improper_pairs`,
-:func:`_ridge_counts`), where for a complex a meet or a facet at height 0 is
-allowed.  Most pairs are proved proper without a meet
-(:func:`_certified_meet`): a facet normal ``u`` of one side that is
-nonpositive on the other side's generators confines the meet to the other
-side's face on the ``u``-tight generators, and when that face is in the
-first side's face set it is the meet.  Only the pairs with no such
-certificate are met by double description.  Cones and polyhedra with
-lineality (a contained line) are rejected at construction, so every member
-of a fan or complex is pointed and every meet is defined.
+homogenized cones by one ridge certificate (:func:`_ridge_certificate`),
+linear in the members: each facet is shared by two members on opposite
+sides, and one generic point is covered once (of cells, facets at height 0
+are the boundary).  It holds exactly for a complete fan or complex.  Only
+when it fails is every pair met (:func:`_improper_pairs`, a complex
+allowing a meet at height 0) and every ridge counted (:func:`_ridge_counts`),
+and only these write messages.  Cones and polyhedra with lineality (a
+contained line) are rejected at construction, so every member of a fan or
+complex is pointed and every meet is defined.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
+from itertools import count
 from math import gcd
 
 from .exactlin import (
@@ -375,47 +375,6 @@ def cone_intersect(a: Cone, b: Cone) -> Cone:
     return cut(a, b.normals + b.span_eqs + tuple(tuple(-x for x in e) for e in b.span_eqs))
 
 
-def _certified_meet(a: Cone, b: Cone) -> Cone | None:
-    """The meet of ``a`` and ``b`` when a separating facet shows it is a face of both.
-
-    Let ``u`` be a facet normal of one side ``x`` with ``u . g <= 0`` on every
-    generator ``g`` of the other side ``y``.  The meet then lies in ``u``'s
-    facet of ``x`` and in ``y``'s face ``G`` on the ``u``-tight generators.
-    When ``G`` is also a face of ``x`` it lies in the meet, so it is the meet:
-    a face of both, and the canonical cone :func:`cone_intersect` returns.
-    None when no facet of either side gives such a ``G``.
-    """
-    if a.ambient_rank != b.ambient_rank:
-        return None  # cone_intersect reports the mismatch
-    for x, y in ((a, b), (b, a)):
-        for u in x.normals:
-            tight = []
-            for g in y.generators:
-                v = dot(u, g)
-                if v > 0:
-                    break
-                if v == 0:
-                    tight.append(g)
-            else:
-                face = _cone_on_rays(tight, a.ambient_rank)
-                if face in x.face_set:
-                    return face
-    return None
-
-
-def _pair_meet(a: Cone, b: Cone) -> tuple[Cone, bool]:
-    """The meet of two cones and whether it is a face of both.
-
-    Certified by :func:`_certified_meet` when it can be; otherwise met by
-    :func:`cone_intersect` and looked up in both face sets.
-    """
-    meet = _certified_meet(a, b)
-    if meet is not None:
-        return meet, True
-    meet = cone_intersect(a, b)
-    return meet, meet in a.face_set and meet in b.face_set
-
-
 # ---------------------------------------------------------------------------
 # polyhedra
 
@@ -522,15 +481,61 @@ def poly_faces(p: Polyhedron) -> tuple[Polyhedron, ...]:
 # fans
 
 
+def _ridge_certificate(cones: Sequence[Cone], homogenized: bool = False) -> bool:
+    """Whether ``cones`` are the maximal cones of a complete fan (of cells'
+    ``homogenized`` cones: whether the cells form a complete complex).
+
+    True exactly when (1) every member is full-dimensional and every facet
+    (of cells, off height 0) is a facet of exactly two members, (2) with
+    opposite inward normals, and (3) the point ``p = (1, t, ..., t^(n-1))``
+    (of cells, ``(t, ..., t^(n-1), 1)``), ``t >= 2`` the least that puts it
+    off every facet hyperplane, lies inside exactly one member (De Loera,
+    Rambau & Santos, *Triangulations*, ch. 4).  Proof for pointed members:
+    along a path between points off every facet hyperplane (of cells, at
+    height > 0) that misses the faces of codimension 2, each crossing is at
+    relative interior points of facets, where by (1) and (2) the members met
+    pair up, one entered and one left.  So the number of members holding a
+    point inside is constant, by (3) 1: the interiors tile the space (the
+    half-space).  Let ``x`` lie in the relative interior of a face ``G`` (at
+    height > 0).  A facet through ``G`` is shared with a member that has
+    ``G`` as a face, so the same argument on these members' tangent cones at
+    ``G`` shows that they cover a neighbourhood of ``x``; a member through
+    ``x`` shares inner points with one of them, so is one and has ``G`` as a
+    face.  With ``x`` in the relative interior of a meet ``a ∩ b`` and ``G``
+    the face of ``a`` carrying it, ``a ∩ b`` lies in ``G`` and ``G`` in
+    ``a ∩ b``: every meet (of cells, off height 0) is a common face.  A
+    complete fan or complex passes all three.
+    """
+    n = cones[0].ambient_rank if cones else 0  # no member: the point is covered by none
+    if any(c.dim != n for c in cones):
+        return False
+    sides: dict = {}  # each facet's rays, mapped to the inward normals of the members holding it
+    for c in cones:
+        for u in c.normals:
+            facet = tuple(g for g in c.generators if not dot(u, g))
+            if not homogenized or any(g[-1] for g in facet):
+                sides.setdefault(facet, []).append(u)
+    if any(len(us) != 2 for us in sides.values()):
+        return False
+    if any(u != tuple(-x for x in v) for u, v in sides.values()):
+        return False
+    normals = {u for c in cones for u in c.normals}
+    for t in count(2):  # a normal vanishes at fewer than n values of t; of cells, t^0 goes last
+        p = [t ** ((i + homogenized) % n) for i in range(n)]
+        if all(dot(u, p) for u in normals):
+            return sum(all(dot(u, p) > 0 for u in c.normals) for c in cones) == 1
+
+
 def _improper_pairs(cones: Sequence[Cone], homogenized: bool = False):
-    """Each pair ``(i, j)``, ``i < j``, of ``cones`` that do not meet in a common face.
+    """Each pair ``(i, j)``, ``i < j``, of ``cones`` whose meet is not a face of both.
 
     Of cells' ``homogenized`` cones, a meet at height 0 is allowed: the cells
     do not meet.  The cones are pointed, so every meet is defined.
     """
     for i, a in enumerate(cones):
         for j in range(i + 1, len(cones)):
-            meet, proper = _pair_meet(a, cones[j])
+            meet = cone_intersect(a, cones[j])
+            proper = meet in a.face_set and meet in cones[j].face_set
             if not proper and (not homogenized or any(g[-1] for g in meet.generators)):
                 yield i, j
 
@@ -552,13 +557,18 @@ def _ridge_counts(members: Sequence) -> dict:
 class Fan(Value):
     """A fan given by its maximal cones.
 
-    Its validity is computed on first use by :func:`fan_validate` and kept on
-    the object, next to its fields but not among them, so equality and
-    hashing ignore it; so are its cones by dimension and its coface map.
+    Its certificate and validity are computed on first use (:func:`require_complete`,
+    :func:`fan_validate`) and kept on the object, next to its fields but not
+    among them, so equality and hashing ignore them; so are its cones by
+    dimension and its coface map.
     """
 
     ambient_rank: int
     maximal_cones: tuple[Cone, ...]
+
+    @lazy
+    def _complete(self) -> bool:
+        return _ridge_certificate(self.maximal_cones)
 
     @lazy
     def _problems(self) -> tuple[str, ...]:
@@ -628,6 +638,8 @@ def _make_fan(cones: frozenset[Cone], ambient_rank: int) -> Fan:
 
 
 def _fan_problems(fan: Fan) -> list[str]:
+    if fan._complete:
+        return []
     cones = fan.maximal_cones
     return [
         f"cones {cones[i].generators} and {cones[j].generators} do not meet in a common face"
@@ -636,33 +648,23 @@ def _fan_problems(fan: Fan) -> list[str]:
 
 
 def fan_validate(fan: Fan) -> list[str]:
-    """Structural violations: non-pointed cones or improper intersections.
+    """Each pair of maximal cones that do not meet in a common face.
 
-    Each pair of maximal cones is proved proper by a separating facet whose
-    tight face on the other side is a face of both, or else met by double
-    description (:func:`_pair_meet`).  Checked once per fan object (per value
-    for fans from :func:`make_fan`); every call returns a fresh list.
+    A fan that passes :func:`_ridge_certificate` is valid, and no pair is met;
+    otherwise every pair is.  Checked once per fan object (per value for fans
+    from :func:`make_fan`); every call returns a fresh list.
     """
     return list(fan._problems)
 
 
-def fan_is_complete(fan: Fan) -> bool:
-    """Completeness via ridge pairing: every facet lies in exactly two cones."""
-    n = fan.ambient_rank
-    if not fan.maximal_cones:
-        return False
-    if any(c.dim != n for c in fan.maximal_cones):
-        return False
-    return all(v == 2 for v in _ridge_counts(fan.maximal_cones).values())
-
-
 def require_complete(fan: Fan) -> None:
-    """Raise :class:`IncompleteFanError` unless ``fan`` is a valid complete fan."""
-    problems = fan_validate(fan)
-    if problems:
-        raise IncompleteFanError("; ".join(problems))
-    if not fan_is_complete(fan):
-        raise IncompleteFanError("fan is not complete")
+    """Raise :class:`IncompleteFanError` unless ``fan`` is a valid complete fan.
+
+    That is, unless it passes :func:`_ridge_certificate`; the message names
+    the pairs :func:`fan_validate` finds, if any.
+    """
+    if not fan._complete:
+        raise IncompleteFanError("; ".join(fan_validate(fan)) or "fan is not complete")
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +745,8 @@ def _complex_problems(s: PolyhedralComplex) -> list[str]:
     cells = s.maximal_cells
     if not cells:
         return ["complex has no cells"]
+    if _ridge_certificate(s.fan.maximal_cones, homogenized=True):
+        return []
     problems = [
         f"maximal cell {_vertex_text(c)} has dimension {c.dim} != {n}" for c in cells if c.dim != n
     ]
@@ -765,9 +769,9 @@ def _complex_problems(s: PolyhedralComplex) -> list[str]:
 def complex_validate(s: PolyhedralComplex) -> list[str]:
     """Violations of the complex axioms and of completeness.
 
-    The routines that check a fan check the cells' homogenized cones, where a
-    meet or a facet at height 0 (no vertex) is allowed.  Checked once per
-    complex object; every call returns a fresh list.
+    As for a fan, on the cells' homogenized cones, where a meet or a facet at
+    height 0 (no vertex) is allowed.  Checked once per complex object; every
+    call returns a fresh list.
     """
     return list(s._problems)
 

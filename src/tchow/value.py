@@ -19,8 +19,8 @@ per value.  A cone is interned by its key, its sorted rays and rank
 rule: a table of one object is a :class:`lazy` attribute of it; an
 ``lru_cache`` is an interning table (those three), an input memo (work done
 before the object exists: ``_make_cone``, ``_make_fan``, ``downgrade``,
-``bundle_rank2``, and the command line's ``_cone_of`` and ``_fan_of`` on
-validated coordinates) or a table with a second argument (``s_sigma``,
+``bundle_rank2``, and the command line's ``_fan_of`` on validated
+coordinates) or a table with a second argument (``s_sigma``,
 ``enumerate_generators``, ``presentation``, ``eff_generators``,
 ``toric_chow_presentation``).
 """

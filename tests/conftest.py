@@ -5,6 +5,7 @@ tables, so what a test counts does not depend on the tests run before it."""
 
 import random
 import sys
+from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import reduce
@@ -33,7 +34,7 @@ from tchow.exactlin import (
     primitive,
     primitive_direction,
 )
-from tchow import fansy
+from tchow import fansy, polyhedra
 from tchow.fansy import MarkedFansyDivisor, mu_of_face, sigma_as_complex, unique_face_over
 from tchow.polyhedra import (
     Cone,
@@ -366,6 +367,32 @@ def reference_fan_problems(fan: Fan) -> list[str]:
                     f"cones {a.generators} and {b.generators} do not meet in a common face"
                 )
     return problems
+
+
+def reference_fan_is_complete(fan: Fan) -> bool:
+    """Reference completeness of a valid fan: it has cones, all full-dimensional, and
+    every facet lies in exactly two of them."""
+    tally = Counter(f for c in fan.maximal_cones for f in c.faces if f.dim == c.dim - 1)
+    n = fan.ambient_rank
+    return bool(fan.maximal_cones) and all(c.dim == n for c in fan.maximal_cones) and set(tally.values()) <= {2}
+
+
+def spy_certificates(monkeypatch) -> tuple[Counter, list]:
+    """Spy on ``polyhedra._ridge_certificate`` and ``polyhedra.cone_intersect``.
+
+    Returns a counter of the certificates asked for, keyed by the set of
+    members and the ``homogenized`` flag, and the list of pairs met.
+    """
+    certified, met = Counter(), []
+    real_certificate, real_meet = polyhedra._ridge_certificate, polyhedra.cone_intersect
+
+    def certificate(cones, homogenized=False):
+        certified[frozenset(cones), homogenized] += 1
+        return real_certificate(cones, homogenized)
+
+    monkeypatch.setattr(polyhedra, "_ridge_certificate", certificate)
+    monkeypatch.setattr(polyhedra, "cone_intersect", lambda a, b: met.append((a, b)) or real_meet(a, b))
+    return certified, met
 
 
 def reference_complex_problems(s: PolyhedralComplex) -> list[str]:

@@ -14,9 +14,11 @@ from conftest import (
     reference_bundle_cells,
     reference_downgrade,
     reference_slice_at_height,
+    spy_certificates,
 )
 
 from tchow.build import (
+    FIXTURE_NAMES,
     DowngradeInput,
     IncompleteFanError,
     InconsistentFiltrationsError,
@@ -73,39 +75,24 @@ def test_one_incomplete_fan_error():
         polyhedra.require_complete(make_fan([make_cone([(1, 0), (0, 1)], 2)], 2))
 
 
-def test_downgrade_then_validate_intersects_each_cell_pair_once(monkeypatch):
-    # a fiber's cells may share their cones with the fan's, which fan
-    # validation meets too: only the meets during a complex's check count
-    calls = Counter()
-    checking = []  # the complex whose check is running
-    real_meet, real_problems = polyhedra._pair_meet, polyhedra._complex_problems
-
-    def problems(s):
-        checking.append(s)
-        try:
-            return real_problems(s)
-        finally:
-            checking.pop()
-
-    def meet(a, b):
-        if checking:
-            calls[id(checking[-1]), id(a), id(b)] += 1
-        return real_meet(a, b)
-
-    monkeypatch.setattr(polyhedra, "_pair_meet", meet)
-    monkeypatch.setattr(polyhedra, "_complex_problems", problems)
-    complexes = set()
-    for seed in range(7, 12):
-        x = downgrade(DowngradeInput(random_complete_fan(random.Random(seed))))
+def test_downgrade_then_validate_certifies_each_object_once(monkeypatch):
+    # a valid fan, the fibers and the tail fan of its downgrade, and the
+    # fixtures' are each certified once, and no pair of cones or cells is met
+    certified, met = spy_certificates(monkeypatch)
+    expected = Counter()
+    seeded = [(7 + s, 3) for s in range(5)] + [(1000 + s, 4) for s in range(4)]
+    for seed, rank in seeded:
+        fan = random_complete_fan(random.Random(seed), rank, 5)
+        x = downgrade(DowngradeInput(fan))
         assert validate(x).ok
-        complexes.update(x.complexes)
-    pairs = Counter(
-        (id(s), id(a.cone), id(b.cone))
-        for s in complexes
-        for i, a in enumerate(s.maximal_cells)
-        for b in s.maximal_cells[i + 1 :]
-    )
-    assert calls == pairs
+        expected[frozenset(fan.maximal_cones), False] = 1
+        expected[frozenset(x.tailfan.maximal_cones), False] = 1
+        for fiber in x.complexes:
+            expected[frozenset(fiber.fan.maximal_cones), True] = 1
+    assert certified == expected and met == []
+    for name in FIXTURE_NAMES:
+        assert validate(fixture(name)).ok
+    assert met == [] and max(certified.values()) == 1
 
 
 def test_downgrade_basis_change():

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 from conftest import (
@@ -11,6 +10,7 @@ from conftest import (
     poly_is_face_of,
     random_complete_fan,
     reference_snf_transforms,
+    spy_certificates,
     with_extra_generic_point,
     with_point_order,
 )
@@ -135,15 +135,12 @@ def test_oracle_requires_complete():
 
 
 def test_oracle_validates_its_fan_once(monkeypatch):
+    # a valid fan is certified once for every k, and no pair of its cones is met
     fan = random_complete_fan(random.Random(3))
-    calls = []
-    real = polyhedra._pair_meet
-    monkeypatch.setattr(
-        polyhedra, "_pair_meet", lambda a, b: calls.append((a, b)) or real(a, b)
-    )
+    certified, met = spy_certificates(monkeypatch)
     for k in range(fan.ambient_rank + 1):
         toric_chow_presentation(fan, k)
-    assert len(calls) == comb(len(fan.maximal_cones), 2)
+    assert certified == {(frozenset(fan.maximal_cones), False): 1} and met == []
 
 
 def test_oracle_torsion_surface():

@@ -16,10 +16,11 @@ import pytest
 from conftest import fan_document, forget_values, random_complete_fan
 
 import tchow
-from tchow import cli
+from tchow import build, cli
 from tchow.build import FIXTURE_NAMES, fixture
 from tchow.cli import divisor_document, main, parse_input
 from tchow.fansy import validate
+from tchow.polyhedra import make_polyhedron
 
 P2E_FAN = {
     "rank": 3,
@@ -628,7 +629,7 @@ def test_revisited_fan_is_one_lookup(monkeypatch):
     doc = P2E_FAN
     fan = cli.parse_fan(doc)
     calls = []
-    for name in ("_cone_of", "make_fan"):
+    for name in ("make_cone", "make_fan"):
         real = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
     assert cli.parse_fan(copy.deepcopy(doc)) is fan
@@ -637,7 +638,7 @@ def test_revisited_fan_is_one_lookup(monkeypatch):
     strings = copy.deepcopy(doc)
     strings["maximal_cones"][0][0] = [str(c) for c in strings["maximal_cones"][0][0]]
     assert cli.parse_fan(strings) is fan
-    assert calls.count("_cone_of") == len(doc["maximal_cones"]) and calls.count("make_fan") == 1
+    assert calls.count("make_cone") == len(doc["maximal_cones"]) and calls.count("make_fan") == 1
 
 
 def test_rational_vertex_document(tmp_path, capsys):
@@ -757,6 +758,20 @@ def test_internal_fault_is_exit_three(monkeypatch, capsys, fault):
     err = capsys.readouterr().err
     assert err.startswith(f"internal error: {fault.__name__}:")
     assert "parse error" not in err
+
+
+def test_invalid_downgrade_is_an_internal_fault(monkeypatch, tmp_path, capsys):
+    # the fan has passed require_complete, so a downgrade that fails its own
+    # validation is a fault of this program (exit 3), not of the input (exit 1)
+    forget_values()  # no downgrade of this fan is remembered
+    real = build._slice
+    empty = lambda c: make_polyhedron([], [], c.ambient_rank - 1)
+    monkeypatch.setattr(build, "_slice", lambda c, height: real(c, height) if height == 1 else empty(c))
+    path = tmp_path / "p2_E.json"
+    path.write_text(json.dumps({"downgrade": {"fan": P2E_FAN}}))
+    assert main(["chow", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: AssertionError: downgrade produced an invalid divisor:"), err
 
 
 def test_chow_and_oracle_text_tables(tmp_path, capsys):

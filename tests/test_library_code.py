@@ -100,7 +100,6 @@ MEMOS = {
     "value.canonical",
     "polyhedra._interned_cone",
     "polyhedra.from_homogenized",
-    "cli._cone_of",
     "cli._fan_of",
     "polyhedra._make_cone",
     "polyhedra._make_fan",

@@ -41,13 +41,13 @@ from tchow.polyhedra import (
     all_complex_faces,
     GeometryError,
     IncompleteFanError,
+    _ridge_certificate,
     _ridge_counts,
     complex_validate,
     cone_as_polyhedron,
     cone_intersect,
     cut,
     from_homogenized,
-    fan_is_complete,
     fan_validate,
     make_complex,
     make_cone,
@@ -244,10 +244,10 @@ def test_fan_completeness_and_euler():
         [C((1, 0), (0, 1)), C((0, 1), (-1, -1)), C((-1, -1), (1, 0))], 2
     )
     assert fan_validate(fan) == []
-    assert fan_is_complete(fan)
+    assert _ridge_certificate(fan.maximal_cones)
     assert len(fan.cones(1)) == len(fan.cones(2))
     incomplete = make_fan([C((1, 0), (0, 1))], 2)
-    assert not fan_is_complete(incomplete)
+    assert fan_validate(incomplete) == [] and not _ridge_certificate(incomplete.maximal_cones)
 
 
 @pytest.mark.parametrize("name", ["no cones", "two opposite rays"])
@@ -257,7 +257,7 @@ def test_require_complete_refuses(name):
     fan = make_fan([] if name == "no cones" else [C((1, 0)), C((-1, 0))], 2)
     assert fan_validate(fan) == []
     assert all(v == 2 for v in _ridge_counts(fan.maximal_cones).values())
-    assert not fan_is_complete(fan)
+    assert not _ridge_certificate(fan.maximal_cones)
     with pytest.raises(IncompleteFanError, match="^fan is not complete$"):
         require_complete(fan)
 

@@ -1,10 +1,11 @@
 """Fan, complex and divisor validation against the pairwise references.
 
-``fan_validate`` and ``complex_validate`` meet a pair by double description
-only when no separating facet certifies it, and ``validate`` reads the
-degree loci of a semiample marked cone off its cells' vertex minima.  The
-references in ``conftest`` meet every pair and build every Minkowski sum;
-each report must equal theirs, message for message.
+``fan_validate`` and ``complex_validate`` meet no pair when the ridge
+certificate holds (every facet shared by two members on opposite sides, one
+generic point covered once), and ``validate`` reads the degree loci of a
+semiample marked cone off its cells' vertex minima.  The references in
+``conftest`` meet every pair and build every Minkowski sum; each report must
+equal theirs, message for message.
 """
 
 import random
@@ -30,7 +31,8 @@ def subdivided_facet_fan():
 
     Each piece and octant (1, 1, 1) are separated by the plane z = 0, but
     the piece's wall there is not a face of the octant, nor the octant's of
-    the piece: without the face lookup a separating facet alone would pass.
+    the piece: a separating facet alone would pass the pair, while the ridge
+    certificate finds each of those walls a facet of one cone only.
     """
     cones = [
         [(sx, 0, 0), (0, sy, 0), (0, 0, sz)]
