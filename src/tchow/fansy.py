@@ -19,13 +19,15 @@ Multiplicities and stabilizer orders read their quotients off the
 it shares its validation report and complexes.  The fiber it pads a sole
 fiber with is the first fiber's tail fan, so its faults are that fiber's:
 once an earlier fiber is faulty, validation skips it.  A marked cone's lone
-face over a point is its translate: validation checks uniqueness alone.
+face over a point is its translate: validation checks uniqueness alone.  A
+marked cone whose degree locus leaves it is reported not semiample, and its
+marks are not checked against that locus.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd, lcm
 
 from .exactlin import dot, hnf_basis, mat_vec, ratio
@@ -38,8 +40,6 @@ from .polyhedra import (
     cone_as_polyhedron,
     fan_validate,
     make_complex,
-    make_polyhedron,
-    poly_intersect,
 )
 from .value import Value, canonical, lazy
 
@@ -272,24 +272,15 @@ def _poly_min(face: Polyhedron, u: Sequence):
     return ratio(min(dot(u, g[:n]) * (m // g[n]) for g in face.cone.generators if g[n]), m)
 
 
-def _degree_locus_meets(sigma: Cone, cells: Sequence[Polyhedron], semiample: bool):
+def _degree_locus_meets(sigma: Cone, cells: Sequence[Polyhedron]):
     """The test whether ``deg sigma``, the Minkowski sum of ``cells``, meets a face ``tau``.
 
-    When ``semiample`` (``deg sigma`` lies in ``sigma``) no polyhedron is
-    built: the sum ``w`` of ``sigma``'s facet normals through ``tau`` is
-    nonnegative on ``sigma`` and vanishes there exactly on ``tau``, so the
-    meet is nonempty iff the minimum of ``w`` on ``deg sigma``, the sum of
-    the cells' minima at a vertex, is 0.  Otherwise the sum is built: every
-    cell has tail ``sigma``, so each partial sum is the polyhedron on the
-    pairwise sums of vertices, with tail ``sigma``.
+    For a semiample ``sigma`` alone, whose ``deg sigma`` lies in ``sigma``:
+    the sum ``w`` of ``sigma``'s facet normals through ``tau`` is nonnegative
+    on ``sigma`` and vanishes there exactly on ``tau``, so the meet is
+    nonempty iff the minimum of ``w`` on ``deg sigma``, the sum of the cells'
+    minima at a vertex, is 0.  No polyhedron is built.
     """
-    if not semiample:
-        def add(a: Polyhedron, b: Polyhedron) -> Polyhedron:
-            sums = [[x + y for x, y in zip(v, w)] for v in a.vertices for w in b.vertices]
-            return make_polyhedron(sums, sigma.generators, sigma.ambient_rank)
-
-        deg = reduce(add, cells)
-        return lambda tau: not poly_intersect(deg, cone_as_polyhedron(tau)).is_empty
 
     def meets(tau: Cone) -> bool:
         through = [u for u in sigma.normals if all(dot(u, g) == 0 for g in tau.generators)]
@@ -305,7 +296,9 @@ def validate(x: MarkedFansyDivisor) -> ValidationReport:
     Returns a report listing each violated condition; never raises on
     well-formed (if invalid) input.  The marks are checked against the
     degree loci ``deg sigma = sum_p Delta_p(sigma)`` of the marked maximal
-    cones: once ``deg sigma`` lies in ``sigma`` it meets a face ``tau`` exactly
+    cones.  A ``sigma`` whose ``deg sigma`` leaves it gets one
+    ``NOT_SEMIAMPLE`` message per facet normal with negative total degree,
+    and nothing more.  Otherwise ``deg sigma`` meets a face ``tau`` exactly
     when ``sum_p min_v w . v`` over the vertices ``v`` of ``Delta_p(sigma)`` is
     0, ``w`` the sum of ``sigma``'s facet normals through ``tau``
     (:func:`_degree_locus_meets`).  Checked once per divisor object (per value
@@ -388,16 +381,16 @@ def _violations(x: MarkedFansyDivisor) -> list[Violation]:
         if not x.is_marked(sigma):
             continue
         cells = [unique_face_over(x, sigma, p) for p in x.points]
-        semiample = True
-        for u in sigma.normals:
-            if sum(_poly_min(cell, u) for cell in cells) < 0:
-                add(
-                    "NOT_SEMIAMPLE",
-                    f"marked cone {sigma.generators}: evaluation against {u} "
-                    "has negative total degree",
-                )
-                semiample = False
-        meets_face = _degree_locus_meets(sigma, cells, semiample)
+        negative = [u for u in sigma.normals if sum(_poly_min(cell, u) for cell in cells) < 0]
+        for u in negative:
+            add(
+                "NOT_SEMIAMPLE",
+                f"marked cone {sigma.generators}: evaluation against {u} "
+                "has negative total degree",
+            )
+        if negative:  # deg sigma leaves sigma: its marks are not checked against it
+            continue
+        meets_face = _degree_locus_meets(sigma, cells)
         for tau in sigma.faces:
             if tau == sigma:
                 continue

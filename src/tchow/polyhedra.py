@@ -48,14 +48,15 @@ Both read their coface maps off ray inclusion (:func:`_cofaces`).
 
 A fan is checked on its maximal cones and a complex on its cells'
 homogenized cones by one ridge certificate (:func:`_ridge_certificate`),
-linear in the members: each facet is shared by two members on opposite
-sides, and one generic point is covered once (of cells, facets at height 0
-are the boundary).  It holds exactly for a complete fan or complex.  Only
-when it fails is every pair met (:func:`_improper_pairs`, a complex
-allowing a meet at height 0) and every ridge counted (:func:`_ridge_counts`),
-and only these write messages.  Cones and polyhedra with lineality (a
-contained line) are rejected at construction, so every member of a fan or
-complex is pointed and every meet is defined.
+linear in the members and kept on the object (``_complete``): each facet is
+shared by two members on opposite sides, and one generic point is covered
+once (of cells, facets at height 0 are the boundary).  It holds exactly for
+a complete fan or complex.  Only when it fails are messages written, on each
+call: :func:`fan_validate` meets every pair of cones, :func:`complex_validate`
+every pair of cells (an empty meet allowed) and counts every ridge.  Cones
+and polyhedra with lineality (a contained line) are rejected at
+construction, so every member of a fan or complex is pointed and every meet
+is defined.
 """
 
 from __future__ import annotations
@@ -526,20 +527,6 @@ def _ridge_certificate(cones: Sequence[Cone], homogenized: bool = False) -> bool
             return sum(all(dot(u, p) > 0 for u in c.normals) for c in cones) == 1
 
 
-def _improper_pairs(cones: Sequence[Cone], homogenized: bool = False):
-    """Each pair ``(i, j)``, ``i < j``, of ``cones`` whose meet is not a face of both.
-
-    Of cells' ``homogenized`` cones, a meet at height 0 is allowed: the cells
-    do not meet.  The cones are pointed, so every meet is defined.
-    """
-    for i, a in enumerate(cones):
-        for j in range(i + 1, len(cones)):
-            meet = cone_intersect(a, cones[j])
-            proper = meet in a.face_set and meet in cones[j].face_set
-            if not proper and (not homogenized or any(g[-1] for g in meet.generators)):
-                yield i, j
-
-
 def _ridge_counts(members: Sequence) -> dict:
     """How many ``members`` hold each facet, in order of first appearance.
 
@@ -557,10 +544,10 @@ def _ridge_counts(members: Sequence) -> dict:
 class Fan(Value):
     """A fan given by its maximal cones.
 
-    Its certificate and validity are computed on first use (:func:`require_complete`,
-    :func:`fan_validate`) and kept on the object, next to its fields but not
-    among them, so equality and hashing ignore them; so are its cones by
-    dimension and its coface map.
+    Its ridge certificate (``_complete``, read by :func:`fan_validate` and
+    :func:`require_complete`), its cones by dimension and its coface map are
+    computed on first use and kept on the object, next to its fields but not
+    among them, so equality and hashing ignore them.
     """
 
     ambient_rank: int
@@ -569,10 +556,6 @@ class Fan(Value):
     @lazy
     def _complete(self) -> bool:
         return _ridge_certificate(self.maximal_cones)
-
-    @lazy
-    def _problems(self) -> tuple[str, ...]:
-        return tuple(_fan_problems(self))
 
     @lazy
     def by_dim(self) -> dict[int, tuple[Cone, ...]]:
@@ -637,24 +620,21 @@ def _make_fan(cones: frozenset[Cone], ambient_rank: int) -> Fan:
     return canonical(Fan(ambient_rank, tuple(maximal)))
 
 
-def _fan_problems(fan: Fan) -> list[str]:
+def fan_validate(fan: Fan) -> list[str]:
+    """Each pair of maximal cones that do not meet in a common face, in order.
+
+    None when the certificate ``_complete`` holds; otherwise every pair is
+    met (:func:`cone_intersect`), on each call.
+    """
     if fan._complete:
         return []
     cones = fan.maximal_cones
     return [
-        f"cones {cones[i].generators} and {cones[j].generators} do not meet in a common face"
-        for i, j in _improper_pairs(cones)
+        f"cones {a.generators} and {b.generators} do not meet in a common face"
+        for i, a in enumerate(cones)
+        for b in cones[i + 1 :]
+        if (meet := cone_intersect(a, b)) not in a.face_set or meet not in b.face_set
     ]
-
-
-def fan_validate(fan: Fan) -> list[str]:
-    """Each pair of maximal cones that do not meet in a common face.
-
-    A fan that passes :func:`_ridge_certificate` is valid, and no pair is met;
-    otherwise every pair is.  Checked once per fan object (per value for fans
-    from :func:`make_fan`); every call returns a fresh list.
-    """
-    return list(fan._problems)
 
 
 def require_complete(fan: Fan) -> None:
@@ -675,10 +655,11 @@ class PolyhedralComplex(Value):
     """A polyhedral complex, stored as the fan of its cells' homogenized cones in rank n+1.
 
     Each maximal cone ``c`` of ``fan`` is a maximal cell, ``from_homogenized(c)``.
-    Like :class:`Fan`, it keeps what :func:`complex_validate` finds, its
-    maximal cells, the fan its cells' tail cones generate (``tail_fan``,
-    which :func:`fan_validate` checks), and its faces with their indexes
-    (``by_dim``, ``by_tail``, ``cofaces``), each computed on first use.
+    Like :class:`Fan`, it keeps its ridge certificate (``_complete``, read by
+    :func:`complex_validate`), its maximal cells, the fan its cells' tail
+    cones generate (``tail_fan``, which :func:`fan_validate` checks), and its
+    faces with their indexes (``by_dim``, ``by_tail``, ``cofaces``), each
+    computed on first use.
     """
 
     fan: Fan
@@ -693,8 +674,8 @@ class PolyhedralComplex(Value):
         return tuple(sorted(map(from_homogenized, self.fan.maximal_cones), key=Polyhedron.sort_key))
 
     @lazy
-    def _problems(self) -> tuple[str, ...]:
-        return tuple(_complex_problems(self))
+    def _complete(self) -> bool:
+        return _ridge_certificate(self.fan.maximal_cones, homogenized=True)
 
     @lazy
     def tail_fan(self) -> Fan:
@@ -740,22 +721,30 @@ def make_complex(cells: Iterable[Polyhedron], ambient_rank: int) -> PolyhedralCo
     return canonical(PolyhedralComplex(make_fan(cones, ambient_rank + 1)))
 
 
-def _complex_problems(s: PolyhedralComplex) -> list[str]:
+def complex_validate(s: PolyhedralComplex) -> list[str]:
+    """Violations of the complex axioms and of completeness, in order.
+
+    None when the certificate ``_complete`` holds.  Otherwise, on each call:
+    each cell of the wrong dimension, each pair of cells whose meet
+    (:func:`poly_intersect`) is not a face of both, an empty one being a face
+    of every cell, and failing these, each facet not held by two cells.
+    """
+    if s._complete:
+        return []
     n = s.ambient_rank
     cells = s.maximal_cells
     if not cells:
         return ["complex has no cells"]
-    if _ridge_certificate(s.fan.maximal_cones, homogenized=True):
-        return []
     problems = [
         f"maximal cell {_vertex_text(c)} has dimension {c.dim} != {n}" for c in cells if c.dim != n
     ]
-    for i, j in _improper_pairs([c.cone for c in cells], homogenized=True):
-        a, b = cells[i], cells[j]
-        problems.append(
-            f"cells {_vertex_text(a)}+{a.tail.generators} and "
-            f"{_vertex_text(b)}+{b.tail.generators} do not meet in a common face"
-        )
+    problems += [  # cells apart meet in the empty polyhedron, whose zero cone is a face of both
+        f"cells {_vertex_text(a)}+{a.tail.generators} and "
+        f"{_vertex_text(b)}+{b.tail.generators} do not meet in a common face"
+        for i, a in enumerate(cells)
+        for b in cells[i + 1 :]
+        if (meet := poly_intersect(a, b).cone) not in a.cone.face_set or meet not in b.cone.face_set
+    ]
     if problems:
         return problems
     return [
@@ -764,16 +753,6 @@ def _complex_problems(s: PolyhedralComplex) -> list[str]:
         for f, count in _ridge_counts(cells).items()
         if count != 2
     ]
-
-
-def complex_validate(s: PolyhedralComplex) -> list[str]:
-    """Violations of the complex axioms and of completeness.
-
-    As for a fan, on the cells' homogenized cones, where a meet or a facet at
-    height 0 (no vertex) is allowed.  Checked once per complex object; every
-    call returns a fresh list.
-    """
-    return list(s._problems)
 
 
 def all_complex_faces(s: PolyhedralComplex) -> list[Polyhedron]:

@@ -432,7 +432,7 @@ def reference_complex_problems(s: PolyhedralComplex) -> list[str]:
     return problems
 
 
-def reference_degree_meets(sigma: Cone, cells: Sequence[Polyhedron], semiample: bool):
+def reference_degree_meets(sigma: Cone, cells: Sequence[Polyhedron]):
     """Reference for ``fansy._degree_locus_meets``: the Minkowski sum, met with each face."""
     deg = reduce(fraction_minkowski_sum, cells)
     return lambda tau: not poly_intersect(deg, cone_as_polyhedron(tau)).is_empty

@@ -15,10 +15,11 @@ from conftest import (
     poly_is_face_of,
     random_bundle,
     random_complete_fan,
+    spy_certificates,
     with_extra_generic_point,
 )
 
-from tchow import polyhedra
+from tchow import fansy
 from tchow.build import (
     FIXTURE_NAMES,
     DowngradeInput,
@@ -345,29 +346,30 @@ def test_context_indexes_match_linear_scans():
 
 
 def test_fiber_tail_fans_reuse_the_tailfan_check(monkeypatch):
-    calls = []
-    real = polyhedra._fan_problems
-    spy = lambda fan: calls.append(fan) or real(fan)
-    monkeypatch.setattr(polyhedra, "_fan_problems", spy)
+    certified, met = spy_certificates(monkeypatch)
     fan = p2_fan()
     x = make_divisor([("0", sigma_as_complex(fan)), ("inf", sigma_as_complex(fan))], [])
     assert validate(x).ok
-    assert calls == [x.tailfan]  # both fibers' tail fans equal it
+    # both fibers' tail fans equal the tailfan: one certificate, no pair met
+    fans = {key: n for key, n in certified.items() if not key[1]}
+    assert fans == {(frozenset(x.tailfan.maximal_cones), False): 1} and met == []
 
 
 NON_FAN = "cones ((0, 1),) and ((1, 0),) do not meet in a common face"
 
 
-def report_non_fan(monkeypatch, fiber, calls=None):
-    """Have fan validation report the tail fan of ``fiber`` as not being a fan."""
-    real = polyhedra._fan_problems
+def report_non_fan(monkeypatch, fiber):
+    """Have fan validation report the tail fan of ``fiber`` as not being a fan.
+
+    Every fan is still validated, so its certificate is still asked for.
+    """
+    real = fansy.fan_validate
 
     def problems(fan):
-        if calls is not None:
-            calls.append(fan)
-        return [NON_FAN] if fan == fiber.tail_fan else real(fan)
+        found = real(fan)
+        return [NON_FAN] if fan == fiber.tail_fan else found
 
-    monkeypatch.setattr(polyhedra, "_fan_problems", problems)
+    monkeypatch.setattr(fansy, "fan_validate", problems)
 
 
 @pytest.mark.parametrize("own, bad", [(True, True), (False, True), (False, False)])
@@ -376,16 +378,19 @@ def test_shared_tail_fan_messages(monkeypatch, own, bad):
     # or not; the second fiber's is that tailfan (own) or another complete fan,
     # compared with the tailfan only when the first fiber is valid
     fibers = (sigma_as_complex(p2_fan()), sigma_as_complex(p2_fan() if own else p1p1_fan()))
-    calls = []
+    certified, _ = spy_certificates(monkeypatch)
     if bad:
-        report_non_fan(monkeypatch, fibers[0], calls)
+        report_non_fan(monkeypatch, fibers[0])
     x = MarkedFansyDivisor(("0", "inf"), fibers, frozenset())
     assert x.tailfan is fibers[0].tail_fan
     found = [(v.code, v.message) for v in validate(x).violations]
     expected = [("NON_FAN_TAILS", f"fiber over 0: {NON_FAN}")] if bad else []
+    assert max(certified.values()) == 1  # each fan and complex certified once
     if own:
         expected.append(("NON_FAN_TAILS", f"fiber over inf: {NON_FAN}"))
-        assert calls == [x.tailfan]  # one check for the fan both fibers share
+        # one certificate for the fan both fibers share
+        fans = {key: n for key, n in certified.items() if not key[1]}
+        assert fans == {(frozenset(x.tailfan.maximal_cones), False): 1}
     elif not bad:
         expected.append(("TAILFAN_MISMATCH", "fiber over inf has a different tailfan"))
     assert found == expected
