@@ -4,7 +4,8 @@ The digests were recorded with the program as it was before faces,
 intersections and slices were built from their extreme rays, so a change that
 moves any byte of these outputs fails here.  ``CORPUS_DIGEST`` pins the
 relation rows and class maps of seeded random downgrades and bundles beyond
-the fixtures, at every k.  To print the digests of the current program (to
+the fixtures, at every k, and ``ORACLE_CORPUS_DIGEST`` those of the toric
+oracle on the corpus fans, at every k.  To print the digests of the current program (to
 record them after a deliberate change of output), run::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -28,7 +29,7 @@ from tchow.build import (
     fixture,
     p2_projectivized_fan,
 )
-from tchow.chow import presentation
+from tchow.chow import presentation, toric_chow_presentation
 from tchow.cli import divisor_document, main, parse_fan
 
 GOLDEN = {
@@ -67,19 +68,26 @@ GOLDEN = {
 
 RECORDED_RANK4_FAN = Path(__file__).resolve().parent.parent / "bench" / "data" / "r4_defect_fan.json"
 CORPUS_DIGEST = "b19ab087b7694fd418f6b48e63234d5f388338ef5a0c95999b686c14bbc624f6"
+ORACLE_CORPUS_DIGEST = "a582364ac5a987a5fe60fd251dadc146b5d71a6dc40074ef592e4de256a0ddf6"
+
+
+def corpus_fans():
+    """10 seeded rank-3 fans, 3 seeded rank-4 fans and the recorded rank-4 fan."""
+    for s in range(10):
+        yield random_complete_fan(random.Random(500 + s), 3, 5)
+    for s in (0, 17, 28):
+        yield random_complete_fan(random.Random(1000 + s), 4, 5)
+    yield parse_fan(json.loads(RECORDED_RANK4_FAN.read_text()))
 
 
 def corpus_divisors():
-    """10 rank-3 and 4 rank-4 downgrades, then 10 seeded bundles.
+    """The downgrades of the 14 corpus fans, then 10 seeded bundles.
 
     The rank-4 fans (three seeded, one recorded) have contracted cycles whose
     character lattice is a proper sublattice of the perp lattice.
     """
-    for s in range(10):
-        yield downgrade(DowngradeInput(random_complete_fan(random.Random(500 + s), 3, 5)))
-    for s in (0, 17, 28):
-        yield downgrade(DowngradeInput(random_complete_fan(random.Random(1000 + s), 4, 5)))
-    yield downgrade(DowngradeInput(parse_fan(json.loads(RECORDED_RANK4_FAN.read_text()))))
+    for fan in corpus_fans():
+        yield downgrade(DowngradeInput(fan))
     rng = random.Random(2024)
     bases = [p2_fan(), p1p1_fan()]
     for i in range(10):
@@ -92,6 +100,16 @@ def corpus_digest() -> str:
     for x in corpus_divisors():
         for k in range(x.rank + 2):
             pres = presentation(x, k)
+            h.update(json.dumps([k, pres.relations, pres.class_map]).encode())
+    return h.hexdigest()
+
+
+def oracle_corpus_digest() -> str:
+    """sha256 over ``(k, relations, class_map)`` of the oracle of every corpus fan at every k."""
+    h = hashlib.sha256()
+    for fan in corpus_fans():
+        for k in range(fan.ambient_rank + 1):
+            pres = toric_chow_presentation(fan, k)
             h.update(json.dumps([k, pres.relations, pres.class_map]).encode())
     return h.hexdigest()
 
@@ -141,6 +159,10 @@ def test_corpus_relations_and_class_maps():
     assert corpus_digest() == CORPUS_DIGEST
 
 
+def test_oracle_corpus_relations_and_class_maps():
+    assert oracle_corpus_digest() == ORACLE_CORPUS_DIGEST
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -148,3 +170,4 @@ if __name__ == "__main__":
         for key, (command, doc) in documents().items():
             sys.stdout.write(f'    "{key}": "{output_digest(Path(tmp), command, doc)}",\n')
     sys.stdout.write(f'CORPUS_DIGEST = "{corpus_digest()}"\n')
+    sys.stdout.write(f'ORACLE_CORPUS_DIGEST = "{oracle_corpus_digest()}"\n')
