@@ -9,19 +9,23 @@ multiplicities (:func:`~tchow.fansy.s_sigma`,
 homogenized cone, and the coefficient of a coface in the divisor of the
 ``j``-th basis character, row ``j`` of that cone's ``span_eqs``, is
 coordinate ``j`` of the coface's primitive image there (Fulton & Sturmfels,
-1997).  A presentation is a table of a divisor and k, kept in a cache keyed
-by both: built once per divisor value and k, and shared by ``chow``, ``eff``
-and ``crosscheck``.  An independent classical presentation for complete
-toric varieties (orbit closures modulo divisors of characters) serves as a
-cross-check through the downgrade construction; it is cached per fan value
-and k the same way.
+1997).  Rows name canonical generators, looked up in the divisor's
+``generator_table`` (the oracle's keyed by cone), and the Smith input is
+filled column by column from them.  A presentation is a table of a divisor
+and k, kept in a cache keyed by both: built once per divisor value and k,
+and shared by ``chow``, ``eff`` and ``crosscheck``.  An independent
+classical presentation for complete toric varieties (orbit closures modulo
+divisors of characters) serves as a cross-check through the downgrade
+construction; it is cached per fan value and k the same way.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
+from operator import mul
 
-from .exactlin import IVec, mat_vec, primitive_direction, snf_transforms
+from .exactlin import IVec, snf_transforms
 from .fansy import (
     CycleGenerator,
     MarkedFansyDivisor,
@@ -76,7 +80,12 @@ def _cone_image_ray(chars, gens) -> IVec:
 
     The quotient's coordinates are the pairings with the basis characters ``chars``.
     """
-    images = {primitive_direction(im) for im in (mat_vec(chars, g) for g in gens) if any(im)}
+    images = set()
+    for g in gens:
+        im = [sum(map(mul, e, g)) for e in chars]
+        d = gcd(*im)
+        if d:
+            images.add(tuple(x // d for x in im) if d > 1 else tuple(im))
     if not images:
         raise AssertionError("cone projects to zero")
     if len(images) > 1:
@@ -125,7 +134,7 @@ def relation_block_v(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationB
     targets = []
     for g in x.complex_at(p).cofaces[face]:
         if not x.is_marked(g.tail):
-            gen, factor = CycleGenerator("V", point=p, face=g), 1
+            gen, factor = x.generator_table[p, g], 1
         else:
             s = s_sigma(x, g.tail)
             mu = mu_of_face(g)
@@ -133,7 +142,7 @@ def relation_block_v(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationB
                 raise NonIntegralRedirectError(
                     f"stabilizer order {s} is not divisible by multiplicity {mu}"
                 )
-            gen, factor = CycleGenerator("T", cone=g.tail), s // mu
+            gen, factor = x.generator_table[g.tail], s // mu
         targets.append((gen, factor, _cone_image_ray(chars, g.cone.generators)))
     return RelationBlock(source, _image_rows(targets, range(len(chars))))
 
@@ -157,7 +166,7 @@ def relation_block_r(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationB
     chars = [e + (0,) for e in tau.span_eqs] + [(0,) * n + (1,)]
     per_point = {
         p: [
-            (CycleGenerator("V", point=p, face=f), 1, _cone_image_ray(chars, f.cone.generators))
+            (x.generator_table[p, f], 1, _cone_image_ray(chars, f.cone.generators))
             for f in x.complex_at(p).by_tail.get(tau, ())
             if f.dim == tau.dim
         ]
@@ -169,7 +178,7 @@ def relation_block_r(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationB
     for p in x.points[:-1]:
         rows.extend(_image_rows(per_point[p] + negated, [q]))
     horizontal = [
-        (CycleGenerator("R", cone=sigma), 1, _cone_image_ray(chars, _lift(sigma)))
+        (x.generator_table[sigma], 1, _cone_image_ray(chars, _lift(sigma)))
         for sigma in x.tailfan.cofaces[tau]
         if not x.is_marked(sigma)
     ]
@@ -202,7 +211,7 @@ def relation_block_t(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationB
             raise AssertionError(
                 "marks are not upward closed; validate the divisor first"
             )
-        targets.append((CycleGenerator("T", cone=sigma), 1, _cone_image_ray(chars, _lift(sigma))))
+        targets.append((x.generator_table[sigma], 1, _cone_image_ray(chars, _lift(sigma))))
     return RelationBlock(source, _image_rows(targets, range(len(chars))))
 
 
@@ -224,14 +233,16 @@ def relation_blocks(x: MarkedFansyDivisor, k: int) -> list[RelationBlock]:
 def _smith_presentation(k, generators, rows) -> ChowPresentation:
     g = len(generators)
     index = {gen: i for i, gen in enumerate(generators)}
+    # cokernel of the transpose: each sparse row is a column of ``mt`` and a row of ``matrix``
+    mt = [[0] * len(rows) for _ in range(g)]
     matrix = []
-    for row in rows:
+    for r, row in enumerate(rows):
         v = [0] * g
         for gen, coeff in row:
-            v[index[gen]] += coeff
+            i = index[gen]
+            v[i] += coeff
+            mt[i][r] += coeff
         matrix.append(tuple(v))
-    # cokernel of the transpose: generators are the columns of the relations
-    mt = [[matrix[r][i] for r in range(len(matrix))] for i in range(g)]
     u, d = snf_transforms(mt)
     diag = [d[i][i] for i in range(min(g, len(matrix)))]
     nonzero = [x for x in diag if x != 0]
@@ -249,7 +260,7 @@ def _smith_presentation(k, generators, rows) -> ChowPresentation:
     return ChowPresentation(
         k,
         tuple(generators),
-        tuple(tuple(r) for r in matrix),
+        tuple(matrix),
         g - rank,
         torsion,
         moduli,
@@ -286,12 +297,12 @@ def toric_chow_presentation(fan: Fan, k: int) -> ChowPresentation:
     n = fan.ambient_rank
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in [0, {n}]")
-    gens = [CycleGenerator("R", cone=c) for c in fan.cones(n - k)]
+    table = {c: CycleGenerator("R", cone=c) for c in fan.cones(n - k)}
     rows = []
     for tau in fan.cones(n - k - 1):
         above = [
-            (CycleGenerator("R", cone=sigma), 1, _cone_image_ray(tau.span_eqs, sigma.generators))
+            (table[sigma], 1, _cone_image_ray(tau.span_eqs, sigma.generators))
             for sigma in fan.cofaces[tau]
         ]
         rows.extend(_image_rows(above, range(len(tau.span_eqs))))
-    return _smith_presentation(k, gens, rows)
+    return _smith_presentation(k, tuple(table.values()), rows)

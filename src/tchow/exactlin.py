@@ -11,8 +11,9 @@ one, and :func:`primitive` reads it back.  A lattice is given by its
 canonical row-HNF basis, a tuple of integer vectors.  Matrices are lists of
 rows and vectors are tuples, so a value is hashable once frozen into a
 tuple.  The quotient of ``Z^n`` by a cone's span is read through the basis
-characters of one :func:`integer_kernel`, the cone's span equations: an
-image's coordinates are its pairings with them (:func:`mat_vec`), so no
+characters of one :func:`integer_kernel`, the cone's span equations (a
+facet of a full-dimensional cone takes none: its one character is its
+normal): an image's coordinates are its pairings with them, so no
 character is ever solved for.  Inner loops run in builtins where faster: a
 pairing is ``sum(map(mul, u, v))``, a Smith column step is one ``zip``
 comprehension per row, and a row operation skips the zeros of the row it

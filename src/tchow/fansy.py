@@ -11,7 +11,8 @@ first use.  Each fiber's faces by dimension, by tail cone and by coface are
 kept on its complex (``PolyhedralComplex.by_dim``, ``by_tail``,
 ``cofaces``), the tailfan's cones by dimension on the fan (``Fan.by_dim``),
 and :func:`s_sigma` and :func:`enumerate_generators`, tables with a second
-argument, in value-keyed caches, as :func:`tchow.chow.presentation` is.
+argument, in value-keyed caches, as :func:`tchow.chow.presentation` is, and
+every level's generators on the divisor (``generator_table``).
 Multiplicities and stabilizer orders read their quotients off the
 ``span_eqs`` of a tail cone or of ``sigma``, computed once per cone.
 :func:`make_divisor` returns one object per value
@@ -82,6 +83,16 @@ class MarkedFansyDivisor(Value):
 
     def is_marked(self, c: Cone) -> bool:
         return c in self.marked
+
+    @lazy
+    def generator_table(self) -> dict:
+        """Every level's enumerated generators, keyed by ``(point, face)`` (V) or by cone (R, T)."""
+        table = {}
+        for k in range(self.rank + 2):
+            level = enumerate_generators(self, k)
+            table.update(((g.point, g.face), g) for g in level.v)
+            table.update((g.cone, g) for g in level.r + level.t)
+        return table
 
     @lazy
     def _report(self) -> ValidationReport:

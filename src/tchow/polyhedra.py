@@ -14,8 +14,10 @@ simplicial cone on independent rows its caller found and adds the others with
 no lattice kernel: a full-dimensional cone is converted as it is, a
 lower-dimensional one in its basis (:func:`_rays_in`), its facet normals being
 the primitive ones that lie in its span.  The span equations are one
-:func:`~tchow.exactlin.integer_kernel` of the generators, and every quotient
-of the pipeline by a cone's span reads them.  No constructor takes
+:func:`~tchow.exactlin.integer_kernel` of the generators, but for a facet of
+a full-dimensional cone, which keeps its normal as its one character when
+that cone's faces are enumerated; every quotient of the pipeline by a
+cone's span reads them.  No constructor takes
 inequalities: a meet, a slice or a piece of a cone is a cone already held cut
 by more rows (:func:`cut`), from its own rays at any dimension.
 
@@ -247,7 +249,8 @@ class Cone(Value):
     no generators.  ``normals`` (the primitive facet normals that lie in the
     cone's linear span, sorted), ``span_eqs`` (the HNF basis of the
     equations cutting out that span; the identity rows for the zero cone) and
-    the faces are derived from the generators when first read.
+    the faces are derived from the generators when first read.  A facet of a
+    full-dimensional cone is given its ``span_eqs`` by that cone's ``faces``.
     """
 
     ambient_rank: int
@@ -280,17 +283,25 @@ class Cone(Value):
 
     @lazy
     def faces(self) -> tuple[Cone, ...]:
-        """All faces (itself and the zero cone among them), sorted, canonical."""
-        gens = self.generators
+        """All faces (itself and the zero cone among them), sorted, canonical.
+
+        Of a full-dimensional cone, each facet keeps its ``span_eqs``, the HNF
+        kernel basis: its normal, with the leading nonzero entry made positive.
+        """
+        gens, n = self.generators, self.ambient_rank
         incidence = [
             sum(1 << i for i, g in enumerate(gens) if dot(u, g) == 0) for u in self.normals
         ]
         full = (1 << len(gens)) - 1
-        faces = [
-            self if mask == full else _cone_on_rays(_masked(gens, mask), self.ambient_rank)
+        faces = {
+            mask: self if mask == full else _cone_on_rays(_masked(gens, mask), n)
             for mask in _face_masks(incidence, full)
-        ]
-        return tuple(sorted(faces, key=Cone.sort_key))
+        }
+        if self.dim == n:
+            for u, mask in zip(self.normals, incidence):
+                lead = next(filter(None, u))
+                keep(faces[mask], span_eqs=(u if lead > 0 else tuple(-x for x in u),))
+        return tuple(sorted(faces.values(), key=Cone.sort_key))
 
     @lazy
     def face_set(self) -> frozenset[Cone]:

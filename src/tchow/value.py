@@ -16,13 +16,14 @@ per value.  A cone is interned by its key, its sorted rays and rank
 (``polyhedra._interned_cone``), a polyhedron by its canonical cone
 (``polyhedra.from_homogenized``), and a fan, complex or divisor by
 :func:`canonical`.  A class constructor's object is not canonical.  The memo
-rule: a table of one object is a :class:`lazy` attribute of it; an
-``lru_cache`` is an interning table (those three), an input memo (work done
-before the object exists: ``_make_cone``, ``_make_fan``, ``downgrade``,
-``bundle_rank2``, and the command line's ``_fan_of`` on validated
-coordinates) or a table with a second argument (``s_sigma``,
-``enumerate_generators``, ``presentation``, ``eff_generators``,
-``toric_chow_presentation``).
+rule: a table of one object is a :class:`lazy` attribute of it, which
+another object's may :func:`keep` (a full-dimensional cone's ``faces`` keep
+each facet's character, its ``span_eqs``); an ``lru_cache`` is an interning
+table (those three), an input memo (work done before the object exists:
+``_make_cone``, ``_make_fan``, ``downgrade``, ``bundle_rank2``, and the
+command line's ``_fan_of`` on validated coordinates) or a table with a
+second argument (``s_sigma``, ``enumerate_generators``, ``presentation``,
+``eff_generators``, ``toric_chow_presentation``).
 """
 
 from __future__ import annotations
