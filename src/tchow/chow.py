@@ -9,14 +9,15 @@ multiplicities (:func:`~tchow.fansy.s_sigma`,
 homogenized cone, and the coefficient of a coface in the divisor of the
 ``j``-th basis character, row ``j`` of that cone's ``span_eqs``, is
 coordinate ``j`` of the coface's primitive image there (Fulton & Sturmfels,
-1997).  Rows name canonical generators, looked up in the divisor's
-``generator_table`` (the oracle's keyed by cone), and the Smith input is
-filled column by column from them.  A presentation is a table of a divisor
-and k, kept in a cache keyed by both: built once per divisor value and k,
-and shared by ``chow``, ``eff`` and ``crosscheck``.  An independent
-classical presentation for complete toric varieties (orbit closures modulo
-divisors of characters) serves as a cross-check through the downgrade
-construction; it is cached per fan value and k the same way.
+1997).  A row is ``(key, coefficient)`` pairs, each key a cycle's geometry
+(:attr:`~tchow.fansy.CycleGenerator.key`); the Smith input is filled once
+from the rows, by the generators' keys, and ``relations`` is its transpose.
+A presentation is a table of a divisor and k, kept in a cache keyed by
+both: built once per divisor value and k, and shared by ``chow``, ``eff``
+and ``crosscheck``.  An independent classical presentation for complete
+toric varieties (orbit closures modulo divisors of characters) serves as a
+cross-check through the downgrade construction; it is cached per fan value
+and k the same way.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .exactlin import IVec, snf_transforms
 from .fansy import (
     CycleGenerator,
     MarkedFansyDivisor,
+    check_k,
     enumerate_generators,
     mu_of_face,
     s_sigma,
@@ -48,10 +50,10 @@ class NonIntegralRedirectError(ArithmeticError):
 
 
 class RelationBlock(Value):
-    """Rows contributed by one (k+1)-dimensional cycle, as generator->coeff maps."""
+    """Rows contributed by one (k+1)-dimensional cycle, as ``(CycleGenerator.key, coeff)`` pairs."""
 
     source: CycleGenerator
-    rows: tuple[tuple[tuple[CycleGenerator, int], ...], ...]
+    rows: tuple[tuple[tuple[object, int], ...], ...]
 
 
 class ChowPresentation(Value):
@@ -94,19 +96,19 @@ def _cone_image_ray(chars, gens) -> IVec:
 
 
 def _image_rows(targets, coords) -> tuple:
-    """One row per coordinate ``j`` in ``coords``: ``factor * image[j]`` on each target's generator.
+    """One row per coordinate ``j`` in ``coords``: ``factor * image[j]`` on each target's key.
 
-    ``targets`` holds ``(generator, factor, image)`` triples, ``image`` the
+    ``targets`` holds ``(key, factor, image)`` triples, ``image`` the
     primitive image of a coface in the quotient by a cone.  Coordinate ``j``
     is the pairing with the ``j``-th basis character of that quotient, so each
     row is the divisor of one character.
     """
     rows = []
     for j in coords:
-        entries: dict[CycleGenerator, int] = {}
-        for gen, factor, image in targets:
+        entries: dict = {}
+        for key, factor, image in targets:
             if image[j]:
-                entries[gen] = entries.get(gen, 0) + factor * image[j]
+                entries[key] = entries.get(key, 0) + factor * image[j]
         rows.append(tuple(entries.items()))
     return tuple(rows)
 
@@ -130,11 +132,11 @@ def relation_block_v(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationB
     """
     p, face = source.point, source.face
     chars = face.cone.span_eqs
-    # each coface as the generator it lands on, the multiplier and its image
+    # each coface as the cycle it lands on, the multiplier and its image
     targets = []
     for g in x.complex_at(p).cofaces[face]:
         if not x.is_marked(g.tail):
-            gen, factor = x.generator_table[p, g], 1
+            key, factor = (p, g), 1
         else:
             s = s_sigma(x, g.tail)
             mu = mu_of_face(g)
@@ -142,8 +144,8 @@ def relation_block_v(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationB
                 raise NonIntegralRedirectError(
                     f"stabilizer order {s} is not divisible by multiplicity {mu}"
                 )
-            gen, factor = x.generator_table[g.tail], s // mu
-        targets.append((gen, factor, _cone_image_ray(chars, g.cone.generators)))
+            key, factor = g.tail, s // mu
+        targets.append((key, factor, _cone_image_ray(chars, g.cone.generators)))
     return RelationBlock(source, _image_rows(targets, range(len(chars))))
 
 
@@ -166,19 +168,19 @@ def relation_block_r(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationB
     chars = [e + (0,) for e in tau.span_eqs] + [(0,) * n + (1,)]
     per_point = {
         p: [
-            (x.generator_table[p, f], 1, _cone_image_ray(chars, f.cone.generators))
+            ((p, f), 1, _cone_image_ray(chars, f.cone.generators))
             for f in x.complex_at(p).by_tail.get(tau, ())
             if f.dim == tau.dim
         ]
         for p in x.points
     }
     basepoint = x.points[-1]
-    negated = [(gen, -1, image) for gen, _, image in per_point[basepoint]]
+    negated = [(key, -1, image) for key, _, image in per_point[basepoint]]
     rows = []
     for p in x.points[:-1]:
         rows.extend(_image_rows(per_point[p] + negated, [q]))
     horizontal = [
-        (x.generator_table[sigma], 1, _cone_image_ray(chars, _lift(sigma)))
+        (sigma, 1, _cone_image_ray(chars, _lift(sigma)))
         for sigma in x.tailfan.cofaces[tau]
         if not x.is_marked(sigma)
     ]
@@ -211,64 +213,45 @@ def relation_block_t(x: MarkedFansyDivisor, source: CycleGenerator) -> RelationB
             raise AssertionError(
                 "marks are not upward closed; validate the divisor first"
             )
-        targets.append((x.generator_table[sigma], 1, _cone_image_ray(chars, _lift(sigma))))
+        targets.append((sigma, 1, _cone_image_ray(chars, _lift(sigma))))
     return RelationBlock(source, _image_rows(targets, range(len(chars))))
 
 
 def relation_blocks(x: MarkedFansyDivisor, k: int) -> list[RelationBlock]:
-    n = x.rank
-    if k + 1 > n + 1:
+    if k > x.rank:
         return []
     level = enumerate_generators(x, k + 1)
-    blocks = []
-    for f in level.v:
-        blocks.append(relation_block_v(x, f))
-    for c in level.r:
-        blocks.append(relation_block_r(x, c))
-    for c in level.t:
-        blocks.append(relation_block_t(x, c))
-    return blocks
+    return (
+        [relation_block_v(x, f) for f in level.v]
+        + [relation_block_r(x, c) for c in level.r]
+        + [relation_block_t(x, c) for c in level.t]
+    )
 
 
 def _smith_presentation(k, generators, rows) -> ChowPresentation:
     g = len(generators)
-    index = {gen: i for i, gen in enumerate(generators)}
-    # cokernel of the transpose: each sparse row is a column of ``mt`` and a row of ``matrix``
+    index = {gen.key: i for i, gen in enumerate(generators)}
+    # cokernel of the transpose: sparse row ``r`` is column ``r`` of ``mt``
     mt = [[0] * len(rows) for _ in range(g)]
-    matrix = []
     for r, row in enumerate(rows):
-        v = [0] * g
-        for gen, coeff in row:
-            i = index[gen]
-            v[i] += coeff
-            mt[i][r] += coeff
-        matrix.append(tuple(v))
+        for key, coeff in row:
+            mt[index[key]][r] += coeff
     u, d = snf_transforms(mt)
-    diag = [d[i][i] for i in range(min(g, len(matrix)))]
-    nonzero = [x for x in diag if x != 0]
+    nonzero = [x for x in (d[i][i] for i in range(min(g, len(rows)))) if x != 0]
     rank = len(nonzero)
     torsion = tuple(x for x in nonzero if x > 1)
     torsion_index = [i for i, x in enumerate(nonzero) if x > 1]
-    moduli = tuple(nonzero[i] for i in torsion_index) + (0,) * (g - rank)
-    class_map = []
-    for j in range(g):
-        col = [u[i][j] for i in range(g)]
-        reduced = tuple(col[i] % nonzero[i] for i in torsion_index) + tuple(
-            col[rank:]
-        )
-        class_map.append(reduced)
-    return ChowPresentation(
-        k,
-        tuple(generators),
-        tuple(matrix),
-        g - rank,
-        torsion,
-        moduli,
-        tuple(class_map),
+    class_map = tuple(
+        tuple(col[i] % nonzero[i] for i in torsion_index) + col[rank:] for col in zip(*u)
     )
+    # with no generator there are no columns to transpose, but a row per relation
+    relations = tuple(zip(*mt)) or ((),) * len(rows)
+    free = g - rank
+    moduli = torsion + (0,) * free
+    return ChowPresentation(k, tuple(generators), relations, free, torsion, moduli, class_map)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def presentation(x: MarkedFansyDivisor, k: int) -> ChowPresentation:
     """The full k-cycle class group presentation of the divisor's variety.
 
@@ -276,15 +259,13 @@ def presentation(x: MarkedFansyDivisor, k: int) -> ChowPresentation:
     divisor returns the same presentation.  :func:`tchow.effcone.eff_generators`
     reads it and is a table of a divisor and k the same way.
     """
-    n = x.rank
-    if not 0 <= k <= n + 1:
-        raise ValueError(f"k must lie in [0, {n + 1}]")
+    check_k(k, x.rank + 1)
     gens = enumerate_generators(x, k).ordered()
     rows = [row for block in relation_blocks(x, k) for row in block.rows]
     return _smith_presentation(k, gens, rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def toric_chow_presentation(fan: Fan, k: int) -> ChowPresentation:
     """Classical k-cycle presentation of a complete toric variety.
 
@@ -295,14 +276,11 @@ def toric_chow_presentation(fan: Fan, k: int) -> ChowPresentation:
     """
     require_complete(fan)
     n = fan.ambient_rank
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, {n}]")
-    table = {c: CycleGenerator("R", cone=c) for c in fan.cones(n - k)}
+    check_k(k, n)
     rows = []
     for tau in fan.cones(n - k - 1):
-        above = [
-            (table[sigma], 1, _cone_image_ray(tau.span_eqs, sigma.generators))
-            for sigma in fan.cofaces[tau]
-        ]
-        rows.extend(_image_rows(above, range(len(tau.span_eqs))))
-    return _smith_presentation(k, tuple(table.values()), rows)
+        chars = tau.span_eqs
+        above = [(sigma, 1, _cone_image_ray(chars, sigma.generators)) for sigma in fan.cofaces[tau]]
+        rows.extend(_image_rows(above, range(len(chars))))
+    gens = tuple(CycleGenerator("R", cone=c) for c in fan.cones(n - k))
+    return _smith_presentation(k, gens, rows)

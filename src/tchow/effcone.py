@@ -27,7 +27,7 @@ class EffConeReport(Value):
         return len(self.entries)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def eff_generators(x: MarkedFansyDivisor, k: int) -> EffConeReport:
     """Effective k-cycle generators with their classes, deduplicated.
 

@@ -11,8 +11,8 @@ first use.  Each fiber's faces by dimension, by tail cone and by coface are
 kept on its complex (``PolyhedralComplex.by_dim``, ``by_tail``,
 ``cofaces``), the tailfan's cones by dimension on the fan (``Fan.by_dim``),
 and :func:`s_sigma` and :func:`enumerate_generators`, tables with a second
-argument, in value-keyed caches, as :func:`tchow.chow.presentation` is, and
-every level's generators on the divisor (``generator_table``).
+argument, in value-keyed caches, as :func:`tchow.chow.presentation` is.
+Relation rows name a generator by its geometry (``CycleGenerator.key``).
 Multiplicities and stabilizer orders read their quotients off the
 ``span_eqs`` of a tail cone or of ``sigma``, computed once per cone.
 :func:`make_divisor` returns one object per value
@@ -85,16 +85,6 @@ class MarkedFansyDivisor(Value):
         return c in self.marked
 
     @lazy
-    def generator_table(self) -> dict:
-        """Every level's enumerated generators, keyed by ``(point, face)`` (V) or by cone (R, T)."""
-        table = {}
-        for k in range(self.rank + 2):
-            level = enumerate_generators(self, k)
-            table.update(((g.point, g.face), g) for g in level.v)
-            table.update((g.cone, g) for g in level.r + level.t)
-        return table
-
-    @lazy
     def _report(self) -> ValidationReport:
         return ValidationReport(tuple(_violations(self)))
 
@@ -106,6 +96,11 @@ class CycleGenerator(Value):
     point: str | None = None
     face: Polyhedron | None = None
     cone: Cone | None = None
+
+    @property
+    def key(self):
+        """The cycle's geometry, as relation rows name it: ``(point, face)`` (V) or the cone."""
+        return (self.point, self.face) if self.kind == "V" else self.cone
 
     @lazy
     def label(self) -> str:
@@ -244,7 +239,15 @@ def s_sigma(x: MarkedFansyDivisor, sigma: Cone) -> int:
     return d**r // covolume
 
 
-@lru_cache(maxsize=None)
+def check_k(k, top: int) -> None:
+    """Refuse a ``k`` that is not an ``int`` (``1.0`` and ``True`` included) in ``[0, top]``."""
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got {k!r}")
+    if not 0 <= k <= top:
+        raise ValueError(f"k must lie in [0, {top}]")
+
+
+@lru_cache(maxsize=None, typed=True)
 def enumerate_generators(x: MarkedFansyDivisor, k: int) -> GeneratorSets:
     """The three generator families of the k-cycle presentation.
 
@@ -254,8 +257,7 @@ def enumerate_generators(x: MarkedFansyDivisor, k: int) -> GeneratorSets:
     (V point by point).  Enumerated once per divisor value and level.
     """
     n = x.rank
-    if not 0 <= k <= n + 1:
-        raise ValueError(f"k must lie in [0, {n + 1}]")
+    check_k(k, n + 1)
     r_gens = tuple(
         CycleGenerator("R", cone=c) for c in x.tailfan.cones(n + 1 - k) if not x.is_marked(c)
     )

@@ -31,6 +31,7 @@ from tchow.chow import (
     relation_block_v,
     toric_chow_presentation,
 )
+from tchow.effcone import eff_generators
 from tchow.fansy import (
     CycleGenerator,
     MarkedFansyDivisor,
@@ -171,9 +172,9 @@ def test_rows_name_the_enumerated_generators(monkeypatch):
 
     At every k, on gr24 and on a seeded rank-4 downgrade, every
     ``CycleGenerator`` that ``presentation(x, k)`` builds is an object that
-    ``enumerate_generators`` returns, and every relation row names the
-    objects of its level.  The oracle builds one generator per cone of its
-    level.
+    ``enumerate_generators`` returns, and every key in every relation row is
+    the ``key`` of a generator of its level.  The oracle builds one generator
+    per cone of its level.
     """
     from conftest import forget_values
 
@@ -196,9 +197,9 @@ def test_rows_name_the_enumerated_generators(monkeypatch):
             levels = [enumerate_generators(x, j).ordered() for j in range(x.rank + 2)]
             enumerated = {id(g) for level in levels for g in level}
             assert built and {id(g) for g in built} <= enumerated, k
-            own = {id(g) for g in levels[k]}
+            own = {g.key for g in levels[k]}
             for block in chow.relation_blocks(x, k):
-                assert all(id(gen) in own for row in block.rows for gen, _ in row), k
+                assert all(key in own for row in block.rows for key, _ in row), k
             built.clear()
     for k in range(5):
         forget_values()
@@ -208,6 +209,51 @@ def test_rows_name_the_enumerated_generators(monkeypatch):
         monkeypatch.undo()
         assert len(built) == len(fan.cones(4 - k)), k
         built.clear()
+
+
+def test_cold_presentation_enumerates_levels_k_and_k_plus_1(monkeypatch):
+    """A cold ``presentation(x, k)`` enumerates the generators of levels ``k`` and ``k + 1`` only."""
+    from conftest import forget_values
+
+    from tchow import fansy
+
+    fan4 = lambda: random_complete_fan(random.Random(1000), 4, 5)
+    real = fansy.enumerate_generators
+    for make in (lambda: fixture("gr24"), lambda: downgrade(DowngradeInput(fan4()))):
+        for k in range(make().rank + 2):
+            forget_values()
+            x = make()
+            levels = []
+            spy = lambda y, j: levels.append(j) or real(y, j)
+            monkeypatch.setattr(fansy, "enumerate_generators", spy)
+            monkeypatch.setattr(chow, "enumerate_generators", spy)
+            presentation(x, k)
+            monkeypatch.undo()
+            expected = {k, k + 1} & set(range(x.rank + 2))
+            assert set(levels) == expected and real.cache_info().misses == len(expected), k
+
+
+@pytest.mark.parametrize("int_first", [True, False], ids=["int_cached_first", "bad_k_first"])
+@pytest.mark.parametrize("bad", [1.0, True, 1.5], ids=repr)
+@pytest.mark.parametrize(
+    "table",
+    [
+        lambda k: presentation(fixture("p2_E"), k),
+        lambda k: eff_generators(fixture("p2_E"), k),
+        lambda k: enumerate_generators(fixture("p2_E"), k),
+        lambda k: toric_chow_presentation(p2fan(), k),
+    ],
+    ids=["presentation", "eff_generators", "enumerate_generators", "toric_chow_presentation"],
+)
+def test_tables_refuse_a_k_that_is_not_an_int(table, bad, int_first):
+    """``1.0``, ``True`` and ``1.5`` are refused on every call, cached integer ``k`` or not."""
+    good = table(1) if int_first else None
+    for _ in range(2):
+        with pytest.raises(ValueError, match="k must be an int, got"):
+            table(bad)
+    result = table(1)
+    assert good is None or result is good
+    assert type(getattr(result, "k", 1)) is int
 
 
 def test_oracle_p2():
@@ -277,9 +323,12 @@ def test_gr24_vertex_relations_match_worked_example(gr24):
     readable = []
     for row in block.rows:
         entry = {}
-        for gen, coeff in row:
-            key = gen.cone.generators[0] if gen.kind == "T" else "edge"
-            entry[key] = coeff
+        for key, coeff in row:
+            if isinstance(key, tuple):  # a fiber face, keyed (point, face): the edge over 0
+                assert key[0] == "0" and key[1].dim == 1
+                entry["edge"] = coeff
+            else:  # a marked cone, keyed by itself: its contracted cycle
+                entry[key.generators[0]] = coeff
         readable.append(entry)
     assert {(1, 0, 0): 1, (1, 1, 1): 1, "edge": -1} in readable
     assert {(0, 1, 0): 1, (1, 1, 1): 1, "edge": -1} in readable

@@ -143,3 +143,23 @@ def test_no_module_reads_an_instance_dict():
         if isinstance(node, ast.Attribute) and node.attr == "__dict__"
     ]
     assert not found, "reads __dict__: " + ", ".join(found)
+
+
+def test_every_traced_function_is_defined():
+    """Each ``module.function`` in ``bench/spans.py``'s ``BOUNDARIES`` is a function of ``tchow.<module>``.
+
+    The traced benchmark pass looks each one up by name; this finds a missing
+    one without running it.
+    """
+    spans = ast.parse((SRC.parent.parent / "bench" / "spans.py").read_text())
+    boundaries = next(
+        ast.literal_eval(node.value)
+        for node in spans.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", "") == "BOUNDARIES" for t in node.targets)
+    )
+    missing = []
+    for module, names in boundaries.items():
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        missing += [f"{module}.{name}" for name in names if name not in defined]
+    assert boundaries and not missing, missing
